@@ -82,8 +82,8 @@ def _parse_bool(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse an INI config (section [run]) into a RunConfig."""
+def _read_config(text: str) -> dict:
+    """RunConfig keyword arguments from an INI config (section [run])."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
     if not parser.has_section("run"):
@@ -110,7 +110,12 @@ def parse_config(text: str) -> RunConfig:
         kwargs["alpha"] = float(sec["alpha"])
     if "beta" in sec and sec["beta"].strip():
         kwargs["beta"] = float(sec["beta"])
-    return RunConfig(**kwargs)
+    return kwargs
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse an INI config (section [run]) into a RunConfig."""
+    return RunConfig(**_read_config(text))
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -136,32 +141,24 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        config = parse_config(Path(args.config).read_text())
-    else:
-        config = RunConfig()
-    if args.problem is not None:
-        config.problem = args.problem
-    if args.epsilon:
-        config.epsilons = list(args.epsilon)
-    if args.N:
-        config.Ns = list(args.N)
-    if args.variant is not None:
-        config.variant = Variant(args.variant)
-    if args.double_mesh is not None:
-        config.double_mesh = DoubleMeshMode(args.double_mesh)
-    if args.workers is not None:
-        config.workers = args.workers
-    if args.out_dir is not None:
-        config.out_dir = args.out_dir
-    if args.alpha is not None:
-        config.alpha = args.alpha
-    if args.beta is not None:
-        config.beta = args.beta
-    if args.desk:
-        config.desk = True
-        config.Ns = [n for n in config.Ns if n <= DESK_N_CAP]
-    return config
+    """File settings overridden by explicit flags; built once, so the
+    ``desk`` cap applies to the merged Ns wherever they came from."""
+    kwargs = _read_config(Path(args.config).read_text()) if args.config else {}
+    flags = {
+        "problem": args.problem,
+        "epsilons": list(args.epsilon) if args.epsilon else None,
+        "Ns": list(args.N) if args.N else None,
+        "variant": Variant(args.variant) if args.variant is not None else None,
+        "double_mesh": (DoubleMeshMode(args.double_mesh)
+                        if args.double_mesh is not None else None),
+        "workers": args.workers,
+        "out_dir": args.out_dir,
+        "alpha": args.alpha,
+        "beta": args.beta,
+        "desk": args.desk or None,
+    }
+    kwargs.update({k: v for k, v in flags.items() if v is not None})
+    return RunConfig(**kwargs)
 
 
 def _load_spec(config: RunConfig) -> ProblemSpec:

@@ -12,6 +12,8 @@ from cd2d.cli import (
     FULL_EPSILONS,
     FULL_NS,
     RunConfig,
+    _merge_config,
+    build_parser,
     main,
     parse_config,
     serialize_config,
@@ -84,6 +86,18 @@ def test_flags_override_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "u_example1_transformed_eps0.01_N16.dat" in out
     assert (tmp_path / "u_example1_transformed_eps0.01_N16.dat").exists()
+
+
+def test_desk_cap_applies_after_merging(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\ndesk = true\n")
+    args = build_parser().parse_args(
+        ["sweep", "--config", str(ini), "--N", "16", "--N", "512"])
+    assert _merge_config(args).Ns == [16]
+    ini.write_text("[run]\nns = 16 512\n")
+    args = build_parser().parse_args(
+        ["sweep", "--config", str(ini), "--desk"])
+    assert _merge_config(args).Ns == [16]
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from cd2d import (
     GridFunction,
@@ -10,13 +13,16 @@ from cd2d import (
     RowKind,
     Variant,
     assemble_system,
+    bisect,
     build_tensor_mesh,
+    builtin_problem,
     residual_norm,
     solve_direct,
 )
 from cd2d.errors import DimensionMismatch, SingularMatrix
 from cd2d.problems import ProblemSpec
-from cd2d.solve import write_grid_dump
+from cd2d.solve import (_flush_subnormals, _libm, factorize,
+                        write_grid_dump)
 
 
 def identity_system(tm):
@@ -92,6 +98,91 @@ def test_solve_scales_linearly(ex1):
     scaled = dataclasses.replace(system, rhs=3.0 * system.rhs)
     v = solve_direct(scaled)
     assert np.allclose(v.values, 3.0 * u.values, rtol=1e-12, atol=1e-15)
+
+
+def row_scaled(system):
+    """Row-equilibrated CSC matrix and row scale, formed as the solver does."""
+    d = 1.0 / np.abs(system.matrix).max(axis=1).toarray().ravel()
+    return (sp.diags(d) @ system.matrix).tocsc(), d
+
+
+def subnormals_survive():
+    """True when this thread neither flushes nor zeroes subnormal numbers."""
+    return bool(np.finfo(float).tiny / 2 > 0
+                and np.nextafter(0.0, 1.0) * 1.0 > 0)
+
+
+def test_factorization_stats_and_fill(ex1):
+    # the 257^2 bisect companion of the N = 128 cell at eps = 1e-4
+    spec = ex1.with_epsilon(1e-4)
+    system = assemble_system(spec, bisect(build_tensor_mesh(spec, 128)))
+    f = factorize(system)
+    row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
+    assert f.ordering == "MMD_AT_PLUS_A"
+    assert f.row_max_range == (row_max.min(), row_max.max())
+    scaled, _ = row_scaled(system)
+    colamd = spla.splu(scaled)
+    assert f.nnz_lu <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+    u = f.solve(system.rhs)
+    assert np.array_equal(u.values, solve_direct(system).values)
+    assert residual_norm(system, u) <= 1e-12
+
+
+def test_factorization_solves_other_rhs(ex1):
+    tm = build_tensor_mesh(ex1, 8)
+    system = assemble_system(ex1, tm)
+    f = factorize(system)
+    rhs = np.linspace(-1.0, 1.0, system.dimension)
+    u = f.solve(rhs)
+    assert residual_norm(dataclasses.replace(system, rhs=rhs), u) <= 1e-12
+    with pytest.raises(DimensionMismatch):
+        f.solve(rhs[:-1])
+
+
+def test_float_environment_restored(ex1):
+    assert subnormals_survive()
+    tm = build_tensor_mesh(ex1, 16)
+    solve_direct(assemble_system(ex1, tm))
+    assert subnormals_survive()
+    # two identical rows: no zero row, but SuperLU finds the factor singular
+    dim = (tm.n + 1) ** 2
+    mat = sp.identity(dim, format="lil")
+    mat[1, 1] = 0.0
+    mat[1, 0] = 1.0
+    system = LinearSystem(matrix=mat.tocsr(), rhs=np.ones(dim), n=tm.n,
+                          mesh=tm, variant=Variant.TRANSFORMED,
+                          row_kinds=np.full(dim, int(RowKind.DIRICHLET),
+                                            dtype=np.int8))
+    with pytest.raises(SingularMatrix, match="singular"):
+        solve_direct(system)
+    assert subnormals_survive()
+
+
+@pytest.mark.skipif(_libm() is None,
+                    reason="the flush applies on x86-64 glibc only")
+def test_flush_zeroes_subnormals():
+    with _flush_subnormals():
+        assert np.finfo(float).tiny / 2 == 0        # FTZ: results flushed
+        assert np.nextafter(0.0, 1.0) * 1.0 == 0    # DAZ: inputs zeroed
+    assert subnormals_survive()
+
+
+@given(problem=st.sampled_from(["Example1", "Example2"]),
+       variant=st.sampled_from(list(Variant)),
+       log_eps=st.floats(math.log10(1e-6), math.log10(0.5)),
+       N=st.sampled_from([8, 16, 32, 64]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_solve_matches_partial_pivoting_oracle(problem, variant, log_eps, N):
+    spec = builtin_problem(problem).with_epsilon(10.0 ** log_eps)
+    system = assemble_system(spec, build_tensor_mesh(spec, N), variant)
+    u = solve_direct(system)
+    assert residual_norm(system, u) <= 1e-12
+    # oracle: SuperLU's default COLAMD ordering with plain partial pivoting
+    scaled, d = row_scaled(system)
+    u_ref = spla.splu(scaled, permc_spec="COLAMD",
+                      diag_pivot_thresh=1.0).solve(d * system.rhs)
+    scale = np.max(np.abs(u_ref))
+    assert np.max(np.abs(u.values - u_ref)) <= 1e-10 * scale
 
 
 def test_zero_row_rejected(ex1):
