@@ -16,18 +16,14 @@ from .analysis import (ConvergenceTable, DoubleMeshMode, SweepResult,
                        manufactured_problem, manufactured_solution_study,
                        mms_exact, order_estimate, run_cell, run_sweep,
                        write_table_csv)
-from .assembly import (LinearSystem, MMatrixReport, RowKind, StencilRow,
-                       Variant, assemble_interface_x_row,
-                       assemble_interface_x_row_raw, assemble_interface_y_row,
-                       assemble_interior_row, assemble_row, assemble_system,
-                       m_matrix_check)
+from .assembly import (LinearSystem, MMatrixReport, RowKind, Variant,
+                       assemble_system, m_matrix_check)
 from .errors import (BadN, CD2DError, DimensionMismatch, GeometryError,
                      MalformedSpec, MeshMismatch, NonFiniteSolution,
                      NonPositiveError, OnDiscontinuityWithoutSide, OutOfDomain,
-                     SingularMatrix, SingularStructure, WrongKind)
-from .mesh import (Axis, Mesh1D, PointKind, TensorMesh, TransitionParams,
-                   bisect, bisect_1d, build_mesh_x, build_mesh_y,
-                   build_tensor_mesh, compute_transition_points)
+                     SingularMatrix, SingularStructure)
+from .mesh import (Axis, Mesh1D, PointKind, TensorMesh, bisect, bisect_1d,
+                   build_tensor_mesh)
 from .problems import (ProblemSpec, QuadrantId, Side, ValidationReport,
                        builtin_problem, check_mesh_parameter, jump_f_across_x,
                        jump_f_across_y, problem_names, quadrant_of,

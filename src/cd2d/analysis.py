@@ -100,24 +100,22 @@ def run_cell(spec: ProblemSpec, N: int,
     cell = CellResult(epsilon=spec.epsilon, N=N)
     start = time.perf_counter()
     try:
-        report = validate(spec, N)
+        coarse_mesh = mesh_mod.build_tensor_mesh(spec, N)
+        cell.sigma_x, cell.sigma_y = coarse_mesh.sigma_x, coarse_mesh.sigma_y
+        # both meshes up front, so an infeasible companion costs no solve
+        if mode is DoubleMeshMode.BISECT:
+            fine_mesh = mesh_mod.bisect(coarse_mesh)
+        else:
+            fine_mesh = mesh_mod.build_tensor_mesh(spec, 2 * N)
+        report = validate(spec, coarse_mesh)
         cell.warnings = list(report.warnings)
         if not report.ok:
             raise CD2DError("; ".join(report.errors))
-        params = mesh_mod.compute_transition_points(spec, N)
-        cell.sigma_x, cell.sigma_y = params.sigma_x, params.sigma_y
-        coarse_mesh = mesh_mod.TensorMesh(
-            x=mesh_mod.build_mesh_x(params, spec.d1),
-            y=mesh_mod.build_mesh_y(params, spec.d2))
         coarse_sys = assemble_system(spec, coarse_mesh, variant)
         coarse = solve_direct(coarse_sys)
         cell.residual_coarse = residual_norm(coarse_sys, coarse)
         cell.max_u_coarse = coarse.max_norm()
 
-        if mode is DoubleMeshMode.BISECT:
-            fine_mesh = mesh_mod.bisect(coarse_mesh)
-        else:
-            fine_mesh = mesh_mod.build_tensor_mesh(spec, 2 * N)
         fine_sys = assemble_system(spec, fine_mesh, variant)
         fine = solve_direct(fine_sys)
         cell.residual_fine = residual_norm(fine_sys, fine)

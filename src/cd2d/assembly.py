@@ -33,6 +33,10 @@ positive diagonal coefficient.  The transformed row keeps its derived
 orientation; its center coefficient is positive for Example 1 but is not
 positive in general (Example 2 drives it negative), which m_matrix_check
 reports.  Unknowns are ordered row-major, flat = j*(n+1) + i.
+
+``assemble_system`` is the only assembly path.  It samples a and b once on
+the whole grid and each quadrant source once on its closed block, then
+lays down every row class as arrays through the coefficient kernels below.
 """
 from __future__ import annotations
 
@@ -43,9 +47,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SingularStructure, WrongKind
-from .mesh import PointKind, TensorMesh
-from .problems import ProblemSpec, Side, sample_field, source_at
+from .errors import SingularStructure
+from .mesh import TensorMesh
+from .problems import ProblemSpec, sample_field, sample_source
 
 
 class RowKind(enum.IntEnum):
@@ -59,14 +63,6 @@ class RowKind(enum.IntEnum):
 class Variant(enum.Enum):
     TRANSFORMED = "transformed"
     RAW = "raw"
-
-
-@dataclass
-class StencilRow:
-    center: tuple[int, int]
-    entries: list[tuple[tuple[int, int], float]]
-    rhs: float
-    kind: RowKind
 
 
 @dataclass
@@ -89,13 +85,9 @@ class LinearSystem:
         return k % (self.n + 1), k // (self.n + 1)
 
 
-def flat_index(i: int, j: int, n: int) -> int:
-    return j * (n + 1) + i
-
-
 # ---------------------------------------------------------------------------
-# Coefficient kernels.  Shared by the scalar reference rows and the
-# vectorized bulk assembly so both paths do identical floating arithmetic.
+# Coefficient kernels, applied elementwise to arrays of mesh widths and
+# coefficient samples.
 
 def _upwind_coeffs(eps2, hL, hR, kB, kT, a_val, b_val):
     """Center, west, east, south, north coefficients of the 5-point row."""
@@ -137,222 +129,88 @@ def _raw_interface_coeffs(h1, H2):
 
 
 # ---------------------------------------------------------------------------
-# Scalar reference rows.
-
-def assemble_interior_row(spec: ProblemSpec, mesh: TensorMesh,
-                          i: int, j: int) -> StencilRow:
-    if mesh.kind(i, j) is not PointKind.INTERIOR:
-        raise WrongKind(f"({i},{j}) is {mesh.kind(i, j).value}, not interior")
-    xs, ys = mesh.x.points, mesh.y.points
-    eps2 = spec.epsilon ** 2
-    hL, hR = xs[i] - xs[i - 1], xs[i + 1] - xs[i]
-    kB, kT = ys[j] - ys[j - 1], ys[j + 1] - ys[j]
-    x, y = xs[i], ys[j]
-    a_val = float(spec.a_field(x, y))
-    b_val = float(spec.b_field(x, y))
-    center, west, east, south, north = _upwind_coeffs(
-        eps2, hL, hR, kB, kT, a_val, b_val)
-    rhs = source_at(spec, x, y)
-    entries = [((i, j), center), ((i - 1, j), west), ((i + 1, j), east),
-               ((i, j - 1), south), ((i, j + 1), north)]
-    return StencilRow(center=(i, j), entries=entries, rhs=rhs,
-                      kind=RowKind.INTERIOR_UPWIND)
-
-
-def assemble_interface_y_row(spec: ProblemSpec, mesh: TensorMesh,
-                             i: int) -> StencilRow:
-    j = mesh.n // 2
-    if mesh.kind(i, j) is not PointKind.INTERFACE_Y:
-        raise WrongKind(f"({i},{j}) is {mesh.kind(i, j).value}, not interface-y")
-    xs, ys = mesh.x.points, mesh.y.points
-    eps2 = spec.epsilon ** 2
-    hL, hR = xs[i] - xs[i - 1], xs[i + 1] - xs[i]
-    kB, kT = ys[j] - ys[j - 1], ys[j + 1] - ys[j]
-    x = xs[i]
-    a_hat = 0.5 * (float(spec.a_field(x, ys[j - 1])) + float(spec.a_field(x, ys[j + 1])))
-    b_hat = 0.5 * (float(spec.b_field(x, ys[j - 1])) + float(spec.b_field(x, ys[j + 1])))
-    f_hat = 0.5 * (source_at(spec, x, ys[j - 1]) + source_at(spec, x, ys[j + 1]))
-    center, west, east, south, north = _upwind_coeffs(
-        eps2, hL, hR, kB, kT, a_hat, b_hat)
-    entries = [((i, j), center), ((i - 1, j), west), ((i + 1, j), east),
-               ((i, j - 1), south), ((i, j + 1), north)]
-    return StencilRow(center=(i, j), entries=entries, rhs=f_hat,
-                      kind=RowKind.INTERFACE_Y_MIDPOINT)
-
-
-def assemble_interface_x_row(spec: ProblemSpec, mesh: TensorMesh,
-                             j: int) -> StencilRow:
-    """Transformed 3-point transmission row at i = n/2 (cross point included)."""
-    i = mesh.n // 2
-    kind = mesh.kind(i, j)
-    if kind not in (PointKind.INTERFACE_X, PointKind.CROSS):
-        raise WrongKind(f"({i},{j}) is {kind.value}, not on the x-interface")
-    xs, ys = mesh.x.points, mesh.y.points
-    eps2 = spec.epsilon ** 2
-    h1 = xs[i] - xs[i - 1]
-    H2 = xs[i + 1] - xs[i]
-    y = ys[j]
-    a_m = float(spec.a_field(xs[i - 1], y))
-    a_p = float(spec.a_field(xs[i + 1], y))
-    b_m = float(spec.b_field(xs[i - 1], y))
-    b_p = float(spec.b_field(xs[i + 1], y))
-    center, west, east, e_minus = _transformed_coeffs(
-        eps2, h1, H2, a_m, a_p, b_m, b_p)
-    if kind is PointKind.CROSS:
-        f_m = 0.5 * (source_at(spec, xs[i - 1], ys[j - 1])
-                     + source_at(spec, xs[i - 1], ys[j + 1]))
-        f_p = 0.5 * (source_at(spec, xs[i + 1], ys[j - 1])
-                     + source_at(spec, xs[i + 1], ys[j + 1]))
-    else:
-        f_m = source_at(spec, xs[i - 1], y)
-        f_p = source_at(spec, xs[i + 1], y)
-    rhs = (h1 / (4.0 * e_minus)) * f_m + (H2 / (4.0 * eps2)) * f_p
-    entries = [((i - 1, j), west), ((i, j), center), ((i + 1, j), east)]
-    return StencilRow(center=(i, j), entries=entries, rhs=rhs,
-                      kind=RowKind.INTERFACE_X_TRANSFORMED)
-
-
-def assemble_interface_x_row_raw(spec: ProblemSpec, mesh: TensorMesh,
-                                 j: int) -> StencilRow:
-    """Raw 5-point derivative-matching row at i = n/2, rhs 0."""
-    i = mesh.n // 2
-    kind = mesh.kind(i, j)
-    if kind not in (PointKind.INTERFACE_X, PointKind.CROSS):
-        raise WrongKind(f"({i},{j}) is {kind.value}, not on the x-interface")
-    xs = mesh.x.points
-    h1 = xs[i] - xs[i - 1]
-    H2 = xs[i + 1] - xs[i]
-    c_mm, c_m, c_0, c_p, c_pp = _raw_interface_coeffs(h1, H2)
-    entries = [((i - 2, j), c_mm), ((i - 1, j), c_m), ((i, j), c_0),
-               ((i + 1, j), c_p), ((i + 2, j), c_pp)]
-    return StencilRow(center=(i, j), entries=entries, rhs=0.0,
-                      kind=RowKind.INTERFACE_X_RAW)
-
-
-def assemble_dirichlet_row(spec: ProblemSpec, mesh: TensorMesh,
-                           i: int, j: int) -> StencilRow:
-    if mesh.kind(i, j) is not PointKind.BOUNDARY:
-        raise WrongKind(f"({i},{j}) is {mesh.kind(i, j).value}, not boundary")
-    n = mesh.n
-    x, y = mesh.x.points[i], mesh.y.points[j]
-    if i == 0:
-        rhs = float(spec.q_edges[0](y))
-    elif i == n:
-        rhs = float(spec.q_edges[2](y))
-    elif j == 0:
-        rhs = float(spec.q_edges[1](x))
-    else:
-        rhs = float(spec.q_edges[3](x))
-    return StencilRow(center=(i, j), entries=[((i, j), 1.0)], rhs=rhs,
-                      kind=RowKind.DIRICHLET)
-
-
-def assemble_row(spec: ProblemSpec, mesh: TensorMesh, i: int, j: int,
-                 variant: Variant = Variant.TRANSFORMED) -> StencilRow:
-    """Dispatch to the row builder matching the point classification."""
-    kind = mesh.kind(i, j)
-    if kind is PointKind.BOUNDARY:
-        return assemble_dirichlet_row(spec, mesh, i, j)
-    if kind is PointKind.INTERIOR:
-        return assemble_interior_row(spec, mesh, i, j)
-    if kind in (PointKind.INTERFACE_X, PointKind.CROSS):
-        if variant is Variant.RAW:
-            return assemble_interface_x_row_raw(spec, mesh, j)
-        return assemble_interface_x_row(spec, mesh, j)
-    return assemble_interface_y_row(spec, mesh, i)
-
-
-# ---------------------------------------------------------------------------
-# Full-system assembly.  Interior rows are laid down in bulk with numpy;
-# the O(n) interface and boundary rows reuse the scalar builders, so the
-# result is entry-for-entry identical with assembling every row one by one.
-
-def _interior_blocks(spec: ProblemSpec, mesh: TensorMesh):
-    n = mesh.n
-    half = n // 2
-    xs, ys = mesh.x.points, mesh.y.points
-    eps2 = spec.epsilon ** 2
-    hx = np.diff(xs)
-    hy = np.diff(ys)
-    idx = np.concatenate([np.arange(1, half), np.arange(half + 1, n)])
-    I, J = np.meshgrid(idx, idx)
-    X, Y = xs[I], ys[J]
-    hL, hR = hx[I - 1], hx[I]
-    kB, kT = hy[J - 1], hy[J]
-    a_vals = np.broadcast_to(np.asarray(spec.a_field(X, Y), dtype=float), X.shape)
-    b_vals = np.broadcast_to(np.asarray(spec.b_field(X, Y), dtype=float), X.shape)
-    center, west, east, south, north = _upwind_coeffs(
-        eps2, hL, hR, kB, kT, a_vals, b_vals)
-    f_vals = np.empty(X.shape)
-    left = I < half
-    below = J < half
-    quads = [(left & below, 0), (~left & below, 1),
-             (left & ~below, 2), (~left & ~below, 3)]
-    for mask, k in quads:
-        xq, yq = X[mask], Y[mask]
-        f_vals[mask] = np.broadcast_to(
-            np.asarray(spec.f_quadrants[k](xq, yq), dtype=float), xq.shape)
-    rows = (J * (n + 1) + I).ravel()
-    coo_rows = np.concatenate([rows] * 5)
-    coo_cols = np.concatenate([
-        rows,
-        (J * (n + 1) + (I - 1)).ravel(),
-        (J * (n + 1) + (I + 1)).ravel(),
-        ((J - 1) * (n + 1) + I).ravel(),
-        ((J + 1) * (n + 1) + I).ravel(),
-    ])
-    coo_vals = np.concatenate([
-        center.ravel(), west.ravel(), east.ravel(),
-        south.ravel(), north.ravel(),
-    ])
-    return coo_rows, coo_cols, coo_vals, rows, f_vals.ravel()
-
+# Full-system assembly.
 
 def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
                     variant: Variant = Variant.TRANSFORMED) -> LinearSystem:
-    n = mesh.n
-    half = n // 2
-    dim = (n + 1) ** 2
-    rhs = np.zeros(dim)
-    row_kinds = np.empty(dim, dtype=np.int8)
+    """CSR matrix (sorted indices), rhs and row kinds of the scheme on mesh.
 
-    coo_rows, coo_cols, coo_vals, int_rows, f_int = _interior_blocks(spec, mesh)
-    rhs[int_rows] = f_int
-    row_kinds[int_rows] = int(RowKind.INTERIOR_UPWIND)
+    Each row class is built for all its points at once: the upwind rows
+    (interior and midpoint), the x = d1 rows of the chosen variant (cross
+    point included), and the Dirichlet rows.  Fields that reject arrays
+    are sampled point by point (see ``sample_field``).
+    """
+    n, half, m = mesh.n, mesh.n // 2, mesh.n + 1
+    xs, ys = mesh.x.points, mesh.y.points
+    hx, hy = np.diff(xs), np.diff(ys)
+    eps2 = spec.epsilon ** 2
+    flat = np.arange(m * m).reshape(m, m)          # flat[j, i] = j*m + i
+    rhs = np.zeros(m * m)
+    row_kinds = np.empty(m * m, dtype=np.int8)
+    parts = []
 
-    extra_rows: list[int] = []
-    extra_cols: list[int] = []
-    extra_vals: list[float] = []
+    def put(rows, kind, values, *stencil):
+        """Rows with their kind, rhs values and (columns, coefficients)."""
+        rows = rows.ravel()
+        rhs[rows] = np.ravel(values)
+        row_kinds[rows] = np.ravel(kind)
+        for cols, coeffs in stencil:
+            parts.append((rows, cols.ravel(),
+                          np.broadcast_to(coeffs, cols.shape).ravel()))
 
-    def put(row: StencilRow) -> None:
-        i, j = row.center
-        k = flat_index(i, j, n)
-        for (ci, cj), val in row.entries:
-            extra_rows.append(k)
-            extra_cols.append(flat_index(ci, cj, n))
-            extra_vals.append(val)
-        rhs[k] = row.rhs
-        row_kinds[k] = int(row.kind)
+    # f off the lines comes from its quadrant's block; the values left on
+    # the lines are never read.  Row y = d2 of a, b and f becomes the
+    # y-neighbour average used by the midpoint rows; the cross point takes
+    # its one-sided f from that row too, but a and b at their own points.
+    q1, q2, q3, q4 = sample_source(spec, mesh)
+    f = np.block([[q1[:half, :half], q2[:half]], [q3[:, :half], q4]])
+    a = sample_field(spec.a_field, xs, ys)
+    b = sample_field(spec.b_field, xs, ys)
+    a_up, b_up = a.copy(), b.copy()
+    for g in (a_up, b_up, f):
+        g[half] = 0.5 * (g[half - 1] + g[half + 1])
 
-    for j in range(1, n):
-        put(assemble_row(spec, mesh, half, j, variant))
-    for i in range(1, n):
-        if i != half:
-            put(assemble_interface_y_row(spec, mesh, i))
-    for i in range(n + 1):
-        put(assemble_dirichlet_row(spec, mesh, i, 0))
-        put(assemble_dirichlet_row(spec, mesh, i, n))
-    for j in range(1, n):
-        put(assemble_dirichlet_row(spec, mesh, 0, j))
-        put(assemble_dirichlet_row(spec, mesh, n, j))
+    # Upwind rows at every point off the boundary and off x = d1.
+    J, I = np.meshgrid(np.arange(1, n), np.r_[1:half, half + 1:n],
+                       indexing="ij")
+    center, west, east, south, north = _upwind_coeffs(
+        eps2, hx[I - 1], hx[I], hy[J - 1], hy[J], a_up[J, I], b_up[J, I])
+    r = flat[J, I]
+    put(r, np.where(J == half, RowKind.INTERFACE_Y_MIDPOINT,
+                    RowKind.INTERIOR_UPWIND), f[J, I],
+        (r, center), (r - 1, west), (r + 1, east), (r - m, south), (r + m, north))
 
-    all_rows = np.concatenate([coo_rows, np.asarray(extra_rows, dtype=coo_rows.dtype)])
-    all_cols = np.concatenate([coo_cols, np.asarray(extra_cols, dtype=coo_cols.dtype)])
-    all_vals = np.concatenate([coo_vals, np.asarray(extra_vals, dtype=float)])
-    matrix = sp.coo_matrix((all_vals, (all_rows, all_cols)),
-                           shape=(dim, dim)).tocsr()
+    # Transmission rows on x = d1, cross point included.
+    j = np.arange(1, n)
+    r = flat[j, half]
+    h1, H2 = hx[half - 1], hx[half]
+    if variant is Variant.RAW:
+        put(r, RowKind.INTERFACE_X_RAW, 0.0,
+            *((r + d, c) for d, c in zip(range(-2, 3),
+                                         _raw_interface_coeffs(h1, H2))))
+    else:
+        center, west, east, e_minus = _transformed_coeffs(
+            eps2, h1, H2, a[j, half - 1], a[j, half + 1],
+            b[j, half - 1], b[j, half + 1])
+        put(r, RowKind.INTERFACE_X_TRANSFORMED,
+            (h1 / (4.0 * e_minus)) * f[j, half - 1]
+            + (H2 / (4.0 * eps2)) * f[j, half + 1],
+            (r - 1, west), (r, center), (r + 1, east))
+
+    # Dirichlet rows; west and east win at the corners.
+    west_q, south_q, east_q, north_q = spec.q_edges
+    q = np.empty((m, m))
+    q[-1] = [float(north_q(x)) for x in xs]
+    q[0] = [float(south_q(x)) for x in xs]
+    q[:, -1] = [float(east_q(y)) for y in ys]
+    q[:, 0] = [float(west_q(y)) for y in ys]
+    edge = np.ones((m, m), dtype=bool)
+    edge[1:-1, 1:-1] = False
+    put(flat[edge], RowKind.DIRICHLET, q[edge], (flat[edge], 1.0))
+
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(m * m, m * m)).tocsr()
     matrix.sort_indices()
-
     empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
     if empty.size:
         raise SingularStructure(f"empty matrix rows at flat indices {empty[:10]}")
@@ -422,11 +280,3 @@ def m_matrix_check(system: LinearSystem,
         except np.linalg.LinAlgError:
             report.min_inverse_entry = float("nan")
     return report
-
-
-def write_matrix_dump(system: LinearSystem, stream) -> None:
-    """Coordinate text dump, one 'row col value' line per stored entry."""
-    csr = system.matrix
-    for r in range(csr.shape[0]):
-        for p in range(csr.indptr[r], csr.indptr[r + 1]):
-            stream.write(f"{r} {csr.indices[p]} {csr.data[p]:.16e}\n")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import math
 import sys
@@ -33,7 +32,7 @@ from .assembly import Variant, assemble_system, m_matrix_check
 from .analysis import DoubleMeshMode
 from .errors import CD2DError
 from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
-                       problem_names, sample_field, validate)
+                       problem_names, sample_source, validate)
 from .solve import residual_norm, solve_direct, write_grid_dump
 
 EXIT_OK = 0
@@ -118,28 +117,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**_read_config(text))
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Render a RunConfig back to INI text (round-trips through parse_config)."""
-    parser = configparser.ConfigParser()
-    parser["run"] = {
-        "problem": config.problem,
-        "epsilons": ", ".join(f"{e:g}" for e in config.epsilons),
-        "ns": ", ".join(str(n) for n in config.Ns),
-        "variant": config.variant.value,
-        "double_mesh": config.double_mesh.value,
-        "workers": str(config.workers),
-        "out_dir": config.out_dir,
-        "desk": str(config.desk).lower(),
-    }
-    if config.alpha is not None:
-        parser["run"]["alpha"] = f"{config.alpha:g}"
-    if config.beta is not None:
-        parser["run"]["beta"] = f"{config.beta:g}"
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """File settings overridden by explicit flags; built once, so the
     ``desk`` cap applies to the merged Ns wherever they came from."""
@@ -181,16 +158,14 @@ def cmd_solve(config: RunConfig) -> int:
     eps, N = config.epsilons[0], config.Ns[0]
     try:
         spec = _load_spec(config).with_epsilon(eps)
-        report = validate(spec, N)
+        tm = mesh_mod.build_tensor_mesh(spec, N)
+        report = validate(spec, tm)
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         if not report.ok:
             for err in report.errors:
                 print(f"error: {err}", file=sys.stderr)
             return EXIT_CONFIG
-        params = mesh_mod.compute_transition_points(spec, N)
-        tm = mesh_mod.TensorMesh(x=mesh_mod.build_mesh_x(params, spec.d1),
-                                 y=mesh_mod.build_mesh_y(params, spec.d2))
     except CD2DError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -215,8 +190,8 @@ def cmd_solve(config: RunConfig) -> int:
         "variant": config.variant.value,
         "epsilon": eps,
         "N": N,
-        "sigma_x": params.sigma_x,
-        "sigma_y": params.sigma_y,
+        "sigma_x": tm.sigma_x,
+        "sigma_y": tm.sigma_y,
         "residual": residual,
         "max_abs_u": solution.max_norm(),
         "wall_time": wall,
@@ -266,37 +241,22 @@ def cmd_sweep(config: RunConfig) -> int:
 
 def stability_bound(spec: ProblemSpec, tm: mesh_mod.TensorMesh) -> float:
     """(1/alpha) max|f| + max|q|, both sampled on the mesh."""
-    n = tm.n
-    half = n // 2
-    xs, ys = tm.x.points, tm.y.points
-    f_max = 0.0
-    blocks = [
-        (xs[:half + 1], ys[:half + 1], 0),
-        (xs[half:], ys[:half + 1], 1),
-        (xs[:half + 1], ys[half:], 2),
-        (xs[half:], ys[half:], 3),
-    ]
-    for xq, yq, k in blocks:
-        vals = sample_field(spec.f_quadrants[k], xq, yq)
-        f_max = max(f_max, float(np.max(np.abs(vals))))
-    q_max = 0.0
-    for trace in spec.q_edges:
-        vals = [abs(float(trace(t))) for t in np.concatenate([xs, ys])]
-        q_max = max(q_max, max(vals))
+    f_max = max(float(np.max(np.abs(vals))) for vals in sample_source(spec, tm))
+    q_max = max(abs(float(trace(t))) for trace in spec.q_edges
+                for t in np.concatenate([tm.x.points, tm.y.points]))
     return f_max / spec.alpha + q_max
 
 
 def cmd_verify(config: RunConfig) -> int:
     try:
-        spec = _load_spec(config)
+        spec = _load_spec(config).with_epsilon(config.epsilons[0])
+        meshes = {N: mesh_mod.build_tensor_mesh(spec, N) for N in (16, 32)}
     except CD2DError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    eps = config.epsilons[0]
-    spec = spec.with_epsilon(eps)
+    tm16 = meshes[16]
     checks: list[tuple[str, bool, str]] = []
 
-    tm16 = mesh_mod.build_tensor_mesh(spec, 16)
     system = assemble_system(spec, tm16, config.variant)
     report = m_matrix_check(system, compute_inverse=True)
     checks.append((
@@ -310,8 +270,7 @@ def cmd_verify(config: RunConfig) -> int:
 
     bound_ok = True
     detail = []
-    for N in (16, 32):
-        tm = mesh_mod.build_tensor_mesh(spec, N)
+    for N, tm in meshes.items():
         sol = solve_direct(assemble_system(spec, tm, config.variant))
         bound = stability_bound(spec, tm)
         detail.append(f"N={N}: |U|={sol.max_norm():.4e} bound={bound:.4e}")
@@ -319,9 +278,8 @@ def cmd_verify(config: RunConfig) -> int:
             bound_ok = False
     checks.append(("stability bound", bound_ok, "; ".join(detail)))
 
-    tm = mesh_mod.build_tensor_mesh(spec, 16)
-    u_t = solve_direct(assemble_system(spec, tm, Variant.TRANSFORMED))
-    u_r = solve_direct(assemble_system(spec, tm, Variant.RAW))
+    u_t = solve_direct(assemble_system(spec, tm16, Variant.TRANSFORMED))
+    u_r = solve_direct(assemble_system(spec, tm16, Variant.RAW))
     diff = float(np.max(np.abs(u_t.values - u_r.values)))
     checks.append(("raw/transformed agreement (N=16)", diff <= 1e-9,
                    f"max difference {diff:.3e}"))

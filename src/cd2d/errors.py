@@ -25,10 +25,6 @@ class OutOfDomain(CD2DError):
     """Point lies outside the closed unit square."""
 
 
-class WrongKind(CD2DError):
-    """Row assembly requested at a point of the wrong classification."""
-
-
 class SingularStructure(CD2DError):
     """Assembled matrix has an empty row."""
 

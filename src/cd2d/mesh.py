@@ -18,18 +18,18 @@ layers along y = 0, y = 1 and both sides of y = d2.  Transition widths:
 
 Breakpoints (in particular d1 and d2 at index N/2) are assigned exactly,
 never accumulated, because row selection in the discretization keys on the
-interface indices.
+interface indices.  ``build_tensor_mesh`` is the one place that computes
+the widths and builds the axes; the mesh records sigma_x and sigma_y.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import BadN, DimensionMismatch, GeometryError
+from .errors import DimensionMismatch, GeometryError
 from .problems import ProblemSpec, check_mesh_parameter
 
 
@@ -44,13 +44,6 @@ class PointKind(enum.Enum):
     INTERFACE_X = "interface_x"   # i = N/2, 0 < j < N, j != N/2
     INTERFACE_Y = "interface_y"   # j = N/2, 0 < i < N, i != N/2
     CROSS = "cross"               # i = j = N/2
-
-
-@dataclass(frozen=True)
-class TransitionParams:
-    sigma_x: float
-    sigma_y: float
-    N: int
 
 
 @dataclass(frozen=True)
@@ -73,6 +66,8 @@ class Mesh1D:
 class TensorMesh:
     x: Mesh1D
     y: Mesh1D
+    sigma_x: float
+    sigma_y: float
 
     def __post_init__(self):
         if self.x.n != self.y.n:
@@ -97,22 +92,6 @@ class TensorMesh:
             return PointKind.INTERFACE_Y
         return PointKind.INTERIOR
 
-    def points_of_kind(self, kind: PointKind) -> Iterable[tuple[int, int]]:
-        n = self.n
-        for j in range(n + 1):
-            for i in range(n + 1):
-                if self.kind(i, j) is kind:
-                    yield i, j
-
-
-def compute_transition_points(spec: ProblemSpec, N: int) -> TransitionParams:
-    """Transition widths from the min-formulas; N must be a multiple of 8."""
-    check_mesh_parameter(N)
-    log_n = math.log(N)
-    sigma_x = min(spec.d1 / 2.0, (2.0 * spec.epsilon ** 2 / spec.alpha) * log_n)
-    sigma_y = min(spec.d2 / 4.0, (2.0 * spec.epsilon / spec.beta) * log_n)
-    return TransitionParams(sigma_x=sigma_x, sigma_y=sigma_y, N=N)
-
 
 def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],
                        axis: Axis) -> Mesh1D:
@@ -136,9 +115,8 @@ def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],
                   counts=tuple(counts), axis=axis)
 
 
-def build_mesh_x(params: TransitionParams, d1: float) -> Mesh1D:
+def build_mesh_x(N: int, sx: float, d1: float) -> Mesh1D:
     """Four-piece x-mesh with N/4 intervals per piece."""
-    N, sx = params.N, params.sigma_x
     if sx <= 0.0 or sx > d1 / 2.0 + 1e-15:
         raise GeometryError(f"sigma_x = {sx} outside (0, d1/2] for d1 = {d1}")
     if 1.0 - sx <= d1:
@@ -149,9 +127,8 @@ def build_mesh_x(params: TransitionParams, d1: float) -> Mesh1D:
     return _piecewise_uniform(breakpoints, (quarter,) * 4, Axis.X)
 
 
-def build_mesh_y(params: TransitionParams, d2: float) -> Mesh1D:
+def build_mesh_y(N: int, sy: float, d2: float) -> Mesh1D:
     """Six-piece y-mesh with counts (N/8, N/4, N/8, N/8, N/4, N/8)."""
-    N, sy = params.N, params.sigma_y
     if sy <= 0.0 or sy > d2 / 4.0 + 1e-15:
         raise GeometryError(f"sigma_y = {sy} outside (0, d2/4] for d2 = {d2}")
     if 1.0 - sy <= d2 + sy:
@@ -163,28 +140,31 @@ def build_mesh_y(params: TransitionParams, d2: float) -> Mesh1D:
     return _piecewise_uniform(breakpoints, counts, Axis.Y)
 
 
+# Every coordinate lies in [0, 1], where one ulp is at most 2^-53.  A point
+# left + w*k carries a rounding error below 1.5 ulp, so a piece of spacing
+# w > 5 ulp gives computed neighbours at least 2 ulp apart, and the midpoint
+# that bisection inserts still falls strictly between them.  The fine
+# pieces keep w >= _MIN_SPACING = 8 ulp, which leaves room for the rounding
+# of the breakpoints and of w itself.
+_MIN_SPACING = 4.0 * float(np.spacing(1.0))
+
+
 def build_tensor_mesh(spec: ProblemSpec, N: int) -> TensorMesh:
-    params = compute_transition_points(spec, N)
-    return TensorMesh(x=build_mesh_x(params, spec.d1),
-                      y=build_mesh_y(params, spec.d2))
-
-
-def nominal_widths_x(mesh: Mesh1D) -> tuple[float, float, float]:
-    """(H1, h1, H2) of a four-piece x-mesh."""
-    b, c = mesh.breakpoints, mesh.counts
-    H1 = (b[1] - b[0]) / c[0]
-    h1 = (b[2] - b[1]) / c[1]
-    H2 = (b[3] - b[2]) / c[2]
-    return H1, h1, H2
-
-
-def nominal_widths_y(mesh: Mesh1D) -> tuple[float, float, float]:
-    """(K1, k1, K2) of a six-piece y-mesh."""
-    b, c = mesh.breakpoints, mesh.counts
-    k1 = (b[1] - b[0]) / c[0]
-    K1 = (b[2] - b[1]) / c[1]
-    K2 = (b[5] - b[4]) / c[4]
-    return K1, k1, K2
+    """Fitted mesh with the min-formula transition widths; N a multiple of 8."""
+    check_mesh_parameter(N)
+    log_n = math.log(N)
+    sx = min(spec.d1 / 2.0, (2.0 * spec.epsilon ** 2 / spec.alpha) * log_n)
+    sy = min(spec.d2 / 4.0, (2.0 * spec.epsilon / spec.beta) * log_n)
+    if sx < (N // 4) * _MIN_SPACING or sy < (N // 8) * _MIN_SPACING:
+        eps_min = max(
+            math.sqrt(spec.alpha * (N // 4) * _MIN_SPACING / (2.0 * log_n)),
+            spec.beta * (N // 8) * _MIN_SPACING / (2.0 * log_n))
+        raise GeometryError(
+            f"eps = {spec.epsilon:g} is below {eps_min:.3g}, the smallest eps "
+            f"whose layer pieces a mesh with N = {N} can resolve in double "
+            f"precision (d1 = {spec.d1:g}, alpha = {spec.alpha:g})")
+    return TensorMesh(x=build_mesh_x(N, sx, spec.d1),
+                      y=build_mesh_y(N, sy, spec.d2), sigma_x=sx, sigma_y=sy)
 
 
 def bisect_1d(mesh: Mesh1D) -> Mesh1D:
@@ -198,10 +178,6 @@ def bisect_1d(mesh: Mesh1D) -> Mesh1D:
 
 
 def bisect(mesh: TensorMesh) -> TensorMesh:
-    return TensorMesh(x=bisect_1d(mesh.x), y=bisect_1d(mesh.y))
-
-
-def write_mesh_dump(mesh: Mesh1D, stream: IO[str]) -> None:
-    """Two-column text dump: index, coordinate."""
-    for idx, coord in enumerate(mesh.points):
-        stream.write(f"{idx} {coord:.16e}\n")
+    """Midpoint refinement; keeps the transition widths of ``mesh``."""
+    return TensorMesh(x=bisect_1d(mesh.x), y=bisect_1d(mesh.y),
+                      sigma_x=mesh.sigma_x, sigma_y=mesh.sigma_y)

@@ -19,11 +19,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import BadN, MalformedSpec, OnDiscontinuityWithoutSide, OutOfDomain
+
+if TYPE_CHECKING:
+    from .mesh import TensorMesh
 
 ScalarField = Callable[[float, float], float]
 EdgeTrace = Callable[[float], float]
@@ -256,39 +259,63 @@ def sample_field(fld: ScalarField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     """Evaluate a scalar field on the tensor grid, shape (len(ys), len(xs)).
 
     Tries a single broadcast call first (all builtin fields support it) and
-    falls back to pointwise evaluation for callables that do not.
+    falls back to pointwise evaluation for callables that reject arrays.  A
+    field that fails pointwise as well raises ``MalformedSpec``.
     """
     X, Y = np.meshgrid(xs, ys)
     try:
         vals = np.broadcast_to(np.asarray(fld(X, Y), dtype=float), X.shape)
         return np.array(vals, dtype=float)
-    except Exception:
-        out = np.empty(X.shape)
-        for j in range(X.shape[0]):
-            for i in range(X.shape[1]):
-                out[j, i] = float(fld(X[j, i], Y[j, i]))
-        return out
+    except (TypeError, ValueError):
+        pass
+    out = np.empty(X.shape)
+    for (j, i), x in np.ndenumerate(X):
+        try:
+            out[j, i] = float(fld(x, Y[j, i]))
+        except Exception as exc:
+            name = getattr(fld, "__qualname__", repr(fld))
+            raise MalformedSpec(
+                f"field {name} fails at ({x:.6g}, {Y[j, i]:.6g}): "
+                f"{type(exc).__name__}: {exc}") from exc
+    return out
 
 
-def validate(spec: ProblemSpec, N: int) -> ValidationReport:
+def sample_source(spec: ProblemSpec, mesh: TensorMesh) -> list[np.ndarray]:
+    """The quadrant sources f_1..f_4, each sampled on its closed block.
+
+    Block k spans ys[:h+1] (Q1, Q2) or ys[h:] (Q3, Q4) by xs[:h+1] (Q1, Q3)
+    or xs[h:] (Q2, Q4), h = n/2, so the lines x = d1 and y = d2 carry the
+    one-sided values of both neighbouring quadrants.
+    """
+    half = mesh.n // 2
+    xs, ys = mesh.x.points, mesh.y.points
+    left, right, below, above = xs[:half + 1], xs[half:], ys[:half + 1], ys[half:]
+    return [sample_field(f, xq, yq) for f, xq, yq in
+            zip(spec.f_quadrants, (left, right, left, right),
+                (below, below, above, above))]
+
+
+def validate(spec: ProblemSpec, mesh: TensorMesh) -> ValidationReport:
     """Check the problem hypotheses by sampling on the target mesh.
 
-    Coefficient positivity (a >= alpha, b >= beta^2) is checked at every
-    mesh point; a violation is an error.  The small-layer condition
+    a, b and the four quadrant sources must be finite, and coefficient
+    positivity (a >= alpha, b >= beta^2) must hold at every mesh point;
+    a violation is an error.  The small-layer condition
     d > 8 (eps/beta) ln N merely separates the fitted regime from the
     classical one, so its failure is reported as a warning.
     """
-    check_mesh_parameter(N)
-    from . import mesh as mesh_mod
     report = ValidationReport(ok=True)
-
-    tm = mesh_mod.build_tensor_mesh(spec, N)
-    xs, ys = tm.x.points, tm.y.points
-    beta_sq = spec.beta ** 2
+    xs, ys = mesh.x.points, mesh.y.points
     a_vals = sample_field(spec.a_field, xs, ys)
     b_vals = sample_field(spec.b_field, xs, ys)
+    samples = [("a", a_vals), ("b", b_vals)] + [
+        (f"f on Q{k}", vals) for k, vals in enumerate(sample_source(spec, mesh), 1)]
+    for fname, vals in samples:
+        n_bad = int(np.count_nonzero(~np.isfinite(vals)))
+        if n_bad:
+            report.errors.append(f"{fname} is not finite at {n_bad} mesh points")
     for fname, vals, bound, bname in (("a", a_vals, spec.alpha, "alpha"),
-                                      ("b", b_vals, beta_sq, "beta^2")):
+                                      ("b", b_vals, spec.beta ** 2, "beta^2")):
         bad = np.argwhere(vals < bound)
         for j, i in bad[:5]:
             report.errors.append(
@@ -298,7 +325,7 @@ def validate(spec: ProblemSpec, N: int) -> ValidationReport:
             report.errors.append(
                 f"... and {len(bad) - 5} more {fname} positivity violations")
 
-    threshold = 8.0 * (spec.epsilon / spec.beta) * math.log(N)
+    threshold = 8.0 * (spec.epsilon / spec.beta) * math.log(mesh.n)
     for label, d in (("d1", spec.d1), ("d2", spec.d2)):
         if d <= threshold:
             report.warnings.append(

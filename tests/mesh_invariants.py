@@ -4,10 +4,11 @@ Used by the hypothesis suite in test_mesh.py and re-run inside a timed
 loop by the acceptance suite, so the checks live in one place.
 """
 import math
+import re
 
 import numpy as np
 
-from cd2d import bisect, build_tensor_mesh, compute_transition_points
+from cd2d import bisect, build_tensor_mesh
 from cd2d.errors import GeometryError
 
 
@@ -25,19 +26,24 @@ def distinct_width_count(widths: np.ndarray, rel: float = 1e-9) -> int:
 
 
 def check_mesh_invariants(spec, N) -> bool:
-    """Assert the mesh contracts; returns False if geometry is infeasible."""
-    params = compute_transition_points(spec, N)
+    """Assert the mesh contracts; returns False if geometry is infeasible.
+
+    Infeasible means a GeometryError that the parameters explain: the layer
+    pieces overlap, or eps lies below the floor the message names.
+    """
     log_n = math.log(N)
-    assert params.sigma_x == min(spec.d1 / 2.0,
-                                 (2.0 * spec.epsilon ** 2 / spec.alpha) * log_n)
-    assert params.sigma_y == min(spec.d2 / 4.0,
-                                 (2.0 * spec.epsilon / spec.beta) * log_n)
-    assert 0.0 < params.sigma_x <= spec.d1 / 2.0
-    assert 0.0 < params.sigma_y <= spec.d2 / 4.0
+    sigma_x = min(spec.d1 / 2.0, (2.0 * spec.epsilon ** 2 / spec.alpha) * log_n)
+    sigma_y = min(spec.d2 / 4.0, (2.0 * spec.epsilon / spec.beta) * log_n)
     try:
         tm = build_tensor_mesh(spec, N)
-    except GeometryError:
+    except GeometryError as exc:
+        floor = re.search(r"below (\S+), the smallest eps", str(exc))
+        overlap = 1.0 - sigma_x <= spec.d1 or 1.0 - sigma_y <= spec.d2 + sigma_y
+        assert overlap or (floor and spec.epsilon < 1.001 * float(floor[1])), exc
         return False
+    assert tm.sigma_x == sigma_x and tm.sigma_y == sigma_y
+    assert 0.0 < sigma_x <= spec.d1 / 2.0
+    assert 0.0 < sigma_y <= spec.d2 / 4.0
     xs, ys = tm.x.points, tm.y.points
     half = N // 2
 
@@ -49,20 +55,23 @@ def check_mesh_invariants(spec, N) -> bool:
     # breakpoints are assigned, not accumulated: exact equality
     assert xs[half] == spec.d1
     assert ys[half] == spec.d2
-    assert xs[N // 4] == spec.d1 - params.sigma_x
-    assert xs[3 * N // 4] == 1.0 - params.sigma_x
-    assert ys[N // 8] == params.sigma_y
-    assert ys[3 * N // 8] == spec.d2 - params.sigma_y
-    assert ys[half + N // 8] == spec.d2 + params.sigma_y
-    assert ys[N - N // 8] == 1.0 - params.sigma_y
+    assert xs[N // 4] == spec.d1 - sigma_x
+    assert xs[3 * N // 4] == 1.0 - sigma_x
+    assert ys[N // 8] == sigma_y
+    assert ys[3 * N // 8] == spec.d2 - sigma_y
+    assert ys[half + N // 8] == spec.d2 + sigma_y
+    assert ys[N - N // 8] == 1.0 - sigma_y
 
     # at most three distinct widths per axis
     assert distinct_width_count(tm.x.widths()) <= 3
     assert distinct_width_count(tm.y.widths()) <= 3
 
-    # bisection nests bitwise and preserves classification at even indices
+    # bisection nests bitwise, stays strictly increasing, keeps the
+    # transition widths and preserves classification at even indices
     fine = bisect(tm)
     assert fine.n == 2 * N
+    assert np.all(np.diff(fine.x.points) > 0) and np.all(np.diff(fine.y.points) > 0)
+    assert (fine.sigma_x, fine.sigma_y) == (tm.sigma_x, tm.sigma_y)
     assert np.array_equal(fine.x.points[::2], xs)
     assert np.array_equal(fine.y.points[::2], ys)
     for i, j in ((half, half), (half, 1), (1, half), (0, half), (1, 1), (N, N)):

@@ -26,7 +26,6 @@ from cd2d import (
 from cd2d.analysis import format_table_text, sweep_to_dict
 from cd2d.assembly import assemble_system
 from cd2d.errors import MeshMismatch, NonPositiveError
-from cd2d.mesh import compute_transition_points
 from cd2d.solve import solve_direct
 
 REL = 1e-6   # frozen double-mesh regression values
@@ -93,8 +92,8 @@ def test_run_cell_metadata(ex1):
     cell = run_cell(ex1.with_epsilon(1e-2), 16)
     assert cell.ok and cell.error is None
     assert cell.epsilon == 1e-2 and cell.N == 16
-    p = compute_transition_points(ex1.with_epsilon(1e-2), 16)
-    assert cell.sigma_x == p.sigma_x and cell.sigma_y == p.sigma_y
+    tm = build_tensor_mesh(ex1.with_epsilon(1e-2), 16)
+    assert cell.sigma_x == tm.sigma_x and cell.sigma_y == tm.sigma_y
     assert 0.0 < cell.d_eps < 1.0
     assert cell.residual_coarse <= 1e-10 and cell.residual_fine <= 1e-10
     assert cell.max_u_coarse <= 0.3 and cell.max_u_fine <= 0.3
@@ -114,6 +113,31 @@ def test_run_cell_infeasible_geometry(ex1):
     assert not cell.ok
     assert "GeometryError" in cell.error
     assert math.isnan(cell.d_eps)
+    # eps 4e-8 is above the eps floor at N = 16 but below it at N = 32, so
+    # the regenerated companion fails the cell before the coarse solve
+    cell = run_cell(ex1.with_epsilon(4e-8), 16, mode=DoubleMeshMode.REGENERATE)
+    assert "GeometryError" in cell.error and "N = 32" in cell.error
+    assert math.isnan(cell.residual_coarse)
+
+
+def test_run_cell_scalar_only_field(ex2):
+    # math.sin rejects arrays; the field is then sampled point by point
+    scalar = dataclasses.replace(ex2, epsilon=1e-3,
+                                 b_field=lambda x, y: 25.0 + math.sin(x))
+    twin = dataclasses.replace(ex2, epsilon=1e-3,
+                               b_field=lambda x, y: 25.0 + np.sin(x))
+    cell = run_cell(scalar, 16)
+    assert cell.ok, cell.error
+    assert cell.d_eps == pytest.approx(run_cell(twin, 16).d_eps, rel=1e-12)
+
+
+def test_run_cell_nan_source_is_a_validation_error(ex1):
+    spec = dataclasses.replace(
+        ex1, f_quadrants=(lambda x, y: np.nan * x, *ex1.f_quadrants[1:]))
+    cell = run_cell(spec, 16)
+    assert not cell.ok
+    assert "f on Q1 is not finite" in cell.error
+    assert "NonFiniteSolution" not in cell.error
 
 
 def test_run_sweep_missing_cells_not_fatal(ex1):

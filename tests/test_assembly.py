@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,39 +8,34 @@ from cd2d import (
     LinearSystem,
     RowKind,
     Variant,
-    assemble_interface_x_row,
-    assemble_interface_x_row_raw,
-    assemble_interface_y_row,
-    assemble_interior_row,
-    assemble_row,
     assemble_system,
-    build_mesh_x,
-    build_mesh_y,
     build_tensor_mesh,
     builtin_problem,
     m_matrix_check,
 )
-from cd2d.assembly import (
-    _raw_interface_coeffs,
-    assemble_dirichlet_row,
-    flat_index,
-    write_matrix_dump,
-)
-from cd2d.errors import WrongKind
-from cd2d.mesh import TensorMesh, TransitionParams
+from cd2d.assembly import _raw_interface_coeffs
+from cd2d.mesh import TensorMesh, build_mesh_x, build_mesh_y
 from cd2d.problems import ProblemSpec, source_at
+
+from scalar_rows import oracle_system
 
 REL = 1e-12
 
 
-def entry_map(row):
-    return {pos: val for pos, val in row.entries}
+def assembled_row(spec, tm, i, j, variant=Variant.TRANSFORMED):
+    """Row (i, j) of the assembled system: {(ci, cj): value}, rhs, kind."""
+    system = assemble_system(spec, tm, variant)
+    k = system.flat_index(i, j)
+    lo, hi = system.matrix.indptr[k], system.matrix.indptr[k + 1]
+    entries = {system.grid_index(c): float(v) for c, v in
+               zip(system.matrix.indices[lo:hi], system.matrix.data[lo:hi])}
+    return entries, float(system.rhs[k]), RowKind(system.row_kinds[k])
 
 
 def uniform_mesh_8():
     """Forced sigma = (d/2, d/4) makes every piece 0.125 wide."""
-    p = TransitionParams(sigma_x=0.25, sigma_y=0.125, N=8)
-    return TensorMesh(x=build_mesh_x(p, 0.5), y=build_mesh_y(p, 0.5))
+    return TensorMesh(x=build_mesh_x(8, 0.25, 0.5), y=build_mesh_y(8, 0.125, 0.5),
+                      sigma_x=0.25, sigma_y=0.125)
 
 
 # ---------------------------------------------------------------------------
@@ -49,37 +46,34 @@ def test_interior_row_uniform_frozen(ex1):
     # eps = 1e-2, a = 2, b = 25, h = k = 1/8 by hand:
     #   C = 4*64e-4 + 16 + 25, W = -(64e-4 + 16), E = S = N = -64e-4
     spec = ex1.with_epsilon(1e-2)
-    tm = uniform_mesh_8()
-    row = assemble_interior_row(spec, tm, 1, 1)
-    assert row.kind is RowKind.INTERIOR_UPWIND
-    m = entry_map(row)
+    m, rhs, kind = assembled_row(spec, uniform_mesh_8(), 1, 1)
+    assert kind is RowKind.INTERIOR_UPWIND
     assert m[(1, 1)] == pytest.approx(41.0256, rel=REL)
     assert m[(0, 1)] == pytest.approx(-16.0064, rel=REL)
     assert m[(2, 1)] == pytest.approx(-0.0064, rel=REL)
     assert m[(1, 0)] == pytest.approx(-0.0064, rel=REL)
     assert m[(1, 2)] == pytest.approx(-0.0064, rel=REL)
-    assert row.rhs == 0.5
+    assert rhs == 0.5
 
 
 def test_interior_row_nonuniform_frozen(ex1):
     # point (2,1) of the N = 8 fitted mesh: hL coarse, hR fine, kB = sigma_y
     tm = build_tensor_mesh(ex1, 8)
-    row = assemble_interior_row(ex1, tm, 2, 1)
-    m = entry_map(row)
+    m, rhs, _ = assembled_row(ex1, tm, 2, 1)
     assert m[(2, 1)] == pytest.approx(42.816756386153378, rel=REL)
     assert m[(1, 1)] == pytest.approx(-8.681034056851071, rel=REL)
     assert m[(3, 1)] == pytest.approx(-7.6943735514078048, rel=REL)
     assert m[(2, 0)] == pytest.approx(-0.9617966939259756, rel=REL)
     assert m[(2, 2)] == pytest.approx(-0.47955208396852656, rel=REL)
-    assert row.rhs == 0.5
+    assert rhs == 0.5
 
 
 def test_interior_row_sum_is_b(ex1, ex2):
     for spec in (ex1, ex2.with_epsilon(1e-3)):
         tm = build_tensor_mesh(spec, 16)
         for i, j in ((1, 1), (3, 7), (12, 2), (7, 11), (15, 15)):
-            row = assemble_interior_row(spec, tm, i, j)
-            coeffs = [v for _, v in row.entries]
+            m, _, _ = assembled_row(spec, tm, i, j)
+            coeffs = list(m.values())
             b_val = spec.b_field(tm.x.points[i], tm.y.points[j])
             scale = sum(abs(c) for c in coeffs)
             assert abs(sum(coeffs) - b_val) <= 1e-12 * scale
@@ -89,8 +83,8 @@ def test_interior_row_signs(ex1, ex2):
     for spec in (ex1.with_epsilon(1e-4), ex2):
         tm = build_tensor_mesh(spec, 16)
         for i, j in ((1, 1), (5, 3), (12, 13), (9, 2)):
-            row = assemble_interior_row(spec, tm, i, j)
-            m = entry_map(row)
+            m, _, _ = assembled_row(spec, tm, i, j)
+            assert len(m) == 5
             center = m.pop((i, j))
             b_val = spec.b_field(tm.x.points[i], tm.y.points[j])
             assert center >= b_val
@@ -98,13 +92,11 @@ def test_interior_row_signs(ex1, ex2):
 
 
 def test_interior_row_wrong_kind(ex1):
+    # boundary, x-interface and y-line points do not get upwind rows
     tm = build_tensor_mesh(ex1, 8)
-    with pytest.raises(WrongKind):
-        assemble_interior_row(ex1, tm, 0, 3)      # boundary
-    with pytest.raises(WrongKind):
-        assemble_interior_row(ex1, tm, 4, 3)      # x-interface
-    with pytest.raises(WrongKind):
-        assemble_interior_row(ex1, tm, 3, 4)      # y-line
+    assert assembled_row(ex1, tm, 0, 3)[2] is RowKind.DIRICHLET
+    assert assembled_row(ex1, tm, 4, 3)[2] is RowKind.INTERFACE_X_TRANSFORMED
+    assert assembled_row(ex1, tm, 3, 4)[2] is RowKind.INTERFACE_Y_MIDPOINT
 
 
 # ---------------------------------------------------------------------------
@@ -113,44 +105,43 @@ def test_interior_row_wrong_kind(ex1):
 
 def test_midpoint_row_averages_example2(ex2):
     tm = build_tensor_mesh(ex2, 8)
-    row = assemble_interface_y_row(ex2, tm, 1)
-    assert row.kind is RowKind.INTERFACE_Y_MIDPOINT
-    m = entry_map(row)
+    m, rhs, kind = assembled_row(ex2, tm, 1, 4)
+    assert kind is RowKind.INTERFACE_Y_MIDPOINT
     assert m[(1, 4)] == pytest.approx(50.600747127469543, rel=REL)
     assert m[(0, 4)] == pytest.approx(-22.374905877214991, rel=REL)
     assert m[(2, 4)] == pytest.approx(-0.2781701611703948, rel=REL)
     assert m[(1, 3)] == pytest.approx(-1.4453951256983387, rel=REL)
     assert m[(1, 5)] == pytest.approx(-1.4453951256983387, rel=REL)
-    assert row.rhs == pytest.approx(0.28844636917053048, rel=REL)
+    assert rhs == pytest.approx(0.28844636917053048, rel=REL)
 
 
 def test_midpoint_rhs_is_two_sided_average(ex1):
     tm = build_tensor_mesh(ex1, 8)
+    system = assemble_system(ex1, tm)
     # source averages (0.5, -0.6) left of d1 and (0.6, -0.5) right of it
     for i in (1, 2, 3):
-        assert assemble_interface_y_row(ex1, tm, i).rhs == pytest.approx(-0.05)
+        assert system.rhs[system.flat_index(i, 4)] == pytest.approx(-0.05)
     for i in (5, 6, 7):
-        assert assemble_interface_y_row(ex1, tm, i).rhs == pytest.approx(0.05)
+        assert system.rhs[system.flat_index(i, 4)] == pytest.approx(0.05)
 
 
 def test_midpoint_row_sum_is_b_hat(ex2):
     tm = build_tensor_mesh(ex2, 16)
     ys = tm.y.points
     for i in (1, 5, 11):
-        row = assemble_interface_y_row(ex2, tm, i)
+        m, _, _ = assembled_row(ex2, tm, i, 8)
         x = tm.x.points[i]
         b_hat = 0.5 * (ex2.b_field(x, ys[7]) + ex2.b_field(x, ys[9]))
-        coeffs = [v for _, v in row.entries]
+        coeffs = list(m.values())
         scale = sum(abs(c) for c in coeffs)
         assert abs(sum(coeffs) - b_hat) <= 1e-12 * scale
 
 
 def test_midpoint_row_wrong_kind(ex1):
+    # the cross point and the ends of the line y = d2 are not midpoint rows
     tm = build_tensor_mesh(ex1, 8)
-    with pytest.raises(WrongKind):
-        assemble_interface_y_row(ex1, tm, 4)      # cross point
-    with pytest.raises(WrongKind):
-        assemble_interface_y_row(ex1, tm, 0)      # boundary
+    assert assembled_row(ex1, tm, 4, 4)[2] is RowKind.INTERFACE_X_TRANSFORMED
+    assert assembled_row(ex1, tm, 0, 4)[2] is RowKind.DIRICHLET
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +150,25 @@ def test_midpoint_row_wrong_kind(ex1):
 
 def test_transformed_row_frozen(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    row = assemble_interface_x_row(ex1, tm, 2)
-    assert row.kind is RowKind.INTERFACE_X_TRANSFORMED
-    assert len(row.entries) == 3
-    m = entry_map(row)
+    m, rhs, kind = assembled_row(ex1, tm, 4, 2)
+    assert kind is RowKind.INTERFACE_X_TRANSFORMED
+    assert len(m) == 3
     assert m[(4, 2)] == pytest.approx(32.826663929770055, rel=REL)
     assert m[(3, 2)] == pytest.approx(-126.54288425370686, rel=REL)
     assert m[(5, 2)] == pytest.approx(245.57817111645673, rel=REL)
-    assert row.rhs == pytest.approx(3.6362459965794006, rel=REL)
+    assert rhs == pytest.approx(3.6362459965794006, rel=REL)
     # above y = d2 only the one-sided source values change
-    upper = assemble_interface_x_row(ex1, tm, 6)
-    assert entry_map(upper)[(4, 6)] == m[(4, 2)]
-    assert upper.rhs == pytest.approx(-3.0456798382914762, rel=REL)
+    upper, upper_rhs, _ = assembled_row(ex1, tm, 4, 6)
+    assert upper[(4, 6)] == m[(4, 2)]
+    assert upper_rhs == pytest.approx(-3.0456798382914762, rel=REL)
 
 
 def test_transformed_cross_row_uses_neighbour_averages(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    row = assemble_interface_x_row(ex1, tm, 4)
-    m = entry_map(row)
+    m, rhs, _ = assembled_row(ex1, tm, 4, 4)
     # coefficients agree with the off-cross rows (a, b continuous there)
     assert m[(4, 4)] == pytest.approx(32.826663929770055, rel=REL)
-    assert row.rhs == pytest.approx(0.29528307914396219, rel=REL)
+    assert rhs == pytest.approx(0.29528307914396219, rel=REL)
 
 
 def test_transformed_row_sum_identity(ex1, ex2):
@@ -191,22 +180,21 @@ def test_transformed_row_sum_identity(ex1, ex2):
         h1, H2 = xs[i] - xs[i - 1], xs[i + 1] - xs[i]
         eps2 = spec.epsilon ** 2
         for j in (1, 8, 13):
-            row = assemble_interface_x_row(spec, tm, j)
+            m, _, _ = assembled_row(spec, tm, i, j)
             b_m = spec.b_field(xs[i - 1], ys[j])
             b_p = spec.b_field(xs[i + 1], ys[j])
             e_minus = eps2 + h1 * spec.a_field(xs[i - 1], ys[j])
             target = (h1 * b_m / (4.0 * e_minus)
                       + H2 * b_p / (4.0 * eps2))
-            coeffs = [v for _, v in row.entries]
+            coeffs = list(m.values())
             scale = sum(abs(c) for c in coeffs)
             assert abs(sum(coeffs) - target) <= 1e-12 * scale
 
 
 def test_transformed_row_sum_identity_frozen(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    row = assemble_interface_x_row(ex1, tm, 2)
-    assert sum(v for _, v in row.entries) == pytest.approx(
-        151.86195079251993, rel=1e-10)
+    m, _, _ = assembled_row(ex1, tm, 4, 2)
+    assert sum(m.values()) == pytest.approx(151.86195079251993, rel=1e-10)
 
 
 def test_transformed_east_coefficient_positive(ex1, ex2):
@@ -215,17 +203,15 @@ def test_transformed_east_coefficient_positive(ex1, ex2):
     for spec in (ex1, ex2):
         for eps in (1e-1, 1e-3, 1e-6):
             tm = build_tensor_mesh(spec.with_epsilon(eps), 16)
-            row = assemble_interface_x_row(spec.with_epsilon(eps), tm, 3)
-            m = entry_map(row)
+            m, _, _ = assembled_row(spec.with_epsilon(eps), tm, 8, 3)
             assert m[(9, 3)] > 0.0
 
 
 def test_interface_x_row_wrong_kind(ex1):
+    # the ends of the line x = d1 are Dirichlet rows in both variants
     tm = build_tensor_mesh(ex1, 8)
-    with pytest.raises(WrongKind):
-        assemble_interface_x_row(ex1, tm, 0)
-    with pytest.raises(WrongKind):
-        assemble_interface_x_row_raw(ex1, tm, 8)
+    assert assembled_row(ex1, tm, 4, 0)[2] is RowKind.DIRICHLET
+    assert assembled_row(ex1, tm, 4, 8, Variant.RAW)[2] is RowKind.DIRICHLET
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +220,9 @@ def test_interface_x_row_wrong_kind(ex1):
 
 def test_raw_row_frozen(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    row = assemble_interface_x_row_raw(ex1, tm, 2)
-    assert row.kind is RowKind.INTERFACE_X_RAW
-    assert row.rhs == 0.0
-    m = entry_map(row)
+    m, rhs, kind = assembled_row(ex1, tm, 4, 2, Variant.RAW)
+    assert kind is RowKind.INTERFACE_X_RAW
+    assert rhs == 0.0
     assert m[(2, 2)] == pytest.approx(48.08983469629878, rel=REL)
     assert m[(3, 2)] == pytest.approx(-192.35933878519512, rel=REL)
     assert m[(4, 2)] == pytest.approx(150.52986518758702, rel=REL)
@@ -256,15 +241,14 @@ def test_raw_row_annihilates_linears(ex1, ex2):
     for spec in (ex1, ex2.with_epsilon(1e-4)):
         tm = build_tensor_mesh(spec, 16)
         xs = tm.x.points
-        i = 8
-        row = assemble_interface_x_row_raw(spec, tm, 5)
-        scale = sum(abs(v) for _, v in row.entries)
-        const = sum(v for _, v in row.entries)
-        lin = sum(v * xs[ci] for (ci, _), v in row.entries)
+        m, _, _ = assembled_row(spec, tm, 8, 5, Variant.RAW)
+        scale = sum(abs(v) for v in m.values())
+        const = sum(m.values())
+        lin = sum(v * xs[ci] for (ci, _), v in m.items())
         assert abs(const) <= 1e-12 * scale
         assert abs(lin) <= 1e-12 * scale
         # derivative matching: the two one-sided slopes carry opposite signs
-        assert row.entries[0][1] > 0 and row.entries[4][1] > 0
+        assert m[(6, 5)] > 0 and m[(10, 5)] > 0
 
 
 def test_raw_row_requires_equal_one_sided_spacings(ex1):
@@ -318,14 +302,13 @@ def test_elimination_reproduces_transformed_row(ex1, ex2):
     for spec in (ex1, ex2.with_epsilon(1e-2)):
         tm = build_tensor_mesh(spec, 16)
         for j in (2, 11):
-            row = assemble_interface_x_row(spec, tm, j)
-            m = entry_map(row)
+            m, row_rhs, _ = assembled_row(spec, tm, 8, j)
             west, center, east, rhs = eliminate_outer_unknowns(spec, tm, j)
             scale = abs(west) + abs(center) + abs(east)
             assert abs(m[(7, j)] - west) <= 1e-12 * scale
             assert abs(m[(8, j)] - center) <= 1e-12 * scale
             assert abs(m[(9, j)] - east) <= 1e-12 * scale
-            assert rhs == pytest.approx(row.rhs, rel=1e-12)
+            assert rhs == pytest.approx(row_rhs, rel=1e-12)
 
 
 def test_exact_elimination_of_assembled_rows_couples_y_neighbours(ex1):
@@ -341,19 +324,17 @@ def test_exact_elimination_of_assembled_rows_couples_y_neighbours(ex1):
     system = assemble_system(ex1, tm, Variant.RAW)
     A = system.matrix.toarray()
     rhs = system.rhs.copy()
-    n = system.n
     j = 2
-    r = flat_index(4, j, n)
+    r = system.flat_index(4, j)
     row = A[r].copy()
     b = rhs[r]
     for ci in (2, 6):
-        c = flat_index(ci, j, n)
-        piv = flat_index(ci, j, n)
-        factor = row[c] / A[piv, piv]
-        row -= factor * A[piv]
-        b -= factor * rhs[piv]
-    assert abs(row[flat_index(2, j, n)]) < 1e-9
-    assert abs(row[flat_index(6, j, n)]) < 1e-9
+        c = system.flat_index(ci, j)
+        factor = row[c] / A[c, c]
+        row -= factor * A[c]
+        b -= factor * rhs[c]
+    assert abs(row[system.flat_index(2, j)]) < 1e-9
+    assert abs(row[system.flat_index(6, j)]) < 1e-9
     support = np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())
     offline = [k for k in support if system.grid_index(k)[1] != j]
     assert offline, "expected couplings onto neighbouring y-lines"
@@ -371,25 +352,29 @@ def test_dirichlet_rows_pick_edge_traces(ex1):
         q_edges=(lambda y: 1.0, lambda x: 2.0, lambda y: 3.0, lambda x: 4.0),
         d1=0.5, d2=0.5, alpha=2.0, beta=5.0)
     tm = build_tensor_mesh(spec, 8)
+    system = assemble_system(spec, tm)
+
+    def rhs(i, j):
+        return system.rhs[system.flat_index(i, j)]
+
     # edge interiors
-    assert assemble_dirichlet_row(spec, tm, 0, 3).rhs == 1.0
-    assert assemble_dirichlet_row(spec, tm, 3, 0).rhs == 2.0
-    assert assemble_dirichlet_row(spec, tm, 8, 3).rhs == 3.0
-    assert assemble_dirichlet_row(spec, tm, 3, 8).rhs == 4.0
+    assert rhs(0, 3) == 1.0
+    assert rhs(3, 0) == 2.0
+    assert rhs(8, 3) == 3.0
+    assert rhs(3, 8) == 4.0
     # west/east take precedence at the corners
-    assert assemble_dirichlet_row(spec, tm, 0, 0).rhs == 1.0
-    assert assemble_dirichlet_row(spec, tm, 0, 8).rhs == 1.0
-    assert assemble_dirichlet_row(spec, tm, 8, 0).rhs == 3.0
-    assert assemble_dirichlet_row(spec, tm, 8, 8).rhs == 3.0
+    assert rhs(0, 0) == 1.0
+    assert rhs(0, 8) == 1.0
+    assert rhs(8, 0) == 3.0
+    assert rhs(8, 8) == 3.0
     # where the discontinuity lines meet the boundary
-    assert assemble_dirichlet_row(spec, tm, 4, 0).rhs == 2.0
-    assert assemble_dirichlet_row(spec, tm, 4, 8).rhs == 4.0
-    assert assemble_dirichlet_row(spec, tm, 0, 4).rhs == 1.0
-    assert assemble_dirichlet_row(spec, tm, 8, 4).rhs == 3.0
-    row = assemble_dirichlet_row(spec, tm, 0, 0)
-    assert row.entries == [((0, 0), 1.0)]
-    with pytest.raises(WrongKind):
-        assemble_dirichlet_row(spec, tm, 3, 3)
+    assert rhs(4, 0) == 2.0
+    assert rhs(4, 8) == 4.0
+    assert rhs(0, 4) == 1.0
+    assert rhs(8, 4) == 3.0
+    m, _, kind = assembled_row(spec, tm, 0, 0)
+    assert m == {(0, 0): 1.0} and kind is RowKind.DIRICHLET
+    assert assembled_row(spec, tm, 3, 3)[2] is RowKind.INTERIOR_UPWIND
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +384,7 @@ def test_dirichlet_rows_pick_edge_traces(ex1):
 def test_flat_index_roundtrip(ex1):
     tm = build_tensor_mesh(ex1, 8)
     system = assemble_system(ex1, tm)
-    assert flat_index(3, 5, 8) == 5 * 9 + 3
+    assert system.flat_index(3, 5) == 5 * 9 + 3
     for i, j in ((0, 0), (4, 4), (8, 8), (3, 7)):
         k = system.flat_index(i, j)
         assert system.grid_index(k) == (i, j)
@@ -431,23 +416,39 @@ def test_transformed_rows_have_three_entries(ex1):
         assert nnz_raw[raw.flat_index(8, j)] == 5
 
 
+def _curved(x, y):
+    return 4.0 + x * y * y
+
+
+def _cubic(x, y):
+    return 25.0 + x + y * y * y
+
+
 def test_bulk_assembly_matches_scalar_rows(ex1, ex2):
-    for spec in (ex1, ex2.with_epsilon(1e-3)):
-        for N in (8, 16):
+    """The array-built system against the row-by-row oracle.
+
+    Matrix and row kinds agree bitwise.  The rhs agrees bitwise for Example1
+    (constant sources); Example2's f2 = -(1 + x^2 y^2) may differ by one
+    ulp, because numpy evaluates x ** 2 with pow() on a float64 scalar (the
+    oracle) but as x * x on an array (assemble_system).  The third problem
+    has a and b nonlinear in y and four distinct sources built from
+    products only, so that averaging the wrong field on y = d2 shows.
+    """
+    curved = dataclasses.replace(
+        ex2, epsilon=1e-2, a_field=_curved, b_field=_cubic,
+        f_quadrants=(_curved, _cubic, ex2.f_quadrants[2], ex1.f_quadrants[3]))
+    for spec, rhs_ulps in ((ex1, 0), (ex2.with_epsilon(1e-3), 1), (curved, 0)):
+        for N in (8, 16, 64):
             tm = build_tensor_mesh(spec, N)
             for variant in (Variant.TRANSFORMED, Variant.RAW):
                 system = assemble_system(spec, tm, variant)
-                dense = np.zeros((system.dimension, system.dimension))
-                rhs = np.zeros(system.dimension)
-                for j in range(N + 1):
-                    for i in range(N + 1):
-                        row = assemble_row(spec, tm, i, j, variant)
-                        r = flat_index(i, j, N)
-                        for (ci, cj), val in row.entries:
-                            dense[r, flat_index(ci, cj, N)] = val
-                        rhs[r] = row.rhs
-                assert np.array_equal(system.matrix.toarray(), dense)
-                assert np.array_equal(system.rhs, rhs)
+                matrix, rhs, kinds = oracle_system(spec, tm, variant)
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(system.matrix, attr),
+                                          getattr(matrix, attr)), attr
+                assert np.array_equal(system.row_kinds, kinds)
+                ulps = np.abs(system.rhs - rhs) / np.spacing(np.abs(rhs))
+                assert ulps.max() <= rhs_ulps
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +514,3 @@ def test_m_matrix_check_inverse_gate(ex1):
     assert m_matrix_check(system, compute_inverse=False).min_inverse_entry is None
     big = assemble_system(ex1, build_tensor_mesh(ex1, 40))
     assert m_matrix_check(big).min_inverse_entry is None
-
-
-def test_matrix_dump_format(tmp_path, ex1):
-    tm = build_tensor_mesh(ex1, 8)
-    system = assemble_system(ex1, tm)
-    out = tmp_path / "A.txt"
-    with out.open("w") as fh:
-        write_matrix_dump(system, fh)
-    lines = out.read_text().splitlines()
-    assert len(lines) == system.matrix.nnz
-    r, c, v = lines[0].split()
-    assert int(r) == 0 and int(c) == 0 and float(v) == 1.0

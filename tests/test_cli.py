@@ -16,11 +16,10 @@ from cd2d.cli import (
     build_parser,
     main,
     parse_config,
-    serialize_config,
     stability_bound,
 )
 from cd2d.errors import CD2DError
-from cd2d.mesh import build_tensor_mesh, compute_transition_points
+from cd2d.mesh import build_tensor_mesh
 from cd2d.problems import _REGISTRY, builtin_problem, register_problem
 
 
@@ -66,14 +65,6 @@ def test_parse_config_full():
 def test_parse_config_requires_run_section():
     with pytest.raises(CD2DError):
         parse_config("[other]\nproblem = Example1\n")
-
-
-def test_config_round_trip():
-    cfg = parse_config(
-        "[run]\nproblem = Example2\nepsilons = 1e-2 1e-6\nns = 8, 24\n"
-        "variant = raw\nworkers = 2\nbeta = 5\n")
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -124,8 +115,8 @@ def test_solve_writes_grid_and_metadata(tmp_path, capsys):
     assert meta["N"] == 16 and meta["epsilon"] == 1e-3
     assert meta["residual"] <= 1e-10
     assert meta["max_abs_u"] <= 1.5
-    p = compute_transition_points(builtin_problem("example2").with_epsilon(1e-3), 16)
-    assert meta["sigma_x"] == p.sigma_x and meta["sigma_y"] == p.sigma_y
+    tm = build_tensor_mesh(builtin_problem("example2").with_epsilon(1e-3), 16)
+    assert meta["sigma_x"] == tm.sigma_x and meta["sigma_y"] == tm.sigma_y
 
 
 def test_solve_needs_single_cell(capsys):
@@ -160,8 +151,7 @@ def test_solve_alpha_override_changes_mesh(tmp_path):
     assert rc == EXIT_OK
     meta = json.loads(
         (tmp_path / "u_example2_transformed_eps0.01_N16.json").read_text())
-    base = compute_transition_points(builtin_problem("example2")
-                                     .with_epsilon(1e-2), 16)
+    base = build_tensor_mesh(builtin_problem("example2").with_epsilon(1e-2), 16)
     assert meta["sigma_x"] == pytest.approx(base.sigma_x / 2.0, rel=1e-12)
     assert meta["sigma_y"] == base.sigma_y
 
@@ -178,7 +168,7 @@ def test_solve_layer_locations_example2(tmp_path):
     grid = np.array([r[2] for r in rows]).reshape(33, 33)
     slopes = np.abs(np.diff(grid, axis=1)) / np.diff(xs)
     spec = builtin_problem("example2").with_epsilon(1e-3)
-    p = compute_transition_points(spec, 32)
+    p = build_tensor_mesh(spec, 32)
     steep = xs[np.argmax(slopes, axis=1)]     # left end of steepest interval
     interior = steep[1:-1]
     in_d1_strip = (interior >= spec.d1 - p.sigma_x - 1e-12) & (interior < spec.d1)

@@ -10,17 +10,13 @@ from cd2d import (
     Mesh1D,
     PointKind,
     TensorMesh,
-    TransitionParams,
     bisect,
     bisect_1d,
-    build_mesh_x,
-    build_mesh_y,
     build_tensor_mesh,
     builtin_problem,
-    compute_transition_points,
 )
 from cd2d.errors import BadN, DimensionMismatch, GeometryError
-from cd2d.mesh import nominal_widths_x, nominal_widths_y, write_mesh_dump
+from cd2d.mesh import build_mesh_x, build_mesh_y
 
 from mesh_invariants import check_mesh_invariants, distinct_width_count
 
@@ -39,28 +35,28 @@ Y_EX1_N8 = [0.0, 0.08317766166719343, 0.25, 0.4168223383328066, 0.5,
 
 
 def test_transition_widths_layer_branch(ex1):
-    p = compute_transition_points(ex1.with_epsilon(1e-2), 64)
-    assert p.sigma_x == SX_EPS2_N64
-    assert p.sigma_y == SY_EPS2_N64
-    assert p.N == 64
+    tm = build_tensor_mesh(ex1.with_epsilon(1e-2), 64)
+    assert tm.sigma_x == SX_EPS2_N64
+    assert tm.sigma_y == SY_EPS2_N64
+    assert tm.n == 64
 
 
 def test_transition_widths_domain_branch(ex1):
     # eps = 0.5 puts both minima on the domain-fraction side
-    p = compute_transition_points(ex1.with_epsilon(0.5), 32)
-    assert p.sigma_x == 0.25
-    assert p.sigma_y == 0.125
+    tm = build_tensor_mesh(ex1.with_epsilon(0.5), 32)
+    assert tm.sigma_x == 0.25
+    assert tm.sigma_y == 0.125
 
 
 def test_transition_widths_bad_n(ex1):
     for bad in (0, 12, 20):
         with pytest.raises(BadN):
-            compute_transition_points(ex1, bad)
+            build_tensor_mesh(ex1, bad)
 
 
 def test_x_mesh_simple_widths():
     # round numbers so every coordinate can be checked by eye
-    m = build_mesh_x(TransitionParams(sigma_x=0.1, sigma_y=0.1, N=8), d1=0.5)
+    m = build_mesh_x(8, 0.1, d1=0.5)
     assert m.axis is Axis.X
     assert m.counts == (2, 2, 2, 2)
     assert np.allclose(m.points,
@@ -70,7 +66,7 @@ def test_x_mesh_simple_widths():
 
 
 def test_y_mesh_simple_widths():
-    m = build_mesh_y(TransitionParams(sigma_x=0.1, sigma_y=0.1, N=8), d2=0.5)
+    m = build_mesh_y(8, 0.1, d2=0.5)
     assert m.axis is Axis.Y
     assert m.counts == (1, 2, 1, 1, 2, 1)
     assert np.allclose(m.points,
@@ -81,9 +77,8 @@ def test_y_mesh_simple_widths():
 
 def test_example1_mesh_frozen(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    p = compute_transition_points(ex1, 8)
-    assert p.sigma_x == SX_EX1_N8
-    assert p.sigma_y == SY_EX1_N8
+    assert tm.sigma_x == SX_EX1_N8
+    assert tm.sigma_y == SY_EX1_N8
     assert list(tm.x.points) == X_EX1_N8
     assert list(tm.y.points) == Y_EX1_N8
 
@@ -114,48 +109,51 @@ def test_distinct_width_census(ex1, ex2):
 
 
 def test_nominal_widths_example1(ex1):
+    # the realized widths of each piece: H1, h1, H2, h1 in x (N/4 = 2 each)
+    # and k1, K1, k1, k1, K2, k1 in y (counts 1, 2, 1, 1, 2, 1)
     tm = build_tensor_mesh(ex1, 8)
-    H1, h1, H2 = nominal_widths_x(tm.x)
-    assert H1 == pytest.approx(0.2396027922916008, rel=1e-14)
-    assert h1 == pytest.approx(0.0103972077083992, rel=1e-14)
-    assert H2 == pytest.approx(0.2396027922916008, rel=1e-14)
-    K1, k1, K2 = nominal_widths_y(tm.y)
-    assert K1 == pytest.approx(0.1668223383328066, rel=1e-14)
-    assert k1 == pytest.approx(SY_EX1_N8, rel=1e-14)
-    assert K2 == pytest.approx(0.1668223383328066, rel=1e-14)
+    H1, h1 = 0.2396027922916008, 0.0103972077083992
+    assert tm.x.widths() == pytest.approx([H1, H1, h1, h1, H1, H1, h1, h1],
+                                          rel=1e-14)
+    K1, K2 = 0.1668223383328066, 0.1668223383328066
+    assert tm.y.widths() == pytest.approx(
+        [SY_EX1_N8, K1, K1, SY_EX1_N8, SY_EX1_N8, K2, K2, SY_EX1_N8], rel=1e-14)
 
 
 def test_geometry_error_wide_x_layer():
     # 1 - sigma_x falls left of d1
     with pytest.raises(GeometryError):
-        build_mesh_x(TransitionParams(sigma_x=0.05, sigma_y=0.05, N=8), d1=0.98)
+        build_mesh_x(8, 0.05, d1=0.98)
 
 
 def test_geometry_error_wide_y_layers():
     # pieces around y = d2 and y = 1 overlap
     with pytest.raises(GeometryError):
-        build_mesh_y(TransitionParams(sigma_x=0.06, sigma_y=0.06, N=8), d2=0.9)
+        build_mesh_y(8, 0.06, d2=0.9)
 
 
 def test_geometry_error_sigma_out_of_range():
     with pytest.raises(GeometryError):
-        build_mesh_x(TransitionParams(sigma_x=0.3, sigma_y=0.1, N=8), d1=0.5)
+        build_mesh_x(8, 0.3, d1=0.5)
     with pytest.raises(GeometryError):
-        build_mesh_x(TransitionParams(sigma_x=0.0, sigma_y=0.1, N=8), d1=0.5)
+        build_mesh_x(8, 0.0, d1=0.5)
     with pytest.raises(GeometryError):
-        build_mesh_y(TransitionParams(sigma_x=0.1, sigma_y=0.2, N=8), d2=0.5)
+        build_mesh_y(8, 0.2, d2=0.5)
 
 
 def test_tensor_mesh_dimension_mismatch(ex1):
     a = build_tensor_mesh(ex1, 8)
     b = build_tensor_mesh(ex1, 16)
     with pytest.raises(DimensionMismatch):
-        TensorMesh(x=a.x, y=b.y)
+        TensorMesh(x=a.x, y=b.y, sigma_x=a.sigma_x, sigma_y=b.sigma_y)
 
 
 def test_point_classification_census(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    counts = {kind: sum(1 for _ in tm.points_of_kind(kind)) for kind in PointKind}
+    counts = {kind: 0 for kind in PointKind}
+    for j in range(9):
+        for i in range(9):
+            counts[tm.kind(i, j)] += 1
     assert counts[PointKind.BOUNDARY] == 32
     assert counts[PointKind.CROSS] == 1
     assert counts[PointKind.INTERFACE_X] == 6
@@ -181,6 +179,7 @@ def test_bisect_nests_bitwise(ex1):
     assert np.array_equal(fine.y.points[::2], tm.y.points)
     mid = 0.5 * (tm.x.points[:-1] + tm.x.points[1:])
     assert np.array_equal(fine.x.points[1::2], mid)
+    assert (fine.sigma_x, fine.sigma_y) == (tm.sigma_x, tm.sigma_y)
 
 
 def test_bisect_preserves_interface_index(ex1):
@@ -199,7 +198,7 @@ def test_double_bisect(ex1):
 
 
 def test_bisect_1d_simple():
-    m = build_mesh_x(TransitionParams(sigma_x=0.1, sigma_y=0.1, N=8), d1=0.5)
+    m = build_mesh_x(8, 0.1, d1=0.5)
     f = bisect_1d(m)
     assert f.counts == (4, 4, 4, 4)
     assert np.allclose(f.points[1::2],
@@ -207,25 +206,14 @@ def test_bisect_1d_simple():
                        rtol=0, atol=1e-15)
 
 
-def test_mesh_dump_format(tmp_path, ex1):
-    tm = build_tensor_mesh(ex1, 8)
-    out = tmp_path / "x.dat"
-    with out.open("w") as fh:
-        write_mesh_dump(tm.x, fh)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 9
-    idx, coord = lines[4].split()
-    assert idx == "4"
-    assert float(coord) == 0.5
-    assert "e" in coord
-
-
-@given(eps=st.floats(1e-6, 0.5),
+@given(log_eps=st.floats(-10.0, math.log10(0.5)),
        N=st.sampled_from([8, 16, 24, 32]),
        dx=st.floats(0.15, 0.85),
        dy=st.floats(0.15, 0.85))
-@settings(max_examples=25, deadline=None, derandomize=True)
-def test_mesh_invariants_property(eps, N, dx, dy):
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mesh_invariants_property(log_eps, N, dx, dy):
+    # eps log-uniform in [1e-10, 0.5]: below about 3e-8 the eps floor of
+    # build_tensor_mesh must reject it, above it every invariant must hold
     spec = dataclasses.replace(builtin_problem("example1"),
-                               epsilon=eps, d1=dx, d2=dy)
+                               epsilon=10.0 ** log_eps, d1=dx, d2=dy)
     check_mesh_invariants(spec, N)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from cd2d import (
     Side,
     QuadrantId,
     builtin_problem,
+    build_tensor_mesh,
     check_mesh_parameter,
     jump_f_across_x,
     jump_f_across_y,
@@ -131,7 +133,7 @@ def test_jump_requires_off_line(ex1):
 
 
 @given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_quadrant_partition(x, y):
     spec = builtin_problem("example1")
     on_x = x == spec.d1
@@ -185,7 +187,8 @@ def test_check_mesh_parameter():
 
 
 def test_validate_clean(ex1):
-    rep = validate(ex1.with_epsilon(1e-6), 64)
+    spec = ex1.with_epsilon(1e-6)
+    rep = validate(spec, build_tensor_mesh(spec, 64))
     assert rep.ok
     assert rep.errors == []
     assert rep.warnings == []
@@ -193,7 +196,8 @@ def test_validate_clean(ex1):
 
 def test_validate_wide_layer_warning(ex1):
     # epsilon = 0.5: d2 = 0.5 < 8*(eps/beta)*ln N = 3.327 at N = 64
-    rep = validate(ex1.with_epsilon(0.5), 64)
+    spec = ex1.with_epsilon(0.5)
+    rep = validate(spec, build_tensor_mesh(spec, 64))
     assert rep.ok
     assert any("d2" in w or "layer" in w.lower() for w in rep.warnings)
 
@@ -202,14 +206,29 @@ def test_validate_coefficient_floor_violation(ex1):
     bad = ProblemSpec(epsilon=0.1, a_field=lambda x, y: 1.0, b_field=ex1.b_field,
                       f_quadrants=ex1.f_quadrants, q_edges=ex1.q_edges,
                       d1=0.5, d2=0.5, alpha=2.0, beta=5.0)
-    rep = validate(bad, 16)
+    rep = validate(bad, build_tensor_mesh(bad, 16))
     assert not rep.ok
     assert any("a(" in e or "alpha" in e for e in rep.errors)
 
 
+def test_validate_non_finite_samples(ex1):
+    def nan_in_q2(x, y):
+        return np.where(x > 0.75, np.nan, 0.6)
+
+    bad = dataclasses.replace(
+        ex1, b_field=lambda x, y: np.full(np.shape(x), np.inf),
+        f_quadrants=(ex1.f_quadrants[0], nan_in_q2, *ex1.f_quadrants[2:]))
+    rep = validate(bad, build_tensor_mesh(bad, 16))
+    assert not rep.ok
+    assert any(e.startswith("b is not finite at 289 ") for e in rep.errors)
+    assert any(e.startswith("f on Q2 is not finite") for e in rep.errors)
+    assert not any("Q1" in e or "Q3" in e or "Q4" in e for e in rep.errors)
+
+
 def test_validate_bad_n(ex1):
+    # the mesh of a bad N cannot be built, so there is nothing to validate
     with pytest.raises(BadN):
-        validate(ex1, 12)
+        validate(ex1, build_tensor_mesh(ex1, 12))
 
 
 def test_sample_field_matches_pointwise(ex2):
@@ -233,6 +252,14 @@ def test_sample_field_scalar_only_callable():
     grid = sample_field(fussy, xs, ys)
     assert grid[0, 0] == pytest.approx(0.5)
     assert grid[0, 1] == pytest.approx(1.0)
+
+
+def test_sample_field_names_failing_field():
+    def broken_a(x, y):
+        return {"x": x}[y]
+
+    with pytest.raises(MalformedSpec, match="broken_a"):
+        sample_field(broken_a, np.array([0.0, 0.5]), np.array([0.25]))
 
 
 def test_register_problem(ex1):
