@@ -3,7 +3,7 @@
 Commands:
 
 * ``solve``  - one (eps, N) run; writes a plot-ready grid dump plus a
-  metadata JSON (transition widths, residual, wall time).
+  metadata JSON (transition widths, residual, wall time, stage timings).
 * ``sweep``  - an (eps, N) error table via the double-mesh estimate;
   writes CSV and JSON reports.
 * ``verify`` - runs the built-in property checks (matrix sign structure,
@@ -151,11 +151,26 @@ def _eps_tag(eps: float) -> str:
     return f"{eps:g}".replace("-", "m")
 
 
+def _make_out_dir(config: RunConfig) -> Optional[Path]:
+    """The output directory, created if missing; None, after reporting the
+    error on stderr, when it cannot be created."""
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return out
+
+
 def cmd_solve(config: RunConfig) -> int:
     if len(config.epsilons) != 1 or len(config.Ns) != 1:
         print("solve needs exactly one --epsilon and one --N", file=sys.stderr)
         return EXIT_CONFIG
     eps, N = config.epsilons[0], config.Ns[0]
+    out = _make_out_dir(config)
+    if out is None:
+        return EXIT_CONFIG
     try:
         spec = _load_spec(config).with_epsilon(eps)
         tm = mesh_mod.build_tensor_mesh(spec, N)
@@ -172,35 +187,45 @@ def cmd_solve(config: RunConfig) -> int:
     try:
         start = time.perf_counter()
         system = assemble_system(spec, tm, config.variant)
+        assembled = time.perf_counter()
         solution = solve_direct(system)
-        wall = time.perf_counter() - start
+        solved = time.perf_counter()
         residual = residual_norm(system, solution)
+        checked = time.perf_counter()
     except CD2DError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"u_{spec.name.lower()}_{config.variant.value}_eps{_eps_tag(eps)}_N{N}"
     grid_path = out / f"{stem}.dat"
-    with open(grid_path, "w") as fh:
-        write_grid_dump(solution, fh)
-    meta = {
-        "problem": spec.name,
-        "variant": config.variant.value,
-        "epsilon": eps,
-        "N": N,
-        "sigma_x": tm.sigma_x,
-        "sigma_y": tm.sigma_y,
-        "residual": residual,
-        "max_abs_u": solution.max_norm(),
-        "wall_time": wall,
-        "warnings": report.warnings,
-    }
     meta_path = out / f"{stem}.json"
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(grid_path, "w") as fh:
+            dumping = time.perf_counter()
+            write_grid_dump(solution, fh)
+            dumped = time.perf_counter()
+        meta = {
+            "problem": spec.name,
+            "variant": config.variant.value,
+            "epsilon": eps,
+            "N": N,
+            "sigma_x": tm.sigma_x,
+            "sigma_y": tm.sigma_y,
+            "residual": residual,
+            "max_abs_u": solution.max_norm(),
+            "wall_time": solved - start,
+            "timings": {"assemble_s": assembled - start,
+                        "solve_s": solved - assembled,
+                        "residual_s": checked - solved,
+                        "dump_s": dumped - dumping},
+            "warnings": report.warnings,
+        }
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {grid_path} and {meta_path}")
     return EXIT_OK
 
@@ -216,21 +241,27 @@ def cmd_sweep(config: RunConfig) -> int:
     except CD2DError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = _make_out_dir(config)
+    if out is None:
+        return EXIT_CONFIG
     result = analysis.run_sweep(spec, config.epsilons, config.Ns,
                                 variant=config.variant, mode=config.double_mesh,
                                 workers=config.workers)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = (f"table_{spec.name.lower()}_{config.variant.value}"
             f"_{config.double_mesh.value}")
     csv_path = out / f"{stem}.csv"
-    with open(csv_path, "w") as fh:
-        analysis.write_table_csv(result.table, fh)
     json_path = out / f"{stem}.json"
-    with open(json_path, "w") as fh:
-        json.dump(analysis.sweep_to_dict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(analysis.format_table_text(result.table))
+    try:
+        with open(csv_path, "w") as fh:
+            analysis.write_table_csv(result.table, fh)
+        with open(json_path, "w") as fh:
+            json.dump(analysis.sweep_to_dict(result), fh, indent=2,
+                      sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {csv_path} and {json_path}")
     failed = [c for c in result.cells if not c.ok]
     for cell in failed:

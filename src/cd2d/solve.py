@@ -63,9 +63,6 @@ class GridFunction:
         m = self.n + 1
         return self.values.reshape(m, m)
 
-    def value_at(self, i: int, j: int) -> float:
-        return float(self.values[j * (self.n + 1) + i])
-
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -188,13 +185,16 @@ def residual_norm(system: LinearSystem, solution: GridFunction) -> float:
 
 
 def write_grid_dump(solution: GridFunction, stream: IO[str]) -> None:
-    """Three columns x y U, row-major, one blank line between y-rows."""
-    xs = solution.mesh.x.points
-    ys = solution.mesh.y.points
+    """Three ``.16e`` columns x y U, x varying fastest, one blank line between
+    y-rows and none after the last.
+
+    Each axis is formatted once; a y-row is filled into a template holding
+    its x and y strings and written in one call, so memory stays one row.
+    """
+    xs = [f"{x:.16e}" for x in solution.mesh.x.points.tolist()]
     grid = solution.grid()
-    last = len(ys) - 1
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            stream.write(f"{x:.16e} {y:.16e} {grid[j, i]:.16e}\n")
-        if j != last:
-            stream.write("\n")
+    lead = ""
+    for j, y in enumerate(solution.mesh.y.points.tolist()):
+        sep = f" {y:.16e} %.16e\n"
+        stream.write((lead + sep.join(xs) + sep) % tuple(grid[j].tolist()))
+        lead = "\n"

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from cd2d import analysis, mesh as mesh_mod
 from cd2d.cli import (
     EXIT_CONFIG,
     EXIT_INCOMPLETE,
@@ -97,6 +99,10 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("mesh or LU work before the output directory")
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -117,6 +123,27 @@ def test_solve_writes_grid_and_metadata(tmp_path, capsys):
     assert meta["max_abs_u"] <= 1.5
     tm = build_tensor_mesh(builtin_problem("example2").with_epsilon(1e-3), 16)
     assert meta["sigma_x"] == tm.sigma_x and meta["sigma_y"] == tm.sigma_y
+    timings = meta["timings"]
+    assert set(timings) == {"assemble_s", "solve_s", "residual_s", "dump_s"}
+    assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
+
+
+def test_solve_unwritable_out_dir_is_config_error(tmp_path, capsys,
+                                                  monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with monkeypatch.context() as m:
+        m.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
+        rc = main(["solve", "--epsilon", "1e-2", "--N", "8",
+                   "--out-dir", str(blocker / "sub")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    # an output path taken by a directory fails the write, not the solve
+    (tmp_path / "u_example1_transformed_eps0.01_N8.dat").mkdir()
+    rc = main(["solve", "--epsilon", "1e-2", "--N", "8",
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_needs_single_cell(capsys):
@@ -215,6 +242,17 @@ def test_sweep_deterministic_output(tmp_path):
     assert main(args + ["--out-dir", str(b_dir), "--workers", "2"]) == EXIT_OK
     name = "table_example2_transformed_bisect.csv"
     assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+def test_sweep_unwritable_out_dir_is_config_error(tmp_path, capsys,
+                                                  monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(analysis, "run_sweep", must_not_run)
+    rc = main(["sweep", "--epsilon", "1e-2", "--N", "8",
+               "--out-dir", str(blocker / "sub")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_empty_epsilons_config_error(tmp_path, capsys):

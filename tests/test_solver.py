@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -239,8 +240,7 @@ def test_grid_function_accessors(ex1):
     u = GridFunction(mesh=tm, values=vals)
     assert u.n == 8
     assert u.grid().shape == (9, 9)
-    assert u.value_at(3, 5) == vals[5 * 9 + 3]
-    assert u.grid()[5, 3] == u.value_at(3, 5)
+    assert u.grid()[5, 3] == vals[5 * 9 + 3]
     assert u.max_norm() == 80.0
 
 
@@ -257,3 +257,50 @@ def test_grid_dump_format(tmp_path, ex1):
     x, y, v = lines[0].split()
     assert float(x) == 0.0 and float(y) == 0.0 and float(v) == 0.0
     assert lines[-1] != ""
+
+
+def oracle_grid_dump(solution, stream):
+    """Reference dump: one line per grid point, each float formatted there."""
+    xs = solution.mesh.x.points
+    ys = solution.mesh.y.points
+    grid = solution.grid()
+    last = len(ys) - 1
+    for j, y in enumerate(ys):
+        for i, x in enumerate(xs):
+            stream.write(f"{x:.16e} {y:.16e} {grid[j, i]:.16e}\n")
+        if j != last:
+            stream.write("\n")
+
+
+def dump_lines(solution, writer):
+    """The dump split after each "\\n", so that a mismatch reports the first
+    differing line instead of a diff of the whole text."""
+    buf = io.StringIO()
+    writer(solution, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("problem", ["Example1", "Example2"])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("N", [8, 64])
+def test_grid_dump_matches_oracle(problem, variant, N):
+    spec = builtin_problem(problem).with_epsilon(1e-3)
+    u = solve_direct(assemble_system(spec, build_tensor_mesh(spec, N),
+                                     variant))
+    lines = dump_lines(u, write_grid_dump)
+    assert lines == dump_lines(u, oracle_grid_dump)
+    assert lines[-1].endswith("\n") and lines[-1] != "\n"
+    assert lines.count("\n") == N
+
+
+def test_grid_dump_special_values(ex1):
+    tm = build_tensor_mesh(ex1, 8)
+    specials = [-0.0, 5e-324, -1e300, 1.0, 0.1]
+    vals = np.resize(np.array(specials), 81)
+    u = GridFunction(mesh=tm, values=vals)
+    lines = dump_lines(u, write_grid_dump)
+    assert lines == dump_lines(u, oracle_grid_dump)
+    columns = [ln.split()[2] for ln in lines[:5]]
+    assert columns == ["-0.0000000000000000e+00", "4.9406564584124654e-324",
+                       "-1.0000000000000001e+300", "1.0000000000000000e+00",
+                       "1.0000000000000001e-01"]
