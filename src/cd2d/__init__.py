@@ -25,9 +25,9 @@ from .errors import (BadN, CD2DError, DimensionMismatch, GeometryError,
 from .mesh import (Axis, Mesh1D, PointKind, TensorMesh, bisect, bisect_1d,
                    build_tensor_mesh)
 from .problems import (ProblemSpec, QuadrantId, Side, ValidationReport,
-                       builtin_problem, check_mesh_parameter, jump_f_across_x,
-                       jump_f_across_y, problem_names, quadrant_of,
-                       register_problem, sample_field, source_at, validate)
+                       builtin_problem, check_mesh_parameter, problem_names,
+                       quadrant_of, register_problem, sample_field, source_at,
+                       validate)
 from .solve import GridFunction, residual_norm, solve_direct, write_grid_dump
 
 __version__ = "0.1.0"

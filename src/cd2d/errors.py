@@ -42,7 +42,8 @@ class DimensionMismatch(CD2DError):
 
 
 class MeshMismatch(CD2DError):
-    """Fine mesh is not the exact bisection of the coarse mesh."""
+    """Fine mesh does not fit the coarse one: not 2N intervals, not its exact
+    bisection (bisect mode) or not spanning its axes (regenerate mode)."""
 
 
 class NonPositiveError(CD2DError):

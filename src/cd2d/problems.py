@@ -123,26 +123,6 @@ def source_at(spec: ProblemSpec, x: float, y: float,
     return float(spec.f_quadrants[quad.value - 1](x, y))
 
 
-def jump_f_across_x(spec: ProblemSpec, y: float,
-                    side_y: Side = Side.NOT_ON_LINE) -> float:
-    """Signed jump f(d1+, y) - f(d1-, y) of the source across x = d1."""
-    if not (0.0 < y < 1.0):
-        raise OutOfDomain(f"jump is defined for 0 < y < 1, got y = {y}")
-    plus = source_at(spec, spec.d1, y, Side.PLUS, side_y)
-    minus = source_at(spec, spec.d1, y, Side.MINUS, side_y)
-    return plus - minus
-
-
-def jump_f_across_y(spec: ProblemSpec, x: float,
-                    side_x: Side = Side.NOT_ON_LINE) -> float:
-    """Signed jump f(x, d2+) - f(x, d2-) of the source across y = d2."""
-    if not (0.0 < x < 1.0):
-        raise OutOfDomain(f"jump is defined for 0 < x < 1, got x = {x}")
-    plus = source_at(spec, x, spec.d2, side_x, Side.PLUS)
-    minus = source_at(spec, x, spec.d2, side_x, Side.MINUS)
-    return plus - minus
-
-
 # ---------------------------------------------------------------------------
 # Builtin problems.  Field callables are module-level functions (not
 # closures) so specs can be pickled into worker processes; they also accept

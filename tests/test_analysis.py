@@ -2,16 +2,26 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
+import cd2d
 from cd2d import (
+    Axis,
     ConvergenceTable,
     DoubleMeshMode,
     GridFunction,
+    Mesh1D,
+    TensorMesh,
     Variant,
     bisect,
+    builtin_problem,
     build_tensor_mesh,
     double_mesh_error,
     double_mesh_error_bilinear,
@@ -86,6 +96,98 @@ def test_bilinear_estimate_matches_on_nested_pair(ex1):
     exact = double_mesh_error(coarse, fine)
     interpolated = double_mesh_error_bilinear(coarse, fine)
     assert interpolated == pytest.approx(exact, rel=1e-9, abs=1e-14)
+
+
+def oracle_read(fine, xs, ys):
+    """The fine solution at the points (ys x xs) through scipy's bilinear read."""
+    interp = RegularGridInterpolator(
+        (fine.mesh.y.points, fine.mesh.x.points), fine.grid(), method="linear")
+    X, Y = np.meshgrid(xs, ys)
+    return interp(np.stack([Y.ravel(), X.ravel()], axis=1)).reshape(X.shape)
+
+
+def grid_function(xs, ys, values):
+    """GridFunction on the tensor mesh of arbitrary axes xs, ys."""
+    n = len(xs) - 1
+    mesh = TensorMesh(x=Mesh1D(np.asarray(xs), (0.0, 1.0), (n,), Axis.X),
+                      y=Mesh1D(np.asarray(ys), (0.0, 1.0), (n,), Axis.Y),
+                      sigma_x=math.nan, sigma_y=math.nan)
+    return GridFunction(mesh=mesh, values=np.asarray(values, dtype=float).ravel())
+
+
+@pytest.mark.parametrize("name", ["Example1", "Example2"])
+def test_bilinear_estimate_matches_oracle_on_regenerate_pairs(name):
+    base = builtin_problem(name)
+    for eps in (1e-1, 1e-4, 1e-6):
+        spec = base.with_epsilon(eps)
+        for N in (8, 16, 64):
+            coarse = solve_direct(assemble_system(spec, build_tensor_mesh(spec, N)))
+            fine = solve_direct(assemble_system(spec, build_tensor_mesh(spec, 2 * N)))
+            read = oracle_read(fine, coarse.mesh.x.points, coarse.mesh.y.points)
+            expect = float(np.max(np.abs(read - coarse.grid())))
+            got = double_mesh_error_bilinear(coarse, fine)
+            assert got == pytest.approx(expect, rel=1e-13, abs=0.0), (eps, N)
+
+
+def _fine_axis(draw, n):
+    inner = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=2 * n - 1,
+                          max_size=2 * n - 1, unique=True))
+    return np.array([0.0, *sorted(inner), 1.0])
+
+
+def _coarse_axis(draw, fine):
+    """0, 1 and n - 1 interior fine nodes or fine interval midpoints."""
+    n = (fine.size - 1) // 2
+    mids = 0.5 * (fine[:-1] + fine[1:])
+    candidates = np.unique(np.concatenate([fine[1:-1], mids]))
+    candidates = candidates[(candidates > 0.0) & (candidates < 1.0)]
+    picks = draw(st.lists(st.integers(0, candidates.size - 1), min_size=n - 1,
+                          max_size=n - 1, unique=True))
+    return np.array([0.0, *sorted(candidates[picks]), 1.0])
+
+
+@given(data=st.data(), n=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_bilinear_read_matches_oracle_on_random_axes(data, n, seed):
+    fine_x, fine_y = _fine_axis(data.draw, n), _fine_axis(data.draw, n)
+    xs, ys = _coarse_axis(data.draw, fine_x), _coarse_axis(data.draw, fine_y)
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, (2 * n + 1, 2 * n + 1))
+    fine = grid_function(fine_x, fine_y, u)
+    # coarse values equal to the oracle's read make D the read-back error
+    coarse = grid_function(xs, ys, oracle_read(fine, xs, ys))
+    assert double_mesh_error_bilinear(coarse, fine) <= 4 * np.finfo(float).eps
+
+
+def test_bilinear_read_is_exact_at_fine_nodes():
+    rng = np.random.default_rng(7)
+    n = 6
+    fine_x = np.array([0.0, *np.sort(rng.uniform(0, 1, 2 * n - 1)), 1.0])
+    fine_y = np.array([0.0, *np.sort(rng.uniform(0, 1, 2 * n - 1)), 1.0])
+    u = rng.uniform(-1.0, 1.0, (2 * n + 1, 2 * n + 1))
+    fine = grid_function(fine_x, fine_y, u)
+    # odd and even fine nodes, both ends included
+    ix = np.array([0, 1, 4, 5, 7, 10, 12])
+    iy = np.array([0, 3, 5, 6, 8, 11, 12])
+    coarse = grid_function(fine_x[ix], fine_y[iy], u[np.ix_(iy, ix)])
+    assert double_mesh_error_bilinear(coarse, fine) == 0.0
+
+
+def test_bilinear_estimate_mismatch(ex1):
+    tm8 = build_tensor_mesh(ex1, 8)
+    coarse = GridFunction(mesh=tm8, values=np.zeros(81))
+    for N in (8, 32):
+        with pytest.raises(MeshMismatch, match="intervals"):
+            double_mesh_error_bilinear(coarse, GridFunction(
+                mesh=build_tensor_mesh(ex1, N), values=np.zeros((N + 1) ** 2)))
+    tm16 = build_tensor_mesh(ex1, 16)
+    short_x = dataclasses.replace(
+        tm16, x=dataclasses.replace(tm16.x, points=0.9 * tm16.x.points))
+    late_y = dataclasses.replace(
+        tm16, y=dataclasses.replace(tm16.y, points=0.1 + 0.9 * tm16.y.points))
+    for mesh, axis in ((short_x, "x"), (late_y, "y")):
+        with pytest.raises(MeshMismatch, match=f"fine {axis} axis"):
+            double_mesh_error_bilinear(coarse, GridFunction(
+                mesh=mesh, values=np.zeros(17 ** 2)))
 
 
 def test_run_cell_metadata(ex1):
@@ -164,6 +266,27 @@ def test_run_sweep_ordering_and_shape(ex1):
     for idx, cell in enumerate(result.cells):
         r, c = divmod(idx, 2)
         assert result.table.D_eps[r, c] == cell.d_eps
+
+
+def test_serial_sweep_imports_no_interpolation_or_process_pool():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cd2d.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import cd2d, cd2d.cli\n"
+        "from cd2d import DoubleMeshMode, builtin_problem, run_sweep\n"
+        "r = run_sweep(builtin_problem('Example2'), [1e-2], [8, 16],\n"
+        "              mode=DoubleMeshMode.REGENERATE, workers=1)\n"
+        "assert r.table.complete\n"
+        "print([m for m in ('scipy.interpolate', 'concurrent.futures.process')\n"
+        "       if m in sys.modules])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_sweep_worker_count_invariant(ex1):

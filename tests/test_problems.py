@@ -12,8 +12,6 @@ from cd2d import (
     builtin_problem,
     build_tensor_mesh,
     check_mesh_parameter,
-    jump_f_across_x,
-    jump_f_across_y,
     problem_names,
     quadrant_of,
     register_problem,
@@ -106,12 +104,24 @@ def test_source_at_requires_side_on_lines(ex1):
     assert source_at(ex1, 0.5, 0.5, side_x=Side.PLUS, side_y=Side.PLUS) == -0.5
 
 
+def jump_across_x(spec, y):
+    """f(d1+, y) - f(d1-, y) through the one-sided source."""
+    return (source_at(spec, spec.d1, y, side_x=Side.PLUS)
+            - source_at(spec, spec.d1, y, side_x=Side.MINUS))
+
+
+def jump_across_y(spec, x):
+    """f(x, d2+) - f(x, d2-) through the one-sided source."""
+    return (source_at(spec, x, spec.d2, side_y=Side.PLUS)
+            - source_at(spec, x, spec.d2, side_y=Side.MINUS))
+
+
 def test_jump_example1(ex1):
     # below y = d2 the source steps from 0.5 to 0.6 across x = d1
-    assert jump_f_across_x(ex1, 0.2) == pytest.approx(0.1)
-    assert jump_f_across_x(ex1, 0.8) == pytest.approx(0.1)
-    assert jump_f_across_y(ex1, 0.2) == pytest.approx(-1.1)
-    assert jump_f_across_y(ex1, 0.8) == pytest.approx(-1.1)
+    assert jump_across_x(ex1, 0.2) == pytest.approx(0.1)
+    assert jump_across_x(ex1, 0.8) == pytest.approx(0.1)
+    assert jump_across_y(ex1, 0.2) == pytest.approx(-1.1)
+    assert jump_across_y(ex1, 0.8) == pytest.approx(-1.1)
 
 
 def test_jump_example2_value(ex2):
@@ -121,15 +131,15 @@ def test_jump_example2_value(ex2):
     right = source_at(ex2, 0.4, y, side_x=Side.PLUS)
     assert left == pytest.approx(1.65)
     assert right == pytest.approx(-1.01)
-    assert jump_f_across_x(ex2, y) == pytest.approx(-2.66)
-    assert jump_f_across_x(ex2, y) == pytest.approx(right - left)
+    assert jump_across_x(ex2, y) == pytest.approx(-2.66)
+    assert jump_across_x(ex2, y) == pytest.approx(right - left)
 
 
 def test_jump_requires_off_line(ex1):
     with pytest.raises(OnDiscontinuityWithoutSide):
-        jump_f_across_x(ex1, 0.5)
+        jump_across_x(ex1, 0.5)
     with pytest.raises(OnDiscontinuityWithoutSide):
-        jump_f_across_y(ex1, 0.5)
+        jump_across_y(ex1, 0.5)
 
 
 @given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
