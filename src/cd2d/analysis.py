@@ -17,6 +17,11 @@ Two conventions for the 2N mesh are supported:
 
 The uniform error is D(N) = max over eps of D(N, eps) and the estimated
 order E(N) = log2(D(N) / D(2N)).
+
+In regenerate mode the 2N mesh of cell (eps, N) is the N-mesh of cell
+(eps, 2N), so a sweep runs each eps row as chains of cells whose N doubles
+from one to the next, and hands each cell's fine solve on as the next
+cell's coarse solve.
 """
 from __future__ import annotations
 
@@ -87,8 +92,25 @@ def double_mesh_error_bilinear(coarse: GridFunction, fine: GridFunction) -> floa
     return float(np.max(np.abs(read - coarse.grid())))
 
 
+@dataclass(frozen=True)
+class MeshSolve:
+    """A solution and its scaled residual."""
+    solution: GridFunction
+    residual: float
+
+
+_STAGES = ("mesh_s", "assemble_s", "solve_s", "residual_s", "estimate_s")
+
+
 @dataclass
 class CellResult:
+    """One (eps, N) cell.
+
+    ``timings`` holds the seconds of each stage (``mesh_s``, ``assemble_s``,
+    ``solve_s``, ``residual_s``, ``estimate_s``) summed over both meshes; a
+    reused coarse solve adds nothing.  ``fine`` is the companion's solve in
+    regenerate mode, which the cell of 2N reuses as its coarse solve.
+    """
     epsilon: float
     N: int
     d_eps: float = float("nan")
@@ -99,55 +121,142 @@ class CellResult:
     max_u_coarse: float = float("nan")
     max_u_fine: float = float("nan")
     wall_time: float = 0.0
+    timings: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
+    coarse_reused: bool = False
     warnings: list[str] = field(default_factory=list)
     error: Optional[str] = None
+    fine: Optional[MeshSolve] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.error is None and math.isfinite(self.d_eps)
 
 
-def run_cell(spec: ProblemSpec, N: int,
-             variant: Variant = Variant.TRANSFORMED,
-             mode: DoubleMeshMode = DoubleMeshMode.BISECT) -> CellResult:
-    """Solve one (eps, N) cell: coarse solve, companion solve, estimate."""
-    cell = CellResult(epsilon=spec.epsilon, N=N)
+def _timed(timings: dict[str, float], stage: str, fn, *args):
+    """``fn(*args)``, adding its wall time to ``timings[stage]``."""
     start = time.perf_counter()
     try:
-        coarse_mesh = mesh_mod.build_tensor_mesh(spec, N)
+        return fn(*args)
+    finally:
+        timings[stage] += time.perf_counter() - start
+
+
+def _solve_on(spec: ProblemSpec, tm: mesh_mod.TensorMesh, variant: Variant,
+              timings: dict[str, float]) -> MeshSolve:
+    system = _timed(timings, "assemble_s", assemble_system, spec, tm, variant)
+    solution = _timed(timings, "solve_s", solve_direct, system)
+    return MeshSolve(solution,
+                     _timed(timings, "residual_s", residual_norm, system, solution))
+
+
+def run_cell(spec: ProblemSpec, N: int,
+             variant: Variant = Variant.TRANSFORMED,
+             mode: DoubleMeshMode = DoubleMeshMode.BISECT,
+             coarse: Optional[MeshSolve] = None) -> CellResult:
+    """Solve one (eps, N) cell: coarse solve, companion solve, estimate.
+
+    ``coarse``, if given, is the solve on this cell's N-mesh, taken from the
+    ``fine`` of the regenerate cell of N/2; the cell then solves only its
+    companion.
+    """
+    cell = CellResult(epsilon=spec.epsilon, N=N)
+    t = cell.timings
+    start = time.perf_counter()
+    try:
+        if coarse is None:
+            coarse_mesh = _timed(t, "mesh_s", mesh_mod.build_tensor_mesh, spec, N)
+        elif coarse.solution.n != N:
+            raise MeshMismatch(f"reused coarse solve has {coarse.solution.n} "
+                               f"intervals, expected {N}")
+        else:
+            coarse_mesh = coarse.solution.mesh
         cell.sigma_x, cell.sigma_y = coarse_mesh.sigma_x, coarse_mesh.sigma_y
         # both meshes up front, so an infeasible companion costs no solve
         if mode is DoubleMeshMode.BISECT:
-            fine_mesh = mesh_mod.bisect(coarse_mesh)
+            fine_mesh = _timed(t, "mesh_s", mesh_mod.bisect, coarse_mesh)
         else:
-            fine_mesh = mesh_mod.build_tensor_mesh(spec, 2 * N)
+            fine_mesh = _timed(t, "mesh_s", mesh_mod.build_tensor_mesh,
+                               spec, 2 * N)
         report = validate(spec, coarse_mesh)
         cell.warnings = list(report.warnings)
         if not report.ok:
             raise CD2DError("; ".join(report.errors))
-        coarse_sys = assemble_system(spec, coarse_mesh, variant)
-        coarse = solve_direct(coarse_sys)
-        cell.residual_coarse = residual_norm(coarse_sys, coarse)
-        cell.max_u_coarse = coarse.max_norm()
-
-        fine_sys = assemble_system(spec, fine_mesh, variant)
-        fine = solve_direct(fine_sys)
-        cell.residual_fine = residual_norm(fine_sys, fine)
-        cell.max_u_fine = fine.max_norm()
-
-        if mode is DoubleMeshMode.BISECT:
-            cell.d_eps = double_mesh_error(coarse, fine)
+        if coarse is None:
+            coarse = _solve_on(spec, coarse_mesh, variant, t)
         else:
-            cell.d_eps = double_mesh_error_bilinear(coarse, fine)
+            cell.coarse_reused = True
+        cell.residual_coarse = coarse.residual
+        cell.max_u_coarse = coarse.solution.max_norm()
+
+        fine = _solve_on(spec, fine_mesh, variant, t)
+        cell.residual_fine = fine.residual
+        cell.max_u_fine = fine.solution.max_norm()
+        if mode is DoubleMeshMode.BISECT:
+            estimate = double_mesh_error
+        else:
+            cell.fine = fine
+            estimate = double_mesh_error_bilinear
+        cell.d_eps = _timed(t, "estimate_s", estimate, coarse.solution,
+                            fine.solution)
     except (CD2DError, np.linalg.LinAlgError, MemoryError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_time = time.perf_counter() - start
     return cell
 
 
-def _cell_worker(args) -> CellResult:
-    spec, N, variant_value, mode_value = args
-    return run_cell(spec, N, Variant(variant_value), DoubleMeshMode(mode_value))
+def _chains(Ns: Sequence[int], mode: DoubleMeshMode) -> list[list[int]]:
+    """Ns split into the runs a worker solves in order: in regenerate mode
+    each N that doubles the one before joins its run, else every N is alone."""
+    chains: list[list[int]] = []
+    for N in Ns:
+        if chains and mode is DoubleMeshMode.REGENERATE and N == 2 * chains[-1][-1]:
+            chains[-1].append(N)
+        else:
+            chains.append([N])
+    return chains
+
+
+def _chain_worker(args) -> list[CellResult]:
+    """The cells of one chain, each reusing the fine solve of the one before."""
+    spec, Ns, variant_value, mode_value = args
+    variant, mode = Variant(variant_value), DoubleMeshMode(mode_value)
+    cells: list[CellResult] = []
+    shared = None
+    for N in Ns:
+        cell = run_cell(spec, N, variant, mode, coarse=shared)
+        shared, cell.fine = cell.fine, None
+        cells.append(cell)
+    return cells
+
+
+def _run_pooled(jobs: list, workers: int) -> list[list[CellResult]]:
+    """``_chain_worker`` over the jobs in a process pool.  If a worker dies,
+    the chains finished by then keep their cells and every other chain runs
+    again in a one-worker pool of its own, one after another, so a second
+    crash is confined to (and names) its chain and memory pressure from the
+    other workers is gone; a chain that crashes again records the crash as
+    its cells' error."""
+    # imported here: multiprocessing is start-up cost a serial sweep skips
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_chain_worker, job) for job in jobs]
+    results = []
+    for job, future in zip(jobs, futures):
+        try:
+            results.append(future.result())
+        except BrokenProcessPool:
+            try:
+                with ProcessPoolExecutor(max_workers=1) as pool:
+                    results.append(pool.submit(_chain_worker, job).result())
+            except BrokenProcessPool as exc:
+                spec, Ns = job[0], job[1]
+                results.append([CellResult(epsilon=spec.epsilon, N=N,
+                                           error=f"BrokenProcessPool: {exc}")
+                                for N in Ns])
+    return results
 
 
 @dataclass
@@ -194,16 +303,18 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
               variant: Variant = Variant.TRANSFORMED,
               mode: DoubleMeshMode = DoubleMeshMode.BISECT,
               workers: int = 1) -> SweepResult:
-    """Fill the (eps, N) error table; failed cells are missing, not fatal."""
-    jobs = [(spec.with_epsilon(eps), N, variant.value, mode.value)
-            for eps in epsilons for N in Ns]
+    """Fill the (eps, N) error table; failed cells are missing, not fatal.
+
+    Work is split into chains (see ``_chains``); with ``workers > 1`` they
+    run in a process pool, and a crashed worker costs only its own chain.
+    """
+    jobs = [(spec.with_epsilon(eps), chain, variant.value, mode.value)
+            for eps in epsilons for chain in _chains(Ns, mode)]
     if workers > 1 and len(jobs) > 1:
-        # imported here: multiprocessing is start-up cost a serial sweep skips
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_cell_worker, jobs))
+        chains = _run_pooled(jobs, workers)
     else:
-        cells = [_cell_worker(job) for job in jobs]
+        chains = [_chain_worker(job) for job in jobs]
+    cells = [cell for chain in chains for cell in chain]
     D = np.full((len(epsilons), len(Ns)), np.nan)
     for idx, cell in enumerate(cells):
         r, c = divmod(idx, len(Ns))
@@ -340,6 +451,8 @@ def sweep_to_dict(result: SweepResult) -> dict:
                 "max_u_coarse": clean(c.max_u_coarse),
                 "max_u_fine": clean(c.max_u_fine),
                 "wall_time": c.wall_time,
+                "timings": c.timings,
+                "coarse_reused": c.coarse_reused,
                 "warnings": c.warnings,
                 "error": c.error,
             }

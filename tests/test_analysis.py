@@ -33,12 +33,16 @@ from cd2d import (
     run_sweep,
     write_table_csv,
 )
+from cd2d import analysis, mesh as mesh_mod
 from cd2d.analysis import format_table_text, sweep_to_dict
 from cd2d.assembly import assemble_system
-from cd2d.errors import MeshMismatch, NonPositiveError
+from cd2d.cli import EXIT_INCOMPLETE, main
+from cd2d.errors import GeometryError, MeshMismatch, NonPositiveError
+from cd2d.problems import _REGISTRY, register_problem
 from cd2d.solve import solve_direct
 
 REL = 1e-6   # frozen double-mesh regression values
+REGENERATE = DoubleMeshMode.REGENERATE
 
 
 def test_order_estimate_values():
@@ -290,9 +294,119 @@ def test_serial_sweep_imports_no_interpolation_or_process_pool():
 
 
 def test_run_sweep_worker_count_invariant(ex1):
-    serial = run_sweep(ex1, [1e-1, 1e-2], [8, 16], workers=1)
-    parallel = run_sweep(ex1, [1e-1, 1e-2], [8, 16], workers=2)
-    assert np.array_equal(serial.table.D_eps, parallel.table.D_eps)
+    for mode in DoubleMeshMode:
+        serial = run_sweep(ex1, [1e-1, 1e-2], [8, 16], mode=mode, workers=1)
+        parallel = run_sweep(ex1, [1e-1, 1e-2], [8, 16], mode=mode, workers=2)
+        assert np.array_equal(serial.table.D_eps, parallel.table.D_eps), mode
+        assert ([c.coarse_reused for c in serial.cells]
+                == [c.coarse_reused for c in parallel.cells]), mode
+
+
+def count_solves(monkeypatch):
+    """A list that grows by one for every solve a sweep makes."""
+    calls = []
+
+    def counting(system):
+        calls.append(system.n)
+        return solve_direct(system)
+
+    monkeypatch.setattr(analysis, "solve_direct", counting)
+    return calls
+
+
+def test_regenerate_sweep_solves_each_mesh_once(ex2, monkeypatch):
+    calls = count_solves(monkeypatch)
+    result = run_sweep(ex2, [1e-1, 1e-3], [8, 16, 32], mode=REGENERATE)
+    # per eps row: 8 and 16 for the first cell, then only each companion
+    assert sorted(calls) == [8, 8, 16, 16, 32, 32, 64, 64]
+    assert [c.coarse_reused for c in result.cells] == [False, True, True] * 2
+    assert result.table.complete
+    calls.clear()
+    result = run_sweep(ex2, [1e-1, 1e-3], [8, 32], mode=REGENERATE)
+    assert len(calls) == 8                 # no N doubles: nothing shared
+    assert not any(c.coarse_reused for c in result.cells)
+
+
+def test_regenerate_reuse_is_bitwise_standalone(ex2):
+    result = run_sweep(ex2, [1e-1, 1e-3], [8, 16, 32], mode=REGENERATE)
+    for cell in result.cells:
+        alone = run_cell(ex2.with_epsilon(cell.epsilon), cell.N,
+                         mode=REGENERATE)
+        for name in ("d_eps", "sigma_x", "sigma_y", "residual_coarse",
+                     "residual_fine", "max_u_coarse", "max_u_fine"):
+            assert getattr(cell, name) == getattr(alone, name), (cell.N, name)
+        assert cell.warnings == alone.warnings
+        assert cell.fine is None           # the sweep keeps no solutions
+        assert set(cell.timings) == set(alone.timings) == {
+            "mesh_s", "assemble_s", "solve_s", "residual_s", "estimate_s"}
+        assert all(math.isfinite(v) and v >= 0.0 for v in cell.timings.values())
+    assert [c.coarse_reused for c in result.cells] == [False, True, True] * 2
+    assert alone.fine.solution.n == 64     # alone is (1e-3, 32)
+    wrong = run_cell(ex2.with_epsilon(1e-3), 16, mode=REGENERATE,
+                     coarse=alone.fine)
+    assert wrong.error.startswith("MeshMismatch: reused coarse solve has 64")
+
+
+def test_regenerate_chain_after_failed_companion(ex1, monkeypatch):
+    # eps 4e-8 is above the eps floor at N = 16 and below it at N = 32:
+    # both cells fail as they do alone, and nothing is solved
+    spec = ex1.with_epsilon(4e-8)
+    calls = count_solves(monkeypatch)
+    result = run_sweep(ex1, [4e-8], [16, 32], mode=REGENERATE)
+    assert calls == []
+    for cell in result.cells:
+        assert "GeometryError" in cell.error
+        assert cell.error == run_cell(spec, cell.N, mode=REGENERATE).error
+    # a companion that fails once: the next cell solves its own coarse mesh
+    build = mesh_mod.build_tensor_mesh
+    failed = []
+
+    def first_16_fails(spec, N):
+        if N == 16 and not failed:
+            failed.append(N)
+            raise GeometryError("eps below the floor at N = 16")
+        return build(spec, N)
+
+    monkeypatch.setattr(mesh_mod, "build_tensor_mesh", first_16_fails)
+    result = run_sweep(ex1, [1e-2], [8, 16, 32], mode=REGENERATE)
+    assert sorted(calls) == [16, 32, 64]
+    assert "GeometryError" in result.cells[0].error
+    assert [c.coarse_reused for c in result.cells] == [False, False, True]
+    assert result.cells[1].ok and result.cells[2].ok
+
+
+def _a_crashes_on_thin_x_layer(x, y):
+    """Example1's a = 2, but the process dies on a mesh with points inside
+    [d1 - 1e-4, d1) = [0.4999, 0.5), which only small eps put there."""
+    x = np.asarray(x)
+    if np.any((x >= 0.4999) & (x < 0.5)):
+        os._exit(1)
+    return 2.0 + 0.0 * x
+
+
+def test_crashed_worker_loses_only_its_chain(ex1, tmp_path, capsys):
+    spec = dataclasses.replace(ex1, a_field=_a_crashes_on_thin_x_layer,
+                               name="crash_probe")
+    result = run_sweep(spec, [1e-1, 1e-3], [8, 16], mode=REGENERATE,
+                       workers=2)
+    good, bad = result.cells[:2], result.cells[2:]
+    expect = run_sweep(ex1, [1e-1], [8, 16], mode=REGENERATE)
+    assert [c.d_eps for c in good] == [c.d_eps for c in expect.cells]
+    for cell in bad:
+        assert cell.error.startswith("BrokenProcessPool: ")
+        assert math.isnan(cell.d_eps)
+    assert np.all(np.isfinite(result.table.D_eps[0]))
+    assert np.all(np.isnan(result.table.D_eps[1]))
+    # the command line reports the lost cells and exits 1
+    try:
+        register_problem("crash_probe", lambda: spec)
+        rc = main(["sweep", "--problem", "crash_probe", "--epsilon", "1e-1",
+                   "--epsilon", "1e-3", "--N", "8", "--workers", "2",
+                   "--out-dir", str(tmp_path)])
+    finally:
+        _REGISTRY.pop("crash_probe", None)
+    assert rc == EXIT_INCOMPLETE
+    assert "missing cell eps=0.001 N=8: BrokenProcessPool" in capsys.readouterr().err
 
 
 def test_double_mesh_regression_example1(ex1):

@@ -224,6 +224,21 @@ def test_sweep_complete_run(tmp_path, capsys):
     assert "eps" in text and "wrote" in text
 
 
+def test_sweep_json_records_cell_timings_and_reuse(tmp_path):
+    rc = main(["sweep", "--epsilon", "1e-2", "--N", "8", "--N", "16",
+               "--double-mesh", "regenerate", "--out-dir", str(tmp_path)])
+    assert rc == EXIT_OK
+    payload = json.loads(
+        (tmp_path / "table_example1_transformed_regenerate.json").read_text())
+    cells = payload["cells"]
+    assert [c["coarse_reused"] for c in cells] == [False, True]
+    for cell in cells:
+        assert set(cell["timings"]) == {"mesh_s", "assemble_s", "solve_s",
+                                        "residual_s", "estimate_s"}
+        assert all(math.isfinite(v) and v >= 0.0
+                   for v in cell["timings"].values())
+
+
 def test_sweep_single_column_has_no_e_row_entries(tmp_path):
     rc = main(["sweep", "--epsilon", "1e-1", "--N", "8",
                "--out-dir", str(tmp_path)])

@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import cd2d
 from cd2d import (
     GridFunction,
     LinearSystem,
@@ -127,6 +131,37 @@ def test_factorization_stats_and_fill(ex1):
     u = f.solve(system.rhs)
     assert np.array_equal(u.values, solve_direct(system).values)
     assert residual_norm(system, u) <= 1e-12
+
+
+def test_superlu_blocking_exits_cleanly():
+    # A relax/panel_size pair SuperLU mishandles can corrupt the heap and
+    # crash only at interpreter exit (relax = panel_size = 40 on a 65^2
+    # system does), so factor and solve in a fresh interpreter and require
+    # a clean exit.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cd2d.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "from cd2d import (Variant, assemble_system, build_tensor_mesh,\n"
+        "                  builtin_problem, residual_norm)\n"
+        "from cd2d.solve import factorize\n"
+        "worst = 0.0\n"
+        "for name in ('Example1', 'Example2'):\n"
+        "    for variant in Variant:\n"
+        "        for eps in (1e-1, 1e-4):\n"
+        "            spec = builtin_problem(name).with_epsilon(eps)\n"
+        "            for N in (16, 64):\n"
+        "                system = assemble_system(\n"
+        "                    spec, build_tensor_mesh(spec, N), variant)\n"
+        "                u = factorize(system).solve(system.rhs)\n"
+        "                worst = max(worst, residual_norm(system, u))\n"
+        "print(repr(worst))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) <= 1e-12
 
 
 def test_factorization_solves_other_rhs(ex1):
