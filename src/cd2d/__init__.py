@@ -12,22 +12,18 @@ Typical library use::
     u = solve_direct(system)
 """
 from .analysis import (ConvergenceTable, DoubleMeshMode, SweepResult,
-                       double_mesh_error, double_mesh_error_bilinear,
-                       manufactured_problem, manufactured_solution_study,
-                       mms_exact, order_estimate, run_cell, run_sweep,
-                       write_table_csv)
+                       double_mesh_error, manufactured_problem,
+                       manufactured_solution_study, mms_exact, run_cell,
+                       run_sweep, write_table_csv)
 from .assembly import (LinearSystem, MMatrixReport, RowKind, Variant,
                        assemble_system, m_matrix_check)
 from .errors import (BadN, CD2DError, DimensionMismatch, GeometryError,
                      MalformedSpec, MeshMismatch, NonFiniteSolution,
-                     NonPositiveError, OnDiscontinuityWithoutSide, OutOfDomain,
                      SingularMatrix, SingularStructure)
-from .mesh import (Axis, Mesh1D, PointKind, TensorMesh, bisect, bisect_1d,
-                   build_tensor_mesh)
-from .problems import (ProblemSpec, QuadrantId, Side, ValidationReport,
-                       builtin_problem, check_mesh_parameter, problem_names,
-                       quadrant_of, register_problem, sample_field, source_at,
-                       validate)
+from .mesh import Axis, Mesh1D, TensorMesh, bisect, bisect_1d, build_tensor_mesh
+from .problems import (ProblemSpec, ValidationReport, builtin_problem,
+                       check_mesh_parameter, problem_names, register_problem,
+                       sample_field, validate)
 from .solve import GridFunction, residual_norm, solve_direct, write_grid_dump
 
 __version__ = "0.1.0"

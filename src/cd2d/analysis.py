@@ -9,11 +9,15 @@ Two conventions for the 2N mesh are supported:
 
 * bisect (default): insert interval midpoints into the N-mesh, keeping the
   transition widths of N.  Coarse points then exist bitwise in the fine
-  mesh and no interpolation is involved.
+  mesh.
 * regenerate: build a fresh fitted mesh with parameter 2N, so the
   transition widths use ln(2N).  Coarse points need not be fine-mesh
-  points; the fine solution is read bilinearly in the fine cell holding
-  each coarse point.
+  points.
+
+Both are estimated by ``double_mesh_error``, which reads the fine solution
+bilinearly in the fine cell holding each coarse point.  A coarse point that
+is a fine point reads that point's value exactly, so in bisect mode no
+interpolation is involved.
 
 The uniform error is D(N) = max over eps of D(N, eps) and the estimated
 order E(N) = log2(D(N) / D(2N)).
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import mesh as mesh_mod
 from .assembly import Variant, assemble_system
-from .errors import CD2DError, MeshMismatch, NonPositiveError
+from .errors import CD2DError, MeshMismatch
 from .problems import ProblemSpec, validate
 from .solve import GridFunction, residual_norm, solve_direct
 
@@ -43,25 +47,6 @@ from .solve import GridFunction, residual_norm, solve_direct
 class DoubleMeshMode(enum.Enum):
     BISECT = "bisect"
     REGENERATE = "regenerate"
-
-
-def order_estimate(d_n: float, d_2n: float) -> float:
-    """log2(D(N) / D(2N)); both inputs must be strictly positive."""
-    if not (d_n > 0.0 and d_2n > 0.0):
-        raise NonPositiveError(
-            f"order estimate needs positive errors, got {d_n} and {d_2n}")
-    return math.log2(d_n / d_2n)
-
-
-def double_mesh_error(coarse: GridFunction, fine: GridFunction) -> float:
-    """Max difference at coarse points; fine mesh must be the exact bisection."""
-    if fine.n != 2 * coarse.n:
-        raise MeshMismatch(f"fine mesh has {fine.n} intervals, expected {2 * coarse.n}")
-    if not (np.array_equal(fine.mesh.x.points[::2], coarse.mesh.x.points)
-            and np.array_equal(fine.mesh.y.points[::2], coarse.mesh.y.points)):
-        raise MeshMismatch("fine mesh points at even indices differ from coarse points")
-    diff = fine.grid()[::2, ::2] - coarse.grid()
-    return float(np.max(np.abs(diff)))
 
 
 def _cells(fine: mesh_mod.Mesh1D, coarse: mesh_mod.Mesh1D):
@@ -76,11 +61,11 @@ def _cells(fine: mesh_mod.Mesh1D, coarse: mesh_mod.Mesh1D):
     return k, 1.0 - t, t
 
 
-def double_mesh_error_bilinear(coarse: GridFunction, fine: GridFunction) -> float:
+def double_mesh_error(coarse: GridFunction, fine: GridFunction) -> float:
     """Max difference at coarse points, fine solution read bilinearly.
 
-    Used in regenerate mode where the two fitted meshes do not nest.  The
-    fine mesh must have 2N intervals and span the coarse mesh.
+    The fine mesh must have 2N intervals and span the coarse mesh.  A
+    coarse point that is a fine point reads that point's value exactly.
     """
     if fine.n != 2 * coarse.n:
         raise MeshMismatch(f"fine mesh has {fine.n} intervals, expected {2 * coarse.n}")
@@ -142,8 +127,10 @@ def _timed(timings: dict[str, float], stage: str, fn, *args):
         timings[stage] += time.perf_counter() - start
 
 
-def _solve_on(spec: ProblemSpec, tm: mesh_mod.TensorMesh, variant: Variant,
-              timings: dict[str, float]) -> MeshSolve:
+def solve_on(spec: ProblemSpec, tm: mesh_mod.TensorMesh, variant: Variant,
+             timings: dict[str, float]) -> MeshSolve:
+    """Assemble, solve and take the residual on ``tm``, adding each step's
+    seconds to ``timings`` (``assemble_s``, ``solve_s``, ``residual_s``)."""
     system = _timed(timings, "assemble_s", assemble_system, spec, tm, variant)
     solution = _timed(timings, "solve_s", solve_direct, system)
     return MeshSolve(solution,
@@ -183,22 +170,19 @@ def run_cell(spec: ProblemSpec, N: int,
         if not report.ok:
             raise CD2DError("; ".join(report.errors))
         if coarse is None:
-            coarse = _solve_on(spec, coarse_mesh, variant, t)
+            coarse = solve_on(spec, coarse_mesh, variant, t)
         else:
             cell.coarse_reused = True
         cell.residual_coarse = coarse.residual
         cell.max_u_coarse = coarse.solution.max_norm()
 
-        fine = _solve_on(spec, fine_mesh, variant, t)
+        fine = solve_on(spec, fine_mesh, variant, t)
         cell.residual_fine = fine.residual
         cell.max_u_fine = fine.solution.max_norm()
-        if mode is DoubleMeshMode.BISECT:
-            estimate = double_mesh_error
-        else:
+        if mode is DoubleMeshMode.REGENERATE:
             cell.fine = fine
-            estimate = double_mesh_error_bilinear
-        cell.d_eps = _timed(t, "estimate_s", estimate, coarse.solution,
-                            fine.solution)
+        cell.d_eps = _timed(t, "estimate_s", double_mesh_error,
+                            coarse.solution, fine.solution)
     except (CD2DError, np.linalg.LinAlgError, MemoryError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_time = time.perf_counter() - start

@@ -31,9 +31,10 @@ from . import analysis, mesh as mesh_mod
 from .assembly import Variant, assemble_system, m_matrix_check
 from .analysis import DoubleMeshMode
 from .errors import CD2DError
-from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
-                       problem_names, sample_source, validate)
-from .solve import residual_norm, solve_direct, write_grid_dump
+from .problems import (ProblemSpec, ValidationReport, builtin_problem,
+                       check_mesh_parameter, problem_names, sample_source,
+                       validate)
+from .solve import solve_direct, write_grid_dump
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 1
@@ -163,6 +164,16 @@ def _make_out_dir(config: RunConfig) -> Optional[Path]:
     return out
 
 
+def _print_report(report: ValidationReport) -> bool:
+    """Print a validation report's warnings and errors on stderr; True if
+    it has no errors."""
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    for err in report.errors:
+        print(f"error: {err}", file=sys.stderr)
+    return report.ok
+
+
 def cmd_solve(config: RunConfig) -> int:
     if len(config.epsilons) != 1 or len(config.Ns) != 1:
         print("solve needs exactly one --epsilon and one --N", file=sys.stderr)
@@ -175,26 +186,19 @@ def cmd_solve(config: RunConfig) -> int:
         spec = _load_spec(config).with_epsilon(eps)
         tm = mesh_mod.build_tensor_mesh(spec, N)
         report = validate(spec, tm)
-        for warning in report.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        if not report.ok:
-            for err in report.errors:
-                print(f"error: {err}", file=sys.stderr)
+        if not _print_report(report):
             return EXIT_CONFIG
     except CD2DError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    timings = dict.fromkeys(("assemble_s", "solve_s", "residual_s", "dump_s"),
+                            0.0)
     try:
-        start = time.perf_counter()
-        system = assemble_system(spec, tm, config.variant)
-        assembled = time.perf_counter()
-        solution = solve_direct(system)
-        solved = time.perf_counter()
-        residual = residual_norm(system, solution)
-        checked = time.perf_counter()
+        solved = analysis.solve_on(spec, tm, config.variant, timings)
     except CD2DError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    solution = solved.solution
 
     stem = f"u_{spec.name.lower()}_{config.variant.value}_eps{_eps_tag(eps)}_N{N}"
     grid_path = out / f"{stem}.dat"
@@ -203,7 +207,7 @@ def cmd_solve(config: RunConfig) -> int:
         with open(grid_path, "w") as fh:
             dumping = time.perf_counter()
             write_grid_dump(solution, fh)
-            dumped = time.perf_counter()
+            timings["dump_s"] = time.perf_counter() - dumping
         meta = {
             "problem": spec.name,
             "variant": config.variant.value,
@@ -211,13 +215,10 @@ def cmd_solve(config: RunConfig) -> int:
             "N": N,
             "sigma_x": tm.sigma_x,
             "sigma_y": tm.sigma_y,
-            "residual": residual,
+            "residual": solved.residual,
             "max_abs_u": solution.max_norm(),
-            "wall_time": solved - start,
-            "timings": {"assemble_s": assembled - start,
-                        "solve_s": solved - assembled,
-                        "residual_s": checked - solved,
-                        "dump_s": dumped - dumping},
+            "wall_time": timings["assemble_s"] + timings["solve_s"],
+            "timings": timings,
             "warnings": report.warnings,
         }
         with open(meta_path, "w") as fh:
@@ -236,6 +237,8 @@ def cmd_sweep(config: RunConfig) -> int:
         return EXIT_CONFIG
     try:
         spec = _load_spec(config)
+        for eps in config.epsilons:     # an eps outside (0, 1) fails here
+            spec.with_epsilon(eps)
         for N in config.Ns:
             check_mesh_parameter(N)
     except CD2DError as exc:
@@ -278,20 +281,17 @@ def stability_bound(spec: ProblemSpec, tm: mesh_mod.TensorMesh) -> float:
     return f_max / spec.alpha + q_max
 
 
-def cmd_verify(config: RunConfig) -> int:
-    try:
-        spec = _load_spec(config).with_epsilon(config.epsilons[0])
-        meshes = {N: mesh_mod.build_tensor_mesh(spec, N) for N in (16, 32)}
-    except CD2DError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _verify_checks(spec: ProblemSpec, meshes: dict, variant: Variant
+                   ) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) of each property check on the N = 16 and
+    N = 32 meshes."""
     tm16 = meshes[16]
     checks: list[tuple[str, bool, str]] = []
 
-    system = assemble_system(spec, tm16, config.variant)
+    system = assemble_system(spec, tm16, variant)
     report = m_matrix_check(system, compute_inverse=True)
     checks.append((
-        f"matrix sign structure ({config.variant.value}, N=16)",
+        f"matrix sign structure ({variant.value}, N=16)",
         report.sign_ok, report.summary()))
     inv_ok = (report.min_inverse_entry is not None
               and report.min_inverse_entry >= -1e-12)
@@ -302,7 +302,7 @@ def cmd_verify(config: RunConfig) -> int:
     bound_ok = True
     detail = []
     for N, tm in meshes.items():
-        sol = solve_direct(assemble_system(spec, tm, config.variant))
+        sol = solve_direct(assemble_system(spec, tm, variant))
         bound = stability_bound(spec, tm)
         detail.append(f"N={N}: |U|={sol.max_norm():.4e} bound={bound:.4e}")
         if sol.max_norm() > bound:
@@ -315,11 +315,33 @@ def cmd_verify(config: RunConfig) -> int:
     checks.append(("raw/transformed agreement (N=16)", diff <= 1e-9,
                    f"max difference {diff:.3e}"))
 
-    mms = analysis.manufactured_solution_study([32, 64, 128], config.variant)
+    mms = analysis.manufactured_solution_study([32, 64, 128], variant)
     orders = mms.E_uniform
     mms_ok = bool(np.all((orders >= 0.9) & (orders <= 1.15)))
     checks.append(("smooth-oracle order in [0.90, 1.15]", mms_ok,
                    "orders " + ", ".join(f"{o:.3f}" for o in orders)))
+
+    return checks
+
+
+def cmd_verify(config: RunConfig) -> int:
+    if not config.epsilons:
+        print("verify needs at least one epsilon", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        spec = _load_spec(config).with_epsilon(config.epsilons[0])
+        meshes = {N: mesh_mod.build_tensor_mesh(spec, N) for N in (16, 32)}
+        reports = [validate(spec, tm) for tm in meshes.values()]
+    except CD2DError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not all([_print_report(report) for report in reports]):  # print both
+        return EXIT_CONFIG
+    try:
+        checks = _verify_checks(spec, meshes, config.variant)
+    except CD2DError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
     all_ok = True
     for name, ok, detail_text in checks:

@@ -17,14 +17,6 @@ class GeometryError(CD2DError):
     """Layer pieces of the fitted mesh would overlap or collapse."""
 
 
-class OnDiscontinuityWithoutSide(CD2DError):
-    """Source evaluated on a discontinuity line without a one-sided selector."""
-
-
-class OutOfDomain(CD2DError):
-    """Point lies outside the closed unit square."""
-
-
 class SingularStructure(CD2DError):
     """Assembled matrix has an empty row."""
 
@@ -42,9 +34,5 @@ class DimensionMismatch(CD2DError):
 
 
 class MeshMismatch(CD2DError):
-    """Fine mesh does not fit the coarse one: not 2N intervals, not its exact
-    bisection (bisect mode) or not spanning its axes (regenerate mode)."""
-
-
-class NonPositiveError(CD2DError):
-    """Order estimate requires strictly positive error values."""
+    """Fine mesh does not fit the coarse one: not 2N intervals or not
+    spanning its axes."""

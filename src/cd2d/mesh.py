@@ -38,14 +38,6 @@ class Axis(enum.Enum):
     Y = "y"
 
 
-class PointKind(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    INTERFACE_X = "interface_x"   # i = N/2, 0 < j < N, j != N/2
-    INTERFACE_Y = "interface_y"   # j = N/2, 0 < i < N, i != N/2
-    CROSS = "cross"               # i = j = N/2
-
-
 @dataclass(frozen=True)
 class Mesh1D:
     points: np.ndarray
@@ -78,19 +70,6 @@ class TensorMesh:
     def n(self) -> int:
         """Mesh intervals per axis (points are (n+1) x (n+1))."""
         return self.x.n
-
-    def kind(self, i: int, j: int) -> PointKind:
-        n = self.n
-        half = n // 2
-        if i == 0 or i == n or j == 0 or j == n:
-            return PointKind.BOUNDARY
-        if i == half and j == half:
-            return PointKind.CROSS
-        if i == half:
-            return PointKind.INTERFACE_X
-        if j == half:
-            return PointKind.INTERFACE_Y
-        return PointKind.INTERIOR
 
 
 def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],

@@ -11,39 +11,25 @@ The four open quadrants are
     Q1 = (0,d1) x (0,d2),   Q2 = (d1,1) x (0,d2),
     Q3 = (0,d1) x (d2,1),   Q4 = (d1,1) x (d2,1),
 
-f is smooth up to the closure of each quadrant, so evaluating it on one of
-the lines requires an explicit one-sided selector.
+f is smooth up to the closure of each quadrant, so on the lines it is
+two-valued; ``sample_source`` samples each quadrant's f on its closed block,
+which gives both one-sided values there.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import BadN, MalformedSpec, OnDiscontinuityWithoutSide, OutOfDomain
+from .errors import BadN, MalformedSpec
 
 if TYPE_CHECKING:
     from .mesh import TensorMesh
 
 ScalarField = Callable[[float, float], float]
 EdgeTrace = Callable[[float], float]
-
-
-class Side(enum.Enum):
-    """One-sided selector for evaluation on a discontinuity line."""
-    MINUS = -1
-    NOT_ON_LINE = 0
-    PLUS = 1
-
-
-class QuadrantId(enum.Enum):
-    Q1 = 1   # (0,d1) x (0,d2)
-    Q2 = 2   # (d1,1) x (0,d2)
-    Q3 = 3   # (0,d1) x (d2,1)
-    Q4 = 4   # (d1,1) x (d2,1)
 
 
 @dataclass(frozen=True)
@@ -88,39 +74,6 @@ class ValidationReport:
     ok: bool
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-
-def quadrant_of(spec: ProblemSpec, x: float, y: float,
-                side_x: Side = Side.NOT_ON_LINE,
-                side_y: Side = Side.NOT_ON_LINE) -> QuadrantId:
-    """Map a point (with one-sided selectors on the lines) to its quadrant."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise OutOfDomain(f"point ({x}, {y}) outside the unit square")
-    if x == spec.d1:
-        if side_x is Side.NOT_ON_LINE:
-            raise OnDiscontinuityWithoutSide(
-                f"x = d1 = {spec.d1} needs an explicit side selector")
-        right = side_x is Side.PLUS
-    else:
-        right = x > spec.d1
-    if y == spec.d2:
-        if side_y is Side.NOT_ON_LINE:
-            raise OnDiscontinuityWithoutSide(
-                f"y = d2 = {spec.d2} needs an explicit side selector")
-        top = side_y is Side.PLUS
-    else:
-        top = y > spec.d2
-    if top:
-        return QuadrantId.Q4 if right else QuadrantId.Q3
-    return QuadrantId.Q2 if right else QuadrantId.Q1
-
-
-def source_at(spec: ProblemSpec, x: float, y: float,
-              side_x: Side = Side.NOT_ON_LINE,
-              side_y: Side = Side.NOT_ON_LINE) -> float:
-    """Evaluate the quadrant-wise source, honoring one-sided limits."""
-    quad = quadrant_of(spec, x, y, side_x, side_y)
-    return float(spec.f_quadrants[quad.value - 1](x, y))
 
 
 # ---------------------------------------------------------------------------

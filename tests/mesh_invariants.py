@@ -66,14 +66,12 @@ def check_mesh_invariants(spec, N) -> bool:
     assert distinct_width_count(tm.x.widths()) <= 3
     assert distinct_width_count(tm.y.widths()) <= 3
 
-    # bisection nests bitwise, stays strictly increasing, keeps the
-    # transition widths and preserves classification at even indices
+    # bisection nests bitwise, stays strictly increasing and keeps the
+    # transition widths
     fine = bisect(tm)
     assert fine.n == 2 * N
     assert np.all(np.diff(fine.x.points) > 0) and np.all(np.diff(fine.y.points) > 0)
     assert (fine.sigma_x, fine.sigma_y) == (tm.sigma_x, tm.sigma_y)
     assert np.array_equal(fine.x.points[::2], xs)
     assert np.array_equal(fine.y.points[::2], ys)
-    for i, j in ((half, half), (half, 1), (1, half), (0, half), (1, 1), (N, N)):
-        assert fine.kind(2 * i, 2 * j) is tm.kind(i, j)
     return True

@@ -13,8 +13,27 @@ import scipy.sparse as sp
 
 from cd2d.assembly import (RowKind, Variant, _raw_interface_coeffs,
                            _transformed_coeffs, _upwind_coeffs)
-from cd2d.mesh import PointKind
-from cd2d.problems import source_at
+
+BOUNDARY, INTERIOR, INTERFACE_X, INTERFACE_Y, CROSS = (
+    "boundary", "interior", "interface_x", "interface_y", "cross")
+
+
+def point_kind(i, j, n):
+    """Class of mesh point (i, j) from its indices alone, half = n/2:
+    interface_x at i = half, interface_y at j = half, cross at both."""
+    half = n // 2
+    if i in (0, n) or j in (0, n):
+        return BOUNDARY
+    if i == half:
+        return CROSS if j == half else INTERFACE_X
+    return INTERFACE_Y if j == half else INTERIOR
+
+
+def source_off_lines(spec, x, y):
+    """f at a point off the lines x = d1 and y = d2, from its quadrant."""
+    assert x != spec.d1 and y != spec.d2, (x, y)
+    quadrant = int(x > spec.d1) + 2 * int(y > spec.d2)
+    return float(spec.f_quadrants[quadrant](x, y))
 
 
 @dataclass
@@ -38,7 +57,7 @@ def _five_point(spec, mesh, i, j, a_val, b_val, rhs, kind):
 def interior_row(spec, mesh, i, j):
     x, y = mesh.x.points[i], mesh.y.points[j]
     return _five_point(spec, mesh, i, j, float(spec.a_field(x, y)),
-                       float(spec.b_field(x, y)), source_at(spec, x, y),
+                       float(spec.b_field(x, y)), source_off_lines(spec, x, y),
                        RowKind.INTERIOR_UPWIND)
 
 
@@ -53,7 +72,7 @@ def interface_y_row(spec, mesh, i):
         spec, mesh, i, j,
         hat(lambda x, y: float(spec.a_field(x, y))),
         hat(lambda x, y: float(spec.b_field(x, y))),
-        hat(lambda x, y: source_at(spec, x, y)),
+        hat(lambda x, y: source_off_lines(spec, x, y)),
         RowKind.INTERFACE_Y_MIDPOINT)
 
 
@@ -68,14 +87,14 @@ def interface_x_row(spec, mesh, j):
         eps2, h1, H2,
         float(spec.a_field(xs[i - 1], y)), float(spec.a_field(xs[i + 1], y)),
         float(spec.b_field(xs[i - 1], y)), float(spec.b_field(xs[i + 1], y)))
-    if mesh.kind(i, j) is PointKind.CROSS:
-        f_m = 0.5 * (source_at(spec, xs[i - 1], ys[j - 1])
-                     + source_at(spec, xs[i - 1], ys[j + 1]))
-        f_p = 0.5 * (source_at(spec, xs[i + 1], ys[j - 1])
-                     + source_at(spec, xs[i + 1], ys[j + 1]))
+    if point_kind(i, j, mesh.n) == CROSS:
+        f_m = 0.5 * (source_off_lines(spec, xs[i - 1], ys[j - 1])
+                     + source_off_lines(spec, xs[i - 1], ys[j + 1]))
+        f_p = 0.5 * (source_off_lines(spec, xs[i + 1], ys[j - 1])
+                     + source_off_lines(spec, xs[i + 1], ys[j + 1]))
     else:
-        f_m = source_at(spec, xs[i - 1], y)
-        f_p = source_at(spec, xs[i + 1], y)
+        f_m = source_off_lines(spec, xs[i - 1], y)
+        f_p = source_off_lines(spec, xs[i + 1], y)
     rhs = (h1 / (4.0 * e_minus)) * f_m + (H2 / (4.0 * eps2)) * f_p
     entries = [((i - 1, j), west), ((i, j), center), ((i + 1, j), east)]
     return StencilRow(center=(i, j), entries=entries, rhs=rhs,
@@ -109,12 +128,12 @@ def dirichlet_row(spec, mesh, i, j):
 
 def oracle_row(spec, mesh, i, j, variant=Variant.TRANSFORMED):
     """The row of point (i, j), chosen by the point classification."""
-    kind = mesh.kind(i, j)
-    if kind is PointKind.BOUNDARY:
+    kind = point_kind(i, j, mesh.n)
+    if kind == BOUNDARY:
         return dirichlet_row(spec, mesh, i, j)
-    if kind is PointKind.INTERIOR:
+    if kind == INTERIOR:
         return interior_row(spec, mesh, i, j)
-    if kind in (PointKind.INTERFACE_X, PointKind.CROSS):
+    if kind in (INTERFACE_X, CROSS):
         if variant is Variant.RAW:
             return interface_x_row_raw(spec, mesh, j)
         return interface_x_row(spec, mesh, j)

@@ -24,11 +24,9 @@ from cd2d import (
     builtin_problem,
     build_tensor_mesh,
     double_mesh_error,
-    double_mesh_error_bilinear,
     manufactured_problem,
     manufactured_solution_study,
     mms_exact,
-    order_estimate,
     run_cell,
     run_sweep,
     write_table_csv,
@@ -37,7 +35,7 @@ from cd2d import analysis, mesh as mesh_mod
 from cd2d.analysis import format_table_text, sweep_to_dict
 from cd2d.assembly import assemble_system
 from cd2d.cli import EXIT_INCOMPLETE, main
-from cd2d.errors import GeometryError, MeshMismatch, NonPositiveError
+from cd2d.errors import GeometryError, MeshMismatch
 from cd2d.problems import _REGISTRY, register_problem
 from cd2d.solve import solve_direct
 
@@ -46,18 +44,13 @@ REGENERATE = DoubleMeshMode.REGENERATE
 
 
 def test_order_estimate_values():
-    assert order_estimate(6.807e-3, 3.672e-3) == pytest.approx(0.8905, abs=1e-3)
-    assert order_estimate(5e-3, 5e-3) == 0.0
-    assert order_estimate(4e-2, 1e-2) == pytest.approx(2.0, rel=1e-12)
+    def order(d_n, d_2n):
+        table = ConvergenceTable.from_errors([1e-1], [8, 16], [[d_n, d_2n]])
+        return table.E_uniform[0]
 
-
-def test_order_estimate_rejects_nonpositive():
-    with pytest.raises(NonPositiveError):
-        order_estimate(0.0, 1e-3)
-    with pytest.raises(NonPositiveError):
-        order_estimate(1e-3, -1e-3)
-    with pytest.raises(NonPositiveError):
-        order_estimate(float("nan"), 1e-3)
+    assert order(6.807e-3, 3.672e-3) == pytest.approx(0.8905, abs=1e-3)
+    assert order(5e-3, 5e-3) == 0.0
+    assert order(4e-2, 1e-2) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_double_mesh_error_hand_values(ex1):
@@ -83,23 +76,27 @@ def test_double_mesh_error_mismatch(ex1):
     with pytest.raises(MeshMismatch):
         double_mesh_error(GridFunction(mesh=tm8, values=np.zeros(81)),
                           GridFunction(mesh=tm32, values=np.zeros(33 ** 2)))
-    # a regenerated 2N mesh has different transition widths, so it does
-    # not nest even though the interval count matches
+    # a regenerated 2N mesh does not nest, but it spans the coarse one and
+    # is read bilinearly
     tm16 = build_tensor_mesh(ex1, 16)
-    with pytest.raises(MeshMismatch):
-        double_mesh_error(GridFunction(mesh=tm8, values=np.zeros(81)),
-                          GridFunction(mesh=tm16, values=np.zeros(17 ** 2)))
+    regenerated = GridFunction(mesh=tm16, values=np.zeros(17 ** 2))
+    assert double_mesh_error(GridFunction(mesh=tm8, values=np.zeros(81)),
+                             regenerated) == 0.0
 
 
-def test_bilinear_estimate_matches_on_nested_pair(ex1):
-    spec = ex1.with_epsilon(1e-2)
-    tm = build_tensor_mesh(spec, 16)
-    coarse = solve_direct(assemble_system(spec, tm))
-    fine_mesh = bisect(tm)
-    fine = solve_direct(assemble_system(spec, fine_mesh))
-    exact = double_mesh_error(coarse, fine)
-    interpolated = double_mesh_error_bilinear(coarse, fine)
-    assert interpolated == pytest.approx(exact, rel=1e-9, abs=1e-14)
+def test_bilinear_estimate_matches_on_nested_pair(ex1, ex2):
+    # every coarse node is a fine node of the bisected companion, so the
+    # read-back is the even-index slice of the fine solution, bitwise
+    for base in (ex1, ex2):
+        for eps in (1e-2, 1e-5):
+            spec = base.with_epsilon(eps)
+            tm = build_tensor_mesh(spec, 16)
+            for variant in Variant:
+                coarse = solve_direct(assemble_system(spec, tm, variant))
+                fine = solve_direct(assemble_system(spec, bisect(tm), variant))
+                sliced = np.max(np.abs(fine.grid()[::2, ::2] - coarse.grid()))
+                assert double_mesh_error(coarse, fine) == float(sliced), (
+                    base.name, eps, variant)
 
 
 def oracle_read(fine, xs, ys):
@@ -129,7 +126,7 @@ def test_bilinear_estimate_matches_oracle_on_regenerate_pairs(name):
             fine = solve_direct(assemble_system(spec, build_tensor_mesh(spec, 2 * N)))
             read = oracle_read(fine, coarse.mesh.x.points, coarse.mesh.y.points)
             expect = float(np.max(np.abs(read - coarse.grid())))
-            got = double_mesh_error_bilinear(coarse, fine)
+            got = double_mesh_error(coarse, fine)
             assert got == pytest.approx(expect, rel=1e-13, abs=0.0), (eps, N)
 
 
@@ -159,7 +156,7 @@ def test_bilinear_read_matches_oracle_on_random_axes(data, n, seed):
     fine = grid_function(fine_x, fine_y, u)
     # coarse values equal to the oracle's read make D the read-back error
     coarse = grid_function(xs, ys, oracle_read(fine, xs, ys))
-    assert double_mesh_error_bilinear(coarse, fine) <= 4 * np.finfo(float).eps
+    assert double_mesh_error(coarse, fine) <= 4 * np.finfo(float).eps
 
 
 def test_bilinear_read_is_exact_at_fine_nodes():
@@ -173,7 +170,7 @@ def test_bilinear_read_is_exact_at_fine_nodes():
     ix = np.array([0, 1, 4, 5, 7, 10, 12])
     iy = np.array([0, 3, 5, 6, 8, 11, 12])
     coarse = grid_function(fine_x[ix], fine_y[iy], u[np.ix_(iy, ix)])
-    assert double_mesh_error_bilinear(coarse, fine) == 0.0
+    assert double_mesh_error(coarse, fine) == 0.0
 
 
 def test_bilinear_estimate_mismatch(ex1):
@@ -181,7 +178,7 @@ def test_bilinear_estimate_mismatch(ex1):
     coarse = GridFunction(mesh=tm8, values=np.zeros(81))
     for N in (8, 32):
         with pytest.raises(MeshMismatch, match="intervals"):
-            double_mesh_error_bilinear(coarse, GridFunction(
+            double_mesh_error(coarse, GridFunction(
                 mesh=build_tensor_mesh(ex1, N), values=np.zeros((N + 1) ** 2)))
     tm16 = build_tensor_mesh(ex1, 16)
     short_x = dataclasses.replace(
@@ -190,7 +187,7 @@ def test_bilinear_estimate_mismatch(ex1):
         tm16, y=dataclasses.replace(tm16.y, points=0.1 + 0.9 * tm16.y.points))
     for mesh, axis in ((short_x, "x"), (late_y, "y")):
         with pytest.raises(MeshMismatch, match=f"fine {axis} axis"):
-            double_mesh_error_bilinear(coarse, GridFunction(
+            double_mesh_error(coarse, GridFunction(
                 mesh=mesh, values=np.zeros(17 ** 2)))
 
 
@@ -471,6 +468,11 @@ def test_convergence_table_reduction_with_missing():
                                          np.array([[np.nan, 1e-3]]))
     assert math.isnan(empty.D_uniform[0])
     assert math.isnan(empty.E_uniform[0])
+    # a zero error has no order on either side of it
+    zero = ConvergenceTable.from_errors([1e-1], [8, 16, 32],
+                                        np.array([[1e-2, 0.0, 1e-3]]))
+    assert zero.D_uniform[1] == 0.0
+    assert np.all(np.isnan(zero.E_uniform))
 
 
 def test_csv_golden():

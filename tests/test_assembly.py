@@ -15,9 +15,9 @@ from cd2d import (
 )
 from cd2d.assembly import _raw_interface_coeffs
 from cd2d.mesh import TensorMesh, build_mesh_x, build_mesh_y
-from cd2d.problems import ProblemSpec, source_at
+from cd2d.problems import ProblemSpec
 
-from scalar_rows import oracle_system
+from scalar_rows import oracle_system, source_off_lines
 
 REL = 1e-12
 
@@ -283,8 +283,8 @@ def eliminate_outer_unknowns(spec, tm, j):
     y = ys[j]
     a_m, a_p = spec.a_field(xs[i - 1], y), spec.a_field(xs[i + 1], y)
     b_m, b_p = spec.b_field(xs[i - 1], y), spec.b_field(xs[i + 1], y)
-    f_m = source_at(spec, xs[i - 1], y)
-    f_p = source_at(spec, xs[i + 1], y)
+    f_m = source_off_lines(spec, xs[i - 1], y)
+    f_p = source_off_lines(spec, xs[i + 1], y)
     e_minus = eps2 + h1 * a_m
     r_mm, r_m, r_0, r_p, r_pp = _raw_interface_coeffs(h1, H2)
     west = r_m + r_mm * (h1 ** 2 / e_minus) * (2.0 * eps2 / h1 ** 2

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from cd2d import analysis, mesh as mesh_mod
+from cd2d import analysis, cli, mesh as mesh_mod
 from cd2d.cli import (
     EXIT_CONFIG,
     EXIT_INCOMPLETE,
     EXIT_OK,
+    EXIT_SOLVER,
     DESK_N_CAP,
     FULL_EPSILONS,
     FULL_NS,
@@ -20,7 +21,7 @@ from cd2d.cli import (
     parse_config,
     stability_bound,
 )
-from cd2d.errors import CD2DError
+from cd2d.errors import CD2DError, SingularMatrix
 from cd2d.mesh import build_tensor_mesh
 from cd2d.problems import _REGISTRY, builtin_problem, register_problem
 
@@ -126,6 +127,7 @@ def test_solve_writes_grid_and_metadata(tmp_path, capsys):
     timings = meta["timings"]
     assert set(timings) == {"assemble_s", "solve_s", "residual_s", "dump_s"}
     assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
+    assert meta["wall_time"] == timings["assemble_s"] + timings["solve_s"]
 
 
 def test_solve_unwritable_out_dir_is_config_error(tmp_path, capsys,
@@ -283,6 +285,16 @@ def test_sweep_bad_n_config_error(capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_sweep_out_of_range_epsilon_is_config_error(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(analysis, "run_sweep", must_not_run)
+    rc = main(["sweep", "--epsilon", "1e-2", "--epsilon", "1.5", "--N", "16",
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: epsilon must lie in (0,1), got 1.5\n")
+
+
 def test_sweep_missing_cell_exit(tmp_path, capsys):
     # a problem whose layer pieces collide for large eps: d1 = 0.7 needs
     # sigma_x >= 0.3 to fail, reachable at eps = 0.5
@@ -331,6 +343,42 @@ def test_verify_raw_variant(capsys):
 def test_verify_unknown_problem(capsys):
     rc = main(["verify", "--problem", "missing"])
     assert rc == EXIT_CONFIG
+
+
+def test_verify_empty_epsilons_config_error(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nepsilons =\n")
+    rc = main(["verify", "--config", str(ini)])
+    assert rc == EXIT_CONFIG
+    assert "at least one epsilon" in capsys.readouterr().err
+
+
+def test_verify_validates_before_solving(capsys, monkeypatch):
+    name = "cli_nan_b_probe"
+    monkeypatch.setattr(cli, "assemble_system", must_not_run)
+    try:
+        register_problem(name, lambda: dataclasses.replace(
+            builtin_problem("example1"), name=name,
+            b_field=lambda x, y: np.full(np.shape(x), np.nan)))
+        rc = main(["verify", "--problem", name, "--epsilon", "1e-3"])
+    finally:
+        _REGISTRY.pop(name, None)
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "error: b is not finite at 289 mesh points" in captured.err
+    assert "error: b is not finite at 1089 mesh points" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_solver_failure_exit(capsys, monkeypatch):
+    def singular(system):
+        raise SingularMatrix("factorization broke down")
+
+    monkeypatch.setattr(cli, "solve_direct", singular)
+    rc = main(["verify", "--epsilon", "1e-3"])
+    assert rc == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "solver failure: factorization broke down\n")
 
 
 # ---------------------------------------------------------------------------

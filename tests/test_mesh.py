@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from cd2d import (
     Axis,
     Mesh1D,
-    PointKind,
     TensorMesh,
     bisect,
     bisect_1d,
@@ -19,6 +18,8 @@ from cd2d.errors import BadN, DimensionMismatch, GeometryError
 from cd2d.mesh import build_mesh_x, build_mesh_y
 
 from mesh_invariants import check_mesh_invariants, distinct_width_count
+from scalar_rows import (BOUNDARY, CROSS, INTERFACE_X, INTERFACE_Y, INTERIOR,
+                         point_kind)
 
 # frozen from the float min-formulas; cross-checked against a 50-digit
 # evaluation (agreement within 2 ulp)
@@ -148,27 +149,27 @@ def test_tensor_mesh_dimension_mismatch(ex1):
         TensorMesh(x=a.x, y=b.y, sigma_x=a.sigma_x, sigma_y=b.sigma_y)
 
 
-def test_point_classification_census(ex1):
-    tm = build_tensor_mesh(ex1, 8)
-    counts = {kind: 0 for kind in PointKind}
+def test_point_classification_census():
+    # the oracle's classification, which picks each row of scalar_rows
+    counts = {kind: 0 for kind in (BOUNDARY, CROSS, INTERFACE_X, INTERFACE_Y,
+                                   INTERIOR)}
     for j in range(9):
         for i in range(9):
-            counts[tm.kind(i, j)] += 1
-    assert counts[PointKind.BOUNDARY] == 32
-    assert counts[PointKind.CROSS] == 1
-    assert counts[PointKind.INTERFACE_X] == 6
-    assert counts[PointKind.INTERFACE_Y] == 6
-    assert counts[PointKind.INTERIOR] == 36
+            counts[point_kind(i, j, 8)] += 1
+    assert counts[BOUNDARY] == 32
+    assert counts[CROSS] == 1
+    assert counts[INTERFACE_X] == 6
+    assert counts[INTERFACE_Y] == 6
+    assert counts[INTERIOR] == 36
     assert sum(counts.values()) == 81
 
 
-def test_point_classification_examples(ex1):
-    tm = build_tensor_mesh(ex1, 8)
-    assert tm.kind(4, 4) is PointKind.CROSS
-    assert tm.kind(4, 2) is PointKind.INTERFACE_X
-    assert tm.kind(2, 4) is PointKind.INTERFACE_Y
-    assert tm.kind(0, 4) is PointKind.BOUNDARY
-    assert tm.kind(3, 5) is PointKind.INTERIOR
+def test_point_classification_examples():
+    assert point_kind(4, 4, 8) == CROSS
+    assert point_kind(4, 2, 8) == INTERFACE_X
+    assert point_kind(2, 4, 8) == INTERFACE_Y
+    assert point_kind(0, 4, 8) == BOUNDARY
+    assert point_kind(3, 5, 8) == INTERIOR
 
 
 def test_bisect_nests_bitwise(ex1):
@@ -185,9 +186,10 @@ def test_bisect_nests_bitwise(ex1):
 def test_bisect_preserves_interface_index(ex1):
     tm = build_tensor_mesh(ex1, 8)
     fine = bisect(tm)
-    assert fine.x.points[8] == ex1.d1
-    assert fine.kind(8, 8) is PointKind.CROSS
-    assert fine.kind(8, 3) is PointKind.INTERFACE_X
+    # the classification depends on (i, j, n) alone, so the interface
+    # rows sit at fine index n = 8 as long as d1 and d2 do
+    assert fine.n == 16
+    assert fine.x.points[8] == ex1.d1 and fine.y.points[8] == ex1.d2
 
 
 def test_double_bisect(ex1):

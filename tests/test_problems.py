@@ -3,24 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cd2d import (
+    Axis,
+    Mesh1D,
     ProblemSpec,
-    Side,
-    QuadrantId,
+    TensorMesh,
     builtin_problem,
     build_tensor_mesh,
     check_mesh_parameter,
     problem_names,
-    quadrant_of,
     register_problem,
     sample_field,
-    source_at,
     validate,
 )
-from cd2d.errors import BadN, MalformedSpec, OnDiscontinuityWithoutSide, OutOfDomain
-from cd2d.problems import _REGISTRY
+from cd2d.errors import BadN, MalformedSpec
+from cd2d.problems import _REGISTRY, sample_source
 
 
 def test_builtin_names():
@@ -62,100 +60,65 @@ def test_example2_data(ex2):
         assert q(0.3) == 0.0
 
 
-def test_quadrant_of(ex1):
-    assert quadrant_of(ex1, 0.25, 0.25) is QuadrantId.Q1
-    assert quadrant_of(ex1, 0.75, 0.25) is QuadrantId.Q2
-    assert quadrant_of(ex1, 0.25, 0.75) is QuadrantId.Q3
-    assert quadrant_of(ex1, 0.75, 0.75) is QuadrantId.Q4
+def hand_mesh(xs, ys):
+    """TensorMesh on hand-picked axes; d1 and d2 must sit at index n/2."""
+    n = len(xs) - 1
+    return TensorMesh(x=Mesh1D(np.array(xs), (0.0, 1.0), (n,), Axis.X),
+                      y=Mesh1D(np.array(ys), (0.0, 1.0), (n,), Axis.Y),
+                      sigma_x=math.nan, sigma_y=math.nan)
 
 
-def test_quadrant_of_on_lines(ex1):
-    with pytest.raises(OnDiscontinuityWithoutSide):
-        quadrant_of(ex1, 0.5, 0.25)
-    with pytest.raises(OnDiscontinuityWithoutSide):
-        quadrant_of(ex1, 0.25, 0.5)
-    assert quadrant_of(ex1, 0.5, 0.25, side_x=Side.MINUS) is QuadrantId.Q1
-    assert quadrant_of(ex1, 0.5, 0.25, side_x=Side.PLUS) is QuadrantId.Q2
-    assert quadrant_of(ex1, 0.5, 0.5, side_x=Side.PLUS, side_y=Side.PLUS) is QuadrantId.Q4
+# n = 4: the lines x = d1 and y = d2 of Example1 at index 2
+EX1_AXIS = [0.0, 0.2, 0.5, 0.8, 1.0]
 
 
-def test_quadrant_of_out_of_domain(ex1):
-    with pytest.raises(OutOfDomain):
-        quadrant_of(ex1, -0.1, 0.5)
-    with pytest.raises(OutOfDomain):
-        quadrant_of(ex1, 0.5, 1.5)
+def jump_across_x(spec, mesh, j):
+    """f(d1+, y_j) - f(d1-, y_j) from the blocks sample_source reads;
+    y_j is off the line y = d2."""
+    f1, f2, f3, f4 = sample_source(spec, mesh)
+    h = mesh.n // 2
+    if j < h:
+        return f2[j, 0] - f1[j, h]
+    return f4[j - h, 0] - f3[j - h, h]
+
+
+def jump_across_y(spec, mesh, i):
+    """f(x_i, d2+) - f(x_i, d2-) from the blocks sample_source reads;
+    x_i is off the line x = d1."""
+    f1, f2, f3, f4 = sample_source(spec, mesh)
+    h = mesh.n // 2
+    if i < h:
+        return f3[0, i] - f1[h, i]
+    return f4[0, i - h] - f2[h, i - h]
 
 
 def test_source_at_off_lines(ex1):
-    assert source_at(ex1, 0.2, 0.2) == 0.5
-    assert source_at(ex1, 0.8, 0.2) == 0.6
-    assert source_at(ex1, 0.2, 0.8) == -0.6
-    assert source_at(ex1, 0.8, 0.8) == -0.5
-
-
-def test_source_at_requires_side_on_lines(ex1):
-    with pytest.raises(OnDiscontinuityWithoutSide):
-        source_at(ex1, 0.5, 0.3)
-    with pytest.raises(OnDiscontinuityWithoutSide):
-        source_at(ex1, 0.3, 0.5)
-    assert source_at(ex1, 0.5, 0.3, side_x=Side.MINUS) == 0.5
-    assert source_at(ex1, 0.5, 0.3, side_x=Side.PLUS) == 0.6
-    assert source_at(ex1, 0.3, 0.5, side_y=Side.PLUS) == -0.6
-    assert source_at(ex1, 0.5, 0.5, side_x=Side.PLUS, side_y=Side.PLUS) == -0.5
-
-
-def jump_across_x(spec, y):
-    """f(d1+, y) - f(d1-, y) through the one-sided source."""
-    return (source_at(spec, spec.d1, y, side_x=Side.PLUS)
-            - source_at(spec, spec.d1, y, side_x=Side.MINUS))
-
-
-def jump_across_y(spec, x):
-    """f(x, d2+) - f(x, d2-) through the one-sided source."""
-    return (source_at(spec, x, spec.d2, side_y=Side.PLUS)
-            - source_at(spec, x, spec.d2, side_y=Side.MINUS))
+    f1, f2, f3, f4 = sample_source(ex1, hand_mesh(EX1_AXIS, EX1_AXIS))
+    # (0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8)
+    assert f1[1, 1] == 0.5
+    assert f2[1, 1] == 0.6
+    assert f3[1, 1] == -0.6
+    assert f4[1, 1] == -0.5
 
 
 def test_jump_example1(ex1):
     # below y = d2 the source steps from 0.5 to 0.6 across x = d1
-    assert jump_across_x(ex1, 0.2) == pytest.approx(0.1)
-    assert jump_across_x(ex1, 0.8) == pytest.approx(0.1)
-    assert jump_across_y(ex1, 0.2) == pytest.approx(-1.1)
-    assert jump_across_y(ex1, 0.8) == pytest.approx(-1.1)
+    mesh = hand_mesh(EX1_AXIS, EX1_AXIS)
+    assert jump_across_x(ex1, mesh, 1) == pytest.approx(0.1)    # y = 0.2
+    assert jump_across_x(ex1, mesh, 3) == pytest.approx(0.1)    # y = 0.8
+    assert jump_across_y(ex1, mesh, 1) == pytest.approx(-1.1)   # x = 0.2
+    assert jump_across_y(ex1, mesh, 3) == pytest.approx(-1.1)   # x = 0.8
 
 
 def test_jump_example2_value(ex2):
     # hand values at y = 0.25: left 1 + 0.4 + 0.25, right -(1 + 0.4^2 0.25^2)
-    y = 0.25
-    left = source_at(ex2, 0.4, y, side_x=Side.MINUS)
-    right = source_at(ex2, 0.4, y, side_x=Side.PLUS)
+    mesh = hand_mesh([0.0, 0.2, 0.4, 0.7, 1.0], [0.0, 0.25, 0.6, 0.8, 1.0])
+    f1, f2, _, _ = sample_source(ex2, mesh)
+    left, right = f1[1, 2], f2[1, 0]
     assert left == pytest.approx(1.65)
     assert right == pytest.approx(-1.01)
-    assert jump_across_x(ex2, y) == pytest.approx(-2.66)
-    assert jump_across_x(ex2, y) == pytest.approx(right - left)
-
-
-def test_jump_requires_off_line(ex1):
-    with pytest.raises(OnDiscontinuityWithoutSide):
-        jump_across_x(ex1, 0.5)
-    with pytest.raises(OnDiscontinuityWithoutSide):
-        jump_across_y(ex1, 0.5)
-
-
-@given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_quadrant_partition(x, y):
-    spec = builtin_problem("example1")
-    on_x = x == spec.d1
-    on_y = y == spec.d2
-    if on_x or on_y:
-        with pytest.raises(OnDiscontinuityWithoutSide):
-            quadrant_of(spec, x, y)
-        q = quadrant_of(spec, x, y, side_x=Side.MINUS if on_x else Side.NOT_ON_LINE,
-                        side_y=Side.MINUS if on_y else Side.NOT_ON_LINE)
-    else:
-        q = quadrant_of(spec, x, y)
-    assert q in QuadrantId
+    assert jump_across_x(ex2, mesh, 1) == pytest.approx(-2.66)
+    assert jump_across_x(ex2, mesh, 1) == pytest.approx(right - left)
 
 
 def test_spec_validation_errors(ex1):
