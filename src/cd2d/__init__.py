@@ -21,9 +21,8 @@ from .errors import (BadN, CD2DError, DimensionMismatch, GeometryError,
                      MalformedSpec, MeshMismatch, NonFiniteSolution,
                      SingularMatrix, SingularStructure)
 from .mesh import Axis, Mesh1D, TensorMesh, bisect, bisect_1d, build_tensor_mesh
-from .problems import (ProblemSpec, ValidationReport, builtin_problem,
-                       check_mesh_parameter, problem_names, register_problem,
-                       sample_field, validate)
+from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
+                       problem_names, register_problem, sample_field, validate)
 from .solve import GridFunction, residual_norm, solve_direct, write_grid_dump
 
 __version__ = "0.1.0"

@@ -34,8 +34,9 @@ orientation; its center coefficient is positive for Example 1 but is not
 positive in general (Example 2 drives it negative), which m_matrix_check
 reports.  Unknowns are ordered row-major, flat = j*(n+1) + i.
 
-``assemble_system`` is the only assembly path.  It samples a and b once on
-the whole grid and each quadrant source once on its closed block, then
+``assemble_system`` is the only assembly path.  It takes a and b on the
+whole grid and each quadrant source on its closed block from
+``sample_problem``, which checks them against the problem hypotheses, then
 lays down every row class as arrays through the coefficient kernels below.
 """
 from __future__ import annotations
@@ -49,7 +50,7 @@ import scipy.sparse as sp
 
 from .errors import SingularStructure
 from .mesh import TensorMesh
-from .problems import ProblemSpec, sample_field, sample_source
+from .problems import ProblemSpec, sample_problem
 
 
 class RowKind(enum.IntEnum):
@@ -137,8 +138,8 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
 
     Each row class is built for all its points at once: the upwind rows
     (interior and midpoint), the x = d1 rows of the chosen variant (cross
-    point included), and the Dirichlet rows.  Fields that reject arrays
-    are sampled point by point (see ``sample_field``).
+    point included), and the Dirichlet rows.  Problem data that breaks
+    the hypotheses raises ``MalformedSpec`` (see ``sample_problem``).
     """
     n, half, m = mesh.n, mesh.n // 2, mesh.n + 1
     xs, ys = mesh.x.points, mesh.y.points
@@ -162,10 +163,8 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     # the lines are never read.  Row y = d2 of a, b and f becomes the
     # y-neighbour average used by the midpoint rows; the cross point takes
     # its one-sided f from that row too, but a and b at their own points.
-    q1, q2, q3, q4 = sample_source(spec, mesh)
+    a, b, (q1, q2, q3, q4) = sample_problem(spec, mesh)
     f = np.block([[q1[:half, :half], q2[:half]], [q3[:, :half], q4]])
-    a = sample_field(spec.a_field, xs, ys)
-    b = sample_field(spec.b_field, xs, ys)
     a_up, b_up = a.copy(), b.copy()
     for g in (a_up, b_up, f):
         g[half] = 0.5 * (g[half - 1] + g[half + 1])

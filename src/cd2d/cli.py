@@ -7,8 +7,8 @@ Commands:
 * ``sweep``  - an (eps, N) error table via the double-mesh estimate;
   writes CSV and JSON reports.
 * ``verify`` - runs the built-in property checks (matrix sign structure,
-  inverse positivity, stability bound, variant agreement, smooth-oracle
-  convergence order) and reports pass/fail per property.
+  inverse positivity, stability bound, variant agreement for every eps;
+  smooth-oracle convergence order once) and reports pass/fail per property.
 
 Configuration may come from an INI file (section ``[run]``) with the same
 keys as the flags; explicit flags win over the file.
@@ -30,10 +30,9 @@ import numpy as np
 from . import analysis, mesh as mesh_mod
 from .assembly import Variant, assemble_system, m_matrix_check
 from .analysis import DoubleMeshMode
-from .errors import CD2DError
-from .problems import (ProblemSpec, ValidationReport, builtin_problem,
-                       check_mesh_parameter, problem_names, sample_source,
-                       validate)
+from .errors import CD2DError, MalformedSpec
+from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
+                       problem_names, sample_problem, validate)
 from .solve import solve_direct, write_grid_dump
 
 EXIT_OK = 0
@@ -68,48 +67,49 @@ class RunConfig:
             self.Ns = [n for n in self.Ns if n <= DESK_N_CAP]
 
 
-def _parse_floats(text: str) -> list[float]:
-    parts = text.replace(",", " ").split()
-    return [float(p) for p in parts]
-
-
-def _parse_ints(text: str) -> list[int]:
-    parts = text.replace(",", " ").split()
-    return [int(p) for p in parts]
+def _parse_list(kind, text: str) -> list:
+    return [kind(p) for p in text.replace(",", " ").split()]
 
 
 def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+
+
+def _parse_bound(text: str) -> Optional[float]:
+    return float(text) if text.strip() else None
+
+
+# [run] key -> (RunConfig field, parser of the key's text)
+_CONFIG_KEYS = {
+    "problem": ("problem", str.strip),
+    "epsilons": ("epsilons", lambda t: _parse_list(float, t)),
+    "ns": ("Ns", lambda t: _parse_list(int, t)),
+    "variant": ("variant", lambda t: Variant(t.strip().lower())),
+    "double_mesh": ("double_mesh", lambda t: DoubleMeshMode(t.strip().lower())),
+    "workers": ("workers", int),
+    "out_dir": ("out_dir", str.strip),
+    "desk": ("desk", _parse_bool),
+    "alpha": ("alpha", _parse_bound),
+    "beta": ("beta", _parse_bound),
+}
 
 
 def _read_config(text: str) -> dict:
-    """RunConfig keyword arguments from an INI config (section [run])."""
+    """RunConfig keyword arguments from an INI config (section [run]); an
+    unknown key or a value its field cannot take raises ``CD2DError``."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
     if not parser.has_section("run"):
         raise CD2DError("config file has no [run] section")
-    sec = parser["run"]
     kwargs = {}
-    if "problem" in sec:
-        kwargs["problem"] = sec["problem"].strip()
-    if "epsilons" in sec:
-        kwargs["epsilons"] = _parse_floats(sec["epsilons"])
-    if "ns" in sec:
-        kwargs["Ns"] = _parse_ints(sec["ns"])
-    if "variant" in sec:
-        kwargs["variant"] = Variant(sec["variant"].strip().lower())
-    if "double_mesh" in sec:
-        kwargs["double_mesh"] = DoubleMeshMode(sec["double_mesh"].strip().lower())
-    if "workers" in sec:
-        kwargs["workers"] = int(sec["workers"])
-    if "out_dir" in sec:
-        kwargs["out_dir"] = sec["out_dir"].strip()
-    if "desk" in sec:
-        kwargs["desk"] = _parse_bool(sec["desk"])
-    if "alpha" in sec and sec["alpha"].strip():
-        kwargs["alpha"] = float(sec["alpha"])
-    if "beta" in sec and sec["beta"].strip():
-        kwargs["beta"] = float(sec["beta"])
+    for key, value in parser["run"].items():
+        if key not in _CONFIG_KEYS:
+            raise CD2DError(f"unknown [run] key {key!r}")
+        name, parse = _CONFIG_KEYS[key]
+        try:
+            kwargs[name] = parse(value)
+        except (KeyError, ValueError):
+            raise CD2DError(f"[run] {key} cannot be {value!r}") from None
     return kwargs
 
 
@@ -121,6 +121,9 @@ def parse_config(text: str) -> RunConfig:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """File settings overridden by explicit flags; built once, so the
     ``desk`` cap applies to the merged Ns wherever they came from."""
+    if args.command == "verify" and args.N:
+        raise CD2DError("verify checks the fixed meshes N = 16 and 32 "
+                        "and takes no --N")
     kwargs = _read_config(Path(args.config).read_text()) if args.config else {}
     flags = {
         "problem": args.problem,
@@ -164,14 +167,12 @@ def _make_out_dir(config: RunConfig) -> Optional[Path]:
     return out
 
 
-def _print_report(report: ValidationReport) -> bool:
-    """Print a validation report's warnings and errors on stderr; True if
-    it has no errors."""
-    for warning in report.warnings:
+def _print_warnings(spec: ProblemSpec, N: int) -> list[str]:
+    """Print the problem's warnings on the N-mesh on stderr; returns them."""
+    warnings = validate(spec, N)
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    for err in report.errors:
-        print(f"error: {err}", file=sys.stderr)
-    return report.ok
+    return warnings
 
 
 def cmd_solve(config: RunConfig) -> int:
@@ -185,16 +186,17 @@ def cmd_solve(config: RunConfig) -> int:
     try:
         spec = _load_spec(config).with_epsilon(eps)
         tm = mesh_mod.build_tensor_mesh(spec, N)
-        report = validate(spec, tm)
-        if not _print_report(report):
-            return EXIT_CONFIG
     except CD2DError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    warnings = _print_warnings(spec, N)
     timings = dict.fromkeys(("assemble_s", "solve_s", "residual_s", "dump_s"),
                             0.0)
     try:
         solved = analysis.solve_on(spec, tm, config.variant, timings)
+    except MalformedSpec as exc:        # the data, checked as assembly samples it
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except CD2DError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -219,7 +221,7 @@ def cmd_solve(config: RunConfig) -> int:
             "max_abs_u": solution.max_norm(),
             "wall_time": timings["assemble_s"] + timings["solve_s"],
             "timings": timings,
-            "warnings": report.warnings,
+            "warnings": warnings,
         }
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -275,53 +277,40 @@ def cmd_sweep(config: RunConfig) -> int:
 
 def stability_bound(spec: ProblemSpec, tm: mesh_mod.TensorMesh) -> float:
     """(1/alpha) max|f| + max|q|, both sampled on the mesh."""
-    f_max = max(float(np.max(np.abs(vals))) for vals in sample_source(spec, tm))
+    _, _, sources = sample_problem(spec, tm)
+    f_max = max(float(np.max(np.abs(vals))) for vals in sources)
     q_max = max(abs(float(trace(t))) for trace in spec.q_edges
                 for t in np.concatenate([tm.x.points, tm.y.points]))
     return f_max / spec.alpha + q_max
 
 
-def _verify_checks(spec: ProblemSpec, meshes: dict, variant: Variant
+def _verify_checks(spec: ProblemSpec, systems: list
                    ) -> list[tuple[str, bool, str]]:
-    """(name, passed, detail) of each property check on the N = 16 and
-    N = 32 meshes."""
-    tm16 = meshes[16]
-    checks: list[tuple[str, bool, str]] = []
-
-    system = assemble_system(spec, tm16, variant)
+    """(name, passed, detail) of each check at ``spec.epsilon`` on the
+    systems of the chosen variant for N = 16 and N = 32."""
+    at = f" at eps={spec.epsilon:g}"
+    system = systems[0]
+    other = assemble_system(spec, system.mesh, Variant.RAW
+                            if system.variant is Variant.TRANSFORMED
+                            else Variant.TRANSFORMED)
     report = m_matrix_check(system, compute_inverse=True)
-    checks.append((
-        f"matrix sign structure ({variant.value}, N=16)",
-        report.sign_ok, report.summary()))
-    inv_ok = (report.min_inverse_entry is not None
-              and report.min_inverse_entry >= -1e-12)
-    checks.append((
-        "inverse positivity (N=16)", inv_ok,
-        f"min inverse entry {report.min_inverse_entry:.3e}"))
-
-    bound_ok = True
-    detail = []
-    for N, tm in meshes.items():
-        sol = solve_direct(assemble_system(spec, tm, variant))
-        bound = stability_bound(spec, tm)
-        detail.append(f"N={N}: |U|={sol.max_norm():.4e} bound={bound:.4e}")
-        if sol.max_norm() > bound:
-            bound_ok = False
-    checks.append(("stability bound", bound_ok, "; ".join(detail)))
-
-    u_t = solve_direct(assemble_system(spec, tm16, Variant.TRANSFORMED))
-    u_r = solve_direct(assemble_system(spec, tm16, Variant.RAW))
-    diff = float(np.max(np.abs(u_t.values - u_r.values)))
-    checks.append(("raw/transformed agreement (N=16)", diff <= 1e-9,
-                   f"max difference {diff:.3e}"))
-
-    mms = analysis.manufactured_solution_study([32, 64, 128], variant)
-    orders = mms.E_uniform
-    mms_ok = bool(np.all((orders >= 0.9) & (orders <= 1.15)))
-    checks.append(("smooth-oracle order in [0.90, 1.15]", mms_ok,
-                   "orders " + ", ".join(f"{o:.3f}" for o in orders)))
-
-    return checks
+    inv = report.min_inverse_entry
+    solutions = [solve_direct(s) for s in systems]
+    bounds = [stability_bound(spec, s.mesh) for s in systems]
+    diff = float(np.max(np.abs(solutions[0].values
+                               - solve_direct(other).values)))
+    return [
+        (f"matrix sign structure ({system.variant.value}, N=16){at}",
+         report.sign_ok, report.summary()),
+        (f"inverse positivity (N=16){at}",
+         inv is not None and inv >= -1e-12, f"min inverse entry {inv:.3e}"),
+        (f"stability bound{at}",
+         all(u.max_norm() <= bound for u, bound in zip(solutions, bounds)),
+         "; ".join(f"N={s.n}: |U|={u.max_norm():.4e} bound={bound:.4e}"
+                   for s, u, bound in zip(systems, solutions, bounds))),
+        (f"raw/transformed agreement (N=16){at}", diff <= 1e-9,
+         f"max difference {diff:.3e}"),
+    ]
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -329,26 +318,40 @@ def cmd_verify(config: RunConfig) -> int:
         print("verify needs at least one epsilon", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        spec = _load_spec(config).with_epsilon(config.epsilons[0])
-        meshes = {N: mesh_mod.build_tensor_mesh(spec, N) for N in (16, 32)}
-        reports = [validate(spec, tm) for tm in meshes.values()]
+        base = _load_spec(config)
+        cases = [(base.with_epsilon(eps), N)
+                 for eps in config.epsilons for N in (16, 32)]
+        meshes = [mesh_mod.build_tensor_mesh(spec, N) for spec, N in cases]
     except CD2DError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not all([_print_report(report) for report in reports]):  # print both
-        return EXIT_CONFIG
+    systems = []
     try:
-        checks = _verify_checks(spec, meshes, config.variant)
+        # Assembly checks the problem data; the findings on every mesh are
+        # reported before any solve.
+        for (spec, N), tm in zip(cases, meshes):
+            _print_warnings(spec, N)
+            try:
+                systems.append(assemble_system(spec, tm, config.variant))
+            except MalformedSpec as exc:
+                print(f"error: {exc}", file=sys.stderr)
+        if len(systems) < len(cases):
+            return EXIT_CONFIG
+        checks = [check for k in range(0, len(cases), 2) for check in
+                  _verify_checks(cases[k][0], systems[k:k + 2])]
+        mms = analysis.manufactured_solution_study([32, 64, 128],
+                                                   config.variant)
     except CD2DError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    orders = mms.E_uniform
+    checks.append(("smooth-oracle order in [0.90, 1.15]",
+                   bool(np.all((orders >= 0.9) & (orders <= 1.15))),
+                   "orders " + ", ".join(f"{o:.3f}" for o in orders)))
 
-    all_ok = True
     for name, ok, detail_text in checks:
-        status = "PASS" if ok else "FAIL"
-        all_ok &= ok
-        print(f"{status}  {name}: {detail_text}")
-    return EXIT_OK if all_ok else EXIT_INCOMPLETE
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail_text}")
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INCOMPLETE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,8 @@ class CD2DError(Exception):
 
 
 class MalformedSpec(CD2DError):
-    """Problem data violates a structural requirement (epsilon range, d in (0,1))."""
+    """Problem data violates a structural requirement (epsilon range, d in
+    (0,1)) or, sampled on a mesh, the hypotheses on a, b and f."""
 
 
 class BadN(CD2DError):

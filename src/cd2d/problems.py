@@ -12,13 +12,14 @@ The four open quadrants are
     Q3 = (0,d1) x (d2,1),   Q4 = (d1,1) x (d2,1),
 
 f is smooth up to the closure of each quadrant, so on the lines it is
-two-valued; ``sample_source`` samples each quadrant's f on its closed block,
-which gives both one-sided values there.
+two-valued; ``sample_problem`` samples each quadrant's f on its closed block,
+which gives both one-sided values there, and checks every sample against
+these hypotheses.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -67,13 +68,6 @@ class ProblemSpec:
 
     def with_epsilon(self, epsilon: float) -> "ProblemSpec":
         return replace(self, epsilon=epsilon)
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -213,55 +207,60 @@ def sample_field(fld: ScalarField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     return out
 
 
-def sample_source(spec: ProblemSpec, mesh: TensorMesh) -> list[np.ndarray]:
-    """The quadrant sources f_1..f_4, each sampled on its closed block.
+def sample_problem(spec: ProblemSpec, mesh: TensorMesh
+                   ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """a and b on the grid and the quadrant sources f_1..f_4, each on its
+    closed block, checked against the problem hypotheses.
 
     Block k spans ys[:h+1] (Q1, Q2) or ys[h:] (Q3, Q4) by xs[:h+1] (Q1, Q3)
     or xs[h:] (Q2, Q4), h = n/2, so the lines x = d1 and y = d2 carry the
-    one-sided values of both neighbouring quadrants.
+    one-sided values of both neighbouring quadrants.  Every sample must be
+    finite and a >= alpha, b >= beta^2 must hold at every mesh point;
+    otherwise ``MalformedSpec`` lists each finding, joined by "; ".
     """
     half = mesh.n // 2
     xs, ys = mesh.x.points, mesh.y.points
+    a = sample_field(spec.a_field, xs, ys)
+    b = sample_field(spec.b_field, xs, ys)
     left, right, below, above = xs[:half + 1], xs[half:], ys[:half + 1], ys[half:]
-    return [sample_field(f, xq, yq) for f, xq, yq in
-            zip(spec.f_quadrants, (left, right, left, right),
-                (below, below, above, above))]
+    sources = [sample_field(f, xq, yq) for f, xq, yq in
+               zip(spec.f_quadrants, (left, right, left, right),
+                   (below, below, above, above))]
 
-
-def validate(spec: ProblemSpec, mesh: TensorMesh) -> ValidationReport:
-    """Check the problem hypotheses by sampling on the target mesh.
-
-    a, b and the four quadrant sources must be finite, and coefficient
-    positivity (a >= alpha, b >= beta^2) must hold at every mesh point;
-    a violation is an error.  The small-layer condition
-    d > 8 (eps/beta) ln N merely separates the fitted regime from the
-    classical one, so its failure is reported as a warning.
-    """
-    report = ValidationReport(ok=True)
-    xs, ys = mesh.x.points, mesh.y.points
-    a_vals = sample_field(spec.a_field, xs, ys)
-    b_vals = sample_field(spec.b_field, xs, ys)
-    samples = [("a", a_vals), ("b", b_vals)] + [
-        (f"f on Q{k}", vals) for k, vals in enumerate(sample_source(spec, mesh), 1)]
-    for fname, vals in samples:
+    errors = []
+    for fname, vals in [("a", a), ("b", b)] + [
+            (f"f on Q{k}", vals) for k, vals in enumerate(sources, 1)]:
         n_bad = int(np.count_nonzero(~np.isfinite(vals)))
         if n_bad:
-            report.errors.append(f"{fname} is not finite at {n_bad} mesh points")
-    for fname, vals, bound, bname in (("a", a_vals, spec.alpha, "alpha"),
-                                      ("b", b_vals, spec.beta ** 2, "beta^2")):
+            errors.append(f"{fname} is not finite at {n_bad} mesh points")
+    for fname, vals, bound, bname in (("a", a, spec.alpha, "alpha"),
+                                      ("b", b, spec.beta ** 2, "beta^2")):
         bad = np.argwhere(vals < bound)
         for j, i in bad[:5]:
-            report.errors.append(
+            errors.append(
                 f"{fname}({xs[i]:.6g},{ys[j]:.6g}) = {vals[j, i]:.6g} "
                 f"< {bname} = {bound:.6g}")
         if len(bad) > 5:
-            report.errors.append(
+            errors.append(
                 f"... and {len(bad) - 5} more {fname} positivity violations")
+    if errors:
+        raise MalformedSpec("; ".join(errors))
+    return a, b, sources
 
-    threshold = 8.0 * (spec.epsilon / spec.beta) * math.log(mesh.n)
+
+def validate(spec: ProblemSpec, N: int) -> list[str]:
+    """Warnings about the problem on the N-mesh that need no samples.
+
+    The small-layer condition d > 8 (eps/beta) ln N merely separates the
+    fitted regime from the classical one, and the boundary traces should
+    agree at the corners.  The hypotheses on a, b and f are checked where
+    assembly samples them (``sample_problem``).
+    """
+    warnings = []
+    threshold = 8.0 * (spec.epsilon / spec.beta) * math.log(N)
     for label, d in (("d1", spec.d1), ("d2", spec.d2)):
         if d <= threshold:
-            report.warnings.append(
+            warnings.append(
                 f"{label} = {d:.6g} <= 8 (eps/beta) ln N = {threshold:.6g}: "
                 "layer width is not small against the subdomain (classical regime)")
 
@@ -273,8 +272,6 @@ def validate(spec: ProblemSpec, mesh: TensorMesh) -> ValidationReport:
     ]
     for va, vb, where in corners:
         if abs(float(va) - float(vb)) > 1e-14 * max(1.0, abs(float(va))):
-            report.warnings.append(
+            warnings.append(
                 f"boundary traces disagree at the {where} corner: {va} vs {vb}")
-
-    report.ok = not report.errors
-    return report
+    return warnings

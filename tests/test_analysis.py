@@ -31,11 +31,11 @@ from cd2d import (
     run_sweep,
     write_table_csv,
 )
-from cd2d import analysis, mesh as mesh_mod
+from cd2d import analysis, errors, mesh as mesh_mod
 from cd2d.analysis import format_table_text, sweep_to_dict
 from cd2d.assembly import assemble_system
 from cd2d.cli import EXIT_INCOMPLETE, main
-from cd2d.errors import GeometryError, MeshMismatch
+from cd2d.errors import CD2DError, GeometryError, MeshMismatch
 from cd2d.problems import _REGISTRY, register_problem
 from cd2d.solve import solve_direct
 
@@ -239,8 +239,49 @@ def test_run_cell_nan_source_is_a_validation_error(ex1):
         ex1, f_quadrants=(lambda x, y: np.nan * x, *ex1.f_quadrants[1:]))
     cell = run_cell(spec, 16)
     assert not cell.ok
-    assert "f on Q1 is not finite" in cell.error
+    assert cell.error.startswith("MalformedSpec: f on Q1 is not finite")
     assert "NonFiniteSolution" not in cell.error
+
+
+@pytest.mark.parametrize("field, value", [("b_field", 1.0),
+                                          ("a_field", np.nan)])
+def test_run_cell_checks_the_companion_mesh(ex1, field, value):
+    # bad data on an x line only the bisected companion has
+    spec = ex1.with_epsilon(1e-2)
+    coarse = build_tensor_mesh(spec, 16)
+    line = bisect(coarse).x.points[3]
+    assert line not in coarse.x.points
+    default = getattr(spec, field)
+    probe = dataclasses.replace(spec, **{field: lambda x, y: np.where(
+        x == line, value, default(x, y))})
+    cell = run_cell(probe, 16)
+    assert cell.error.startswith("MalformedSpec: "), cell.error
+    assert math.isnan(cell.d_eps)
+
+
+@given(problem=st.sampled_from(["Example1", "Example2"]),
+       variant=st.sampled_from(list(Variant)),
+       mode=st.sampled_from(list(DoubleMeshMode)),
+       log_eps=st.floats(math.log(1e-8), math.log(0.5)),
+       d1=st.floats(0.02, 0.98),
+       d2=st.floats(0.02, 0.98),
+       N=st.sampled_from([8, 16, 32, 64]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_run_cell_is_typed_or_finite_property(problem, variant, mode, log_eps,
+                                              d1, d2, N):
+    # every cell either meets the residual contract with a finite solution
+    # or fails with a typed CD2DError; no silent NaN, no untyped failure
+    spec = dataclasses.replace(builtin_problem(problem), d1=d1, d2=d2,
+                               epsilon=math.exp(log_eps))
+    cell = run_cell(spec, N, variant, mode)
+    if cell.ok:
+        assert cell.residual_coarse <= 1e-12 and cell.residual_fine <= 1e-12
+        assert math.isfinite(cell.max_u_coarse)
+        assert math.isfinite(cell.max_u_fine)
+    else:
+        assert cell.error is not None, "a cell failed without an error"
+        name = cell.error.split(":", 1)[0]
+        assert issubclass(getattr(errors, name, object), CD2DError), cell.error
 
 
 def test_run_sweep_missing_cells_not_fatal(ex1):

@@ -104,6 +104,27 @@ def must_not_run(*args, **kwargs):
     raise AssertionError("mesh or LU work before the output directory")
 
 
+def test_config_unknown_key_is_config_error(tmp_path, capsys, monkeypatch):
+    # a typo for ns would otherwise leave the sweep on FULL_NS (N = 1024)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nepsilons = 1e-2\nn = 32, 64\n")
+    monkeypatch.setattr(analysis, "run_sweep", must_not_run)
+    rc = main(["sweep", "--config", str(ini), "--out-dir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown [run] key 'n'\n"
+
+
+def test_config_desk_must_be_boolean(tmp_path, capsys, monkeypatch):
+    assert parse_config("[run]\ndesk = off\n").desk is False
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nepsilons = 1e-2\nns = 16\ndesk = maybe\n")
+    monkeypatch.setattr(analysis, "run_sweep", must_not_run)
+    rc = main(["sweep", "--config", str(ini), "--out-dir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: [run] desk cannot be 'maybe'\n")
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -146,6 +167,22 @@ def test_solve_unwritable_out_dir_is_config_error(tmp_path, capsys,
                "--out-dir", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_data_error_is_config_error(tmp_path, capsys):
+    name = "cli_nan_b_solve_probe"
+    try:
+        register_problem(name, lambda: dataclasses.replace(
+            builtin_problem("example1"), name=name,
+            b_field=lambda x, y: np.full(np.shape(x), np.nan)))
+        rc = main(["solve", "--problem", name, "--epsilon", "1e-3",
+                   "--N", "16", "--out-dir", str(tmp_path)])
+    finally:
+        _REGISTRY.pop(name, None)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: b is not finite at 289 mesh points\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_needs_single_cell(capsys):
@@ -355,7 +392,7 @@ def test_verify_empty_epsilons_config_error(tmp_path, capsys):
 
 def test_verify_validates_before_solving(capsys, monkeypatch):
     name = "cli_nan_b_probe"
-    monkeypatch.setattr(cli, "assemble_system", must_not_run)
+    monkeypatch.setattr(cli, "solve_direct", must_not_run)
     try:
         register_problem(name, lambda: dataclasses.replace(
             builtin_problem("example1"), name=name,
@@ -368,6 +405,43 @@ def test_verify_validates_before_solving(capsys, monkeypatch):
     assert "error: b is not finite at 289 mesh points" in captured.err
     assert "error: b is not finite at 1089 mesh points" in captured.err
     assert captured.out == ""
+
+
+def test_verify_assembles_and_solves_each_system_once(capsys, monkeypatch):
+    calls = {"assemble": 0, "solve": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "assemble_system",
+                        counted("assemble", cli.assemble_system))
+    monkeypatch.setattr(cli, "solve_direct", counted("solve", cli.solve_direct))
+    assert main(["verify", "--epsilon", "1e-3"]) == EXIT_INCOMPLETE
+    # the variant on N = 16 and 32, the other variant on N = 16
+    assert calls == {"assemble": 3, "solve": 3}
+
+
+def test_verify_checks_every_epsilon(capsys):
+    rc = main(["verify", "--variant", "raw",
+               "--epsilon", "1e-1", "--epsilon", "1e-3"])
+    assert rc == EXIT_INCOMPLETE
+    out = capsys.readouterr().out
+    for eps in ("0.1", "0.001"):
+        assert f"FAIL  matrix sign structure (raw, N=16) at eps={eps}:" in out
+        assert f"PASS  stability bound at eps={eps}:" in out
+        assert f"FAIL  raw/transformed agreement (N=16) at eps={eps}:" in out
+    assert out.count("smooth-oracle order") == 1
+
+
+def test_verify_rejects_n(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_direct", must_not_run)
+    rc = main(["verify", "--epsilon", "1e-3", "--N", "64"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: verify checks "
+                                              "the fixed meshes N = 16 and 32")
 
 
 def test_verify_solver_failure_exit(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from cd2d import (
     Mesh1D,
     ProblemSpec,
     TensorMesh,
+    assemble_system,
     builtin_problem,
     build_tensor_mesh,
     check_mesh_parameter,
@@ -18,7 +19,12 @@ from cd2d import (
     validate,
 )
 from cd2d.errors import BadN, MalformedSpec
-from cd2d.problems import _REGISTRY, sample_source
+from cd2d.problems import _REGISTRY, sample_problem
+
+
+def quadrant_blocks(spec, mesh):
+    """The quadrant sources, each sampled on its closed block."""
+    return sample_problem(spec, mesh)[2]
 
 
 def test_builtin_names():
@@ -73,9 +79,9 @@ EX1_AXIS = [0.0, 0.2, 0.5, 0.8, 1.0]
 
 
 def jump_across_x(spec, mesh, j):
-    """f(d1+, y_j) - f(d1-, y_j) from the blocks sample_source reads;
+    """f(d1+, y_j) - f(d1-, y_j) from the blocks assembly reads;
     y_j is off the line y = d2."""
-    f1, f2, f3, f4 = sample_source(spec, mesh)
+    f1, f2, f3, f4 = quadrant_blocks(spec, mesh)
     h = mesh.n // 2
     if j < h:
         return f2[j, 0] - f1[j, h]
@@ -83,9 +89,9 @@ def jump_across_x(spec, mesh, j):
 
 
 def jump_across_y(spec, mesh, i):
-    """f(x_i, d2+) - f(x_i, d2-) from the blocks sample_source reads;
+    """f(x_i, d2+) - f(x_i, d2-) from the blocks assembly reads;
     x_i is off the line x = d1."""
-    f1, f2, f3, f4 = sample_source(spec, mesh)
+    f1, f2, f3, f4 = quadrant_blocks(spec, mesh)
     h = mesh.n // 2
     if i < h:
         return f3[0, i] - f1[h, i]
@@ -93,7 +99,7 @@ def jump_across_y(spec, mesh, i):
 
 
 def test_source_at_off_lines(ex1):
-    f1, f2, f3, f4 = sample_source(ex1, hand_mesh(EX1_AXIS, EX1_AXIS))
+    f1, f2, f3, f4 = quadrant_blocks(ex1, hand_mesh(EX1_AXIS, EX1_AXIS))
     # (0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8)
     assert f1[1, 1] == 0.5
     assert f2[1, 1] == 0.6
@@ -113,7 +119,7 @@ def test_jump_example1(ex1):
 def test_jump_example2_value(ex2):
     # hand values at y = 0.25: left 1 + 0.4 + 0.25, right -(1 + 0.4^2 0.25^2)
     mesh = hand_mesh([0.0, 0.2, 0.4, 0.7, 1.0], [0.0, 0.25, 0.6, 0.8, 1.0])
-    f1, f2, _, _ = sample_source(ex2, mesh)
+    f1, f2, _, _ = quadrant_blocks(ex2, mesh)
     left, right = f1[1, 2], f2[1, 0]
     assert left == pytest.approx(1.65)
     assert right == pytest.approx(-1.01)
@@ -161,27 +167,27 @@ def test_check_mesh_parameter():
 
 def test_validate_clean(ex1):
     spec = ex1.with_epsilon(1e-6)
-    rep = validate(spec, build_tensor_mesh(spec, 64))
-    assert rep.ok
-    assert rep.errors == []
-    assert rep.warnings == []
+    assert validate(spec, 64) == []
+    assemble_system(spec, build_tensor_mesh(spec, 64))   # data checks pass
 
 
 def test_validate_wide_layer_warning(ex1):
     # epsilon = 0.5: d2 = 0.5 < 8*(eps/beta)*ln N = 3.327 at N = 64
     spec = ex1.with_epsilon(0.5)
-    rep = validate(spec, build_tensor_mesh(spec, 64))
-    assert rep.ok
-    assert any("d2" in w or "layer" in w.lower() for w in rep.warnings)
+    warnings = validate(spec, 64)
+    assert any("d2" in w or "layer" in w.lower() for w in warnings)
+    assemble_system(spec, build_tensor_mesh(spec, 64))
 
 
 def test_validate_coefficient_floor_violation(ex1):
     bad = ProblemSpec(epsilon=0.1, a_field=lambda x, y: 1.0, b_field=ex1.b_field,
                       f_quadrants=ex1.f_quadrants, q_edges=ex1.q_edges,
                       d1=0.5, d2=0.5, alpha=2.0, beta=5.0)
-    rep = validate(bad, build_tensor_mesh(bad, 16))
-    assert not rep.ok
-    assert any("a(" in e or "alpha" in e for e in rep.errors)
+    # the first five violations by name, then a count of the other 284
+    with pytest.raises(MalformedSpec, match=(
+            r"^a\(0,0\) = 1 < alpha = 2; (a\([^;]*\) = 1 < alpha = 2; ){4}"
+            r"\.\.\. and 284 more a positivity violations$")):
+        assemble_system(bad, build_tensor_mesh(bad, 16))
 
 
 def test_validate_non_finite_samples(ex1):
@@ -191,17 +197,17 @@ def test_validate_non_finite_samples(ex1):
     bad = dataclasses.replace(
         ex1, b_field=lambda x, y: np.full(np.shape(x), np.inf),
         f_quadrants=(ex1.f_quadrants[0], nan_in_q2, *ex1.f_quadrants[2:]))
-    rep = validate(bad, build_tensor_mesh(bad, 16))
-    assert not rep.ok
-    assert any(e.startswith("b is not finite at 289 ") for e in rep.errors)
-    assert any(e.startswith("f on Q2 is not finite") for e in rep.errors)
-    assert not any("Q1" in e or "Q3" in e or "Q4" in e for e in rep.errors)
+    # Q1, Q3 and Q4 are clean, and an infinite b is not a floor violation
+    with pytest.raises(MalformedSpec, match=(
+            r"^b is not finite at 289 mesh points; "
+            r"f on Q2 is not finite at \d+ mesh points$")):
+        assemble_system(bad, build_tensor_mesh(bad, 16))
 
 
 def test_validate_bad_n(ex1):
-    # the mesh of a bad N cannot be built, so there is nothing to validate
+    # the mesh of a bad N cannot be built, so there is nothing to check
     with pytest.raises(BadN):
-        validate(ex1, build_tensor_mesh(ex1, 12))
+        assemble_system(ex1, build_tensor_mesh(ex1, 12))
 
 
 def test_sample_field_matches_pointwise(ex2):
