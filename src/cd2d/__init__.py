@@ -15,12 +15,12 @@ from .analysis import (ConvergenceTable, DoubleMeshMode, SweepResult,
                        double_mesh_error, manufactured_problem,
                        manufactured_solution_study, mms_exact, run_cell,
                        run_sweep, write_table_csv)
-from .assembly import (LinearSystem, MMatrixReport, RowKind, Variant,
-                       assemble_system, m_matrix_check)
+from .assembly import (LinearSystem, MMatrixReport, Variant, assemble_system,
+                       m_matrix_check)
 from .errors import (BadN, CD2DError, DimensionMismatch, GeometryError,
                      MalformedSpec, MeshMismatch, NonFiniteSolution,
                      SingularMatrix, SingularStructure)
-from .mesh import Axis, Mesh1D, TensorMesh, bisect, bisect_1d, build_tensor_mesh
+from .mesh import TensorMesh, bisect, build_tensor_mesh
 from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
                        problem_names, register_problem, sample_field, validate)
 from .solve import GridFunction, residual_norm, solve_direct, write_grid_dump

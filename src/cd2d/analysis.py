@@ -38,7 +38,7 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from . import mesh as mesh_mod
-from .assembly import Variant, assemble_system
+from .assembly import LinearSystem, Variant, assemble_system
 from .errors import CD2DError, MeshMismatch
 from .problems import ProblemSpec, validate
 from .solve import GridFunction, residual_norm, solve_direct
@@ -49,12 +49,11 @@ class DoubleMeshMode(enum.Enum):
     REGENERATE = "regenerate"
 
 
-def _cells(fine: mesh_mod.Mesh1D, coarse: mesh_mod.Mesh1D):
-    """Fine cell k holding each coarse point p (fine[k] <= p <= fine[k + 1])
-    and the weights (1 - t, t) of the cell's two ends."""
-    f, p = fine.points, coarse.points
+def _cells(f: np.ndarray, p: np.ndarray, axis: str):
+    """Fine cell k holding each coarse point p (f[k] <= p <= f[k + 1]) of
+    the named axis and the weights (1 - t, t) of the cell's two ends."""
     if not (f[0] <= p[0] and p[-1] <= f[-1]):
-        raise MeshMismatch(f"fine {fine.axis.value} axis [{f[0]}, {f[-1]}] "
+        raise MeshMismatch(f"fine {axis} axis [{f[0]}, {f[-1]}] "
                            f"does not span coarse [{p[0]}, {p[-1]}]")
     k = np.clip(np.searchsorted(f, p, side="right") - 1, 0, f.size - 2)
     t = (p - f[k]) / (f[k + 1] - f[k])
@@ -69,8 +68,8 @@ def double_mesh_error(coarse: GridFunction, fine: GridFunction) -> float:
     """
     if fine.n != 2 * coarse.n:
         raise MeshMismatch(f"fine mesh has {fine.n} intervals, expected {2 * coarse.n}")
-    i, wx0, wx1 = _cells(fine.mesh.x, coarse.mesh.x)
-    j, wy0, wy1 = (a[:, None] for a in _cells(fine.mesh.y, coarse.mesh.y))
+    i, wx0, wx1 = _cells(fine.mesh.x, coarse.mesh.x, "x")
+    j, wy0, wy1 = (a[:, None] for a in _cells(fine.mesh.y, coarse.mesh.y, "y"))
     u = fine.grid()
     read = (u[j, i] * wy0 * wx0 + u[j, i + 1] * wy0 * wx1
             + u[j + 1, i] * wy1 * wx0 + u[j + 1, i + 1] * wy1 * wx1)
@@ -118,7 +117,7 @@ class CellResult:
         return self.error is None and math.isfinite(self.d_eps)
 
 
-def _timed(timings: dict[str, float], stage: str, fn, *args):
+def timed(timings: dict[str, float], stage: str, fn, *args):
     """``fn(*args)``, adding its wall time to ``timings[stage]``."""
     start = time.perf_counter()
     try:
@@ -127,14 +126,12 @@ def _timed(timings: dict[str, float], stage: str, fn, *args):
         timings[stage] += time.perf_counter() - start
 
 
-def solve_on(spec: ProblemSpec, tm: mesh_mod.TensorMesh, variant: Variant,
-             timings: dict[str, float]) -> MeshSolve:
-    """Assemble, solve and take the residual on ``tm``, adding each step's
-    seconds to ``timings`` (``assemble_s``, ``solve_s``, ``residual_s``)."""
-    system = _timed(timings, "assemble_s", assemble_system, spec, tm, variant)
-    solution = _timed(timings, "solve_s", solve_direct, system)
+def solve_on(system: LinearSystem, timings: dict[str, float]) -> MeshSolve:
+    """Solve ``system`` and take the residual, adding each step's seconds to
+    ``timings`` (``solve_s``, ``residual_s``)."""
+    solution = timed(timings, "solve_s", solve_direct, system)
     return MeshSolve(solution,
-                     _timed(timings, "residual_s", residual_norm, system, solution))
+                     timed(timings, "residual_s", residual_norm, system, solution))
 
 
 def run_cell(spec: ProblemSpec, N: int,
@@ -152,7 +149,7 @@ def run_cell(spec: ProblemSpec, N: int,
     start = time.perf_counter()
     try:
         if coarse is None:
-            coarse_mesh = _timed(t, "mesh_s", mesh_mod.build_tensor_mesh, spec, N)
+            coarse_mesh = timed(t, "mesh_s", mesh_mod.build_tensor_mesh, spec, N)
         elif coarse.solution.n != N:
             raise MeshMismatch(f"reused coarse solve has {coarse.solution.n} "
                                f"intervals, expected {N}")
@@ -161,24 +158,28 @@ def run_cell(spec: ProblemSpec, N: int,
         cell.sigma_x, cell.sigma_y = coarse_mesh.sigma_x, coarse_mesh.sigma_y
         # both meshes up front, so an infeasible companion costs no solve
         if mode is DoubleMeshMode.BISECT:
-            fine_mesh = _timed(t, "mesh_s", mesh_mod.bisect, coarse_mesh)
+            fine_mesh = timed(t, "mesh_s", mesh_mod.bisect, coarse_mesh)
         else:
-            fine_mesh = _timed(t, "mesh_s", mesh_mod.build_tensor_mesh,
+            fine_mesh = timed(t, "mesh_s", mesh_mod.build_tensor_mesh,
                                spec, 2 * N)
         cell.warnings = validate(spec, N)
+        # both systems up front, so data bad on the companion costs no solve
+        meshes = [coarse_mesh, fine_mesh] if coarse is None else [fine_mesh]
+        systems = [timed(t, "assemble_s", assemble_system, spec, tm, variant)
+                   for tm in meshes]
         if coarse is None:
-            coarse = solve_on(spec, coarse_mesh, variant, t)
+            coarse = solve_on(systems.pop(0), t)
         else:
             cell.coarse_reused = True
         cell.residual_coarse = coarse.residual
         cell.max_u_coarse = coarse.solution.max_norm()
 
-        fine = solve_on(spec, fine_mesh, variant, t)
+        fine = solve_on(systems.pop(), t)
         cell.residual_fine = fine.residual
         cell.max_u_fine = fine.solution.max_norm()
         if mode is DoubleMeshMode.REGENERATE:
             cell.fine = fine
-        cell.d_eps = _timed(t, "estimate_s", double_mesh_error,
+        cell.d_eps = timed(t, "estimate_s", double_mesh_error,
                             coarse.solution, fine.solution)
     except (CD2DError, np.linalg.LinAlgError, MemoryError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
@@ -362,7 +363,7 @@ def manufactured_solution_study(Ns: Sequence[int],
         tm = mesh_mod.build_tensor_mesh(spec, N)
         system = assemble_system(spec, tm, variant)
         solution = solve_direct(system)
-        X, Y = np.meshgrid(tm.x.points, tm.y.points)
+        X, Y = np.meshgrid(tm.x, tm.y)
         exact = mms_exact(X, Y).ravel()
         errors[0, k] = float(np.max(np.abs(solution.values - exact)))
     return ConvergenceTable.from_errors([spec.epsilon], Ns, errors)

@@ -35,7 +35,7 @@ positive in general (Example 2 drives it negative), which m_matrix_check
 reports.  Unknowns are ordered row-major, flat = j*(n+1) + i.
 
 ``assemble_system`` is the only assembly path.  It takes a and b on the
-whole grid and each quadrant source on its closed block from
+grid, each quadrant source on its closed block and the edge traces from
 ``sample_problem``, which checks them against the problem hypotheses, then
 lays down every row class as arrays through the coefficient kernels below.
 """
@@ -53,14 +53,6 @@ from .mesh import TensorMesh
 from .problems import ProblemSpec, sample_problem
 
 
-class RowKind(enum.IntEnum):
-    INTERIOR_UPWIND = 0
-    INTERFACE_X_TRANSFORMED = 1
-    INTERFACE_X_RAW = 2
-    INTERFACE_Y_MIDPOINT = 3
-    DIRICHLET = 4
-
-
 class Variant(enum.Enum):
     TRANSFORMED = "transformed"
     RAW = "raw"
@@ -70,20 +62,12 @@ class Variant(enum.Enum):
 class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    n: int
     mesh: TensorMesh
     variant: Variant
-    row_kinds: np.ndarray   # int8 RowKind codes, flat row-major
 
     @property
     def dimension(self) -> int:
-        return (self.n + 1) ** 2
-
-    def flat_index(self, i: int, j: int) -> int:
-        return j * (self.n + 1) + i
-
-    def grid_index(self, k: int) -> tuple[int, int]:
-        return k % (self.n + 1), k // (self.n + 1)
+        return self.rhs.size
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +118,7 @@ def _raw_interface_coeffs(h1, H2):
 
 def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
                     variant: Variant = Variant.TRANSFORMED) -> LinearSystem:
-    """CSR matrix (sorted indices), rhs and row kinds of the scheme on mesh.
+    """CSR matrix (sorted indices) and rhs of the scheme on mesh.
 
     Each row class is built for all its points at once: the upwind rows
     (interior and midpoint), the x = d1 rows of the chosen variant (cross
@@ -142,19 +126,16 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     the hypotheses raises ``MalformedSpec`` (see ``sample_problem``).
     """
     n, half, m = mesh.n, mesh.n // 2, mesh.n + 1
-    xs, ys = mesh.x.points, mesh.y.points
-    hx, hy = np.diff(xs), np.diff(ys)
+    hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     eps2 = spec.epsilon ** 2
     flat = np.arange(m * m).reshape(m, m)          # flat[j, i] = j*m + i
     rhs = np.zeros(m * m)
-    row_kinds = np.empty(m * m, dtype=np.int8)
     parts = []
 
-    def put(rows, kind, values, *stencil):
-        """Rows with their kind, rhs values and (columns, coefficients)."""
+    def put(rows, values, *stencil):
+        """Rows with their rhs values and (columns, coefficients)."""
         rows = rows.ravel()
         rhs[rows] = np.ravel(values)
-        row_kinds[rows] = np.ravel(kind)
         for cols, coeffs in stencil:
             parts.append((rows, cols.ravel(),
                           np.broadcast_to(coeffs, cols.shape).ravel()))
@@ -163,7 +144,7 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     # the lines are never read.  Row y = d2 of a, b and f becomes the
     # y-neighbour average used by the midpoint rows; the cross point takes
     # its one-sided f from that row too, but a and b at their own points.
-    a, b, (q1, q2, q3, q4) = sample_problem(spec, mesh)
+    a, b, (q1, q2, q3, q4), traces = sample_problem(spec, mesh)
     f = np.block([[q1[:half, :half], q2[:half]], [q3[:, :half], q4]])
     a_up, b_up = a.copy(), b.copy()
     for g in (a_up, b_up, f):
@@ -175,8 +156,7 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     center, west, east, south, north = _upwind_coeffs(
         eps2, hx[I - 1], hx[I], hy[J - 1], hy[J], a_up[J, I], b_up[J, I])
     r = flat[J, I]
-    put(r, np.where(J == half, RowKind.INTERFACE_Y_MIDPOINT,
-                    RowKind.INTERIOR_UPWIND), f[J, I],
+    put(r, f[J, I],
         (r, center), (r - 1, west), (r + 1, east), (r - m, south), (r + m, north))
 
     # Transmission rows on x = d1, cross point included.
@@ -184,28 +164,24 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     r = flat[j, half]
     h1, H2 = hx[half - 1], hx[half]
     if variant is Variant.RAW:
-        put(r, RowKind.INTERFACE_X_RAW, 0.0,
+        put(r, 0.0,
             *((r + d, c) for d, c in zip(range(-2, 3),
                                          _raw_interface_coeffs(h1, H2))))
     else:
         center, west, east, e_minus = _transformed_coeffs(
             eps2, h1, H2, a[j, half - 1], a[j, half + 1],
             b[j, half - 1], b[j, half + 1])
-        put(r, RowKind.INTERFACE_X_TRANSFORMED,
-            (h1 / (4.0 * e_minus)) * f[j, half - 1]
+        put(r, (h1 / (4.0 * e_minus)) * f[j, half - 1]
             + (H2 / (4.0 * eps2)) * f[j, half + 1],
             (r - 1, west), (r, center), (r + 1, east))
 
     # Dirichlet rows; west and east win at the corners.
-    west_q, south_q, east_q, north_q = spec.q_edges
     q = np.empty((m, m))
-    q[-1] = [float(north_q(x)) for x in xs]
-    q[0] = [float(south_q(x)) for x in xs]
-    q[:, -1] = [float(east_q(y)) for y in ys]
-    q[:, 0] = [float(west_q(y)) for y in ys]
+    west_q, south_q, east_q, north_q = traces
+    q[-1], q[0], q[:, -1], q[:, 0] = north_q, south_q, east_q, west_q
     edge = np.ones((m, m), dtype=bool)
     edge[1:-1, 1:-1] = False
-    put(flat[edge], RowKind.DIRICHLET, q[edge], (flat[edge], 1.0))
+    put(flat[edge], q[edge], (flat[edge], 1.0))
 
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(m * m, m * m)).tocsr()
@@ -213,8 +189,7 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
     if empty.size:
         raise SingularStructure(f"empty matrix rows at flat indices {empty[:10]}")
-    return LinearSystem(matrix=matrix, rhs=rhs, n=n, mesh=mesh,
-                        variant=variant, row_kinds=row_kinds)
+    return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh, variant=variant)
 
 
 # ---------------------------------------------------------------------------

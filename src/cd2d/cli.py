@@ -20,7 +20,6 @@ import configparser
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -59,6 +58,8 @@ class RunConfig:
     beta: Optional[float] = None
 
     def __post_init__(self):
+        if self.workers < 1:
+            raise CD2DError(f"workers must be at least 1, got {self.workers}")
         if self.epsilons is None:
             self.epsilons = list(FULL_EPSILONS)
         if self.Ns is None:
@@ -186,14 +187,16 @@ def cmd_solve(config: RunConfig) -> int:
     try:
         spec = _load_spec(config).with_epsilon(eps)
         tm = mesh_mod.build_tensor_mesh(spec, N)
+        warnings = _print_warnings(spec, N)
     except CD2DError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    warnings = _print_warnings(spec, N)
     timings = dict.fromkeys(("assemble_s", "solve_s", "residual_s", "dump_s"),
                             0.0)
     try:
-        solved = analysis.solve_on(spec, tm, config.variant, timings)
+        system = analysis.timed(timings, "assemble_s", assemble_system, spec,
+                                tm, config.variant)
+        solved = analysis.solve_on(system, timings)
     except MalformedSpec as exc:        # the data, checked as assembly samples it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -207,9 +210,7 @@ def cmd_solve(config: RunConfig) -> int:
     meta_path = out / f"{stem}.json"
     try:
         with open(grid_path, "w") as fh:
-            dumping = time.perf_counter()
-            write_grid_dump(solution, fh)
-            timings["dump_s"] = time.perf_counter() - dumping
+            analysis.timed(timings, "dump_s", write_grid_dump, solution, fh)
         meta = {
             "problem": spec.name,
             "variant": config.variant.value,
@@ -277,10 +278,9 @@ def cmd_sweep(config: RunConfig) -> int:
 
 def stability_bound(spec: ProblemSpec, tm: mesh_mod.TensorMesh) -> float:
     """(1/alpha) max|f| + max|q|, both sampled on the mesh."""
-    _, _, sources = sample_problem(spec, tm)
-    f_max = max(float(np.max(np.abs(vals))) for vals in sources)
-    q_max = max(abs(float(trace(t))) for trace in spec.q_edges
-                for t in np.concatenate([tm.x.points, tm.y.points]))
+    _, _, sources, traces = sample_problem(spec, tm)
+    f_max, q_max = (max(float(np.max(np.abs(vals))) for vals in group)
+                    for group in (sources, traces))
     return f_max / spec.alpha + q_max
 
 
@@ -306,7 +306,7 @@ def _verify_checks(spec: ProblemSpec, systems: list
          inv is not None and inv >= -1e-12, f"min inverse entry {inv:.3e}"),
         (f"stability bound{at}",
          all(u.max_norm() <= bound for u, bound in zip(solutions, bounds)),
-         "; ".join(f"N={s.n}: |U|={u.max_norm():.4e} bound={bound:.4e}"
+         "; ".join(f"N={s.mesh.n}: |U|={u.max_norm():.4e} bound={bound:.4e}"
                    for s, u, bound in zip(systems, solutions, bounds))),
         (f"raw/transformed agreement (N=16){at}", diff <= 1e-9,
          f"max difference {diff:.3e}"),
@@ -330,8 +330,8 @@ def cmd_verify(config: RunConfig) -> int:
         # Assembly checks the problem data; the findings on every mesh are
         # reported before any solve.
         for (spec, N), tm in zip(cases, meshes):
-            _print_warnings(spec, N)
             try:
+                _print_warnings(spec, N)
                 systems.append(assemble_system(spec, tm, config.variant))
             except MalformedSpec as exc:
                 print(f"error: {exc}", file=sys.stderr)

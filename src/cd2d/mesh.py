@@ -19,11 +19,11 @@ layers along y = 0, y = 1 and both sides of y = d2.  Transition widths:
 Breakpoints (in particular d1 and d2 at index N/2) are assigned exactly,
 never accumulated, because row selection in the discretization keys on the
 interface indices.  ``build_tensor_mesh`` is the one place that computes
-the widths and builds the axes; the mesh records sigma_x and sigma_y.
+the widths and builds the axes; a mesh is the two sorted point arrays plus
+sigma_x and sigma_y.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -33,52 +33,31 @@ from .errors import DimensionMismatch, GeometryError
 from .problems import ProblemSpec, check_mesh_parameter
 
 
-class Axis(enum.Enum):
-    X = "x"
-    Y = "y"
-
-
-@dataclass(frozen=True)
-class Mesh1D:
-    points: np.ndarray
-    breakpoints: tuple[float, ...]
-    counts: tuple[int, ...]
-    axis: Axis
-
-    @property
-    def n(self) -> int:
-        """Number of mesh intervals."""
-        return len(self.points) - 1
-
-    def widths(self) -> np.ndarray:
-        return np.diff(self.points)
-
-
 @dataclass(frozen=True)
 class TensorMesh:
-    x: Mesh1D
-    y: Mesh1D
+    """Sorted point arrays of both axes, each with n + 1 entries."""
+    x: np.ndarray
+    y: np.ndarray
     sigma_x: float
     sigma_y: float
 
     def __post_init__(self):
-        if self.x.n != self.y.n:
-            raise DimensionMismatch(
-                f"axes disagree: {self.x.n} x-intervals vs {self.y.n} y-intervals")
+        if self.x.size != self.y.size:
+            raise DimensionMismatch(f"axes disagree: {self.x.size - 1} x-intervals"
+                                    f" vs {self.y.size - 1} y-intervals")
 
     @property
     def n(self) -> int:
         """Mesh intervals per axis (points are (n+1) x (n+1))."""
-        return self.x.n
+        return self.x.size - 1
 
 
 def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],
-                       axis: Axis) -> Mesh1D:
+                       axis: str) -> np.ndarray:
     """Uniform points inside each piece; piece endpoints assigned exactly."""
     for left, right in zip(breakpoints[:-1], breakpoints[1:]):
         if not right > left:
-            raise GeometryError(
-                f"{axis.value}-pieces out of order: {left} >= {right}")
+            raise GeometryError(f"{axis}-pieces out of order: {left} >= {right}")
     total = sum(counts)
     pts = np.empty(total + 1)
     pos = 0
@@ -89,12 +68,11 @@ def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],
         pos += cnt
     pts[total] = breakpoints[-1]
     if not np.all(np.diff(pts) > 0):
-        raise GeometryError(f"{axis.value}-mesh is not strictly increasing")
-    return Mesh1D(points=pts, breakpoints=tuple(float(b) for b in breakpoints),
-                  counts=tuple(counts), axis=axis)
+        raise GeometryError(f"{axis}-mesh is not strictly increasing")
+    return pts
 
 
-def build_mesh_x(N: int, sx: float, d1: float) -> Mesh1D:
+def build_mesh_x(N: int, sx: float, d1: float) -> np.ndarray:
     """Four-piece x-mesh with N/4 intervals per piece."""
     if sx <= 0.0 or sx > d1 / 2.0 + 1e-15:
         raise GeometryError(f"sigma_x = {sx} outside (0, d1/2] for d1 = {d1}")
@@ -103,10 +81,10 @@ def build_mesh_x(N: int, sx: float, d1: float) -> Mesh1D:
             f"layer piece [1-sigma_x, 1] with sigma_x = {sx} overlaps d1 = {d1}")
     quarter = N // 4
     breakpoints = (0.0, d1 - sx, d1, 1.0 - sx, 1.0)
-    return _piecewise_uniform(breakpoints, (quarter,) * 4, Axis.X)
+    return _piecewise_uniform(breakpoints, (quarter,) * 4, "x")
 
 
-def build_mesh_y(N: int, sy: float, d2: float) -> Mesh1D:
+def build_mesh_y(N: int, sy: float, d2: float) -> np.ndarray:
     """Six-piece y-mesh with counts (N/8, N/4, N/8, N/8, N/4, N/8)."""
     if sy <= 0.0 or sy > d2 / 4.0 + 1e-15:
         raise GeometryError(f"sigma_y = {sy} outside (0, d2/4] for d2 = {d2}")
@@ -116,7 +94,7 @@ def build_mesh_y(N: int, sy: float, d2: float) -> Mesh1D:
     eighth, quarter = N // 8, N // 4
     breakpoints = (0.0, sy, d2 - sy, d2, d2 + sy, 1.0 - sy, 1.0)
     counts = (eighth, quarter, eighth, eighth, quarter, eighth)
-    return _piecewise_uniform(breakpoints, counts, Axis.Y)
+    return _piecewise_uniform(breakpoints, counts, "y")
 
 
 # Every coordinate lies in [0, 1], where one ulp is at most 2^-53.  A point
@@ -146,17 +124,11 @@ def build_tensor_mesh(spec: ProblemSpec, N: int) -> TensorMesh:
                       y=build_mesh_y(N, sy, spec.d2), sigma_x=sx, sigma_y=sy)
 
 
-def bisect_1d(mesh: Mesh1D) -> Mesh1D:
-    """Insert every interval midpoint; old points land at even indices bitwise."""
-    pts = mesh.points
-    out = np.empty(2 * len(pts) - 1)
-    out[0::2] = pts
-    out[1::2] = 0.5 * (pts[:-1] + pts[1:])
-    return Mesh1D(points=out, breakpoints=mesh.breakpoints,
-                  counts=tuple(2 * c for c in mesh.counts), axis=mesh.axis)
-
-
 def bisect(mesh: TensorMesh) -> TensorMesh:
-    """Midpoint refinement; keeps the transition widths of ``mesh``."""
-    return TensorMesh(x=bisect_1d(mesh.x), y=bisect_1d(mesh.y),
-                      sigma_x=mesh.sigma_x, sigma_y=mesh.sigma_y)
+    """Midpoint refinement: old points land at even indices bitwise, and
+    the transition widths of ``mesh`` are kept."""
+    x, y = np.empty(2 * mesh.n + 1), np.empty(2 * mesh.n + 1)
+    for out, pts in ((x, mesh.x), (y, mesh.y)):
+        out[0::2] = pts
+        out[1::2] = 0.5 * (pts[:-1] + pts[1:])
+    return TensorMesh(x=x, y=y, sigma_x=mesh.sigma_x, sigma_y=mesh.sigma_y)

@@ -13,8 +13,8 @@ The four open quadrants are
 
 f is smooth up to the closure of each quadrant, so on the lines it is
 two-valued; ``sample_problem`` samples each quadrant's f on its closed block,
-which gives both one-sided values there, and checks every sample against
-these hypotheses.
+which gives both one-sided values there, and the boundary traces on their
+edges, and checks every sample against these hypotheses.
 """
 from __future__ import annotations
 
@@ -186,14 +186,14 @@ def sample_field(fld: ScalarField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     """Evaluate a scalar field on the tensor grid, shape (len(ys), len(xs)).
 
     Tries a single broadcast call first (all builtin fields support it) and
-    falls back to pointwise evaluation for callables that reject arrays.  A
+    falls back to pointwise evaluation if that call fails in any way.  A
     field that fails pointwise as well raises ``MalformedSpec``.
     """
     X, Y = np.meshgrid(xs, ys)
     try:
         vals = np.broadcast_to(np.asarray(fld(X, Y), dtype=float), X.shape)
         return np.array(vals, dtype=float)
-    except (TypeError, ValueError):
+    except Exception:
         pass
     out = np.empty(X.shape)
     for (j, i), x in np.ndenumerate(X):
@@ -207,10 +207,23 @@ def sample_field(fld: ScalarField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     return out
 
 
-def sample_problem(spec: ProblemSpec, mesh: TensorMesh
-                   ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """a and b on the grid and the quadrant sources f_1..f_4, each on its
-    closed block, checked against the problem hypotheses.
+_EDGES = ("west", "south", "east", "north")
+
+
+def _trace_value(edge: str, trace: EdgeTrace, t: float) -> float:
+    """``float(trace(t))``; any failure raises ``MalformedSpec``."""
+    try:
+        return float(trace(t))
+    except Exception as exc:
+        raise MalformedSpec(f"{edge} trace fails at {t:.6g}: "
+                            f"{type(exc).__name__}: {exc}") from exc
+
+
+def sample_problem(spec: ProblemSpec, mesh: TensorMesh) -> tuple[
+        np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """a and b on the grid, the quadrant sources f_1..f_4, each on its
+    closed block, and the edge traces (west, south, east, north) on their
+    edges, checked against the problem hypotheses.
 
     Block k spans ys[:h+1] (Q1, Q2) or ys[h:] (Q3, Q4) by xs[:h+1] (Q1, Q3)
     or xs[h:] (Q2, Q4), h = n/2, so the lines x = d1 and y = d2 carry the
@@ -219,7 +232,7 @@ def sample_problem(spec: ProblemSpec, mesh: TensorMesh
     otherwise ``MalformedSpec`` lists each finding, joined by "; ".
     """
     half = mesh.n // 2
-    xs, ys = mesh.x.points, mesh.y.points
+    xs, ys = mesh.x, mesh.y
     a = sample_field(spec.a_field, xs, ys)
     b = sample_field(spec.b_field, xs, ys)
     left, right, below, above = xs[:half + 1], xs[half:], ys[:half + 1], ys[half:]
@@ -227,9 +240,16 @@ def sample_problem(spec: ProblemSpec, mesh: TensorMesh
                zip(spec.f_quadrants, (left, right, left, right),
                    (below, below, above, above))]
 
-    errors = []
+    errors, traces = [], []
+    for edge, trace, ts in zip(_EDGES, spec.q_edges, (ys, xs, ys, xs)):
+        try:
+            traces.append(np.array([_trace_value(edge, trace, t) for t in ts]))
+        except MalformedSpec as exc:
+            errors.append(str(exc))
+            traces.append(np.zeros(ts.size))    # reported; not again below
     for fname, vals in [("a", a), ("b", b)] + [
-            (f"f on Q{k}", vals) for k, vals in enumerate(sources, 1)]:
+            (f"f on Q{k}", vals) for k, vals in enumerate(sources, 1)] + [
+            (f"{edge} trace", vals) for edge, vals in zip(_EDGES, traces)]:
         n_bad = int(np.count_nonzero(~np.isfinite(vals)))
         if n_bad:
             errors.append(f"{fname} is not finite at {n_bad} mesh points")
@@ -245,7 +265,7 @@ def sample_problem(spec: ProblemSpec, mesh: TensorMesh
                 f"... and {len(bad) - 5} more {fname} positivity violations")
     if errors:
         raise MalformedSpec("; ".join(errors))
-    return a, b, sources
+    return a, b, sources, traces
 
 
 def validate(spec: ProblemSpec, N: int) -> list[str]:
@@ -253,8 +273,9 @@ def validate(spec: ProblemSpec, N: int) -> list[str]:
 
     The small-layer condition d > 8 (eps/beta) ln N merely separates the
     fitted regime from the classical one, and the boundary traces should
-    agree at the corners.  The hypotheses on a, b and f are checked where
-    assembly samples them (``sample_problem``).
+    agree at the corners; a trace that fails there raises ``MalformedSpec``.
+    The hypotheses on a, b, f and the traces are checked where assembly
+    samples them (``sample_problem``).
     """
     warnings = []
     threshold = 8.0 * (spec.epsilon / spec.beta) * math.log(N)
@@ -264,14 +285,17 @@ def validate(spec: ProblemSpec, N: int) -> list[str]:
                 f"{label} = {d:.6g} <= 8 (eps/beta) ln N = {threshold:.6g}: "
                 "layer width is not small against the subdomain (classical regime)")
 
+    def q(k, t):
+        return _trace_value(_EDGES[k], spec.q_edges[k], t)
+
     corners = [
-        (spec.q_edges[0](0.0), spec.q_edges[1](0.0), "southwest"),
-        (spec.q_edges[2](0.0), spec.q_edges[1](1.0), "southeast"),
-        (spec.q_edges[0](1.0), spec.q_edges[3](0.0), "northwest"),
-        (spec.q_edges[2](1.0), spec.q_edges[3](1.0), "northeast"),
+        (q(0, 0.0), q(1, 0.0), "southwest"),
+        (q(2, 0.0), q(1, 1.0), "southeast"),
+        (q(0, 1.0), q(3, 0.0), "northwest"),
+        (q(2, 1.0), q(3, 1.0), "northeast"),
     ]
     for va, vb, where in corners:
-        if abs(float(va) - float(vb)) > 1e-14 * max(1.0, abs(float(va))):
+        if abs(va - vb) > 1e-14 * max(1.0, abs(va)):
             warnings.append(
                 f"boundary traces disagree at the {where} corner: {va} vs {vb}")
     return warnings

@@ -205,10 +205,10 @@ def write_grid_dump(solution: GridFunction, stream: IO[str]) -> None:
     Each axis is formatted once; a y-row is filled into a template holding
     its x and y strings and written in one call, so memory stays one row.
     """
-    xs = [f"{x:.16e}" for x in solution.mesh.x.points.tolist()]
+    xs = [f"{x:.16e}" for x in solution.mesh.x.tolist()]
     grid = solution.grid()
     lead = ""
-    for j, y in enumerate(solution.mesh.y.points.tolist()):
+    for j, y in enumerate(solution.mesh.y.tolist()):
         sep = f" {y:.16e} %.16e\n"
         stream.write((lead + sep.join(xs) + sep) % tuple(grid[j].tolist()))
         lead = "\n"

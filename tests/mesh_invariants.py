@@ -44,7 +44,7 @@ def check_mesh_invariants(spec, N) -> bool:
     assert tm.sigma_x == sigma_x and tm.sigma_y == sigma_y
     assert 0.0 < sigma_x <= spec.d1 / 2.0
     assert 0.0 < sigma_y <= spec.d2 / 4.0
-    xs, ys = tm.x.points, tm.y.points
+    xs, ys = tm.x, tm.y
     half = N // 2
 
     assert len(xs) == N + 1 and len(ys) == N + 1
@@ -63,15 +63,15 @@ def check_mesh_invariants(spec, N) -> bool:
     assert ys[N - N // 8] == 1.0 - sigma_y
 
     # at most three distinct widths per axis
-    assert distinct_width_count(tm.x.widths()) <= 3
-    assert distinct_width_count(tm.y.widths()) <= 3
+    assert distinct_width_count(np.diff(xs)) <= 3
+    assert distinct_width_count(np.diff(ys)) <= 3
 
     # bisection nests bitwise, stays strictly increasing and keeps the
     # transition widths
     fine = bisect(tm)
     assert fine.n == 2 * N
-    assert np.all(np.diff(fine.x.points) > 0) and np.all(np.diff(fine.y.points) > 0)
+    assert np.all(np.diff(fine.x) > 0) and np.all(np.diff(fine.y) > 0)
     assert (fine.sigma_x, fine.sigma_y) == (tm.sigma_x, tm.sigma_y)
-    assert np.array_equal(fine.x.points[::2], xs)
-    assert np.array_equal(fine.y.points[::2], ys)
+    assert np.array_equal(fine.x[::2], xs)
+    assert np.array_equal(fine.y[::2], ys)
     return True

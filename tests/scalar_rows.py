@@ -11,11 +11,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from cd2d.assembly import (RowKind, Variant, _raw_interface_coeffs,
-                           _transformed_coeffs, _upwind_coeffs)
+from cd2d.assembly import (Variant, _raw_interface_coeffs, _transformed_coeffs,
+                           _upwind_coeffs)
 
 BOUNDARY, INTERIOR, INTERFACE_X, INTERFACE_Y, CROSS = (
     "boundary", "interior", "interface_x", "interface_y", "cross")
+
+# the row each oracle builder lays down
+(INTERIOR_UPWIND, INTERFACE_X_TRANSFORMED, INTERFACE_X_RAW,
+ INTERFACE_Y_MIDPOINT, DIRICHLET) = (
+    "interior upwind", "transformed interface-x", "raw interface-x",
+    "interface-y midpoint", "dirichlet")
 
 
 def point_kind(i, j, n):
@@ -41,11 +47,11 @@ class StencilRow:
     center: tuple[int, int]
     entries: list[tuple[tuple[int, int], float]]
     rhs: float
-    kind: RowKind
+    kind: str
 
 
 def _five_point(spec, mesh, i, j, a_val, b_val, rhs, kind):
-    xs, ys = mesh.x.points, mesh.y.points
+    xs, ys = mesh.x, mesh.y
     center, west, east, south, north = _upwind_coeffs(
         spec.epsilon ** 2, xs[i] - xs[i - 1], xs[i + 1] - xs[i],
         ys[j] - ys[j - 1], ys[j + 1] - ys[j], a_val, b_val)
@@ -55,15 +61,15 @@ def _five_point(spec, mesh, i, j, a_val, b_val, rhs, kind):
 
 
 def interior_row(spec, mesh, i, j):
-    x, y = mesh.x.points[i], mesh.y.points[j]
+    x, y = mesh.x[i], mesh.y[j]
     return _five_point(spec, mesh, i, j, float(spec.a_field(x, y)),
                        float(spec.b_field(x, y)), source_off_lines(spec, x, y),
-                       RowKind.INTERIOR_UPWIND)
+                       INTERIOR_UPWIND)
 
 
 def interface_y_row(spec, mesh, i):
     j = mesh.n // 2
-    x, ys = mesh.x.points[i], mesh.y.points
+    x, ys = mesh.x[i], mesh.y
 
     def hat(fn):
         return 0.5 * (fn(x, ys[j - 1]) + fn(x, ys[j + 1]))
@@ -73,13 +79,13 @@ def interface_y_row(spec, mesh, i):
         hat(lambda x, y: float(spec.a_field(x, y))),
         hat(lambda x, y: float(spec.b_field(x, y))),
         hat(lambda x, y: source_off_lines(spec, x, y)),
-        RowKind.INTERFACE_Y_MIDPOINT)
+        INTERFACE_Y_MIDPOINT)
 
 
 def interface_x_row(spec, mesh, j):
     """Transformed 3-point transmission row at i = n/2 (cross point included)."""
     i = mesh.n // 2
-    xs, ys = mesh.x.points, mesh.y.points
+    xs, ys = mesh.x, mesh.y
     eps2 = spec.epsilon ** 2
     h1, H2 = xs[i] - xs[i - 1], xs[i + 1] - xs[i]
     y = ys[j]
@@ -98,22 +104,22 @@ def interface_x_row(spec, mesh, j):
     rhs = (h1 / (4.0 * e_minus)) * f_m + (H2 / (4.0 * eps2)) * f_p
     entries = [((i - 1, j), west), ((i, j), center), ((i + 1, j), east)]
     return StencilRow(center=(i, j), entries=entries, rhs=rhs,
-                      kind=RowKind.INTERFACE_X_TRANSFORMED)
+                      kind=INTERFACE_X_TRANSFORMED)
 
 
 def interface_x_row_raw(spec, mesh, j):
     """Raw 5-point derivative-matching row at i = n/2, rhs 0."""
     i = mesh.n // 2
-    xs = mesh.x.points
+    xs = mesh.x
     coeffs = _raw_interface_coeffs(xs[i] - xs[i - 1], xs[i + 1] - xs[i])
     entries = [((i + d, j), c) for d, c in zip(range(-2, 3), coeffs)]
     return StencilRow(center=(i, j), entries=entries, rhs=0.0,
-                      kind=RowKind.INTERFACE_X_RAW)
+                      kind=INTERFACE_X_RAW)
 
 
 def dirichlet_row(spec, mesh, i, j):
     n = mesh.n
-    x, y = mesh.x.points[i], mesh.y.points[j]
+    x, y = mesh.x[i], mesh.y[j]
     if i == 0:
         rhs = float(spec.q_edges[0](y))
     elif i == n:
@@ -123,7 +129,7 @@ def dirichlet_row(spec, mesh, i, j):
     else:
         rhs = float(spec.q_edges[3](x))
     return StencilRow(center=(i, j), entries=[((i, j), 1.0)], rhs=rhs,
-                      kind=RowKind.DIRICHLET)
+                      kind=DIRICHLET)
 
 
 def oracle_row(spec, mesh, i, j, variant=Variant.TRANSFORMED):
@@ -141,11 +147,11 @@ def oracle_row(spec, mesh, i, j, variant=Variant.TRANSFORMED):
 
 
 def oracle_system(spec, mesh, variant=Variant.TRANSFORMED):
-    """(CSR matrix with sorted indices, rhs, int8 row kinds), row by row."""
+    """(CSR matrix with sorted indices, rhs, row labels), row by row."""
     m = mesh.n + 1
     rows, cols, vals = [], [], []
     rhs = np.zeros(m * m)
-    kinds = np.empty(m * m, dtype=np.int8)
+    kinds = []
     for j in range(m):
         for i in range(m):
             row = oracle_row(spec, mesh, i, j, variant)
@@ -155,7 +161,7 @@ def oracle_system(spec, mesh, variant=Variant.TRANSFORMED):
                 cols.append(cj * m + ci)
                 vals.append(val)
             rhs[k] = row.rhs
-            kinds[k] = int(row.kind)
+            kinds.append(row.kind)
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(m * m, m * m)).tocsr()
     matrix.sort_indices()
     return matrix, rhs, kinds

@@ -13,11 +13,9 @@ from scipy.interpolate import RegularGridInterpolator
 
 import cd2d
 from cd2d import (
-    Axis,
     ConvergenceTable,
     DoubleMeshMode,
     GridFunction,
-    Mesh1D,
     TensorMesh,
     Variant,
     bisect,
@@ -102,16 +100,15 @@ def test_bilinear_estimate_matches_on_nested_pair(ex1, ex2):
 def oracle_read(fine, xs, ys):
     """The fine solution at the points (ys x xs) through scipy's bilinear read."""
     interp = RegularGridInterpolator(
-        (fine.mesh.y.points, fine.mesh.x.points), fine.grid(), method="linear")
+        (fine.mesh.y, fine.mesh.x), fine.grid(), method="linear")
     X, Y = np.meshgrid(xs, ys)
     return interp(np.stack([Y.ravel(), X.ravel()], axis=1)).reshape(X.shape)
 
 
 def grid_function(xs, ys, values):
     """GridFunction on the tensor mesh of arbitrary axes xs, ys."""
-    n = len(xs) - 1
-    mesh = TensorMesh(x=Mesh1D(np.asarray(xs), (0.0, 1.0), (n,), Axis.X),
-                      y=Mesh1D(np.asarray(ys), (0.0, 1.0), (n,), Axis.Y),
+    mesh = TensorMesh(x=np.asarray(xs, dtype=float),
+                      y=np.asarray(ys, dtype=float),
                       sigma_x=math.nan, sigma_y=math.nan)
     return GridFunction(mesh=mesh, values=np.asarray(values, dtype=float).ravel())
 
@@ -124,7 +121,7 @@ def test_bilinear_estimate_matches_oracle_on_regenerate_pairs(name):
         for N in (8, 16, 64):
             coarse = solve_direct(assemble_system(spec, build_tensor_mesh(spec, N)))
             fine = solve_direct(assemble_system(spec, build_tensor_mesh(spec, 2 * N)))
-            read = oracle_read(fine, coarse.mesh.x.points, coarse.mesh.y.points)
+            read = oracle_read(fine, coarse.mesh.x, coarse.mesh.y)
             expect = float(np.max(np.abs(read - coarse.grid())))
             got = double_mesh_error(coarse, fine)
             assert got == pytest.approx(expect, rel=1e-13, abs=0.0), (eps, N)
@@ -181,10 +178,8 @@ def test_bilinear_estimate_mismatch(ex1):
             double_mesh_error(coarse, GridFunction(
                 mesh=build_tensor_mesh(ex1, N), values=np.zeros((N + 1) ** 2)))
     tm16 = build_tensor_mesh(ex1, 16)
-    short_x = dataclasses.replace(
-        tm16, x=dataclasses.replace(tm16.x, points=0.9 * tm16.x.points))
-    late_y = dataclasses.replace(
-        tm16, y=dataclasses.replace(tm16.y, points=0.1 + 0.9 * tm16.y.points))
+    short_x = dataclasses.replace(tm16, x=0.9 * tm16.x)
+    late_y = dataclasses.replace(tm16, y=0.1 + 0.9 * tm16.y)
     for mesh, axis in ((short_x, "x"), (late_y, "y")):
         with pytest.raises(MeshMismatch, match=f"fine {axis} axis"):
             double_mesh_error(coarse, GridFunction(
@@ -249,14 +244,52 @@ def test_run_cell_checks_the_companion_mesh(ex1, field, value):
     # bad data on an x line only the bisected companion has
     spec = ex1.with_epsilon(1e-2)
     coarse = build_tensor_mesh(spec, 16)
-    line = bisect(coarse).x.points[3]
-    assert line not in coarse.x.points
+    line = bisect(coarse).x[3]
+    assert line not in coarse.x
     default = getattr(spec, field)
     probe = dataclasses.replace(spec, **{field: lambda x, y: np.where(
         x == line, value, default(x, y))})
     cell = run_cell(probe, 16)
     assert cell.error.startswith("MalformedSpec: "), cell.error
     assert math.isnan(cell.d_eps)
+
+
+def test_run_cell_assembles_the_companion_before_any_solve(ex1):
+    # b = 1 on a line only the bisected companion has: the cell fails
+    # before the coarse LU
+    spec = ex1.with_epsilon(1e-2)
+    line = bisect(build_tensor_mesh(spec, 64)).x[3]
+    probe = dataclasses.replace(spec, b_field=lambda x, y: np.where(
+        x == line, 1.0, 25.0))
+    cell = run_cell(probe, 64)
+    assert cell.error.startswith("MalformedSpec: b("), cell.error
+    assert cell.timings["solve_s"] == 0.0
+    assert math.isnan(cell.residual_coarse)
+
+
+def _west_fails_inside(y):
+    if 0.2 < y < 0.8:
+        raise ValueError("no data inside")
+    return 0.0
+
+
+def _west_nan_inside(y):
+    return math.nan if 0.2 < y < 0.8 else 0.0
+
+
+@pytest.mark.parametrize("trace, error", [
+    (_west_fails_inside, "MalformedSpec: west trace fails at 0.25: "
+                         "ValueError: no data inside"),
+    (_west_nan_inside, "MalformedSpec: west trace is not finite at 9 mesh "
+                       "points")])
+def test_run_cell_bad_trace_is_a_validation_error(ex1, trace, error):
+    # the traces are sampled and checked with the rest of the data, so a
+    # raising trace stays in its cell and a NaN one costs no LU
+    spec = dataclasses.replace(ex1.with_epsilon(1e-2),
+                               q_edges=(trace, *ex1.q_edges[1:]))
+    cell = run_cell(spec, 16)
+    assert cell.error == error
+    assert cell.timings["solve_s"] == 0.0
 
 
 @given(problem=st.sampled_from(["Example1", "Example2"]),
@@ -345,7 +378,7 @@ def count_solves(monkeypatch):
     calls = []
 
     def counting(system):
-        calls.append(system.n)
+        calls.append(system.mesh.n)
         return solve_direct(system)
 
     monkeypatch.setattr(analysis, "solve_direct", counting)

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from cd2d import (
     LinearSystem,
-    RowKind,
     Variant,
     assemble_system,
     build_tensor_mesh,
@@ -22,14 +21,19 @@ from scalar_rows import oracle_system, source_off_lines
 REL = 1e-12
 
 
+def flat(system, i, j):
+    """Row-major index of point (i, j)."""
+    return j * (system.mesh.n + 1) + i
+
+
 def assembled_row(spec, tm, i, j, variant=Variant.TRANSFORMED):
-    """Row (i, j) of the assembled system: {(ci, cj): value}, rhs, kind."""
+    """Row (i, j) of the assembled system: {(ci, cj): value}, rhs."""
     system = assemble_system(spec, tm, variant)
-    k = system.flat_index(i, j)
+    k = flat(system, i, j)
     lo, hi = system.matrix.indptr[k], system.matrix.indptr[k + 1]
-    entries = {system.grid_index(c): float(v) for c, v in
+    entries = {divmod(int(c), tm.n + 1)[::-1]: float(v) for c, v in
                zip(system.matrix.indices[lo:hi], system.matrix.data[lo:hi])}
-    return entries, float(system.rhs[k]), RowKind(system.row_kinds[k])
+    return entries, float(system.rhs[k])
 
 
 def uniform_mesh_8():
@@ -46,8 +50,7 @@ def test_interior_row_uniform_frozen(ex1):
     # eps = 1e-2, a = 2, b = 25, h = k = 1/8 by hand:
     #   C = 4*64e-4 + 16 + 25, W = -(64e-4 + 16), E = S = N = -64e-4
     spec = ex1.with_epsilon(1e-2)
-    m, rhs, kind = assembled_row(spec, uniform_mesh_8(), 1, 1)
-    assert kind is RowKind.INTERIOR_UPWIND
+    m, rhs = assembled_row(spec, uniform_mesh_8(), 1, 1)
     assert m[(1, 1)] == pytest.approx(41.0256, rel=REL)
     assert m[(0, 1)] == pytest.approx(-16.0064, rel=REL)
     assert m[(2, 1)] == pytest.approx(-0.0064, rel=REL)
@@ -59,7 +62,7 @@ def test_interior_row_uniform_frozen(ex1):
 def test_interior_row_nonuniform_frozen(ex1):
     # point (2,1) of the N = 8 fitted mesh: hL coarse, hR fine, kB = sigma_y
     tm = build_tensor_mesh(ex1, 8)
-    m, rhs, _ = assembled_row(ex1, tm, 2, 1)
+    m, rhs = assembled_row(ex1, tm, 2, 1)
     assert m[(2, 1)] == pytest.approx(42.816756386153378, rel=REL)
     assert m[(1, 1)] == pytest.approx(-8.681034056851071, rel=REL)
     assert m[(3, 1)] == pytest.approx(-7.6943735514078048, rel=REL)
@@ -72,9 +75,9 @@ def test_interior_row_sum_is_b(ex1, ex2):
     for spec in (ex1, ex2.with_epsilon(1e-3)):
         tm = build_tensor_mesh(spec, 16)
         for i, j in ((1, 1), (3, 7), (12, 2), (7, 11), (15, 15)):
-            m, _, _ = assembled_row(spec, tm, i, j)
+            m, _ = assembled_row(spec, tm, i, j)
             coeffs = list(m.values())
-            b_val = spec.b_field(tm.x.points[i], tm.y.points[j])
+            b_val = spec.b_field(tm.x[i], tm.y[j])
             scale = sum(abs(c) for c in coeffs)
             assert abs(sum(coeffs) - b_val) <= 1e-12 * scale
 
@@ -83,20 +86,23 @@ def test_interior_row_signs(ex1, ex2):
     for spec in (ex1.with_epsilon(1e-4), ex2):
         tm = build_tensor_mesh(spec, 16)
         for i, j in ((1, 1), (5, 3), (12, 13), (9, 2)):
-            m, _, _ = assembled_row(spec, tm, i, j)
+            m, _ = assembled_row(spec, tm, i, j)
             assert len(m) == 5
             center = m.pop((i, j))
-            b_val = spec.b_field(tm.x.points[i], tm.y.points[j])
+            b_val = spec.b_field(tm.x[i], tm.y[j])
             assert center >= b_val
             assert all(v < 0 for v in m.values())
 
 
 def test_interior_row_wrong_kind(ex1):
-    # boundary, x-interface and y-line points do not get upwind rows
+    # boundary, x-interface and y-line points do not get upwind rows: an
+    # identity row, a 3-point transmission row, and a 5-point row whose
+    # rhs averages the sources above and below y = d2
     tm = build_tensor_mesh(ex1, 8)
-    assert assembled_row(ex1, tm, 0, 3)[2] is RowKind.DIRICHLET
-    assert assembled_row(ex1, tm, 4, 3)[2] is RowKind.INTERFACE_X_TRANSFORMED
-    assert assembled_row(ex1, tm, 3, 4)[2] is RowKind.INTERFACE_Y_MIDPOINT
+    assert assembled_row(ex1, tm, 0, 3) == ({(0, 3): 1.0}, 0.0)
+    assert len(assembled_row(ex1, tm, 4, 3)[0]) == 3
+    m, rhs = assembled_row(ex1, tm, 3, 4)
+    assert len(m) == 5 and rhs == pytest.approx(-0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +111,7 @@ def test_interior_row_wrong_kind(ex1):
 
 def test_midpoint_row_averages_example2(ex2):
     tm = build_tensor_mesh(ex2, 8)
-    m, rhs, kind = assembled_row(ex2, tm, 1, 4)
-    assert kind is RowKind.INTERFACE_Y_MIDPOINT
+    m, rhs = assembled_row(ex2, tm, 1, 4)
     assert m[(1, 4)] == pytest.approx(50.600747127469543, rel=REL)
     assert m[(0, 4)] == pytest.approx(-22.374905877214991, rel=REL)
     assert m[(2, 4)] == pytest.approx(-0.2781701611703948, rel=REL)
@@ -120,17 +125,17 @@ def test_midpoint_rhs_is_two_sided_average(ex1):
     system = assemble_system(ex1, tm)
     # source averages (0.5, -0.6) left of d1 and (0.6, -0.5) right of it
     for i in (1, 2, 3):
-        assert system.rhs[system.flat_index(i, 4)] == pytest.approx(-0.05)
+        assert system.rhs[flat(system, i, 4)] == pytest.approx(-0.05)
     for i in (5, 6, 7):
-        assert system.rhs[system.flat_index(i, 4)] == pytest.approx(0.05)
+        assert system.rhs[flat(system, i, 4)] == pytest.approx(0.05)
 
 
 def test_midpoint_row_sum_is_b_hat(ex2):
     tm = build_tensor_mesh(ex2, 16)
-    ys = tm.y.points
+    ys = tm.y
     for i in (1, 5, 11):
-        m, _, _ = assembled_row(ex2, tm, i, 8)
-        x = tm.x.points[i]
+        m, _ = assembled_row(ex2, tm, i, 8)
+        x = tm.x[i]
         b_hat = 0.5 * (ex2.b_field(x, ys[7]) + ex2.b_field(x, ys[9]))
         coeffs = list(m.values())
         scale = sum(abs(c) for c in coeffs)
@@ -138,10 +143,11 @@ def test_midpoint_row_sum_is_b_hat(ex2):
 
 
 def test_midpoint_row_wrong_kind(ex1):
-    # the cross point and the ends of the line y = d2 are not midpoint rows
+    # the cross point and the ends of the line y = d2 are not midpoint rows:
+    # a 3-point transmission row and an identity row
     tm = build_tensor_mesh(ex1, 8)
-    assert assembled_row(ex1, tm, 4, 4)[2] is RowKind.INTERFACE_X_TRANSFORMED
-    assert assembled_row(ex1, tm, 0, 4)[2] is RowKind.DIRICHLET
+    assert len(assembled_row(ex1, tm, 4, 4)[0]) == 3
+    assert assembled_row(ex1, tm, 0, 4) == ({(0, 4): 1.0}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +156,21 @@ def test_midpoint_row_wrong_kind(ex1):
 
 def test_transformed_row_frozen(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    m, rhs, kind = assembled_row(ex1, tm, 4, 2)
-    assert kind is RowKind.INTERFACE_X_TRANSFORMED
+    m, rhs = assembled_row(ex1, tm, 4, 2)
     assert len(m) == 3
     assert m[(4, 2)] == pytest.approx(32.826663929770055, rel=REL)
     assert m[(3, 2)] == pytest.approx(-126.54288425370686, rel=REL)
     assert m[(5, 2)] == pytest.approx(245.57817111645673, rel=REL)
     assert rhs == pytest.approx(3.6362459965794006, rel=REL)
     # above y = d2 only the one-sided source values change
-    upper, upper_rhs, _ = assembled_row(ex1, tm, 4, 6)
+    upper, upper_rhs = assembled_row(ex1, tm, 4, 6)
     assert upper[(4, 6)] == m[(4, 2)]
     assert upper_rhs == pytest.approx(-3.0456798382914762, rel=REL)
 
 
 def test_transformed_cross_row_uses_neighbour_averages(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    m, rhs, _ = assembled_row(ex1, tm, 4, 4)
+    m, rhs = assembled_row(ex1, tm, 4, 4)
     # coefficients agree with the off-cross rows (a, b continuous there)
     assert m[(4, 4)] == pytest.approx(32.826663929770055, rel=REL)
     assert rhs == pytest.approx(0.29528307914396219, rel=REL)
@@ -175,12 +180,12 @@ def test_transformed_row_sum_identity(ex1, ex2):
     # sum of the three coefficients equals h1 b-/(4 E-) + H2 b+/(4 eps^2)
     for spec in (ex1, ex2.with_epsilon(1e-2)):
         tm = build_tensor_mesh(spec, 16)
-        xs, ys = tm.x.points, tm.y.points
+        xs, ys = tm.x, tm.y
         i = 8
         h1, H2 = xs[i] - xs[i - 1], xs[i + 1] - xs[i]
         eps2 = spec.epsilon ** 2
         for j in (1, 8, 13):
-            m, _, _ = assembled_row(spec, tm, i, j)
+            m, _ = assembled_row(spec, tm, i, j)
             b_m = spec.b_field(xs[i - 1], ys[j])
             b_p = spec.b_field(xs[i + 1], ys[j])
             e_minus = eps2 + h1 * spec.a_field(xs[i - 1], ys[j])
@@ -193,7 +198,7 @@ def test_transformed_row_sum_identity(ex1, ex2):
 
 def test_transformed_row_sum_identity_frozen(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    m, _, _ = assembled_row(ex1, tm, 4, 2)
+    m, _ = assembled_row(ex1, tm, 4, 2)
     assert sum(m.values()) == pytest.approx(151.86195079251993, rel=1e-10)
 
 
@@ -203,15 +208,15 @@ def test_transformed_east_coefficient_positive(ex1, ex2):
     for spec in (ex1, ex2):
         for eps in (1e-1, 1e-3, 1e-6):
             tm = build_tensor_mesh(spec.with_epsilon(eps), 16)
-            m, _, _ = assembled_row(spec.with_epsilon(eps), tm, 8, 3)
+            m, _ = assembled_row(spec.with_epsilon(eps), tm, 8, 3)
             assert m[(9, 3)] > 0.0
 
 
 def test_interface_x_row_wrong_kind(ex1):
-    # the ends of the line x = d1 are Dirichlet rows in both variants
+    # the ends of the line x = d1 are identity rows in both variants
     tm = build_tensor_mesh(ex1, 8)
-    assert assembled_row(ex1, tm, 4, 0)[2] is RowKind.DIRICHLET
-    assert assembled_row(ex1, tm, 4, 8, Variant.RAW)[2] is RowKind.DIRICHLET
+    assert assembled_row(ex1, tm, 4, 0) == ({(4, 0): 1.0}, 0.0)
+    assert assembled_row(ex1, tm, 4, 8, Variant.RAW) == ({(4, 8): 1.0}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +225,7 @@ def test_interface_x_row_wrong_kind(ex1):
 
 def test_raw_row_frozen(ex1):
     tm = build_tensor_mesh(ex1, 8)
-    m, rhs, kind = assembled_row(ex1, tm, 4, 2, Variant.RAW)
-    assert kind is RowKind.INTERFACE_X_RAW
+    m, rhs = assembled_row(ex1, tm, 4, 2, Variant.RAW)
     assert rhs == 0.0
     assert m[(2, 2)] == pytest.approx(48.08983469629878, rel=REL)
     assert m[(3, 2)] == pytest.approx(-192.35933878519512, rel=REL)
@@ -240,8 +244,8 @@ def test_raw_row_uniform_pattern():
 def test_raw_row_annihilates_linears(ex1, ex2):
     for spec in (ex1, ex2.with_epsilon(1e-4)):
         tm = build_tensor_mesh(spec, 16)
-        xs = tm.x.points
-        m, _, _ = assembled_row(spec, tm, 8, 5, Variant.RAW)
+        xs = tm.x
+        m, _ = assembled_row(spec, tm, 8, 5, Variant.RAW)
         scale = sum(abs(v) for v in m.values())
         const = sum(m.values())
         lin = sum(v * xs[ci] for (ci, _), v in m.items())
@@ -254,7 +258,7 @@ def test_raw_row_annihilates_linears(ex1, ex2):
 def test_raw_row_requires_equal_one_sided_spacings(ex1):
     # the mesh guarantees x[i-2]..x[i] and x[i]..x[i+2] are each uniform
     tm = build_tensor_mesh(ex1.with_epsilon(1e-3), 32)
-    xs = tm.x.points
+    xs = tm.x
     i = 16
     assert xs[i] - xs[i - 1] == pytest.approx(xs[i - 1] - xs[i - 2], rel=1e-13)
     assert xs[i + 1] - xs[i] == pytest.approx(xs[i + 2] - xs[i + 1], rel=1e-13)
@@ -276,7 +280,7 @@ def eliminate_outer_unknowns(spec, tm, j):
 
     which turns the 5-point derivative-matching row into a 3-point row.
     """
-    xs, ys = tm.x.points, tm.y.points
+    xs, ys = tm.x, tm.y
     i = tm.n // 2
     eps2 = spec.epsilon ** 2
     h1, H2 = xs[i] - xs[i - 1], xs[i + 1] - xs[i]
@@ -302,7 +306,7 @@ def test_elimination_reproduces_transformed_row(ex1, ex2):
     for spec in (ex1, ex2.with_epsilon(1e-2)):
         tm = build_tensor_mesh(spec, 16)
         for j in (2, 11):
-            m, row_rhs, _ = assembled_row(spec, tm, 8, j)
+            m, row_rhs = assembled_row(spec, tm, 8, j)
             west, center, east, rhs = eliminate_outer_unknowns(spec, tm, j)
             scale = abs(west) + abs(center) + abs(east)
             assert abs(m[(7, j)] - west) <= 1e-12 * scale
@@ -325,18 +329,18 @@ def test_exact_elimination_of_assembled_rows_couples_y_neighbours(ex1):
     A = system.matrix.toarray()
     rhs = system.rhs.copy()
     j = 2
-    r = system.flat_index(4, j)
+    r = flat(system, 4, j)
     row = A[r].copy()
     b = rhs[r]
     for ci in (2, 6):
-        c = system.flat_index(ci, j)
+        c = flat(system, ci, j)
         factor = row[c] / A[c, c]
         row -= factor * A[c]
         b -= factor * rhs[c]
-    assert abs(row[system.flat_index(2, j)]) < 1e-9
-    assert abs(row[system.flat_index(6, j)]) < 1e-9
+    assert abs(row[flat(system, 2, j)]) < 1e-9
+    assert abs(row[flat(system, 6, j)]) < 1e-9
     support = np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())
-    offline = [k for k in support if system.grid_index(k)[1] != j]
+    offline = [k for k in support if k // 9 != j]
     assert offline, "expected couplings onto neighbouring y-lines"
     assert len(support) > 3
 
@@ -355,7 +359,7 @@ def test_dirichlet_rows_pick_edge_traces(ex1):
     system = assemble_system(spec, tm)
 
     def rhs(i, j):
-        return system.rhs[system.flat_index(i, j)]
+        return system.rhs[flat(system, i, j)]
 
     # edge interiors
     assert rhs(0, 3) == 1.0
@@ -372,36 +376,26 @@ def test_dirichlet_rows_pick_edge_traces(ex1):
     assert rhs(4, 8) == 4.0
     assert rhs(0, 4) == 1.0
     assert rhs(8, 4) == 3.0
-    m, _, kind = assembled_row(spec, tm, 0, 0)
-    assert m == {(0, 0): 1.0} and kind is RowKind.DIRICHLET
-    assert assembled_row(spec, tm, 3, 3)[2] is RowKind.INTERIOR_UPWIND
+    assert assembled_row(spec, tm, 0, 0) == ({(0, 0): 1.0}, 1.0)
+    assert len(assembled_row(spec, tm, 3, 3)[0]) == 5
 
 
 # ---------------------------------------------------------------------------
 # whole-system assembly
 
 
-def test_flat_index_roundtrip(ex1):
-    tm = build_tensor_mesh(ex1, 8)
-    system = assemble_system(ex1, tm)
-    assert system.flat_index(3, 5) == 5 * 9 + 3
-    for i, j in ((0, 0), (4, 4), (8, 8), (3, 7)):
-        k = system.flat_index(i, j)
-        assert system.grid_index(k) == (i, j)
-
-
 def test_row_kind_census_n8(ex1):
+    # the row classes by stencil size: 32 identity rows, 7 transformed
+    # 3-point rows, 36 interior and 6 midpoint 5-point rows; the raw
+    # variant turns the 7 transmission rows into 5-point rows
     tm = build_tensor_mesh(ex1, 8)
     system = assemble_system(ex1, tm, Variant.TRANSFORMED)
-    kinds = system.row_kinds
     assert system.dimension == 81
-    assert np.sum(kinds == int(RowKind.INTERFACE_X_TRANSFORMED)) == 7
-    assert np.sum(kinds == int(RowKind.INTERFACE_Y_MIDPOINT)) == 6
-    assert np.sum(kinds == int(RowKind.DIRICHLET)) == 32
-    assert np.sum(kinds == int(RowKind.INTERIOR_UPWIND)) == 36
+    sizes = np.bincount(np.diff(system.matrix.indptr))
+    assert (sizes[1], sizes[3], sizes[5]) == (32, 7, 42)
     raw = assemble_system(ex1, tm, Variant.RAW)
-    assert np.sum(raw.row_kinds == int(RowKind.INTERFACE_X_RAW)) == 7
-    assert np.sum(raw.row_kinds == int(RowKind.INTERFACE_X_TRANSFORMED)) == 0
+    raw_sizes = np.bincount(np.diff(raw.matrix.indptr))
+    assert (raw_sizes[1], raw_sizes[3], raw_sizes[5]) == (32, 0, 49)
 
 
 def test_transformed_rows_have_three_entries(ex1):
@@ -409,11 +403,11 @@ def test_transformed_rows_have_three_entries(ex1):
     system = assemble_system(ex1, tm, Variant.TRANSFORMED)
     nnz_per_row = np.diff(system.matrix.indptr)
     for j in range(1, 16):
-        assert nnz_per_row[system.flat_index(8, j)] == 3
+        assert nnz_per_row[flat(system, 8, j)] == 3
     raw = assemble_system(ex1, tm, Variant.RAW)
     nnz_raw = np.diff(raw.matrix.indptr)
     for j in range(1, 16):
-        assert nnz_raw[raw.flat_index(8, j)] == 5
+        assert nnz_raw[flat(raw, 8, j)] == 5
 
 
 def _curved(x, y):
@@ -427,7 +421,7 @@ def _cubic(x, y):
 def test_bulk_assembly_matches_scalar_rows(ex1, ex2):
     """The array-built system against the row-by-row oracle.
 
-    Matrix and row kinds agree bitwise.  The rhs agrees bitwise for Example1
+    The matrix agrees bitwise.  The rhs agrees bitwise for Example1
     (constant sources); Example2's f2 = -(1 + x^2 y^2) may differ by one
     ulp, because numpy evaluates x ** 2 with pow() on a float64 scalar (the
     oracle) but as x * x on an array (assemble_system).  The third problem
@@ -446,9 +440,9 @@ def test_bulk_assembly_matches_scalar_rows(ex1, ex2):
                 for attr in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(system.matrix, attr),
                                           getattr(matrix, attr)), attr
-                assert np.array_equal(system.row_kinds, kinds)
                 ulps = np.abs(system.rhs - rhs) / np.spacing(np.abs(rhs))
-                assert ulps.max() <= rhs_ulps
+                assert ulps.max() <= rhs_ulps, {
+                    kinds[k] for k in np.flatnonzero(ulps > rhs_ulps)}
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +453,8 @@ def test_m_matrix_check_identity(ex1):
     tm = build_tensor_mesh(ex1, 8)
     dim = 81
     system = LinearSystem(
-        matrix=sp.identity(dim, format="csr"), rhs=np.zeros(dim), n=8,
-        mesh=tm, variant=Variant.TRANSFORMED,
-        row_kinds=np.full(dim, int(RowKind.DIRICHLET), dtype=np.int8))
+        matrix=sp.identity(dim, format="csr"), rhs=np.zeros(dim), mesh=tm,
+        variant=Variant.TRANSFORMED)
     report = m_matrix_check(system)
     assert report.sign_ok
     assert report.n_sign_violations == 0

@@ -125,6 +125,23 @@ def test_config_desk_must_be_boolean(tmp_path, capsys, monkeypatch):
         "config error: [run] desk cannot be 'maybe'\n")
 
 
+def test_workers_below_one_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
+    monkeypatch.setattr(analysis, "run_sweep", must_not_run)
+    for workers in ("0", "-2"):
+        rc = main(["sweep", "--epsilon", "1e-2", "--N", "16", "--workers",
+                   workers, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: workers must be at least 1, got {workers}\n")
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nepsilons = 1e-2\nns = 16\nworkers = 0\n")
+    rc = main(["sweep", "--config", str(ini), "--out-dir", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: workers must be at least 1, got 0\n")
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -182,6 +199,34 @@ def test_solve_data_error_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "error: b is not finite at 289 mesh points\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _west_fails_inside(y):
+    if 0.2 < y < 0.8:
+        raise ValueError("no data inside")
+    return 0.0
+
+
+def test_failing_trace_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # solve and verify report the trace and exit 2, with no solve
+    monkeypatch.setattr(cli, "solve_direct", must_not_run)
+    monkeypatch.setattr(analysis, "solve_direct", must_not_run)
+    name = "cli_failing_trace_probe"
+    try:
+        register_problem(name, lambda: dataclasses.replace(
+            builtin_problem("example1"), name=name,
+            q_edges=(_west_fails_inside,) * 4))
+        common = ["--problem", name, "--epsilon", "1e-2"]
+        for args in (["solve", *common, "--N", "16", "--out-dir", str(tmp_path)],
+                     ["verify", *common]):
+            rc = main(args)
+            assert rc == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: west trace fails at 0.25: "
+                                  "ValueError: no data inside; "), err
+    finally:
+        _REGISTRY.pop(name, None)
     assert list(tmp_path.iterdir()) == []
 
 

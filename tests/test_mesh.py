@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cd2d import (
-    Axis,
-    Mesh1D,
-    TensorMesh,
-    bisect,
-    bisect_1d,
-    build_tensor_mesh,
-    builtin_problem,
-)
+from cd2d import TensorMesh, bisect, build_tensor_mesh, builtin_problem
 from cd2d.errors import BadN, DimensionMismatch, GeometryError
 from cd2d.mesh import build_mesh_x, build_mesh_y
 
@@ -57,56 +49,54 @@ def test_transition_widths_bad_n(ex1):
 
 def test_x_mesh_simple_widths():
     # round numbers so every coordinate can be checked by eye
-    m = build_mesh_x(8, 0.1, d1=0.5)
-    assert m.axis is Axis.X
-    assert m.counts == (2, 2, 2, 2)
-    assert np.allclose(m.points,
-                       [0.0, 0.2, 0.4, 0.45, 0.5, 0.7, 0.9, 0.95, 1.0],
+    # two intervals per piece
+    xs = build_mesh_x(8, 0.1, d1=0.5)
+    assert np.allclose(xs, [0.0, 0.2, 0.4, 0.45, 0.5, 0.7, 0.9, 0.95, 1.0],
                        rtol=0, atol=1e-15)
-    assert m.points[4] == 0.5
+    assert xs[4] == 0.5
 
 
 def test_y_mesh_simple_widths():
-    m = build_mesh_y(8, 0.1, d2=0.5)
-    assert m.axis is Axis.Y
-    assert m.counts == (1, 2, 1, 1, 2, 1)
-    assert np.allclose(m.points,
-                       [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0],
+    # piece counts (1, 2, 1, 1, 2, 1)
+    ys = build_mesh_y(8, 0.1, d2=0.5)
+    assert np.allclose(ys, [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0],
                        rtol=0, atol=1e-15)
-    assert m.points[4] == 0.5
+    assert ys[4] == 0.5
 
 
 def test_example1_mesh_frozen(ex1):
     tm = build_tensor_mesh(ex1, 8)
     assert tm.sigma_x == SX_EX1_N8
     assert tm.sigma_y == SY_EX1_N8
-    assert list(tm.x.points) == X_EX1_N8
-    assert list(tm.y.points) == Y_EX1_N8
+    assert list(tm.x) == X_EX1_N8
+    assert list(tm.y) == Y_EX1_N8
 
 
 def test_breakpoints_assigned_exactly(ex1):
     for N in (8, 64, 256):
         for eps in (1e-1, 1e-4):
             tm = build_tensor_mesh(ex1.with_epsilon(eps), N)
-            assert tm.x.points[N // 2] == ex1.d1
-            assert tm.y.points[N // 2] == ex1.d2
-            assert tm.x.points[-1] == 1.0
-            assert tm.y.points[-1] == 1.0
+            sx, sy = tm.sigma_x, tm.sigma_y
+            assert list(tm.x[::N // 4]) == [0.0, ex1.d1 - sx, ex1.d1,
+                                            1.0 - sx, 1.0]
+            assert list(tm.y[[0, N // 8, 3 * N // 8, N // 2, 5 * N // 8,
+                              7 * N // 8, N]]) == [
+                0.0, sy, ex1.d2 - sy, ex1.d2, ex1.d2 + sy, 1.0 - sy, 1.0]
 
 
 def test_uniform_when_sigma_hits_fraction(ex1):
     # sigma_x = d1/2 makes all four x-pieces the same width
     tm = build_tensor_mesh(ex1.with_epsilon(0.5), 32)
-    assert distinct_width_count(tm.x.widths()) == 1
-    assert np.allclose(tm.x.widths(), 1.0 / 32, rtol=0, atol=1e-15)
+    assert distinct_width_count(np.diff(tm.x)) == 1
+    assert np.allclose(np.diff(tm.x), 1.0 / 32, rtol=0, atol=1e-15)
 
 
 def test_distinct_width_census(ex1, ex2):
     for spec in (ex1, ex2):
         for eps in (1e-1, 1e-3, 1e-6):
             tm = build_tensor_mesh(spec.with_epsilon(eps), 32)
-            assert distinct_width_count(tm.x.widths()) <= 3
-            assert distinct_width_count(tm.y.widths()) <= 3
+            assert distinct_width_count(np.diff(tm.x)) <= 3
+            assert distinct_width_count(np.diff(tm.y)) <= 3
 
 
 def test_nominal_widths_example1(ex1):
@@ -114,10 +104,10 @@ def test_nominal_widths_example1(ex1):
     # and k1, K1, k1, k1, K2, k1 in y (counts 1, 2, 1, 1, 2, 1)
     tm = build_tensor_mesh(ex1, 8)
     H1, h1 = 0.2396027922916008, 0.0103972077083992
-    assert tm.x.widths() == pytest.approx([H1, H1, h1, h1, H1, H1, h1, h1],
+    assert np.diff(tm.x) == pytest.approx([H1, H1, h1, h1, H1, H1, h1, h1],
                                           rel=1e-14)
     K1, K2 = 0.1668223383328066, 0.1668223383328066
-    assert tm.y.widths() == pytest.approx(
+    assert np.diff(tm.y) == pytest.approx(
         [SY_EX1_N8, K1, K1, SY_EX1_N8, SY_EX1_N8, K2, K2, SY_EX1_N8], rel=1e-14)
 
 
@@ -145,7 +135,7 @@ def test_geometry_error_sigma_out_of_range():
 def test_tensor_mesh_dimension_mismatch(ex1):
     a = build_tensor_mesh(ex1, 8)
     b = build_tensor_mesh(ex1, 16)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="axes disagree"):
         TensorMesh(x=a.x, y=b.y, sigma_x=a.sigma_x, sigma_y=b.sigma_y)
 
 
@@ -176,10 +166,10 @@ def test_bisect_nests_bitwise(ex1):
     tm = build_tensor_mesh(ex1.with_epsilon(1e-3), 16)
     fine = bisect(tm)
     assert fine.n == 32
-    assert np.array_equal(fine.x.points[::2], tm.x.points)
-    assert np.array_equal(fine.y.points[::2], tm.y.points)
-    mid = 0.5 * (tm.x.points[:-1] + tm.x.points[1:])
-    assert np.array_equal(fine.x.points[1::2], mid)
+    assert np.array_equal(fine.x[::2], tm.x)
+    assert np.array_equal(fine.y[::2], tm.y)
+    mid = 0.5 * (tm.x[:-1] + tm.x[1:])
+    assert np.array_equal(fine.x[1::2], mid)
     assert (fine.sigma_x, fine.sigma_y) == (tm.sigma_x, tm.sigma_y)
 
 
@@ -189,22 +179,25 @@ def test_bisect_preserves_interface_index(ex1):
     # the classification depends on (i, j, n) alone, so the interface
     # rows sit at fine index n = 8 as long as d1 and d2 do
     assert fine.n == 16
-    assert fine.x.points[8] == ex1.d1 and fine.y.points[8] == ex1.d2
+    assert fine.x[8] == ex1.d1 and fine.y[8] == ex1.d2
 
 
 def test_double_bisect(ex1):
     tm = build_tensor_mesh(ex1, 8)
     f2 = bisect(bisect(tm))
     assert f2.n == 32
-    assert np.array_equal(f2.x.points[::4], tm.x.points)
+    assert np.array_equal(f2.x[::4], tm.x)
 
 
-def test_bisect_1d_simple():
-    m = build_mesh_x(8, 0.1, d1=0.5)
-    f = bisect_1d(m)
-    assert f.counts == (4, 4, 4, 4)
-    assert np.allclose(f.points[1::2],
+def test_bisect_simple():
+    tm = TensorMesh(x=build_mesh_x(8, 0.1, d1=0.5),
+                    y=build_mesh_y(8, 0.1, d2=0.5), sigma_x=0.1, sigma_y=0.1)
+    f = bisect(tm)
+    assert np.allclose(f.x[1::2],
                        [0.1, 0.3, 0.425, 0.475, 0.6, 0.8, 0.925, 0.975],
+                       rtol=0, atol=1e-15)
+    assert np.allclose(f.y[1::2],
+                       [0.05, 0.175, 0.325, 0.45, 0.55, 0.675, 0.825, 0.95],
                        rtol=0, atol=1e-15)
 
 

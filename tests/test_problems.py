@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from cd2d import (
-    Axis,
-    Mesh1D,
     ProblemSpec,
     TensorMesh,
     assemble_system,
@@ -68,9 +66,7 @@ def test_example2_data(ex2):
 
 def hand_mesh(xs, ys):
     """TensorMesh on hand-picked axes; d1 and d2 must sit at index n/2."""
-    n = len(xs) - 1
-    return TensorMesh(x=Mesh1D(np.array(xs), (0.0, 1.0), (n,), Axis.X),
-                      y=Mesh1D(np.array(ys), (0.0, 1.0), (n,), Axis.Y),
+    return TensorMesh(x=np.array(xs), y=np.array(ys),
                       sigma_x=math.nan, sigma_y=math.nan)
 
 
@@ -239,6 +235,29 @@ def test_sample_field_names_failing_field():
 
     with pytest.raises(MalformedSpec, match="broken_a"):
         sample_field(broken_a, np.array([0.0, 0.5]), np.array([0.25]))
+
+
+def test_sample_field_falls_back_on_any_error():
+    # the array call fails with ZeroDivisionError, not TypeError/ValueError;
+    # pointwise evaluation then names the failing point
+    def b_divides_by_x(x, y):
+        return 25.0 + 0.0 / float(np.min(x))
+
+    with pytest.raises(MalformedSpec, match=(
+            r"^field .*b_divides_by_x fails at \(0, 0.25\): "
+            r"ZeroDivisionError: float division by zero$")):
+        sample_field(b_divides_by_x, np.array([0.0, 0.5]), np.array([0.25]))
+
+
+def test_validate_trace_failing_at_a_corner(ex1):
+    # the west trace is fine inside but fails at y = 0
+    bad = dataclasses.replace(
+        ex1, q_edges=(lambda y: 0.0 * math.log(y), *ex1.q_edges[1:]))
+    with pytest.raises(MalformedSpec, match=(
+            r"^west trace fails at 0: ValueError: math domain error$")):
+        validate(bad, 16)
+    with pytest.raises(MalformedSpec, match=r"^west trace fails at 0: "):
+        assemble_system(bad, build_tensor_mesh(bad, 16))
 
 
 def test_register_problem(ex1):

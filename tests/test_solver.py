@@ -15,7 +15,6 @@ import cd2d
 from cd2d import (
     GridFunction,
     LinearSystem,
-    RowKind,
     Variant,
     assemble_system,
     bisect,
@@ -34,8 +33,7 @@ def identity_system(tm):
     dim = (tm.n + 1) ** 2
     return LinearSystem(
         matrix=sp.identity(dim, format="csr"), rhs=np.arange(dim, dtype=float),
-        n=tm.n, mesh=tm, variant=Variant.TRANSFORMED,
-        row_kinds=np.full(dim, int(RowKind.DIRICHLET), dtype=np.int8))
+        mesh=tm, variant=Variant.TRANSFORMED)
 
 
 def test_identity_solve(ex1):
@@ -78,7 +76,7 @@ def test_residual_detects_perturbation(ex1):
     tm = build_tensor_mesh(ex1, 8)
     system = assemble_system(ex1, tm)
     u = solve_direct(system)
-    k = system.flat_index(2, 2)
+    k = 2 * 9 + 2                   # point (2, 2), row-major
     bumped = GridFunction(mesh=tm, values=u.values + np.eye(81)[k])
     a_norm = float(np.abs(system.matrix).sum(axis=1).max())
     den = a_norm * bumped.max_norm() + float(np.max(np.abs(system.rhs)))
@@ -185,10 +183,8 @@ def test_float_environment_restored(ex1):
     mat = sp.identity(dim, format="lil")
     mat[1, 1] = 0.0
     mat[1, 0] = 1.0
-    system = LinearSystem(matrix=mat.tocsr(), rhs=np.ones(dim), n=tm.n,
-                          mesh=tm, variant=Variant.TRANSFORMED,
-                          row_kinds=np.full(dim, int(RowKind.DIRICHLET),
-                                            dtype=np.int8))
+    system = LinearSystem(matrix=mat.tocsr(), rhs=np.ones(dim), mesh=tm,
+                          variant=Variant.TRANSFORMED)
     with pytest.raises(SingularMatrix, match="singular"):
         solve_direct(system)
     assert subnormals_survive()
@@ -226,10 +222,8 @@ def test_zero_row_rejected(ex1):
     mat = sp.lil_matrix((81, 81))
     for k in range(1, 81):
         mat[k, k] = 1.0
-    system = LinearSystem(matrix=mat.tocsr(), rhs=np.zeros(81), n=8, mesh=tm,
-                          variant=Variant.TRANSFORMED,
-                          row_kinds=np.full(81, int(RowKind.DIRICHLET),
-                                            dtype=np.int8))
+    system = LinearSystem(matrix=mat.tocsr(), rhs=np.zeros(81), mesh=tm,
+                          variant=Variant.TRANSFORMED)
     with pytest.raises(SingularMatrix):
         solve_direct(system)
 
@@ -296,8 +290,8 @@ def test_grid_dump_format(tmp_path, ex1):
 
 def oracle_grid_dump(solution, stream):
     """Reference dump: one line per grid point, each float formatted there."""
-    xs = solution.mesh.x.points
-    ys = solution.mesh.y.points
+    xs = solution.mesh.x
+    ys = solution.mesh.y
     grid = solution.grid()
     last = len(ys) - 1
     for j, y in enumerate(ys):
