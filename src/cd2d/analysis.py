@@ -33,7 +33,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import IO, Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -374,38 +374,30 @@ def manufactured_solution_study(Ns: Sequence[int],
 # row of Ns, one row per eps, then the uniform D row and the E row (one
 # fewer entry; the last column stays empty).
 
-def _fmt_d(v: float) -> str:
-    return f"{v:.3e}" if math.isfinite(v) else ""
+def _table_rows(table: ConvergenceTable, missing: str) -> Iterator[list[str]]:
+    """The header, eps, D and E rows as strings, ``missing`` for a value
+    that is not finite."""
+    def fmt(spec: str, values) -> list[str]:
+        return [format(v, spec) if math.isfinite(v) else missing
+                for v in values]
 
-
-def _fmt_e(v: float) -> str:
-    return f"{v:.3f}" if math.isfinite(v) else ""
+    yield ["eps"] + [str(n) for n in table.Ns]
+    for eps, row in zip(table.epsilons, table.D_eps):
+        yield [f"{eps:.1e}"] + fmt(".3e", row)
+    yield ["D"] + fmt(".3e", table.D_uniform)
+    yield ["E"] + fmt(".3f", table.E_uniform)
 
 
 def write_table_csv(table: ConvergenceTable, stream: IO[str]) -> None:
-    stream.write("eps," + ",".join(str(n) for n in table.Ns) + "\n")
-    for r, eps in enumerate(table.epsilons):
-        cells = ",".join(_fmt_d(v) for v in table.D_eps[r])
-        stream.write(f"{eps:.1e},{cells}\n")
-    stream.write("D," + ",".join(_fmt_d(v) for v in table.D_uniform) + "\n")
-    e_cells = [_fmt_e(v) for v in table.E_uniform] + [""]
-    stream.write("E," + ",".join(e_cells) + "\n")
+    width = len(table.Ns) + 1
+    for row in _table_rows(table, ""):
+        stream.write(",".join(row + [""] * (width - len(row))) + "\n")
 
 
 def format_table_text(table: ConvergenceTable) -> str:
     """Aligned plain-text rendering for terminal output."""
-    width = 11
-    lines = []
-    header = "eps".ljust(10) + "".join(str(n).rjust(width) for n in table.Ns)
-    lines.append(header)
-    for r, eps in enumerate(table.epsilons):
-        cells = "".join((_fmt_d(v) or "-").rjust(width) for v in table.D_eps[r])
-        lines.append(f"{eps:.1e}".ljust(10) + cells)
-    lines.append("D".ljust(10)
-                 + "".join((_fmt_d(v) or "-").rjust(width) for v in table.D_uniform))
-    e_cells = [(_fmt_e(v) or "-").rjust(width) for v in table.E_uniform]
-    lines.append("E".ljust(10) + "".join(e_cells))
-    return "\n".join(lines)
+    return "\n".join(row[0].ljust(10) + "".join(c.rjust(11) for c in row[1:])
+                     for row in _table_rows(table, "-"))
 
 
 def sweep_to_dict(result: SweepResult) -> dict:

@@ -58,7 +58,7 @@ class Variant(enum.Enum):
     RAW = "raw"
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray

@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis, mesh as mesh_mod
 from .assembly import Variant, assemble_system, m_matrix_check
 from .analysis import DoubleMeshMode
-from .errors import CD2DError, MalformedSpec
+from .errors import BadN, CD2DError, GeometryError, MalformedSpec
 from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
                        problem_names, sample_problem, validate)
 from .solve import solve_direct, write_grid_dump
@@ -94,6 +94,9 @@ _CONFIG_KEYS = {
     "beta": ("beta", _parse_bound),
 }
 
+# [run] keys that verify, with its fixed meshes and no output files, ignores
+_VERIFY_IGNORES = ("ns", "double_mesh", "workers", "out_dir", "desk")
+
 
 def _read_config(text: str) -> dict:
     """RunConfig keyword arguments from an INI config (section [run]); an
@@ -121,7 +124,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """File settings overridden by explicit flags; built once, so the
-    ``desk`` cap applies to the merged Ns wherever they came from."""
+    ``desk`` cap applies to the merged Ns wherever they came from.  For
+    ``verify``, the given settings it ignores are named on stderr."""
     if args.command == "verify" and args.N:
         raise CD2DError("verify checks the fixed meshes N = 16 and 32 "
                         "and takes no --N")
@@ -140,7 +144,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         "desk": args.desk or None,
     }
     kwargs.update({k: v for k, v in flags.items() if v is not None})
-    return RunConfig(**kwargs)
+    config = RunConfig(**kwargs)
+    if args.command == "verify":
+        ignored = [k for k in _VERIFY_IGNORES if _CONFIG_KEYS[k][0] in kwargs]
+        if ignored:
+            print("warning: verify ignores " + ", ".join(ignored),
+                  file=sys.stderr)
+    return config
 
 
 def _load_spec(config: RunConfig) -> ProblemSpec:
@@ -156,18 +166,6 @@ def _eps_tag(eps: float) -> str:
     return f"{eps:g}".replace("-", "m")
 
 
-def _make_out_dir(config: RunConfig) -> Optional[Path]:
-    """The output directory, created if missing; None, after reporting the
-    error on stderr, when it cannot be created."""
-    out = Path(config.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    return out
-
-
 def _print_warnings(spec: ProblemSpec, N: int) -> list[str]:
     """Print the problem's warnings on the N-mesh on stderr; returns them."""
     warnings = validate(spec, N)
@@ -181,55 +179,39 @@ def cmd_solve(config: RunConfig) -> int:
         print("solve needs exactly one --epsilon and one --N", file=sys.stderr)
         return EXIT_CONFIG
     eps, N = config.epsilons[0], config.Ns[0]
-    out = _make_out_dir(config)
-    if out is None:
-        return EXIT_CONFIG
-    try:
-        spec = _load_spec(config).with_epsilon(eps)
-        tm = mesh_mod.build_tensor_mesh(spec, N)
-        warnings = _print_warnings(spec, N)
-    except CD2DError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    spec = _load_spec(config).with_epsilon(eps)
+    tm = mesh_mod.build_tensor_mesh(spec, N)
+    warnings = _print_warnings(spec, N)
     timings = dict.fromkeys(("assemble_s", "solve_s", "residual_s", "dump_s"),
                             0.0)
-    try:
-        system = analysis.timed(timings, "assemble_s", assemble_system, spec,
-                                tm, config.variant)
-        solved = analysis.solve_on(system, timings)
-    except MalformedSpec as exc:        # the data, checked as assembly samples it
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CD2DError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    system = analysis.timed(timings, "assemble_s", assemble_system, spec, tm,
+                            config.variant)
+    solved = analysis.solve_on(system, timings)
     solution = solved.solution
 
     stem = f"u_{spec.name.lower()}_{config.variant.value}_eps{_eps_tag(eps)}_N{N}"
     grid_path = out / f"{stem}.dat"
     meta_path = out / f"{stem}.json"
-    try:
-        with open(grid_path, "w") as fh:
-            analysis.timed(timings, "dump_s", write_grid_dump, solution, fh)
-        meta = {
-            "problem": spec.name,
-            "variant": config.variant.value,
-            "epsilon": eps,
-            "N": N,
-            "sigma_x": tm.sigma_x,
-            "sigma_y": tm.sigma_y,
-            "residual": solved.residual,
-            "max_abs_u": solution.max_norm(),
-            "wall_time": timings["assemble_s"] + timings["solve_s"],
-            "timings": timings,
-            "warnings": warnings,
-        }
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(grid_path, "w") as fh:
+        analysis.timed(timings, "dump_s", write_grid_dump, solution, fh)
+    meta = {
+        "problem": spec.name,
+        "variant": config.variant.value,
+        "epsilon": eps,
+        "N": N,
+        "sigma_x": tm.sigma_x,
+        "sigma_y": tm.sigma_y,
+        "residual": solved.residual,
+        "max_abs_u": solution.max_norm(),
+        "wall_time": timings["assemble_s"] + timings["solve_s"],
+        "timings": timings,
+        "warnings": warnings,
+    }
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {grid_path} and {meta_path}")
     return EXIT_OK
 
@@ -238,18 +220,13 @@ def cmd_sweep(config: RunConfig) -> int:
     if not config.epsilons or not config.Ns:
         print("sweep needs at least one epsilon and one N", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        spec = _load_spec(config)
-        for eps in config.epsilons:     # an eps outside (0, 1) fails here
-            spec.with_epsilon(eps)
-        for N in config.Ns:
-            check_mesh_parameter(N)
-    except CD2DError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _make_out_dir(config)
-    if out is None:
-        return EXIT_CONFIG
+    spec = _load_spec(config)
+    for eps in config.epsilons:     # an eps outside (0, 1) fails here
+        spec.with_epsilon(eps)
+    for N in config.Ns:
+        check_mesh_parameter(N)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     result = analysis.run_sweep(spec, config.epsilons, config.Ns,
                                 variant=config.variant, mode=config.double_mesh,
                                 workers=config.workers)
@@ -258,16 +235,11 @@ def cmd_sweep(config: RunConfig) -> int:
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
     print(analysis.format_table_text(result.table))
-    try:
-        with open(csv_path, "w") as fh:
-            analysis.write_table_csv(result.table, fh)
-        with open(json_path, "w") as fh:
-            json.dump(analysis.sweep_to_dict(result), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(csv_path, "w") as fh:
+        analysis.write_table_csv(result.table, fh)
+    with open(json_path, "w") as fh:
+        json.dump(analysis.sweep_to_dict(result), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {csv_path} and {json_path}")
     failed = [c for c in result.cells if not c.ok]
     for cell in failed:
@@ -317,33 +289,24 @@ def cmd_verify(config: RunConfig) -> int:
     if not config.epsilons:
         print("verify needs at least one epsilon", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        base = _load_spec(config)
-        cases = [(base.with_epsilon(eps), N)
-                 for eps in config.epsilons for N in (16, 32)]
-        meshes = [mesh_mod.build_tensor_mesh(spec, N) for spec, N in cases]
-    except CD2DError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base = _load_spec(config)
+    cases = [(base.with_epsilon(eps), N)
+             for eps in config.epsilons for N in (16, 32)]
+    meshes = [mesh_mod.build_tensor_mesh(spec, N) for spec, N in cases]
+    # Assembly checks the problem data; the findings on every mesh are
+    # reported before any solve.
     systems = []
-    try:
-        # Assembly checks the problem data; the findings on every mesh are
-        # reported before any solve.
-        for (spec, N), tm in zip(cases, meshes):
-            try:
-                _print_warnings(spec, N)
-                systems.append(assemble_system(spec, tm, config.variant))
-            except MalformedSpec as exc:
-                print(f"error: {exc}", file=sys.stderr)
-        if len(systems) < len(cases):
-            return EXIT_CONFIG
-        checks = [check for k in range(0, len(cases), 2) for check in
-                  _verify_checks(cases[k][0], systems[k:k + 2])]
-        mms = analysis.manufactured_solution_study([32, 64, 128],
-                                                   config.variant)
-    except CD2DError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    for (spec, N), tm in zip(cases, meshes):
+        try:
+            _print_warnings(spec, N)
+            systems.append(assemble_system(spec, tm, config.variant))
+        except MalformedSpec as exc:
+            print(f"error: {exc}", file=sys.stderr)
+    if len(systems) < len(cases):
+        return EXIT_CONFIG
+    checks = [check for k in range(0, len(cases), 2) for check in
+              _verify_checks(cases[k][0], systems[k:k + 2])]
+    mms = analysis.manufactured_solution_study([32, 64, 128], config.variant)
     orders = mms.E_uniform
     checks.append(("smooth-oracle order in [0.90, 1.15]",
                    bool(np.all((orders >= 0.9) & (orders <= 1.15))),
@@ -399,11 +362,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CD2DError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "solve":
-        return cmd_solve(config)
-    if args.command == "sweep":
-        return cmd_sweep(config)
-    return cmd_verify(config)
+    command = {"solve": cmd_solve, "sweep": cmd_sweep,
+               "verify": cmd_verify}[args.command]
+    try:
+        return command(config)
+    # the user's problem data, N, eps or output path is at fault, not the LU
+    except (MalformedSpec, BadN, GeometryError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CD2DError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .errors import DimensionMismatch, GeometryError
 from .problems import ProblemSpec, check_mesh_parameter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorMesh:
     """Sorted point arrays of both axes, each with n + 1 entries."""
     x: np.ndarray

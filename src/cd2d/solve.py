@@ -59,7 +59,7 @@ from .errors import DimensionMismatch, NonFiniteSolution, SingularMatrix
 from .mesh import TensorMesh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Scalar field on the tensor mesh, flat row-major values (j*(n+1)+i)."""
     mesh: TensorMesh
@@ -123,7 +123,7 @@ def _flush_subnormals() -> Iterator[None]:
         libm.fesetenv(ctypes.byref(saved))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
     """Sparse LU of the row-equilibrated matrix of one system.
 
@@ -169,7 +169,9 @@ def factorize(system: LinearSystem) -> Factorization:
             lu = spla.splu(scaled, permc_spec=_ORDERING,
                            diag_pivot_thresh=_DIAG_PIVOT_THRESH,
                            relax=_RELAX, panel_size=_PANEL_SIZE)
-    except RuntimeError as exc:
+    # a factorization that runs out of memory can end in SystemError
+    # ("gstrf was called with invalid arguments")
+    except (RuntimeError, SystemError) as exc:
         raise SingularMatrix(str(exc)) from exc
     return Factorization(lu=lu, row_scale=d, mesh=system.mesh,
                          ordering=_ORDERING,

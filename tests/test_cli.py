@@ -21,7 +21,8 @@ from cd2d.cli import (
     parse_config,
     stability_bound,
 )
-from cd2d.errors import CD2DError, SingularMatrix
+from cd2d.errors import (CD2DError, GeometryError, NonFiniteSolution,
+                         SingularMatrix, SingularStructure)
 from cd2d.mesh import build_tensor_mesh
 from cd2d.problems import _REGISTRY, builtin_problem, register_problem
 
@@ -498,6 +499,51 @@ def test_verify_solver_failure_exit(capsys, monkeypatch):
     assert rc == EXIT_SOLVER
     assert capsys.readouterr().err == (
         "solver failure: factorization broke down\n")
+
+
+def test_verify_names_ignored_settings(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nepsilons = 1e-3\nns = 64\n"
+                   "double_mesh = regenerate\nout_dir = elsewhere\n")
+    rc = main(["verify", "--config", str(ini), "--workers", "2", "--desk"])
+    assert rc == EXIT_INCOMPLETE
+    assert capsys.readouterr().err == (
+        "warning: verify ignores ns, double_mesh, workers, out_dir, desk\n")
+    ini.write_text("[run]\nepsilons = 1e-3\nvariant = raw\n")
+    assert main(["verify", "--config", str(ini)]) == EXIT_INCOMPLETE
+    assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# exit status
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("error", [SingularMatrix, SingularStructure,
+                                   NonFiniteSolution, GeometryError])
+def test_exit_status_follows_error_type(tmp_path, capsys, monkeypatch,
+                                        command, error):
+    # a solver error is status 3; eps = 1e-12 is below what a fitted mesh
+    # resolves, a GeometryError in the input, status 2 before any solve
+    def failing_solve(system):
+        raise error("injected")
+
+    input_error = error is GeometryError
+    solve = must_not_run if input_error else failing_solve
+    monkeypatch.setattr(analysis, "solve_direct", solve)
+    monkeypatch.setattr(cli, "solve_direct", solve)
+    args = [command, "--epsilon", "1e-12" if input_error else "1e-3"]
+    if command == "solve":
+        args += ["--N", "16", "--out-dir", str(tmp_path)]
+    rc = main(args)
+    err = capsys.readouterr().err
+    if input_error:
+        assert rc == EXIT_CONFIG
+        assert err.startswith("error: eps = 1e-12 is below "), err
+    else:
+        assert rc == EXIT_SOLVER
+        assert err == "solver failure: injected\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,40 @@ def test_zero_row_rejected(ex1):
         solve_direct(system)
 
 
+def test_superlu_system_error_is_singular_matrix(ex1, monkeypatch):
+    # an out-of-memory factorization can end in SystemError; it must be a
+    # typed error confined to its cell, not an exception that ends the sweep
+    def failing_splu(*args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(cd2d.solve.spla, "splu", failing_splu)
+    spec = ex1.with_epsilon(1e-2)
+    with pytest.raises(SingularMatrix, match="gstrf"):
+        factorize(assemble_system(spec, build_tensor_mesh(spec, 16)))
+    result = cd2d.run_sweep(ex1, [1e-2], [8, 16])
+    assert [cell.error for cell in result.cells] == [
+        "SingularMatrix: gstrf was called with invalid arguments"] * 2
+
+
+# each record built from a fresh N = 8 system of Example1
+ARRAY_RECORDS = {
+    "TensorMesh": lambda system: system.mesh,
+    "LinearSystem": lambda system: system,
+    "Factorization": factorize,
+    "GridFunction": solve_direct,
+}
+
+
+@pytest.mark.parametrize("record", sorted(ARRAY_RECORDS))
+def test_array_records_compare_by_identity(ex1, record):
+    build = ARRAY_RECORDS[record]
+    a, b = (build(assemble_system(ex1, build_tensor_mesh(ex1, 8)))
+            for _ in range(2))
+    assert type(a).__name__ == record
+    assert a == a and a != b            # equal values, distinct records
+    assert len({a, b, a}) == 2
+
+
 def test_solution_bounded_example1(ex1):
     # |U| <= max|f|/alpha + max|q| = 0.6/2
     for eps in (1e-1, 1e-6):
