@@ -12,17 +12,16 @@ Typical library use::
     u = solve_direct(system)
 """
 from .analysis import (ConvergenceTable, DoubleMeshMode, SweepResult,
-                       double_mesh_error, manufactured_problem,
-                       manufactured_solution_study, mms_exact, run_cell,
-                       run_sweep, write_table_csv)
+                       double_mesh_error, manufactured_solution_study,
+                       run_cell, run_sweep, write_table_csv)
 from .assembly import (LinearSystem, MMatrixReport, Variant, assemble_system,
                        m_matrix_check)
 from .errors import (BadN, CD2DError, DimensionMismatch, GeometryError,
                      MalformedSpec, MeshMismatch, NonFiniteSolution,
                      SingularMatrix, SingularStructure)
 from .mesh import TensorMesh, bisect, build_tensor_mesh
-from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
-                       problem_names, register_problem, sample_field, validate)
+from .problems import (ProblemSpec, builtin_problem, problem_names,
+                       register_problem, validate)
 from .solve import GridFunction, residual_norm, solve_direct, write_grid_dump
 
 __version__ = "0.1.0"

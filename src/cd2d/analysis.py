@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
@@ -93,11 +93,12 @@ class CellResult:
     ``timings`` holds the seconds of each stage (``mesh_s``, ``assemble_s``,
     ``solve_s``, ``residual_s``, ``estimate_s``) summed over both meshes; a
     reused coarse solve adds nothing.  ``fine`` is the companion's solve in
-    regenerate mode, which the cell of 2N reuses as its coarse solve.
+    regenerate mode, which the cell of 2N reuses as its coarse solve; it
+    is the one field the sweep JSON leaves out.
     """
     epsilon: float
     N: int
-    d_eps: float = float("nan")
+    D_eps: float = float("nan")
     sigma_x: float = float("nan")
     sigma_y: float = float("nan")
     residual_coarse: float = float("nan")
@@ -114,7 +115,7 @@ class CellResult:
 
     @property
     def ok(self) -> bool:
-        return self.error is None and math.isfinite(self.d_eps)
+        return self.error is None and math.isfinite(self.D_eps)
 
 
 def timed(timings: dict[str, float], stage: str, fn, *args):
@@ -179,8 +180,8 @@ def run_cell(spec: ProblemSpec, N: int,
         cell.max_u_fine = fine.solution.max_norm()
         if mode is DoubleMeshMode.REGENERATE:
             cell.fine = fine
-        cell.d_eps = timed(t, "estimate_s", double_mesh_error,
-                            coarse.solution, fine.solution)
+        cell.D_eps = timed(t, "estimate_s", double_mesh_error,
+                           coarse.solution, fine.solution)
     except (CD2DError, np.linalg.LinAlgError, MemoryError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_time = time.perf_counter() - start
@@ -301,7 +302,7 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
     for idx, cell in enumerate(cells):
         r, c = divmod(idx, len(Ns))
         if cell.ok:
-            D[r, c] = cell.d_eps
+            D[r, c] = cell.D_eps
     table = ConvergenceTable.from_errors(epsilons, Ns, D)
     return SweepResult(table=table, cells=cells, variant=variant, mode=mode,
                        problem=spec.name)
@@ -400,36 +401,26 @@ def format_table_text(table: ConvergenceTable) -> str:
                      for row in _table_rows(table, "-"))
 
 
-def sweep_to_dict(result: SweepResult) -> dict:
-    def clean(v):
-        return v if math.isfinite(v) else None
+def _clean(v):
+    """``v``, or None for a float that is not finite (JSON has no NaN)."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
+
+def _record_dict(record) -> dict:
+    """A dataclass's compared fields by name, non-finite floats as None."""
+    return {f.name: _clean(getattr(record, f.name))
+            for f in fields(record) if f.compare}
+
+
+def sweep_to_dict(result: SweepResult) -> dict:
     return {
         "problem": result.problem,
         "variant": result.variant.value,
         "double_mesh": result.mode.value,
         "epsilons": result.table.epsilons,
         "Ns": result.table.Ns,
-        "D_eps": [[clean(v) for v in row] for row in result.table.D_eps],
-        "D": [clean(v) for v in result.table.D_uniform],
-        "E": [clean(v) for v in result.table.E_uniform],
-        "cells": [
-            {
-                "epsilon": c.epsilon,
-                "N": c.N,
-                "D_eps": clean(c.d_eps),
-                "sigma_x": clean(c.sigma_x),
-                "sigma_y": clean(c.sigma_y),
-                "residual_coarse": clean(c.residual_coarse),
-                "residual_fine": clean(c.residual_fine),
-                "max_u_coarse": clean(c.max_u_coarse),
-                "max_u_fine": clean(c.max_u_fine),
-                "wall_time": c.wall_time,
-                "timings": c.timings,
-                "coarse_reused": c.coarse_reused,
-                "warnings": c.warnings,
-                "error": c.error,
-            }
-            for c in result.cells
-        ],
+        "D_eps": [[_clean(v) for v in row] for row in result.table.D_eps],
+        "D": [_clean(v) for v in result.table.D_uniform],
+        "E": [_clean(v) for v in result.table.E_uniform],
+        "cells": [_record_dict(c) for c in result.cells],
     }

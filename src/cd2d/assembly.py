@@ -60,10 +60,14 @@ class Variant(enum.Enum):
 
 @dataclass(eq=False)
 class LinearSystem:
+    """The scheme on one mesh.  ``bound`` is the stability bound
+    (1/alpha) max|f| + max|q| of the problem data ``assemble_system``
+    sampled on the mesh (NaN for a system built without problem data)."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: TensorMesh
     variant: Variant
+    bound: float = float("nan")
 
     @property
     def dimension(self) -> int:
@@ -144,7 +148,10 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     # the lines are never read.  Row y = d2 of a, b and f becomes the
     # y-neighbour average used by the midpoint rows; the cross point takes
     # its one-sided f from that row too, but a and b at their own points.
-    a, b, (q1, q2, q3, q4), traces = sample_problem(spec, mesh)
+    a, b, sources, traces = sample_problem(spec, mesh)
+    f_max, q_max = (max(float(np.max(np.abs(vals))) for vals in group)
+                    for group in (sources, traces))
+    q1, q2, q3, q4 = sources
     f = np.block([[q1[:half, :half], q2[:half]], [q3[:, :half], q4]])
     a_up, b_up = a.copy(), b.copy()
     for g in (a_up, b_up, f):
@@ -189,7 +196,8 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
     if empty.size:
         raise SingularStructure(f"empty matrix rows at flat indices {empty[:10]}")
-    return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh, variant=variant)
+    return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh, variant=variant,
+                        bound=f_max / spec.alpha + q_max)
 
 
 # ---------------------------------------------------------------------------

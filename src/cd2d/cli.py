@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,7 +30,7 @@ from .assembly import Variant, assemble_system, m_matrix_check
 from .analysis import DoubleMeshMode
 from .errors import BadN, CD2DError, GeometryError, MalformedSpec
 from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
-                       problem_names, sample_problem, validate)
+                       problem_names, validate)
 from .solve import solve_direct, write_grid_dump
 
 EXIT_OK = 0
@@ -46,9 +45,11 @@ DESK_N_CAP = 256
 
 @dataclass
 class RunConfig:
+    """The settings of a run.  Each field name is also its ``[run]`` key and
+    the ``dest`` of its flag."""
     problem: str = "Example1"
     epsilons: list[float] = None
-    Ns: list[int] = None
+    ns: list[int] = None
     variant: Variant = Variant.TRANSFORMED
     double_mesh: DoubleMeshMode = DoubleMeshMode.BISECT
     workers: int = 1
@@ -60,12 +61,14 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise CD2DError(f"workers must be at least 1, got {self.workers}")
+        self.variant = Variant(self.variant)
+        self.double_mesh = DoubleMeshMode(self.double_mesh)
         if self.epsilons is None:
             self.epsilons = list(FULL_EPSILONS)
-        if self.Ns is None:
-            self.Ns = list(FULL_NS)
+        if self.ns is None:
+            self.ns = list(FULL_NS)
         if self.desk:
-            self.Ns = [n for n in self.Ns if n <= DESK_N_CAP]
+            self.ns = [n for n in self.ns if n <= DESK_N_CAP]
 
 
 def _parse_list(kind, text: str) -> list:
@@ -80,18 +83,18 @@ def _parse_bound(text: str) -> Optional[float]:
     return float(text) if text.strip() else None
 
 
-# [run] key -> (RunConfig field, parser of the key's text)
+# [run] key (= RunConfig field) -> parser of the key's text
 _CONFIG_KEYS = {
-    "problem": ("problem", str.strip),
-    "epsilons": ("epsilons", lambda t: _parse_list(float, t)),
-    "ns": ("Ns", lambda t: _parse_list(int, t)),
-    "variant": ("variant", lambda t: Variant(t.strip().lower())),
-    "double_mesh": ("double_mesh", lambda t: DoubleMeshMode(t.strip().lower())),
-    "workers": ("workers", int),
-    "out_dir": ("out_dir", str.strip),
-    "desk": ("desk", _parse_bool),
-    "alpha": ("alpha", _parse_bound),
-    "beta": ("beta", _parse_bound),
+    "problem": str.strip,
+    "epsilons": lambda t: _parse_list(float, t),
+    "ns": lambda t: _parse_list(int, t),
+    "variant": lambda t: Variant(t.strip().lower()),
+    "double_mesh": lambda t: DoubleMeshMode(t.strip().lower()),
+    "workers": int,
+    "out_dir": str.strip,
+    "desk": _parse_bool,
+    "alpha": _parse_bound,
+    "beta": _parse_bound,
 }
 
 # [run] keys that verify, with its fixed meshes and no output files, ignores
@@ -109,9 +112,8 @@ def _read_config(text: str) -> dict:
     for key, value in parser["run"].items():
         if key not in _CONFIG_KEYS:
             raise CD2DError(f"unknown [run] key {key!r}")
-        name, parse = _CONFIG_KEYS[key]
         try:
-            kwargs[name] = parse(value)
+            kwargs[key] = _CONFIG_KEYS[key](value)
         except (KeyError, ValueError):
             raise CD2DError(f"[run] {key} cannot be {value!r}") from None
     return kwargs
@@ -123,30 +125,19 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """File settings overridden by explicit flags; built once, so the
-    ``desk`` cap applies to the merged Ns wherever they came from.  For
-    ``verify``, the given settings it ignores are named on stderr."""
-    if args.command == "verify" and args.N:
+    """File settings overridden by explicit flags (every flag not given is
+    None); built once, so the ``desk`` cap applies to the merged ns wherever
+    they came from.  For ``verify``, the given settings it ignores are named
+    on stderr."""
+    if args.command == "verify" and args.ns:
         raise CD2DError("verify checks the fixed meshes N = 16 and 32 "
                         "and takes no --N")
     kwargs = _read_config(Path(args.config).read_text()) if args.config else {}
-    flags = {
-        "problem": args.problem,
-        "epsilons": list(args.epsilon) if args.epsilon else None,
-        "Ns": list(args.N) if args.N else None,
-        "variant": Variant(args.variant) if args.variant is not None else None,
-        "double_mesh": (DoubleMeshMode(args.double_mesh)
-                        if args.double_mesh is not None else None),
-        "workers": args.workers,
-        "out_dir": args.out_dir,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "desk": args.desk or None,
-    }
-    kwargs.update({k: v for k, v in flags.items() if v is not None})
+    kwargs.update({k: v for k, v in vars(args).items()
+                   if k in _CONFIG_KEYS and v is not None})
     config = RunConfig(**kwargs)
     if args.command == "verify":
-        ignored = [k for k in _VERIFY_IGNORES if _CONFIG_KEYS[k][0] in kwargs]
+        ignored = [k for k in _VERIFY_IGNORES if k in kwargs]
         if ignored:
             print("warning: verify ignores " + ", ".join(ignored),
                   file=sys.stderr)
@@ -175,10 +166,10 @@ def _print_warnings(spec: ProblemSpec, N: int) -> list[str]:
 
 
 def cmd_solve(config: RunConfig) -> int:
-    if len(config.epsilons) != 1 or len(config.Ns) != 1:
+    if len(config.epsilons) != 1 or len(config.ns) != 1:
         print("solve needs exactly one --epsilon and one --N", file=sys.stderr)
         return EXIT_CONFIG
-    eps, N = config.epsilons[0], config.Ns[0]
+    eps, N = config.epsilons[0], config.ns[0]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = _load_spec(config).with_epsilon(eps)
@@ -217,17 +208,17 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    if not config.epsilons or not config.Ns:
+    if not config.epsilons or not config.ns:
         print("sweep needs at least one epsilon and one N", file=sys.stderr)
         return EXIT_CONFIG
     spec = _load_spec(config)
     for eps in config.epsilons:     # an eps outside (0, 1) fails here
         spec.with_epsilon(eps)
-    for N in config.Ns:
+    for N in config.ns:
         check_mesh_parameter(N)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = analysis.run_sweep(spec, config.epsilons, config.Ns,
+    result = analysis.run_sweep(spec, config.epsilons, config.ns,
                                 variant=config.variant, mode=config.double_mesh,
                                 workers=config.workers)
     stem = (f"table_{spec.name.lower()}_{config.variant.value}"
@@ -248,14 +239,6 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_INCOMPLETE
 
 
-def stability_bound(spec: ProblemSpec, tm: mesh_mod.TensorMesh) -> float:
-    """(1/alpha) max|f| + max|q|, both sampled on the mesh."""
-    _, _, sources, traces = sample_problem(spec, tm)
-    f_max, q_max = (max(float(np.max(np.abs(vals))) for vals in group)
-                    for group in (sources, traces))
-    return f_max / spec.alpha + q_max
-
-
 def _verify_checks(spec: ProblemSpec, systems: list
                    ) -> list[tuple[str, bool, str]]:
     """(name, passed, detail) of each check at ``spec.epsilon`` on the
@@ -268,7 +251,6 @@ def _verify_checks(spec: ProblemSpec, systems: list
     report = m_matrix_check(system, compute_inverse=True)
     inv = report.min_inverse_entry
     solutions = [solve_direct(s) for s in systems]
-    bounds = [stability_bound(spec, s.mesh) for s in systems]
     diff = float(np.max(np.abs(solutions[0].values
                                - solve_direct(other).values)))
     return [
@@ -277,9 +259,9 @@ def _verify_checks(spec: ProblemSpec, systems: list
         (f"inverse positivity (N=16){at}",
          inv is not None and inv >= -1e-12, f"min inverse entry {inv:.3e}"),
         (f"stability bound{at}",
-         all(u.max_norm() <= bound for u, bound in zip(solutions, bounds)),
-         "; ".join(f"N={s.mesh.n}: |U|={u.max_norm():.4e} bound={bound:.4e}"
-                   for s, u, bound in zip(systems, solutions, bounds))),
+         all(u.max_norm() <= s.bound for s, u in zip(systems, solutions)),
+         "; ".join(f"N={s.mesh.n}: |U|={u.max_norm():.4e} bound={s.bound:.4e}"
+                   for s, u in zip(systems, solutions))),
         (f"raw/transformed agreement (N=16){at}", diff <= 1e-9,
          f"max difference {diff:.3e}"),
     ]
@@ -330,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", default=None,
                        help="registered problem name (builtin: "
                             + ", ".join(problem_names()) + ")")
-        p.add_argument("--epsilon", type=float, action="append", default=None,
+        p.add_argument("--epsilon", dest="epsilons", metavar="EPSILON",
+                       type=float, action="append", default=None,
                        help="perturbation parameter (repeatable)")
-        p.add_argument("--N", type=int, action="append", default=None,
+        p.add_argument("--N", dest="ns", metavar="N", type=int,
+                       action="append", default=None,
                        help="mesh intervals per axis, multiple of 8 (repeatable)")
         p.add_argument("--variant", choices=[v.value for v in Variant],
                        default=None, help="interface row treatment")
@@ -347,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the stored lower bound on a")
         p.add_argument("--beta", type=float, default=None,
                        help="override the stored beta (beta^2 bounds b)")
-        p.add_argument("--desk", action="store_true",
+        p.add_argument("--desk", action="store_true", default=None,
                        help="cap N at 256 for quick runs")
         p.add_argument("--config", default=None,
                        help="INI config file; flags override it")

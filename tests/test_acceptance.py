@@ -24,7 +24,6 @@ from cd2d import (
     solve_direct,
 )
 from cd2d.analysis import format_table_text
-from cd2d.cli import stability_bound
 
 from mesh_invariants import check_mesh_invariants
 
@@ -157,10 +156,10 @@ def test_acceptance_4_raw_reports_violations():
 
 def test_acceptance_5_stability_bound(desk_run, ex2_runs):
     """Every computed solution obeys |U| <= max|f|/alpha + max|q|."""
-    bound1 = stability_bound(builtin_problem("example1"),
-                             build_tensor_mesh(builtin_problem("example1"), 32))
-    bound2 = stability_bound(builtin_problem("example2"),
-                             build_tensor_mesh(builtin_problem("example2"), 32))
+    bound1 = assemble_system(builtin_problem("example1"), build_tensor_mesh(
+        builtin_problem("example1"), 32)).bound
+    bound2 = assemble_system(builtin_problem("example2"), build_tensor_mesh(
+        builtin_problem("example2"), 32)).bound
     assert bound1 == pytest.approx(0.3)
     assert bound2 == pytest.approx(1.5)
     worst = 0.0

@@ -22,15 +22,14 @@ from cd2d import (
     builtin_problem,
     build_tensor_mesh,
     double_mesh_error,
-    manufactured_problem,
     manufactured_solution_study,
-    mms_exact,
     run_cell,
     run_sweep,
     write_table_csv,
 )
 from cd2d import analysis, errors, mesh as mesh_mod
-from cd2d.analysis import format_table_text, sweep_to_dict
+from cd2d.analysis import (format_table_text, manufactured_problem,
+                           mms_exact, sweep_to_dict)
 from cd2d.assembly import assemble_system
 from cd2d.cli import EXIT_INCOMPLETE, main
 from cd2d.errors import CD2DError, GeometryError, MeshMismatch
@@ -192,7 +191,7 @@ def test_run_cell_metadata(ex1):
     assert cell.epsilon == 1e-2 and cell.N == 16
     tm = build_tensor_mesh(ex1.with_epsilon(1e-2), 16)
     assert cell.sigma_x == tm.sigma_x and cell.sigma_y == tm.sigma_y
-    assert 0.0 < cell.d_eps < 1.0
+    assert 0.0 < cell.D_eps < 1.0
     assert cell.residual_coarse <= 1e-10 and cell.residual_fine <= 1e-10
     assert cell.max_u_coarse <= 0.3 and cell.max_u_fine <= 0.3
     assert cell.wall_time > 0.0
@@ -210,7 +209,7 @@ def test_run_cell_infeasible_geometry(ex1):
     cell = run_cell(spec, 8)
     assert not cell.ok
     assert "GeometryError" in cell.error
-    assert math.isnan(cell.d_eps)
+    assert math.isnan(cell.D_eps)
     # eps 4e-8 is above the eps floor at N = 16 but below it at N = 32, so
     # the regenerated companion fails the cell before the coarse solve
     cell = run_cell(ex1.with_epsilon(4e-8), 16, mode=DoubleMeshMode.REGENERATE)
@@ -226,7 +225,7 @@ def test_run_cell_scalar_only_field(ex2):
                                b_field=lambda x, y: 25.0 + np.sin(x))
     cell = run_cell(scalar, 16)
     assert cell.ok, cell.error
-    assert cell.d_eps == pytest.approx(run_cell(twin, 16).d_eps, rel=1e-12)
+    assert cell.D_eps == pytest.approx(run_cell(twin, 16).D_eps, rel=1e-12)
 
 
 def test_run_cell_nan_source_is_a_validation_error(ex1):
@@ -251,7 +250,7 @@ def test_run_cell_checks_the_companion_mesh(ex1, field, value):
         x == line, value, default(x, y))})
     cell = run_cell(probe, 16)
     assert cell.error.startswith("MalformedSpec: "), cell.error
-    assert math.isnan(cell.d_eps)
+    assert math.isnan(cell.D_eps)
 
 
 def test_run_cell_assembles_the_companion_before_any_solve(ex1):
@@ -340,7 +339,7 @@ def test_run_sweep_ordering_and_shape(ex1):
     # every D entry matches its cell
     for idx, cell in enumerate(result.cells):
         r, c = divmod(idx, 2)
-        assert result.table.D_eps[r, c] == cell.d_eps
+        assert result.table.D_eps[r, c] == cell.D_eps
 
 
 def test_serial_sweep_imports_no_interpolation_or_process_pool():
@@ -403,7 +402,7 @@ def test_regenerate_reuse_is_bitwise_standalone(ex2):
     for cell in result.cells:
         alone = run_cell(ex2.with_epsilon(cell.epsilon), cell.N,
                          mode=REGENERATE)
-        for name in ("d_eps", "sigma_x", "sigma_y", "residual_coarse",
+        for name in ("D_eps", "sigma_x", "sigma_y", "residual_coarse",
                      "residual_fine", "max_u_coarse", "max_u_fine"):
             assert getattr(cell, name) == getattr(alone, name), (cell.N, name)
         assert cell.warnings == alone.warnings
@@ -462,10 +461,10 @@ def test_crashed_worker_loses_only_its_chain(ex1, tmp_path, capsys):
                        workers=2)
     good, bad = result.cells[:2], result.cells[2:]
     expect = run_sweep(ex1, [1e-1], [8, 16], mode=REGENERATE)
-    assert [c.d_eps for c in good] == [c.d_eps for c in expect.cells]
+    assert [c.D_eps for c in good] == [c.D_eps for c in expect.cells]
     for cell in bad:
         assert cell.error.startswith("BrokenProcessPool: ")
-        assert math.isnan(cell.d_eps)
+        assert math.isnan(cell.D_eps)
     assert np.all(np.isfinite(result.table.D_eps[0]))
     assert np.all(np.isnan(result.table.D_eps[1]))
     # the command line reports the lost cells and exits 1
@@ -489,7 +488,7 @@ def test_double_mesh_regression_example1(ex1):
     ]
     for eps, N, variant, mode, expect in frozen:
         cell = run_cell(ex1.with_epsilon(eps), N, variant, mode)
-        assert cell.d_eps == pytest.approx(expect, rel=REL), (eps, N, variant)
+        assert cell.D_eps == pytest.approx(expect, rel=REL), (eps, N, variant)
 
 
 def test_double_mesh_regression_example2(ex2):
@@ -500,7 +499,7 @@ def test_double_mesh_regression_example2(ex2):
     ]
     for eps, N, mode, expect in frozen:
         cell = run_cell(ex2.with_epsilon(eps), N, Variant.TRANSFORMED, mode)
-        assert cell.d_eps == pytest.approx(expect, rel=REL), (eps, N, mode)
+        assert cell.D_eps == pytest.approx(expect, rel=REL), (eps, N, mode)
 
 
 def test_manufactured_exact_solution_boundary():
@@ -583,5 +582,5 @@ def test_sweep_dict_json_round_trip(ex1):
     assert back["problem"] == "Example1"
     assert back["variant"] == "transformed"
     assert back["D_eps"][0][0] is None
-    assert back["D_eps"][1][0] == pytest.approx(result.cells[1].d_eps)
+    assert back["D_eps"][1][0] == pytest.approx(result.cells[1].D_eps)
     assert back["cells"][0]["error"]

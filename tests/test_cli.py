@@ -19,8 +19,9 @@ from cd2d.cli import (
     build_parser,
     main,
     parse_config,
-    stability_bound,
 )
+from cd2d.analysis import DoubleMeshMode
+from cd2d.assembly import Variant, assemble_system
 from cd2d.errors import (CD2DError, GeometryError, NonFiniteSolution,
                          SingularMatrix, SingularStructure)
 from cd2d.mesh import build_tensor_mesh
@@ -35,14 +36,14 @@ def test_run_config_defaults():
     cfg = RunConfig()
     assert cfg.problem == "Example1"
     assert cfg.epsilons == FULL_EPSILONS
-    assert cfg.Ns == FULL_NS
+    assert cfg.ns == FULL_NS
     assert cfg.workers == 1 and not cfg.desk
 
 
 def test_run_config_desk_caps_ns():
     cfg = RunConfig(desk=True)
-    assert cfg.Ns == [n for n in FULL_NS if n <= DESK_N_CAP]
-    assert 512 not in cfg.Ns
+    assert cfg.ns == [n for n in FULL_NS if n <= DESK_N_CAP]
+    assert 512 not in cfg.ns
 
 
 def test_parse_config_full():
@@ -58,7 +59,7 @@ def test_parse_config_full():
         "alpha = 4.0\n")
     assert cfg.problem == "Example2"
     assert cfg.epsilons == [1e-1, 1e-3]
-    assert cfg.Ns == [16, 32]
+    assert cfg.ns == [16, 32]
     assert cfg.variant.value == "raw"
     assert cfg.double_mesh.value == "regenerate"
     assert cfg.workers == 3
@@ -88,11 +89,11 @@ def test_desk_cap_applies_after_merging(tmp_path):
     ini.write_text("[run]\ndesk = true\n")
     args = build_parser().parse_args(
         ["sweep", "--config", str(ini), "--N", "16", "--N", "512"])
-    assert _merge_config(args).Ns == [16]
+    assert _merge_config(args).ns == [16]
     ini.write_text("[run]\nns = 16 512\n")
     args = build_parser().parse_args(
         ["sweep", "--config", str(ini), "--desk"])
-    assert _merge_config(args).Ns == [16]
+    assert _merge_config(args).ns == [16]
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -124,6 +125,45 @@ def test_config_desk_must_be_boolean(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "config error: [run] desk cannot be 'maybe'\n")
+
+
+# each setting: its flag arguments and its [run] line, giving the same value
+SETTINGS = {
+    "problem": (["--problem", "Example2"], "problem = Example2"),
+    "epsilons": (["--epsilon", "1e-2", "--epsilon", "1e-4"],
+                 "epsilons = 1e-2, 1e-4"),
+    "ns": (["--N", "16", "--N", "512"], "ns = 16 512"),
+    "variant": (["--variant", "raw"], "variant = raw"),
+    "double_mesh": (["--double-mesh", "regenerate"],
+                    "double_mesh = regenerate"),
+    "workers": (["--workers", "3"], "workers = 3"),
+    "out_dir": (["--out-dir", "results"], "out_dir = results"),
+    "desk": (["--desk"], "desk = yes"),
+    "alpha": (["--alpha", "4.0"], "alpha = 4.0"),
+    "beta": (["--beta", "2.0"], "beta = 2.0"),
+}
+
+
+def test_one_name_per_setting(tmp_path, capsys):
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(cli._CONFIG_KEYS) == fields
+    assert list(SETTINGS) == fields
+    ini = tmp_path / "run.ini"
+    parser = build_parser()
+    for name, (flags, line) in SETTINGS.items():
+        ini.write_text(f"[run]\n{line}\n")
+        from_flags = _merge_config(parser.parse_args(["sweep"] + flags))
+        from_file = _merge_config(
+            parser.parse_args(["sweep", "--config", str(ini)]))
+        assert from_flags == from_file, name
+        assert from_flags != RunConfig(), name
+        assert isinstance(from_flags.variant, Variant)
+        assert isinstance(from_flags.double_mesh, DoubleMeshMode)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", "--N"])
+    err = capsys.readouterr().err
+    assert "[--epsilon EPSILON] [--N N]" in err
+    assert "argument --N: expected one argument" in err
 
 
 def test_workers_below_one_is_config_error(tmp_path, capsys, monkeypatch):
@@ -167,6 +207,9 @@ def test_solve_writes_grid_and_metadata(tmp_path, capsys):
     assert set(timings) == {"assemble_s", "solve_s", "residual_s", "dump_s"}
     assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
     assert meta["wall_time"] == timings["assemble_s"] + timings["solve_s"]
+    assert set(meta) == {"problem", "variant", "epsilon", "N", "sigma_x",
+                         "sigma_y", "residual", "max_abs_u", "wall_time",
+                         "timings", "warnings"}
 
 
 def test_solve_unwritable_out_dir_is_config_error(tmp_path, capsys,
@@ -399,6 +442,33 @@ def test_sweep_missing_cell_exit(tmp_path, capsys):
         _REGISTRY.pop(name, None)
 
 
+CELL_KEYS = {"epsilon", "N", "D_eps", "sigma_x", "sigma_y",
+             "residual_coarse", "residual_fine", "max_u_coarse", "max_u_fine",
+             "wall_time", "timings", "coarse_reused", "warnings", "error"}
+
+
+def test_sweep_cell_json_keys(tmp_path):
+    # the d1 = 0.7 problem of test_sweep_missing_cell_exit: eps 0.5 fails
+    name = "cli_badgeom_keys"
+    try:
+        register_problem(
+            name, lambda: dataclasses.replace(builtin_problem("example1"),
+                                              d1=0.7, name=name))
+        rc = main(["sweep", "--problem", name, "--epsilon", "0.5",
+                   "--epsilon", "1e-3", "--N", "8", "--out-dir", str(tmp_path)])
+    finally:
+        _REGISTRY.pop(name, None)
+    assert rc == EXIT_INCOMPLETE
+    failed, good = json.loads(
+        (tmp_path / f"table_{name}_transformed_bisect.json").read_text())["cells"]
+    assert set(failed) == set(good) == CELL_KEYS
+    assert failed["error"].startswith("GeometryError") and good["error"] is None
+    for key in ("D_eps", "sigma_x", "sigma_y", "residual_coarse",
+                "residual_fine", "max_u_coarse", "max_u_fine"):
+        assert failed[key] is None, key
+        assert math.isfinite(good[key]), key
+
+
 # ---------------------------------------------------------------------------
 # verify command
 
@@ -547,15 +617,15 @@ def test_exit_status_follows_error_type(tmp_path, capsys, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# stability bound helper
+# stability bound of an assembled system, read by verify
 
 
 def test_stability_bound_values(ex1, ex2):
     tm1 = build_tensor_mesh(ex1, 16)
-    assert stability_bound(ex1, tm1) == pytest.approx(0.3)
+    assert assemble_system(ex1, tm1).bound == pytest.approx(0.3)
     tm2 = build_tensor_mesh(ex2, 16)
     # max f = 1 + x + y = 3 at the northeast corner, alpha = 2
-    assert stability_bound(ex2, tm2) == pytest.approx(1.5)
+    assert assemble_system(ex2, tm2).bound == pytest.approx(1.5)
 
 
 def test_stability_bound_includes_traces(ex1):
@@ -563,4 +633,4 @@ def test_stability_bound_includes_traces(ex1):
         ex1, q_edges=(lambda y: 0.25, lambda x: 0.0,
                       lambda y: 0.0, lambda x: 0.0))
     tm = build_tensor_mesh(spec, 16)
-    assert stability_bound(spec, tm) == pytest.approx(0.55)
+    assert assemble_system(spec, tm).bound == pytest.approx(0.55)

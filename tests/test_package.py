@@ -5,8 +5,7 @@ import cd2d
 EXPORTS = {
     # analysis
     "ConvergenceTable", "DoubleMeshMode", "SweepResult", "double_mesh_error",
-    "manufactured_problem", "manufactured_solution_study", "mms_exact",
-    "run_cell", "run_sweep", "write_table_csv",
+    "manufactured_solution_study", "run_cell", "run_sweep", "write_table_csv",
     # assembly
     "LinearSystem", "MMatrixReport", "Variant", "assemble_system",
     "m_matrix_check",
@@ -16,8 +15,8 @@ EXPORTS = {
     # mesh
     "TensorMesh", "bisect", "build_tensor_mesh",
     # problems
-    "ProblemSpec", "builtin_problem", "check_mesh_parameter", "problem_names",
-    "register_problem", "sample_field", "validate",
+    "ProblemSpec", "builtin_problem", "problem_names", "register_problem",
+    "validate",
     # solve
     "GridFunction", "residual_norm", "solve_direct", "write_grid_dump",
 }
@@ -29,4 +28,4 @@ def test_exports():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
-    assert len(EXPORTS) == 38
+    assert len(EXPORTS) == 34

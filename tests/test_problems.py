@@ -10,14 +10,13 @@ from cd2d import (
     assemble_system,
     builtin_problem,
     build_tensor_mesh,
-    check_mesh_parameter,
     problem_names,
     register_problem,
-    sample_field,
     validate,
 )
 from cd2d.errors import BadN, MalformedSpec
-from cd2d.problems import _REGISTRY, sample_problem
+from cd2d.problems import (_REGISTRY, check_mesh_parameter, sample_field,
+                           sample_problem)
 
 
 def quadrant_blocks(spec, mesh):
