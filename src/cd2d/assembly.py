@@ -122,27 +122,30 @@ def _raw_interface_coeffs(h1, H2):
 
 def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
                     variant: Variant = Variant.TRANSFORMED) -> LinearSystem:
-    """CSR matrix (sorted indices) and rhs of the scheme on mesh.
+    """CSR matrix (int32 sorted indices) and rhs of the scheme on mesh.
 
-    Each row class is built for all its points at once: the upwind rows
-    (interior and midpoint), the x = d1 rows of the chosen variant (cross
-    point included), and the Dirichlet rows.  Problem data that breaks
-    the hypotheses raises ``MalformedSpec`` (see ``sample_problem``).
+    Row j*m + i keeps one coefficient per column offset (-m, -2, -1, 0, 1,
+    2, m) in ``table[j, i]``, and ``stored`` marks the ones it uses.  Each
+    row class fills its block by slices (mesh widths broadcast): the upwind
+    rows either side of x = d1, the x = d1 rows of the variant and the
+    Dirichlet edge.  The offsets ascend, so ``table[stored]`` is the CSR
+    data with sorted columns.  Bad problem data raises ``MalformedSpec``.
     """
     n, half, m = mesh.n, mesh.n // 2, mesh.n + 1
     hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     eps2 = spec.epsilon ** 2
-    flat = np.arange(m * m).reshape(m, m)          # flat[j, i] = j*m + i
+    offsets = np.array([-m, -2, -1, 0, 1, 2, m], dtype=np.int32)
+    slot = {int(d): k for k, d in enumerate(offsets)}
+    table = np.zeros((m, m, offsets.size))
+    stored = np.zeros(table.shape, dtype=bool)
     rhs = np.zeros(m * m)
-    parts = []
 
     def put(rows, values, *stencil):
-        """Rows with their rhs values and (columns, coefficients)."""
-        rows = rows.ravel()
-        rhs[rows] = np.ravel(values)
-        for cols, coeffs in stencil:
-            parts.append((rows, cols.ravel(),
-                          np.broadcast_to(coeffs, cols.shape).ravel()))
+        """Rows (index tuple), rhs values, (offset, coefficients) pairs."""
+        rhs.reshape(m, m)[rows] = values
+        for offset, coeffs in stencil:
+            table[rows + (slot[offset],)] = coeffs
+            stored[rows + (slot[offset],)] = True
 
     # f off the lines comes from its quadrant's block; the values left on
     # the lines are never read.  Row y = d2 of a, b and f becomes the
@@ -158,44 +161,43 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
         g[half] = 0.5 * (g[half - 1] + g[half + 1])
 
     # Upwind rows at every point off the boundary and off x = d1.
-    J, I = np.meshgrid(np.arange(1, n), np.r_[1:half, half + 1:n],
-                       indexing="ij")
-    center, west, east, south, north = _upwind_coeffs(
-        eps2, hx[I - 1], hx[I], hy[J - 1], hy[J], a_up[J, I], b_up[J, I])
-    r = flat[J, I]
-    put(r, f[J, I],
-        (r, center), (r - 1, west), (r + 1, east), (r - m, south), (r + m, north))
+    for lo, hi in ((1, half), (half + 1, n)):
+        rows = (slice(1, n), slice(lo, hi))
+        center, west, east, south, north = _upwind_coeffs(
+            eps2, hx[lo - 1:hi - 1], hx[lo:hi], hy[:n - 1, None],
+            hy[1:n, None], a_up[rows], b_up[rows])
+        put(rows, f[rows], (0, center), (-1, west), (1, east),
+            (-m, south), (m, north))
 
     # Transmission rows on x = d1, cross point included.
-    j = np.arange(1, n)
-    r = flat[j, half]
+    j = slice(1, n)
     h1, H2 = hx[half - 1], hx[half]
     if variant is Variant.RAW:
-        put(r, 0.0,
-            *((r + d, c) for d, c in zip(range(-2, 3),
-                                         _raw_interface_coeffs(h1, H2))))
+        put((j, half), 0.0, *zip(range(-2, 3), _raw_interface_coeffs(h1, H2)))
     else:
         center, west, east, e_minus = _transformed_coeffs(
             eps2, h1, H2, a[j, half - 1], a[j, half + 1],
             b[j, half - 1], b[j, half + 1])
-        put(r, (h1 / (4.0 * e_minus)) * f[j, half - 1]
+        put((j, half), (h1 / (4.0 * e_minus)) * f[j, half - 1]
             + (H2 / (4.0 * eps2)) * f[j, half + 1],
-            (r - 1, west), (r, center), (r + 1, east))
+            (-1, west), (0, center), (1, east))
 
     # Dirichlet rows; west and east win at the corners.
     q = np.empty((m, m))
     west_q, south_q, east_q, north_q = traces
     q[-1], q[0], q[:, -1], q[:, 0] = north_q, south_q, east_q, west_q
-    edge = np.ones((m, m), dtype=bool)
-    edge[1:-1, 1:-1] = False
-    put(flat[edge], q[edge], (flat[edge], 1.0))
+    edge = np.pad(np.zeros((m - 2, m - 2), bool), 1, constant_values=True)
+    put((edge,), q[edge], (0, 1.0))
 
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(m * m, m * m)).tocsr()
-    matrix.sort_indices()
-    empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
+    counts = stored.sum(axis=2, dtype=np.int32).ravel()
+    empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise SingularStructure(f"empty matrix rows at flat indices {empty[:10]}")
+    indptr = np.zeros(m * m + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:], dtype=np.int32)
+    flat = np.arange(m * m, dtype=np.int32).reshape(m, m, 1)
+    matrix = sp.csr_matrix((table[stored], (flat + offsets)[stored], indptr),
+                           shape=(m * m, m * m))
     return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh, variant=variant,
                         bound=f_max / spec.alpha + q_max)
 
