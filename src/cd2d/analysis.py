@@ -31,16 +31,17 @@ from __future__ import annotations
 
 import enum
 import math
+import pickle
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import mesh as mesh_mod
 from .assembly import LinearSystem, Variant, assemble_system
-from .errors import CD2DError, MeshMismatch
-from .problems import ProblemSpec, validate
+from .errors import CD2DError, MalformedSpec, MeshMismatch
+from .problems import ProblemSpec, _make_example1, validate
 from .solve import GridFunction, residual_norm, solve_direct
 
 
@@ -294,6 +295,12 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
     jobs = [(spec.with_epsilon(eps), chain, variant.value, mode.value)
             for eps in epsilons for chain in _chains(Ns, mode)]
     if workers > 1 and len(jobs) > 1:
+        try:
+            pickle.dumps(spec)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise MalformedSpec(f"problem {spec.name!r} cannot be sent to worker "
+                                f"processes ({type(exc).__name__}: {exc}); its "
+                                "fields must be module-level functions") from exc
         chains = _run_pooled(jobs, workers)
     else:
         chains = [_chain_worker(job) for job in jobs]
@@ -309,25 +316,15 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Smooth manufactured oracle: exact solution u*(x,y) = x sin(pi x) sin(pi y)
-# with constant a = 2, b = 25, eps = 0.1, d1 = d2 = 1/2 and the same source
-# expression on all four quadrants, so the interface rows see a continuous f.
+# Smooth manufactured oracle: u*(x,y) = x sin(pi x) sin(pi y) solves Example 1
+# (from its own factory: a registered "example1" must not change the oracle)
+# with one continuous source f = -eps^2 lap u* + a u*_x + b u* on all quadrants.
 
-_MMS_EPS = 0.1
-_MMS_A = 2.0
-_MMS_B = 25.0
+_EXAMPLE1 = _make_example1()
 
 
 def mms_exact(x, y):
     return x * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-
-def _mms_a(x, y):
-    return _MMS_A
-
-
-def _mms_b(x, y):
-    return _MMS_B
 
 
 def _mms_f(x, y):
@@ -335,23 +332,12 @@ def _mms_f(x, y):
     sx, cx, sy = np.sin(pi * x), np.cos(pi * x), np.sin(pi * y)
     lap = 2.0 * pi * cx * sy - 2.0 * pi ** 2 * x * sx * sy
     ux = sx * sy + pi * x * cx * sy
-    return -_MMS_EPS ** 2 * lap + _MMS_A * ux + _MMS_B * x * sx * sy
-
-
-def _zero(t):
-    return 0.0
+    return (-_EXAMPLE1.epsilon ** 2 * lap + _EXAMPLE1.a_field(x, y) * ux
+            + _EXAMPLE1.b_field(x, y) * x * sx * sy)
 
 
 def manufactured_problem() -> ProblemSpec:
-    return ProblemSpec(
-        epsilon=_MMS_EPS,
-        a_field=_mms_a,
-        b_field=_mms_b,
-        f_quadrants=(_mms_f, _mms_f, _mms_f, _mms_f),
-        q_edges=(_zero, _zero, _zero, _zero),
-        d1=0.5, d2=0.5, alpha=2.0, beta=5.0,
-        name="manufactured",
-    )
+    return replace(_EXAMPLE1, f_quadrants=(_mms_f,) * 4, name="manufactured")
 
 
 def manufactured_solution_study(Ns: Sequence[int],

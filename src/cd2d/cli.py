@@ -170,9 +170,9 @@ def cmd_solve(config: RunConfig) -> int:
         print("solve needs exactly one --epsilon and one --N", file=sys.stderr)
         return EXIT_CONFIG
     eps, N = config.epsilons[0], config.ns[0]
+    spec = _load_spec(config).with_epsilon(eps)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = _load_spec(config).with_epsilon(eps)
     tm = mesh_mod.build_tensor_mesh(spec, N)
     warnings = _print_warnings(spec, N)
     timings = dict.fromkeys(("assemble_s", "solve_s", "residual_s", "dump_s"),
@@ -343,7 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
-    except (CD2DError, ValueError, OSError) as exc:
+    except (CD2DError, ValueError, OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     command = {"solve": cmd_solve, "sweep": cmd_sweep,

@@ -61,10 +61,10 @@ class ProblemSpec:
             raise MalformedSpec(f"d1 must lie in (0,1), got {self.d1}")
         if not (0.0 < self.d2 < 1.0):
             raise MalformedSpec(f"d2 must lie in (0,1), got {self.d2}")
-        if self.alpha <= 0.0:
-            raise MalformedSpec(f"alpha must be positive, got {self.alpha}")
-        if self.beta <= 0.0:
-            raise MalformedSpec(f"beta must be positive, got {self.beta}")
+        for label, bound in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0.0 < bound < math.inf:      # NaN fails too
+                raise MalformedSpec(
+                    f"{label} must be finite and positive, got {bound}")
 
     def with_epsilon(self, epsilon: float) -> "ProblemSpec":
         return replace(self, epsilon=epsilon)
@@ -182,41 +182,39 @@ def check_mesh_parameter(N: int) -> None:
         raise BadN(f"N must be a multiple of 8 and at least 8, got {N}")
 
 
-def sample_field(fld: ScalarField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar field on the tensor grid, shape (len(ys), len(xs)).
+def sample_field(fld: Callable, xs: np.ndarray, ys: np.ndarray | None = None,
+                 label: str | None = None) -> np.ndarray:
+    """Evaluate a scalar field on the tensor grid, shape (len(ys), len(xs)),
+    or, with ``ys`` None, an edge trace on the axis ``xs``.
 
     Tries a single broadcast call first (all builtin fields support it) and
     falls back to pointwise evaluation if that call fails in any way.  A
-    field that fails pointwise as well raises ``MalformedSpec``.
+    callable that fails pointwise as well raises ``MalformedSpec`` naming
+    the point and ``label`` (default: "field <qualname>").
     """
-    X, Y = np.meshgrid(xs, ys)
+    points = (xs,) if ys is None else np.meshgrid(xs, ys)
     try:
-        vals = np.broadcast_to(np.asarray(fld(X, Y), dtype=float), X.shape)
+        vals = np.broadcast_to(np.asarray(fld(*points), dtype=float),
+                               points[0].shape)
         return np.array(vals, dtype=float)
     except Exception:
         pass
-    out = np.empty(X.shape)
-    for (j, i), x in np.ndenumerate(X):
+    out = np.empty(points[0].shape)
+    for index in np.ndindex(out.shape):
+        at = [p[index] for p in points]
         try:
-            out[j, i] = float(fld(x, Y[j, i]))
+            out[index] = float(fld(*at))
         except Exception as exc:
-            name = getattr(fld, "__qualname__", repr(fld))
-            raise MalformedSpec(
-                f"field {name} fails at ({x:.6g}, {Y[j, i]:.6g}): "
-                f"{type(exc).__name__}: {exc}") from exc
+            where = ", ".join(f"{v:.6g}" for v in at)
+            if ys is not None:
+                where = f"({where})"
+            name = label or "field " + getattr(fld, "__qualname__", repr(fld))
+            raise MalformedSpec(f"{name} fails at {where}: "
+                                f"{type(exc).__name__}: {exc}") from exc
     return out
 
 
 _EDGES = ("west", "south", "east", "north")
-
-
-def _trace_value(edge: str, trace: EdgeTrace, t: float) -> float:
-    """``float(trace(t))``; any failure raises ``MalformedSpec``."""
-    try:
-        return float(trace(t))
-    except Exception as exc:
-        raise MalformedSpec(f"{edge} trace fails at {t:.6g}: "
-                            f"{type(exc).__name__}: {exc}") from exc
 
 
 def sample_problem(spec: ProblemSpec, mesh: TensorMesh) -> tuple[
@@ -243,7 +241,7 @@ def sample_problem(spec: ProblemSpec, mesh: TensorMesh) -> tuple[
     errors, traces = [], []
     for edge, trace, ts in zip(_EDGES, spec.q_edges, (ys, xs, ys, xs)):
         try:
-            traces.append(np.array([_trace_value(edge, trace, t) for t in ts]))
+            traces.append(sample_field(trace, ts, label=f"{edge} trace"))
         except MalformedSpec as exc:
             errors.append(str(exc))
             traces.append(np.zeros(ts.size))    # reported; not again below
@@ -285,14 +283,14 @@ def validate(spec: ProblemSpec, N: int) -> list[str]:
                 f"{label} = {d:.6g} <= 8 (eps/beta) ln N = {threshold:.6g}: "
                 "layer width is not small against the subdomain (classical regime)")
 
-    def q(k, t):
-        return _trace_value(_EDGES[k], spec.q_edges[k], t)
-
+    west, south, east, north = (
+        sample_field(trace, np.array([0.0, 1.0]), label=f"{edge} trace")
+        for edge, trace in zip(_EDGES, spec.q_edges))
     corners = [
-        (q(0, 0.0), q(1, 0.0), "southwest"),
-        (q(2, 0.0), q(1, 1.0), "southeast"),
-        (q(0, 1.0), q(3, 0.0), "northwest"),
-        (q(2, 1.0), q(3, 1.0), "northeast"),
+        (west[0], south[0], "southwest"),
+        (east[0], south[1], "southeast"),
+        (west[1], north[0], "northwest"),
+        (east[1], north[1], "northeast"),
     ]
     for va, vb, where in corners:
         if abs(va - vb) > 1e-14 * max(1.0, abs(va)):

@@ -372,6 +372,23 @@ def test_run_sweep_worker_count_invariant(ex1):
                 == [c.coarse_reused for c in parallel.cells]), mode
 
 
+def test_pooled_sweep_rejects_unpicklable_problem(ex1, monkeypatch):
+    # a lambda field works serially; a pool could not send it, so the sweep
+    # says why before starting one
+    spec = dataclasses.replace(ex1, a_field=lambda x, y: 2.0)
+    assert run_sweep(spec, [1e-1, 1e-2], [8], workers=1).table.complete
+
+    def no_pool(*args):
+        raise AssertionError("pool started")
+
+    monkeypatch.setattr(analysis, "_run_pooled", no_pool)
+    with pytest.raises(errors.MalformedSpec, match=(
+            r"^problem 'Example1' cannot be sent to worker processes "
+            r"\(\w+: .*\); its fields must be module-level "
+            r"functions$")):
+        run_sweep(spec, [1e-1, 1e-2], [8], workers=2)
+
+
 def count_solves(monkeypatch):
     """A list that grows by one for every solve a sweep makes."""
     calls = []
@@ -516,6 +533,24 @@ def test_manufactured_problem_is_continuous_across_lines():
         left = spec.f_quadrants[0](spec.d1, y)
         right = spec.f_quadrants[1](spec.d1, y)
         assert left == right
+
+
+def test_manufactured_problem_ignores_a_registered_example1(ex1):
+    # the oracle is Example 1's own data, whatever the registry holds
+    before = manufactured_problem()
+    saved = _REGISTRY["example1"]
+    try:
+        register_problem("example1", lambda: dataclasses.replace(
+            ex1, d1=0.3, alpha=1.0, a_field=lambda x, y: 1.0 + x))
+        after = manufactured_problem()
+    finally:
+        _REGISTRY["example1"] = saved
+    assert after == before
+    assert after.name == "manufactured"
+    assert (after.epsilon, after.d1, after.d2, after.alpha, after.beta) == (
+        ex1.epsilon, ex1.d1, ex1.d2, ex1.alpha, ex1.beta)
+    assert (after.a_field, after.b_field, after.q_edges) == (
+        ex1.a_field, ex1.b_field, ex1.q_edges)
 
 
 def test_manufactured_errors_frozen():

@@ -127,6 +127,23 @@ def test_config_desk_must_be_boolean(tmp_path, capsys, monkeypatch):
         "config error: [run] desk cannot be 'maybe'\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("problem = Example2\n", "File contains no section headers."),
+    ("[run]\nns = 16\nns = 32\n",
+     "option 'ns' in section 'run' already exists"),
+    ("[run]\nout_dir = runs%1\n", "'%' must be followed by '%' or '('")])
+def test_malformed_ini_is_config_error(tmp_path, capsys, monkeypatch, text,
+                                       message):
+    # no section header, a duplicated key, a bare %
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    monkeypatch.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
+    rc = main(["verify", "--config", str(ini)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+
+
 # each setting: its flag arguments and its [run] line, giving the same value
 SETTINGS = {
     "problem": (["--problem", "Example2"], "problem = Example2"),
@@ -440,6 +457,36 @@ def test_sweep_missing_cell_exit(tmp_path, capsys):
         assert lines[2].startswith("1.0e-03,") and len(lines[2]) > 9
     finally:
         _REGISTRY.pop(name, None)
+
+
+def test_sweep_unresolvable_eps_is_a_missing_cell(tmp_path, capsys):
+    # solve and verify reject this eps up front (status 2); sweep finds it
+    # per cell and records it there
+    rc = main(["sweep", "--epsilon", "1e-12", "--N", "16",
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_INCOMPLETE
+    assert "missing cell eps=1e-12 N=16: GeometryError" in capsys.readouterr().err
+    doc = json.loads(
+        (tmp_path / "table_example1_transformed_bisect.json").read_text())
+    [cell] = doc["cells"]
+    assert (cell["epsilon"], cell["N"], cell["D_eps"]) == (1e-12, 16, None)
+    assert cell["error"].startswith("GeometryError: eps = 1e-12 is below ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "nan"), ("--beta", "nan"), ("--alpha", "inf")])
+def test_non_finite_bound_is_an_error(tmp_path, capsys, monkeypatch, flag,
+                                      value):
+    monkeypatch.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
+    monkeypatch.setattr(analysis, "run_sweep", must_not_run)
+    for command in (["solve", "--N", "16", "--out-dir", str(tmp_path)],
+                    ["sweep", "--N", "16", "--out-dir", str(tmp_path)],
+                    ["verify"]):
+        rc = main([*command, "--epsilon", "1e-2", flag, value])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(
+            f"error: {flag[2:]} must be finite and positive, got {value}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 CELL_KEYS = {"epsilon", "N", "D_eps", "sigma_x", "sigma_y",

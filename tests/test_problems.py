@@ -145,6 +145,15 @@ def test_spec_validation_errors(ex1):
                     d1=0.5, d2=0.5, alpha=0.0, beta=5.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("beta", math.nan), ("alpha", math.inf),
+    ("beta", -math.inf), ("beta", 0.0)])
+def test_spec_bounds_must_be_finite_and_positive(ex1, field, value):
+    with pytest.raises(MalformedSpec, match=(
+            rf"^{field} must be finite and positive, got {value}$")):
+        dataclasses.replace(ex1, **{field: value})
+
+
 def test_with_epsilon(ex1):
     s = ex1.with_epsilon(1e-4)
     assert s.epsilon == 1e-4
@@ -246,6 +255,59 @@ def test_sample_field_falls_back_on_any_error():
             r"^field .*b_divides_by_x fails at \(0, 0.25\): "
             r"ZeroDivisionError: float division by zero$")):
         sample_field(b_divides_by_x, np.array([0.0, 0.5]), np.array([0.25]))
+
+
+def test_sample_field_reads_an_edge_trace_on_one_axis():
+    ts = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(sample_field(np.sin, ts), np.sin(ts))
+    assert sample_field(lambda t: 3.0, ts).tolist() == [3.0] * 5
+    with pytest.raises(MalformedSpec, match=(
+            r"^north trace fails at 0.25: ZeroDivisionError: ")):
+        sample_field(lambda t: 1.0 / (float(t) - 0.25), ts, label="north trace")
+
+
+def test_array_trace_called_once_per_edge_per_assembly(ex1):
+    # a trace that takes arrays gets the whole edge in one call, in
+    # assembly and in the corner check alike
+    calls = []
+
+    def counted(edge):
+        def trace(t):
+            calls.append((edge, np.shape(t)))
+            return 0.0 * t
+        return trace
+
+    spec = dataclasses.replace(
+        ex1, q_edges=tuple(counted(edge) for edge in range(4)))
+    mesh = build_tensor_mesh(spec, 16)
+    system = assemble_system(spec, mesh)
+    assert sorted(calls) == [(edge, (17,)) for edge in range(4)]
+    assert np.array_equal(system.rhs, assemble_system(ex1, mesh).rhs)
+    calls.clear()
+    assert validate(spec, 16) == []
+    assert sorted(calls) == [(edge, (2,)) for edge in range(4)]
+
+
+def test_scalar_only_trace_falls_back_point_by_point(ex1):
+    # math takes no arrays: each edge point is read on its own, with the
+    # same values as before and the same failure message
+    def south(x):
+        return math.sqrt(x)
+
+    def west(y):
+        return math.log(y)
+
+    mesh = build_tensor_mesh(ex1, 16)
+    spec = dataclasses.replace(ex1, q_edges=(ex1.q_edges[0], south,
+                                             *ex1.q_edges[2:]))
+    traces = sample_problem(spec, mesh)[3]
+    assert traces[1].tolist() == [south(x) for x in mesh.x]
+    assert validate(spec, 16) == [
+        "boundary traces disagree at the southeast corner: 0.0 vs 1.0"]
+    bad = dataclasses.replace(spec, q_edges=(west, *spec.q_edges[1:]))
+    with pytest.raises(MalformedSpec, match=(
+            r"^west trace fails at 0: ValueError: math domain error$")):
+        sample_problem(bad, mesh)
 
 
 def test_validate_trace_failing_at_a_corner(ex1):
