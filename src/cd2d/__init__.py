@@ -18,7 +18,7 @@ from .assembly import (LinearSystem, MMatrixReport, Variant, assemble_system,
                        m_matrix_check)
 from .errors import (BadN, CD2DError, DimensionMismatch, GeometryError,
                      MalformedSpec, MeshMismatch, NonFiniteSolution,
-                     SingularMatrix, SingularStructure)
+                     SingularMatrix)
 from .mesh import TensorMesh, bisect, build_tensor_mesh
 from .problems import (ProblemSpec, builtin_problem, problem_names,
                        register_problem, validate)

@@ -203,8 +203,7 @@ def _chains(Ns: Sequence[int], mode: DoubleMeshMode) -> list[list[int]]:
 
 def _chain_worker(args) -> list[CellResult]:
     """The cells of one chain, each reusing the fine solve of the one before."""
-    spec, Ns, variant_value, mode_value = args
-    variant, mode = Variant(variant_value), DoubleMeshMode(mode_value)
+    spec, Ns, variant, mode = args
     cells: list[CellResult] = []
     shared = None
     for N in Ns:
@@ -292,7 +291,7 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
     Work is split into chains (see ``_chains``); with ``workers > 1`` they
     run in a process pool, and a crashed worker costs only its own chain.
     """
-    jobs = [(spec.with_epsilon(eps), chain, variant.value, mode.value)
+    jobs = [(spec.with_epsilon(eps), chain, variant, mode)
             for eps in epsilons for chain in _chains(Ns, mode)]
     if workers > 1 and len(jobs) > 1:
         try:

@@ -48,7 +48,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SingularStructure
 from .mesh import TensorMesh
 from .problems import ProblemSpec, sample_problem
 
@@ -190,9 +189,6 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     put((edge,), q[edge], (0, 1.0))
 
     counts = stored.sum(axis=2, dtype=np.int32).ravel()
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise SingularStructure(f"empty matrix rows at flat indices {empty[:10]}")
     indptr = np.zeros(m * m + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:], dtype=np.int32)
     flat = np.arange(m * m, dtype=np.int32).reshape(m, m, 1)

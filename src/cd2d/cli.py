@@ -29,8 +29,7 @@ from . import analysis, mesh as mesh_mod
 from .assembly import Variant, assemble_system, m_matrix_check
 from .analysis import DoubleMeshMode
 from .errors import BadN, CD2DError, GeometryError, MalformedSpec
-from .problems import (ProblemSpec, builtin_problem, check_mesh_parameter,
-                       problem_names, validate)
+from .problems import ProblemSpec, builtin_problem, problem_names, validate
 from .solve import solve_direct, write_grid_dump
 
 EXIT_OK = 0
@@ -215,7 +214,7 @@ def cmd_sweep(config: RunConfig) -> int:
     for eps in config.epsilons:     # an eps outside (0, 1) fails here
         spec.with_epsilon(eps)
     for N in config.ns:
-        check_mesh_parameter(N)
+        mesh_mod.check_mesh_parameter(N)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = analysis.run_sweep(spec, config.epsilons, config.ns,

@@ -18,10 +18,6 @@ class GeometryError(CD2DError):
     """Layer pieces of the fitted mesh would overlap or collapse."""
 
 
-class SingularStructure(CD2DError):
-    """Assembled matrix has an empty row."""
-
-
 class SingularMatrix(CD2DError):
     """Direct factorization broke down."""
 

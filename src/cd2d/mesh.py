@@ -18,19 +18,23 @@ layers along y = 0, y = 1 and both sides of y = d2.  Transition widths:
 
 Breakpoints (in particular d1 and d2 at index N/2) are assigned exactly,
 never accumulated, because row selection in the discretization keys on the
-interface indices.  ``build_tensor_mesh`` is the one place that computes
-the widths and builds the axes; a mesh is the two sorted point arrays plus
+interface indices.  ``build_tensor_mesh`` is the one place that builds a
+mesh, and this module owns its rules: the N rule (``check_mesh_parameter``),
+the floor below which double precision cannot resolve a layer piece (d1/2,
+d2/4 or eps too small) and the overlap rules (1 - sigma_x > d1,
+1 - sigma_y > d2 + sigma_y).  A mesh is the two sorted point arrays plus
 sigma_x and sigma_y.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GeometryError
-from .problems import ProblemSpec, check_mesh_parameter
+from .errors import BadN, DimensionMismatch, GeometryError
+from .problems import ProblemSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +59,6 @@ class TensorMesh:
 def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],
                        axis: str) -> np.ndarray:
     """Uniform points inside each piece; piece endpoints assigned exactly."""
-    for left, right in zip(breakpoints[:-1], breakpoints[1:]):
-        if not right > left:
-            raise GeometryError(f"{axis}-pieces out of order: {left} >= {right}")
     total = sum(counts)
     pts = np.empty(total + 1)
     pos = 0
@@ -72,29 +73,9 @@ def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],
     return pts
 
 
-def build_mesh_x(N: int, sx: float, d1: float) -> np.ndarray:
-    """Four-piece x-mesh with N/4 intervals per piece."""
-    if sx <= 0.0 or sx > d1 / 2.0 + 1e-15:
-        raise GeometryError(f"sigma_x = {sx} outside (0, d1/2] for d1 = {d1}")
-    if 1.0 - sx <= d1:
-        raise GeometryError(
-            f"layer piece [1-sigma_x, 1] with sigma_x = {sx} overlaps d1 = {d1}")
-    quarter = N // 4
-    breakpoints = (0.0, d1 - sx, d1, 1.0 - sx, 1.0)
-    return _piecewise_uniform(breakpoints, (quarter,) * 4, "x")
-
-
-def build_mesh_y(N: int, sy: float, d2: float) -> np.ndarray:
-    """Six-piece y-mesh with counts (N/8, N/4, N/8, N/8, N/4, N/8)."""
-    if sy <= 0.0 or sy > d2 / 4.0 + 1e-15:
-        raise GeometryError(f"sigma_y = {sy} outside (0, d2/4] for d2 = {d2}")
-    if 1.0 - sy <= d2 + sy:
-        raise GeometryError(
-            f"layer pieces around y = {d2} and y = 1 overlap for sigma_y = {sy}")
-    eighth, quarter = N // 8, N // 4
-    breakpoints = (0.0, sy, d2 - sy, d2, d2 + sy, 1.0 - sy, 1.0)
-    counts = (eighth, quarter, eighth, eighth, quarter, eighth)
-    return _piecewise_uniform(breakpoints, counts, "y")
+def check_mesh_parameter(N: int) -> None:
+    if not isinstance(N, numbers.Integral) or N < 8 or N % 8 != 0:
+        raise BadN(f"N must be a multiple of 8 and at least 8, got {N}")
 
 
 # Every coordinate lies in [0, 1], where one ulp is at most 2^-53.  A point
@@ -110,18 +91,37 @@ def build_tensor_mesh(spec: ProblemSpec, N: int) -> TensorMesh:
     """Fitted mesh with the min-formula transition widths; N a multiple of 8."""
     check_mesh_parameter(N)
     log_n = math.log(N)
-    sx = min(spec.d1 / 2.0, (2.0 * spec.epsilon ** 2 / spec.alpha) * log_n)
-    sy = min(spec.d2 / 4.0, (2.0 * spec.epsilon / spec.beta) * log_n)
-    if sx < (N // 4) * _MIN_SPACING or sy < (N // 8) * _MIN_SPACING:
+    eighth, quarter = N // 8, N // 4
+    d1, d2 = spec.d1, spec.d2
+    # sigma_x <= d1/2 spans N/4 spacings and sigma_y <= d2/4 spans N/8, so
+    # whatever eps is, d1 and d2 need N/2 spacings
+    d_min = (N // 2) * _MIN_SPACING
+    for label, d in (("d1", d1), ("d2", d2)):
+        if d < d_min:
+            raise GeometryError(
+                f"{label} = {d:g} is below {d_min:.3g}, the smallest {label} "
+                f"whose layer pieces a mesh with N = {N} can resolve in "
+                "double precision at any eps")
+    sx = min(d1 / 2.0, (2.0 * spec.epsilon ** 2 / spec.alpha) * log_n)
+    sy = min(d2 / 4.0, (2.0 * spec.epsilon / spec.beta) * log_n)
+    if sx < quarter * _MIN_SPACING or sy < eighth * _MIN_SPACING:
         eps_min = max(
-            math.sqrt(spec.alpha * (N // 4) * _MIN_SPACING / (2.0 * log_n)),
-            spec.beta * (N // 8) * _MIN_SPACING / (2.0 * log_n))
+            math.sqrt(spec.alpha * quarter * _MIN_SPACING / (2.0 * log_n)),
+            spec.beta * eighth * _MIN_SPACING / (2.0 * log_n))
         raise GeometryError(
             f"eps = {spec.epsilon:g} is below {eps_min:.3g}, the smallest eps "
             f"whose layer pieces a mesh with N = {N} can resolve in double "
-            f"precision (d1 = {spec.d1:g}, alpha = {spec.alpha:g})")
-    return TensorMesh(x=build_mesh_x(N, sx, spec.d1),
-                      y=build_mesh_y(N, sy, spec.d2), sigma_x=sx, sigma_y=sy)
+            f"precision (d1 = {d1:g}, alpha = {spec.alpha:g})")
+    if 1.0 - sx <= d1:
+        raise GeometryError(
+            f"layer piece [1-sigma_x, 1] with sigma_x = {sx} overlaps d1 = {d1}")
+    if 1.0 - sy <= d2 + sy:
+        raise GeometryError(
+            f"layer pieces around y = {d2} and y = 1 overlap for sigma_y = {sy}")
+    x = _piecewise_uniform((0.0, d1 - sx, d1, 1.0 - sx, 1.0), (quarter,) * 4, "x")
+    y = _piecewise_uniform((0.0, sy, d2 - sy, d2, d2 + sy, 1.0 - sy, 1.0),
+                           (eighth, quarter, eighth, eighth, quarter, eighth), "y")
+    return TensorMesh(x=x, y=y, sigma_x=sx, sigma_y=sy)
 
 
 def bisect(mesh: TensorMesh) -> TensorMesh:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import BadN, MalformedSpec
+from .errors import MalformedSpec
 
 if TYPE_CHECKING:
     from .mesh import TensorMesh
@@ -71,36 +71,17 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Builtin problems.  Field callables are module-level functions (not
-# closures) so specs can be pickled into worker processes; they also accept
-# numpy arrays unchanged.
+# Builtin problems.  Fields and traces are module-level functions, or
+# ``_Constant`` values where they are constant, never closures, so specs
+# can be pickled into worker processes; both accept numpy arrays unchanged.
 
-def _zero_trace(t):
-    return 0.0
+@dataclass(frozen=True)
+class _Constant:
+    """A field or edge trace with one value everywhere."""
+    value: float
 
-
-def _ex1_a(x, y):
-    return 2.0
-
-
-def _ex1_b(x, y):
-    return 25.0
-
-
-def _ex1_f1(x, y):
-    return 0.5
-
-
-def _ex1_f2(x, y):
-    return 0.6
-
-
-def _ex1_f3(x, y):
-    return -0.6
-
-
-def _ex1_f4(x, y):
-    return -0.5
+    def __call__(self, *point):
+        return self.value
 
 
 def _ex2_a(x, y):
@@ -130,10 +111,10 @@ def _ex2_f4(x, y):
 def _make_example1() -> ProblemSpec:
     return ProblemSpec(
         epsilon=0.1,
-        a_field=_ex1_a,
-        b_field=_ex1_b,
-        f_quadrants=(_ex1_f1, _ex1_f2, _ex1_f3, _ex1_f4),
-        q_edges=(_zero_trace, _zero_trace, _zero_trace, _zero_trace),
+        a_field=_Constant(2.0),
+        b_field=_Constant(25.0),
+        f_quadrants=tuple(map(_Constant, (0.5, 0.6, -0.6, -0.5))),
+        q_edges=(_Constant(0.0),) * 4,
         d1=0.5, d2=0.5, alpha=2.0, beta=5.0,
         name="Example1",
     )
@@ -147,7 +128,7 @@ def _make_example2() -> ProblemSpec:
         a_field=_ex2_a,
         b_field=_ex2_b,
         f_quadrants=(_ex2_f1, _ex2_f2, _ex2_f3, _ex2_f4),
-        q_edges=(_zero_trace, _zero_trace, _zero_trace, _zero_trace),
+        q_edges=(_Constant(0.0),) * 4,
         d1=0.4, d2=0.6, alpha=2.0, beta=5.0,
         name="Example2",
     )
@@ -175,11 +156,6 @@ def builtin_problem(name: str) -> ProblemSpec:
 
 def problem_names() -> list[str]:
     return sorted(_REGISTRY)
-
-
-def check_mesh_parameter(N: int) -> None:
-    if N < 8 or N % 8 != 0:
-        raise BadN(f"N must be a multiple of 8 and at least 8, got {N}")
 
 
 def sample_field(fld: Callable, xs: np.ndarray, ys: np.ndarray | None = None,

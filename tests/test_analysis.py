@@ -329,6 +329,16 @@ def test_run_sweep_missing_cells_not_fatal(ex1):
     assert result.cells[0].error and result.cells[3].ok
 
 
+@pytest.mark.parametrize("mode", list(DoubleMeshMode), ids=lambda m: m.value)
+def test_run_sweep_non_integral_n_is_a_missing_cell(ex1, mode):
+    # N = 16.0 is BadN in its own cell; the N = 32 cell still completes
+    result = run_sweep(ex1, [0.1], [16.0, 32], mode=mode)
+    bad, good = result.cells
+    assert bad.error == ("BadN: N must be a multiple of 8 and at least 8, "
+                         "got 16.0")
+    assert good.ok and not good.coarse_reused
+
+
 def test_run_sweep_ordering_and_shape(ex1):
     result = run_sweep(ex1, [1e-1, 1e-2], [8, 16], Variant.TRANSFORMED,
                        DoubleMeshMode.BISECT)

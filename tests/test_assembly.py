@@ -13,7 +13,6 @@ from cd2d import (
     m_matrix_check,
 )
 from cd2d.assembly import _raw_interface_coeffs
-from cd2d.mesh import TensorMesh, build_mesh_x, build_mesh_y
 from cd2d.problems import ProblemSpec
 
 from scalar_rows import oracle_system, source_off_lines
@@ -37,9 +36,8 @@ def assembled_row(spec, tm, i, j, variant=Variant.TRANSFORMED):
 
 
 def uniform_mesh_8():
-    """Forced sigma = (d/2, d/4) makes every piece 0.125 wide."""
-    return TensorMesh(x=build_mesh_x(8, 0.25, 0.5), y=build_mesh_y(8, 0.125, 0.5),
-                      sigma_x=0.25, sigma_y=0.125)
+    """eps = 0.5 puts sigma at (d/2, d/4), so every piece is 0.125 wide."""
+    return build_tensor_mesh(builtin_problem("example1").with_epsilon(0.5), 8)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from cd2d.cli import (
 from cd2d.analysis import DoubleMeshMode
 from cd2d.assembly import Variant, assemble_system
 from cd2d.errors import (CD2DError, GeometryError, NonFiniteSolution,
-                         SingularMatrix, SingularStructure)
+                         SingularMatrix)
 from cd2d.mesh import build_tensor_mesh
 from cd2d.problems import _REGISTRY, builtin_problem, register_problem
 
@@ -636,8 +636,8 @@ def test_verify_names_ignored_settings(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
-@pytest.mark.parametrize("error", [SingularMatrix, SingularStructure,
-                                   NonFiniteSolution, GeometryError])
+@pytest.mark.parametrize("error", [SingularMatrix, NonFiniteSolution,
+                                   GeometryError])
 def test_exit_status_follows_error_type(tmp_path, capsys, monkeypatch,
                                         command, error):
     # a solver error is status 3; eps = 1e-12 is below what a fitted mesh

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cd2d import TensorMesh, bisect, build_tensor_mesh, builtin_problem
 from cd2d.errors import BadN, DimensionMismatch, GeometryError
-from cd2d.mesh import build_mesh_x, build_mesh_y
 
 from mesh_invariants import check_mesh_invariants, distinct_width_count
 from scalar_rows import (BOUNDARY, CROSS, INTERFACE_X, INTERFACE_Y, INTERIOR,
@@ -47,18 +46,28 @@ def test_transition_widths_bad_n(ex1):
             build_tensor_mesh(ex1, bad)
 
 
-def test_x_mesh_simple_widths():
+def round_mesh_8(ex1):
+    """alpha = 0.2 ln 8 and beta = 2 ln 8 give sigma_x = sigma_y = 0.1 at
+    eps = 0.1 and N = 8."""
+    spec = dataclasses.replace(ex1, alpha=0.2 * math.log(8),
+                               beta=2.0 * math.log(8))
+    tm = build_tensor_mesh(spec, 8)
+    assert (tm.sigma_x, tm.sigma_y) == (0.1, 0.1)
+    return tm
+
+
+def test_x_mesh_simple_widths(ex1):
     # round numbers so every coordinate can be checked by eye
     # two intervals per piece
-    xs = build_mesh_x(8, 0.1, d1=0.5)
+    xs = round_mesh_8(ex1).x
     assert np.allclose(xs, [0.0, 0.2, 0.4, 0.45, 0.5, 0.7, 0.9, 0.95, 1.0],
                        rtol=0, atol=1e-15)
     assert xs[4] == 0.5
 
 
-def test_y_mesh_simple_widths():
+def test_y_mesh_simple_widths(ex1):
     # piece counts (1, 2, 1, 1, 2, 1)
-    ys = build_mesh_y(8, 0.1, d2=0.5)
+    ys = round_mesh_8(ex1).y
     assert np.allclose(ys, [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0],
                        rtol=0, atol=1e-15)
     assert ys[4] == 0.5
@@ -111,25 +120,24 @@ def test_nominal_widths_example1(ex1):
         [SY_EX1_N8, K1, K1, SY_EX1_N8, SY_EX1_N8, K2, K2, SY_EX1_N8], rel=1e-14)
 
 
-def test_geometry_error_wide_x_layer():
+def test_geometry_error_wide_x_layer(ex1):
     # 1 - sigma_x falls left of d1
-    with pytest.raises(GeometryError):
-        build_mesh_x(8, 0.05, d1=0.98)
+    with pytest.raises(GeometryError, match="overlaps d1"):
+        build_tensor_mesh(dataclasses.replace(ex1, epsilon=0.5, d1=0.98), 8)
 
 
-def test_geometry_error_wide_y_layers():
+def test_geometry_error_wide_y_layers(ex1):
     # pieces around y = d2 and y = 1 overlap
-    with pytest.raises(GeometryError):
-        build_mesh_y(8, 0.06, d2=0.9)
+    with pytest.raises(GeometryError, match="and y = 1 overlap"):
+        build_tensor_mesh(dataclasses.replace(ex1, epsilon=0.5, d2=0.9), 8)
 
 
-def test_geometry_error_sigma_out_of_range():
-    with pytest.raises(GeometryError):
-        build_mesh_x(8, 0.3, d1=0.5)
-    with pytest.raises(GeometryError):
-        build_mesh_x(8, 0.0, d1=0.5)
-    with pytest.raises(GeometryError):
-        build_mesh_y(8, 0.2, d2=0.5)
+@pytest.mark.parametrize("label", ["d1", "d2"])
+def test_geometry_error_names_a_tiny_d(ex1, label):
+    # d1/2 or d2/4 below the spacing floor: no eps helps, so d is named
+    with pytest.raises(GeometryError, match=(
+            rf"^{label} = 1e-17 is below 7.11e-15, the smallest {label} ")):
+        build_tensor_mesh(dataclasses.replace(ex1, **{label: 1e-17}), 16)
 
 
 def test_tensor_mesh_dimension_mismatch(ex1):
@@ -189,10 +197,8 @@ def test_double_bisect(ex1):
     assert np.array_equal(f2.x[::4], tm.x)
 
 
-def test_bisect_simple():
-    tm = TensorMesh(x=build_mesh_x(8, 0.1, d1=0.5),
-                    y=build_mesh_y(8, 0.1, d2=0.5), sigma_x=0.1, sigma_y=0.1)
-    f = bisect(tm)
+def test_bisect_simple(ex1):
+    f = bisect(round_mesh_8(ex1))
     assert np.allclose(f.x[1::2],
                        [0.1, 0.3, 0.425, 0.475, 0.6, 0.8, 0.925, 0.975],
                        rtol=0, atol=1e-15)

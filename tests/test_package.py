@@ -1,4 +1,8 @@
+import importlib
+import importlib.util
+import sys
 import types
+from pathlib import Path
 
 import cd2d
 
@@ -11,7 +15,7 @@ EXPORTS = {
     "m_matrix_check",
     # errors
     "BadN", "CD2DError", "DimensionMismatch", "GeometryError", "MalformedSpec",
-    "MeshMismatch", "NonFiniteSolution", "SingularMatrix", "SingularStructure",
+    "MeshMismatch", "NonFiniteSolution", "SingularMatrix",
     # mesh
     "TensorMesh", "bisect", "build_tensor_mesh",
     # problems
@@ -28,4 +32,22 @@ def test_exports():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
-    assert len(EXPORTS) == 34
+    assert len(EXPORTS) == 33
+
+
+def _resolves(target: str) -> bool:
+    module, attr = target.split(":")
+    return callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_benchmark_trace_layers_resolve(monkeypatch):
+    # the benchmark tracer skips a target that is gone, and a layer with no
+    # target left reads null: a renamed function must not empty a layer
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, spans)   # for @dataclass
+    loader.loader.exec_module(spans)
+    for name, layer, targets, _ in spans.TARGETS:
+        assert any(map(_resolves, targets)), (
+            f"layer {layer!r} ({name}) has no callable target")

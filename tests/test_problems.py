@@ -15,8 +15,8 @@ from cd2d import (
     validate,
 )
 from cd2d.errors import BadN, MalformedSpec
-from cd2d.problems import (_REGISTRY, check_mesh_parameter, sample_field,
-                           sample_problem)
+from cd2d.mesh import check_mesh_parameter
+from cd2d.problems import _REGISTRY, sample_field, sample_problem
 
 
 def quadrant_blocks(spec, mesh):
@@ -162,9 +162,9 @@ def test_with_epsilon(ex1):
 
 
 def test_check_mesh_parameter():
-    check_mesh_parameter(8)
-    check_mesh_parameter(64)
-    for bad in (0, 4, 12, 20, -8, 7):
+    for good in (8, 64, np.int64(16)):
+        check_mesh_parameter(good)
+    for bad in (0, 4, 12, 20, -8, 7, 16.0, np.float64(16)):
         with pytest.raises(BadN):
             check_mesh_parameter(bad)
 
