@@ -20,7 +20,7 @@ is a fine point reads that point's value exactly, so in bisect mode no
 interpolation is involved.
 
 The uniform error is D(N) = max over eps of D(N, eps) and the estimated
-order E(N) = log2(D(N) / D(2N)).
+order E(N) = log2(D(N) / D(2N)), given only where the next column is 2N.
 
 In regenerate mode the 2N mesh of cell (eps, N) is the N-mesh of cell
 (eps, 2N), so a sweep runs each eps row as chains of cells whose N doubles
@@ -183,7 +183,7 @@ def run_cell(spec: ProblemSpec, N: int,
             cell.fine = fine
         cell.D_eps = timed(t, "estimate_s", double_mesh_error,
                            coarse.solution, fine.solution)
-    except (CD2DError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (CD2DError, MemoryError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_time = time.perf_counter() - start
     return cell
@@ -224,7 +224,8 @@ def _run_pooled(jobs: list, workers: int) -> list[list[CellResult]]:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         futures = [pool.submit(_chain_worker, job) for job in jobs]
     results = []
     for job, future in zip(jobs, futures):
@@ -248,7 +249,7 @@ class ConvergenceTable:
     Ns: list[int]
     D_eps: np.ndarray          # shape (len(epsilons), len(Ns)), nan = missing
     D_uniform: np.ndarray      # shape (len(Ns),)
-    E_uniform: np.ndarray      # shape (len(Ns) - 1,)
+    E_uniform: np.ndarray      # shape (len(Ns) - 1,), nan unless N doubles
 
     @classmethod
     def from_errors(cls, epsilons: Sequence[float], Ns: Sequence[int],
@@ -263,7 +264,8 @@ class ConvergenceTable:
                 D_uniform[k] = finite.max()
         E_uniform = np.full(max(n_cols - 1, 0), np.nan)
         for k in range(n_cols - 1):
-            if D_uniform[k] > 0.0 and D_uniform[k + 1] > 0.0:
+            if (Ns[k + 1] == 2 * Ns[k]
+                    and D_uniform[k] > 0.0 and D_uniform[k + 1] > 0.0):
                 E_uniform[k] = math.log2(D_uniform[k] / D_uniform[k + 1])
         return cls(epsilons=list(epsilons), Ns=list(Ns), D_eps=D_eps,
                    D_uniform=D_uniform, E_uniform=E_uniform)

@@ -226,17 +226,15 @@ class MMatrixReport:
                 f"min inverse entry {inv}")
 
 
-_DENSE_INVERSE_LIMIT = 1089   # (32+1)^2
+_DENSE_INVERSE_LIMIT = 289   # (16+1)^2
 
 
-def m_matrix_check(system: LinearSystem,
-                   compute_inverse: Optional[bool] = None) -> MMatrixReport:
-    """Sign-structure check; optionally dense inverse positivity.
+def m_matrix_check(system: LinearSystem) -> MMatrixReport:
+    """Sign-structure check; dense inverse positivity on small systems.
 
     A monotone (M-matrix) discretization needs positive diagonal entries,
     nonpositive off-diagonal entries and a nonnegative inverse.  The dense
-    inverse is only formed when the dimension is small (N <= 32) unless
-    explicitly requested.
+    inverse is only formed when the dimension is small (N <= 16).
     """
     report = MMatrixReport(dimension=system.dimension)
     coo = system.matrix.tocoo()
@@ -251,9 +249,7 @@ def m_matrix_check(system: LinearSystem,
     report.violating_rows = sorted({r for r, _, _ in report.sign_violations})
     diag = system.matrix.diagonal()
     report.nonpositive_diagonal_rows = [int(r) for r in np.flatnonzero(diag <= 0.0)]
-    if compute_inverse is None:
-        compute_inverse = system.dimension <= _DENSE_INVERSE_LIMIT
-    if compute_inverse:
+    if system.dimension <= _DENSE_INVERSE_LIMIT:
         try:
             inv = np.linalg.inv(system.matrix.toarray())
             report.min_inverse_entry = float(inv.min())

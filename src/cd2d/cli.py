@@ -118,11 +118,6 @@ def _read_config(text: str) -> dict:
     return kwargs
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse an INI config (section [run]) into a RunConfig."""
-    return RunConfig(**_read_config(text))
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """File settings overridden by explicit flags (every flag not given is
     None); built once, so the ``desk`` cap applies to the merged ns wherever
@@ -247,7 +242,7 @@ def _verify_checks(spec: ProblemSpec, systems: list
     other = assemble_system(spec, system.mesh, Variant.RAW
                             if system.variant is Variant.TRANSFORMED
                             else Variant.TRANSFORMED)
-    report = m_matrix_check(system, compute_inverse=True)
+    report = m_matrix_check(system)
     inv = report.min_inverse_entry
     solutions = [solve_direct(s) for s in systems]
     diff = float(np.max(np.abs(solutions[0].values

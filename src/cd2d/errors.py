@@ -26,10 +26,7 @@ class NonFiniteSolution(CD2DError):
     """Solve produced NaN or Inf entries."""
 
 
-class DimensionMismatch(CD2DError):
-    """Operands refer to different grid sizes."""
-
-
 class MeshMismatch(CD2DError):
-    """Fine mesh does not fit the coarse one: not 2N intervals or not
-    spanning its axes."""
+    """Operands do not fit one mesh: a vector of the wrong size for its
+    system, axes of different lengths, or a fine mesh that does not have
+    2N intervals or does not span the coarse one."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadN, DimensionMismatch, GeometryError
+from .errors import BadN, GeometryError, MeshMismatch
 from .problems import ProblemSpec
 
 
@@ -47,8 +47,8 @@ class TensorMesh:
 
     def __post_init__(self):
         if self.x.size != self.y.size:
-            raise DimensionMismatch(f"axes disagree: {self.x.size - 1} x-intervals"
-                                    f" vs {self.y.size - 1} y-intervals")
+            raise MeshMismatch(f"axes disagree: {self.x.size - 1} x-intervals"
+                               f" vs {self.y.size - 1} y-intervals")
 
     @property
     def n(self) -> int:

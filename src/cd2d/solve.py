@@ -58,7 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
-from .errors import DimensionMismatch, NonFiniteSolution, SingularMatrix
+from .errors import MeshMismatch, NonFiniteSolution, SingularMatrix
 from .mesh import TensorMesh
 
 
@@ -139,7 +139,7 @@ class Factorization:
     def solve(self, rhs: np.ndarray) -> GridFunction:
         """Solution of A U = rhs for the factored A."""
         if np.shape(rhs) != self.row_scale.shape:
-            raise DimensionMismatch(
+            raise MeshMismatch(
                 f"rhs has shape {np.shape(rhs)}, "
                 f"system has {self.row_scale.shape[0]} unknowns")
         try:
@@ -188,7 +188,7 @@ def solve_direct(system: LinearSystem) -> GridFunction:
 def residual_norm(system: LinearSystem, solution: GridFunction) -> float:
     """Scaled residual ||A U - rhs||_inf / (||A||_inf ||U||_inf + ||rhs||_inf)."""
     if solution.values.shape[0] != system.dimension:
-        raise DimensionMismatch(
+        raise MeshMismatch(
             f"solution has {solution.values.shape[0]} values, "
             f"system has {system.dimension}")
     num = float(np.max(np.abs(system.matrix @ solution.values - system.rhs)))

@@ -124,8 +124,7 @@ def test_acceptance_4_transformed_sign_structure():
                                           (16, 32), (1e-1, 1e-3, 1e-6)):
         spec = builtin_problem(name).with_epsilon(eps)
         tm = build_tensor_mesh(spec, N)
-        report = m_matrix_check(assemble_system(spec, tm, Variant.TRANSFORMED),
-                                compute_inverse=(N == 16))
+        report = m_matrix_check(assemble_system(spec, tm, Variant.TRANSFORMED))
         total_violations += report.n_sign_violations
         total_violations += len(report.nonpositive_diagonal_rows)
         if report.min_inverse_entry is not None:
@@ -143,8 +142,7 @@ def test_acceptance_4_raw_reports_violations():
     for name, N in itertools.product(("example1", "example2"), (16, 32)):
         spec = builtin_problem(name).with_epsilon(1e-3)
         tm = build_tensor_mesh(spec, N)
-        report = m_matrix_check(assemble_system(spec, tm, Variant.RAW),
-                                compute_inverse=False)
+        report = m_matrix_check(assemble_system(spec, tm, Variant.RAW))
         counts.append(report.n_sign_violations)
         on_interface = all(r % (N + 1) == N // 2
                            for r in report.violating_rows)

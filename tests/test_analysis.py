@@ -41,13 +41,25 @@ REGENERATE = DoubleMeshMode.REGENERATE
 
 
 def test_order_estimate_values():
-    def order(d_n, d_2n):
-        table = ConvergenceTable.from_errors([1e-1], [8, 16], [[d_n, d_2n]])
+    def order(d_n, d_2n, Ns=(8, 16)):
+        table = ConvergenceTable.from_errors([1e-1], Ns, [[d_n, d_2n]])
         return table.E_uniform[0]
 
     assert order(6.807e-3, 3.672e-3) == pytest.approx(0.8905, abs=1e-3)
     assert order(5e-3, 5e-3) == 0.0
     assert order(4e-2, 1e-2) == pytest.approx(2.0, rel=1e-12)
+    # E is an order between N and 2N only: other neighbours give none
+    assert math.isnan(order(4e-2, 1e-2, Ns=(16, 64)))
+    assert math.isnan(order(1e-2, 4e-2, Ns=(64, 32)))
+    assert math.isnan(order(4e-2, 1e-2, Ns=(16, 16)))
+    mixed = ConvergenceTable.from_errors([1e-1], [16, 32, 128],
+                                         [[4e-2, 2e-2, 5e-3]])
+    assert mixed.E_uniform[0] == pytest.approx(1.0, rel=1e-12)
+    assert math.isnan(mixed.E_uniform[1])
+    buf = io.StringIO()
+    write_table_csv(mixed, buf)
+    assert buf.getvalue().splitlines()[-1] == "E,1.000,,"
+    assert format_table_text(mixed).splitlines()[-1].split() == ["E", "1.000", "-"]
 
 
 def test_double_mesh_error_hand_values(ex1):
@@ -380,6 +392,34 @@ def test_run_sweep_worker_count_invariant(ex1):
         assert np.array_equal(serial.table.D_eps, parallel.table.D_eps), mode
         assert ([c.coarse_reused for c in serial.cells]
                 == [c.coarse_reused for c in parallel.cells]), mode
+
+
+def test_pool_is_capped_at_the_chain_count(ex1, monkeypatch):
+    # a fork pool starts all of max_workers at its first submit; the fake
+    # runs each chain inline, so no process is started
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert run_sweep(ex1, [1e-1, 1e-2], [8], workers=64).table.complete
+    assert run_sweep(ex1, [1e-1], [8, 16, 24], workers=2).table.complete
+    assert sizes == [2, 2]
 
 
 def test_pooled_sweep_rejects_unpicklable_problem(ex1, monkeypatch):

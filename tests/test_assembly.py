@@ -502,6 +502,10 @@ def test_m_matrix_check_inverse_gate(ex1):
     tm = build_tensor_mesh(ex1, 8)
     system = assemble_system(ex1, tm)
     assert m_matrix_check(system).min_inverse_entry is not None
-    assert m_matrix_check(system, compute_inverse=False).min_inverse_entry is None
+    # the limit is (16+1)^2 unknowns
+    at_limit = assemble_system(ex1, build_tensor_mesh(ex1, 16))
+    assert m_matrix_check(at_limit).min_inverse_entry is not None
+    above = assemble_system(ex1, build_tensor_mesh(ex1, 24))
+    assert m_matrix_check(above).min_inverse_entry is None
     big = assemble_system(ex1, build_tensor_mesh(ex1, 40))
     assert m_matrix_check(big).min_inverse_entry is None

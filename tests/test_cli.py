@@ -18,7 +18,6 @@ from cd2d.cli import (
     _merge_config,
     build_parser,
     main,
-    parse_config,
 )
 from cd2d.analysis import DoubleMeshMode
 from cd2d.assembly import Variant, assemble_system
@@ -46,8 +45,17 @@ def test_run_config_desk_caps_ns():
     assert 512 not in cfg.ns
 
 
-def test_parse_config_full():
-    cfg = parse_config(
+def config_from(tmp_path, text: str) -> RunConfig:
+    """The RunConfig of a sweep given only ``--config`` with ``text``."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    return _merge_config(build_parser().parse_args(
+        ["sweep", "--config", str(ini)]))
+
+
+def test_parse_config_full(tmp_path):
+    cfg = config_from(
+        tmp_path,
         "[run]\n"
         "problem = Example2\n"
         "epsilons = 1e-1, 1e-3\n"
@@ -67,9 +75,9 @@ def test_parse_config_full():
     assert cfg.alpha == 4.0 and cfg.beta is None
 
 
-def test_parse_config_requires_run_section():
-    with pytest.raises(CD2DError):
-        parse_config("[other]\nproblem = Example1\n")
+def test_parse_config_requires_run_section(tmp_path):
+    with pytest.raises(CD2DError, match=r"no \[run\] section"):
+        config_from(tmp_path, "[other]\nproblem = Example1\n")
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -117,7 +125,7 @@ def test_config_unknown_key_is_config_error(tmp_path, capsys, monkeypatch):
 
 
 def test_config_desk_must_be_boolean(tmp_path, capsys, monkeypatch):
-    assert parse_config("[run]\ndesk = off\n").desk is False
+    assert config_from(tmp_path, "[run]\ndesk = off\n").desk is False
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nepsilons = 1e-2\nns = 16\ndesk = maybe\n")
     monkeypatch.setattr(analysis, "run_sweep", must_not_run)

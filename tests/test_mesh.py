@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cd2d import TensorMesh, bisect, build_tensor_mesh, builtin_problem
-from cd2d.errors import BadN, DimensionMismatch, GeometryError
+from cd2d.errors import BadN, GeometryError, MeshMismatch
 
 from mesh_invariants import check_mesh_invariants, distinct_width_count
 from scalar_rows import (BOUNDARY, CROSS, INTERFACE_X, INTERFACE_Y, INTERIOR,
@@ -143,7 +143,7 @@ def test_geometry_error_names_a_tiny_d(ex1, label):
 def test_tensor_mesh_dimension_mismatch(ex1):
     a = build_tensor_mesh(ex1, 8)
     b = build_tensor_mesh(ex1, 16)
-    with pytest.raises(DimensionMismatch, match="axes disagree"):
+    with pytest.raises(MeshMismatch, match="axes disagree"):
         TensorMesh(x=a.x, y=b.y, sigma_x=a.sigma_x, sigma_y=b.sigma_y)
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -5,6 +6,7 @@ import types
 from pathlib import Path
 
 import cd2d
+from cd2d import errors
 
 EXPORTS = {
     # analysis
@@ -14,8 +16,8 @@ EXPORTS = {
     "LinearSystem", "MMatrixReport", "Variant", "assemble_system",
     "m_matrix_check",
     # errors
-    "BadN", "CD2DError", "DimensionMismatch", "GeometryError", "MalformedSpec",
-    "MeshMismatch", "NonFiniteSolution", "SingularMatrix",
+    "BadN", "CD2DError", "GeometryError", "MalformedSpec", "MeshMismatch",
+    "NonFiniteSolution", "SingularMatrix",
     # mesh
     "TensorMesh", "bisect", "build_tensor_mesh",
     # problems
@@ -32,7 +34,30 @@ def test_exports():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
-    assert len(EXPORTS) == 33
+    assert len(EXPORTS) == 32
+
+
+def _raised_names() -> set[str]:
+    """The names after ``raise`` anywhere in ``src/cd2d``."""
+    names = set()
+    for path in Path(cd2d.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_error_type_is_raised():
+    # a type nothing raises is dead surface that callers still catch
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, cd2d.CD2DError)
+               and value.__module__ == errors.__name__}
+    assert defined - _raised_names() == set()
+    assert len(defined) == 7
 
 
 def _resolves(target: str) -> bool:

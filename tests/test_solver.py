@@ -23,7 +23,7 @@ from cd2d import (
     residual_norm,
     solve_direct,
 )
-from cd2d.errors import DimensionMismatch, SingularMatrix
+from cd2d.errors import MeshMismatch, SingularMatrix
 from cd2d.problems import ProblemSpec
 from cd2d.solve import (_flush_subnormals, _libm, factorize,
                         write_grid_dump)
@@ -89,7 +89,7 @@ def test_residual_dimension_mismatch(ex1):
     tm = build_tensor_mesh(ex1, 8)
     system = assemble_system(ex1, tm)
     short = GridFunction(mesh=tm, values=np.zeros(80))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(MeshMismatch):
         residual_norm(system, short)
 
 
@@ -170,7 +170,7 @@ def test_factorization_solves_other_rhs(ex1):
     rhs = np.linspace(-1.0, 1.0, system.dimension)
     u = f.solve(rhs)
     assert residual_norm(dataclasses.replace(system, rhs=rhs), u) <= 1e-12
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(MeshMismatch):
         f.solve(rhs[:-1])
 
 
