@@ -16,8 +16,8 @@ from .analysis import (ConvergenceTable, DoubleMeshMode, SweepResult,
                        run_cell, run_sweep, write_table_csv)
 from .assembly import (LinearSystem, MMatrixReport, Variant, assemble_system,
                        m_matrix_check)
-from .errors import (BadN, CD2DError, GeometryError, MalformedSpec,
-                     MeshMismatch, NonFiniteSolution, SingularMatrix)
+from .errors import (CD2DError, GeometryError, MalformedSpec, MeshMismatch,
+                     SingularMatrix)
 from .mesh import TensorMesh, bisect, build_tensor_mesh
 from .problems import (ProblemSpec, builtin_problem, problem_names,
                        register_problem, validate)

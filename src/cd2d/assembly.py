@@ -124,11 +124,12 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     """CSR matrix (int32 sorted indices) and rhs of the scheme on mesh.
 
     Row j*m + i keeps one coefficient per column offset (-m, -2, -1, 0, 1,
-    2, m) in ``table[j, i]``, and ``stored`` marks the ones it uses.  Each
-    row class fills its block by slices (mesh widths broadcast): the upwind
-    rows either side of x = d1, the x = d1 rows of the variant and the
-    Dirichlet edge.  The offsets ascend, so ``table[stored]`` is the CSR
-    data with sorted columns.  Bad problem data raises ``MalformedSpec``.
+    2, m) in ``table[j, i]``.  Each row class fills its block by slices
+    (mesh widths broadcast): the upwind rows either side of x = d1, the
+    x = d1 rows of the variant and the Dirichlet edge.  The nonzero
+    coefficients are the sparsity pattern, and the offsets ascend, so
+    ``table[table != 0]`` is the CSR data with sorted columns.  Bad problem
+    data raises ``MalformedSpec``.
     """
     n, half, m = mesh.n, mesh.n // 2, mesh.n + 1
     hx, hy = np.diff(mesh.x), np.diff(mesh.y)
@@ -136,7 +137,6 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     offsets = np.array([-m, -2, -1, 0, 1, 2, m], dtype=np.int32)
     slot = {int(d): k for k, d in enumerate(offsets)}
     table = np.zeros((m, m, offsets.size))
-    stored = np.zeros(table.shape, dtype=bool)
     rhs = np.zeros(m * m)
 
     def put(rows, values, *stencil):
@@ -144,7 +144,6 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
         rhs.reshape(m, m)[rows] = values
         for offset, coeffs in stencil:
             table[rows + (slot[offset],)] = coeffs
-            stored[rows + (slot[offset],)] = True
 
     # f off the lines comes from its quadrant's block; the values left on
     # the lines are never read.  Row y = d2 of a, b and f becomes the
@@ -188,11 +187,12 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     edge = np.pad(np.zeros((m - 2, m - 2), bool), 1, constant_values=True)
     put((edge,), q[edge], (0, 1.0))
 
-    counts = stored.sum(axis=2, dtype=np.int32).ravel()
+    nz = table != 0
+    counts = nz.sum(axis=2, dtype=np.int32).ravel()
     indptr = np.zeros(m * m + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:], dtype=np.int32)
     flat = np.arange(m * m, dtype=np.int32).reshape(m, m, 1)
-    matrix = sp.csr_matrix((table[stored], (flat + offsets)[stored], indptr),
+    matrix = sp.csr_matrix((table[nz], (flat + offsets)[nz], indptr),
                            shape=(m * m, m * m))
     return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh, variant=variant,
                         bound=f_max / spec.alpha + q_max)

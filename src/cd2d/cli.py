@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, mesh as mesh_mod
 from .assembly import Variant, assemble_system, m_matrix_check
 from .analysis import DoubleMeshMode
-from .errors import BadN, CD2DError, GeometryError, MalformedSpec
+from .errors import CD2DError, GeometryError, MalformedSpec
 from .problems import ProblemSpec, builtin_problem, problem_names, validate
 from .solve import solve_direct, write_grid_dump
 
@@ -96,8 +96,10 @@ _CONFIG_KEYS = {
     "beta": _parse_bound,
 }
 
-# [run] keys that verify, with its fixed meshes and no output files, ignores
-_VERIFY_IGNORES = ("ns", "double_mesh", "workers", "out_dir", "desk")
+# [run] keys each command ignores: solve makes one mesh and no estimate;
+# verify also has fixed meshes and no output files
+_IGNORED_KEYS = {"solve": ("double_mesh", "workers"),
+                 "verify": ("ns", "double_mesh", "workers", "out_dir", "desk")}
 
 
 def _read_config(text: str) -> dict:
@@ -121,8 +123,8 @@ def _read_config(text: str) -> dict:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """File settings overridden by explicit flags (every flag not given is
     None); built once, so the ``desk`` cap applies to the merged ns wherever
-    they came from.  For ``verify``, the given settings it ignores are named
-    on stderr."""
+    they came from.  The given settings the command ignores are named on
+    stderr."""
     if args.command == "verify" and args.ns:
         raise CD2DError("verify checks the fixed meshes N = 16 and 32 "
                         "and takes no --N")
@@ -130,11 +132,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     kwargs.update({k: v for k, v in vars(args).items()
                    if k in _CONFIG_KEYS and v is not None})
     config = RunConfig(**kwargs)
-    if args.command == "verify":
-        ignored = [k for k in _VERIFY_IGNORES if k in kwargs]
-        if ignored:
-            print("warning: verify ignores " + ", ".join(ignored),
-                  file=sys.stderr)
+    ignored = [k for k in _IGNORED_KEYS.get(args.command, ()) if k in kwargs]
+    if ignored:
+        print(f"warning: {args.command} ignores " + ", ".join(ignored),
+              file=sys.stderr)
     return config
 
 
@@ -345,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return command(config)
     # the user's problem data, N, eps or output path is at fault, not the LU
-    except (MalformedSpec, BadN, GeometryError, OSError) as exc:
+    except (MalformedSpec, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CD2DError as exc:

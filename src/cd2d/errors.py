@@ -10,20 +10,13 @@ class MalformedSpec(CD2DError):
     (0,1)) or, sampled on a mesh, the hypotheses on a, b and f."""
 
 
-class BadN(CD2DError):
-    """Mesh parameter N is not a multiple of 8 or is too small."""
-
-
 class GeometryError(CD2DError):
-    """Layer pieces of the fitted mesh would overlap or collapse."""
+    """No fitted mesh exists for these parameters: N is not a multiple of 8
+    of at least 8, or the layer pieces would overlap or collapse."""
 
 
 class SingularMatrix(CD2DError):
-    """Direct factorization broke down."""
-
-
-class NonFiniteSolution(CD2DError):
-    """Solve produced NaN or Inf entries."""
+    """Direct factorization broke down, or its solution holds NaN or Inf."""
 
 
 class MeshMismatch(CD2DError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadN, GeometryError, MeshMismatch
+from .errors import GeometryError, MeshMismatch
 from .problems import ProblemSpec
 
 
@@ -75,7 +75,8 @@ def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],
 
 def check_mesh_parameter(N: int) -> None:
     if not isinstance(N, numbers.Integral) or N < 8 or N % 8 != 0:
-        raise BadN(f"N must be a multiple of 8 and at least 8, got {N}")
+        raise GeometryError(
+            f"N must be a multiple of 8 and at least 8, got {N}")
 
 
 # Every coordinate lies in [0, 1], where one ulp is at most 2^-53.  A point

@@ -58,7 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
-from .errors import MeshMismatch, NonFiniteSolution, SingularMatrix
+from .errors import MeshMismatch, SingularMatrix
 from .mesh import TensorMesh
 
 
@@ -148,7 +148,7 @@ class Factorization:
         except RuntimeError as exc:
             raise SingularMatrix(str(exc)) from exc
         if not np.all(np.isfinite(values)):
-            raise NonFiniteSolution("solution contains NaN or Inf")
+            raise SingularMatrix("solution contains NaN or Inf")
         return GridFunction(mesh=self.mesh, values=values)
 
 

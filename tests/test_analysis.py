@@ -246,7 +246,7 @@ def test_run_cell_nan_source_is_a_validation_error(ex1):
     cell = run_cell(spec, 16)
     assert not cell.ok
     assert cell.error.startswith("MalformedSpec: f on Q1 is not finite")
-    assert "NonFiniteSolution" not in cell.error
+    assert "SingularMatrix" not in cell.error
 
 
 @pytest.mark.parametrize("field, value", [("b_field", 1.0),
@@ -343,11 +343,12 @@ def test_run_sweep_missing_cells_not_fatal(ex1):
 
 @pytest.mark.parametrize("mode", list(DoubleMeshMode), ids=lambda m: m.value)
 def test_run_sweep_non_integral_n_is_a_missing_cell(ex1, mode):
-    # N = 16.0 is BadN in its own cell; the N = 32 cell still completes
+    # N = 16.0 is a GeometryError in its own cell; the N = 32 cell still
+    # completes
     result = run_sweep(ex1, [0.1], [16.0, 32], mode=mode)
     bad, good = result.cells
-    assert bad.error == ("BadN: N must be a multiple of 8 and at least 8, "
-                         "got 16.0")
+    assert bad.error == ("GeometryError: N must be a multiple of 8 and at "
+                         "least 8, got 16.0")
     assert good.ok and not good.coarse_reused
 
 

@@ -1,13 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from cd2d import (
     LinearSystem,
     Variant,
     assemble_system,
+    bisect,
     build_tensor_mesh,
     builtin_problem,
     m_matrix_check,
@@ -406,6 +409,29 @@ def test_transformed_rows_have_three_entries(ex1):
     nnz_raw = np.diff(raw.matrix.indptr)
     for j in range(1, 16):
         assert nnz_raw[flat(raw, 8, j)] == 5
+
+
+@given(problem=st.sampled_from(["Example1", "Example2"]),
+       log_eps=st.floats(-6.0, math.log10(0.5)),
+       N=st.sampled_from([8, 16, 32, 64]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_pattern_is_the_nonzero_coefficients(problem, log_eps, N):
+    # the CSR stores no zero, keeps its columns sorted and gives every
+    # Dirichlet row its diagonal alone, on the N-mesh, its bisection and
+    # the 2N mesh, for both variants
+    spec = builtin_problem(problem).with_epsilon(10.0 ** log_eps)
+    tm = build_tensor_mesh(spec, N)
+    for mesh in (tm, bisect(tm), build_tensor_mesh(spec, 2 * N)):
+        m = mesh.n + 1
+        edge = np.pad(np.zeros((m - 2, m - 2), bool), 1,
+                      constant_values=True).ravel()
+        rows = np.flatnonzero(edge)
+        for variant in Variant:
+            a = assemble_system(spec, mesh, variant).matrix
+            assert np.all(a.data != 0)
+            assert a.has_sorted_indices
+            assert np.all(np.diff(a.indptr)[rows] == 1)
+            assert np.array_equal(a.indices[a.indptr[rows]], rows)
 
 
 def _curved(x, y):

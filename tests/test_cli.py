@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cd2d import analysis, cli, mesh as mesh_mod
+from cd2d import analysis, cli, errors, mesh as mesh_mod
 from cd2d.cli import (
     EXIT_CONFIG,
     EXIT_INCOMPLETE,
@@ -21,8 +21,8 @@ from cd2d.cli import (
 )
 from cd2d.analysis import DoubleMeshMode
 from cd2d.assembly import Variant, assemble_system
-from cd2d.errors import (CD2DError, GeometryError, NonFiniteSolution,
-                         SingularMatrix)
+from cd2d.errors import (CD2DError, GeometryError, MalformedSpec,
+                         MeshMismatch, SingularMatrix)
 from cd2d.mesh import build_tensor_mesh
 from cd2d.problems import _REGISTRY, builtin_problem, register_problem
 
@@ -639,35 +639,83 @@ def test_verify_names_ignored_settings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_solve_names_ignored_settings(tmp_path, capsys):
+    args = ["solve", "--epsilon", "1e-3", "--N", "16"]
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert main(args + ["--out-dir", str(plain)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main(args + ["--out-dir", str(flagged), "--workers", "2",
+                        "--double-mesh", "regenerate"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: solve ignores double_mesh, workers\n")
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in flagged.iterdir())
+    for name in names:
+        if name.endswith(".json"):
+            a, b = (json.loads((d / name).read_text())
+                    for d in (plain, flagged))
+            for meta in (a, b):
+                del meta["timings"], meta["wall_time"]
+            assert a == b
+        else:
+            assert (plain / name).read_bytes() == (flagged / name).read_bytes()
+    # sweep uses both settings
+    assert main(["sweep", "--epsilon", "1e-2", "--N", "8", "--workers", "2",
+                 "--double-mesh", "regenerate",
+                 "--out-dir", str(tmp_path / "sweep")]) == EXIT_OK
+    assert "ignores" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit status
 
 
+# The reaction to each error type: the user's input is at fault (status 2)
+# or the solver is (status 3).  A new type fails the test below until it is
+# placed here.
+_EXIT_STATUS = {MalformedSpec: EXIT_CONFIG, GeometryError: EXIT_CONFIG,
+                CD2DError: EXIT_SOLVER, SingularMatrix: EXIT_SOLVER,
+                MeshMismatch: EXIT_SOLVER}
+_ERROR_TYPES = sorted((value for value in vars(errors).values()
+                       if isinstance(value, type)
+                       and issubclass(value, CD2DError)
+                       and value.__module__ == errors.__name__),
+                      key=lambda value: value.__name__)
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
-@pytest.mark.parametrize("error", [SingularMatrix, NonFiniteSolution,
-                                   GeometryError])
+@pytest.mark.parametrize("error", _ERROR_TYPES, ids=lambda e: e.__name__)
 def test_exit_status_follows_error_type(tmp_path, capsys, monkeypatch,
                                         command, error):
-    # a solver error is status 3; eps = 1e-12 is below what a fitted mesh
-    # resolves, a GeometryError in the input, status 2 before any solve
     def failing_solve(system):
         raise error("injected")
 
-    input_error = error is GeometryError
-    solve = must_not_run if input_error else failing_solve
-    monkeypatch.setattr(analysis, "solve_direct", solve)
-    monkeypatch.setattr(cli, "solve_direct", solve)
-    args = [command, "--epsilon", "1e-12" if input_error else "1e-3"]
+    monkeypatch.setattr(analysis, "solve_direct", failing_solve)
+    monkeypatch.setattr(cli, "solve_direct", failing_solve)
+    args = [command, "--epsilon", "1e-3"]
     if command == "solve":
         args += ["--N", "16", "--out-dir", str(tmp_path)]
     rc = main(args)
     err = capsys.readouterr().err
-    if input_error:
-        assert rc == EXIT_CONFIG
-        assert err.startswith("error: eps = 1e-12 is below "), err
-    else:
-        assert rc == EXIT_SOLVER
-        assert err == "solver failure: injected\n"
+    assert rc == _EXIT_STATUS[error]
+    assert err == ("error: injected\n" if rc == EXIT_CONFIG
+                   else "solver failure: injected\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_unresolvable_epsilon_exits_before_any_solve(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # eps = 1e-12 is below what a fitted mesh resolves: a GeometryError in
+    # the input, status 2 before any solve
+    monkeypatch.setattr(analysis, "solve_direct", must_not_run)
+    monkeypatch.setattr(cli, "solve_direct", must_not_run)
+    args = [command, "--epsilon", "1e-12"]
+    if command == "solve":
+        args += ["--N", "16", "--out-dir", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps = 1e-12 is below "), err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cd2d import TensorMesh, bisect, build_tensor_mesh, builtin_problem
-from cd2d.errors import BadN, GeometryError, MeshMismatch
+from cd2d.errors import GeometryError, MeshMismatch
 
 from mesh_invariants import check_mesh_invariants, distinct_width_count
 from scalar_rows import (BOUNDARY, CROSS, INTERFACE_X, INTERFACE_Y, INTERIOR,
@@ -42,7 +42,7 @@ def test_transition_widths_domain_branch(ex1):
 
 def test_transition_widths_bad_n(ex1):
     for bad in (0, 12, 20):
-        with pytest.raises(BadN):
+        with pytest.raises(GeometryError):
             build_tensor_mesh(ex1, bad)
 
 

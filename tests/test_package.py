@@ -16,8 +16,8 @@ EXPORTS = {
     "LinearSystem", "MMatrixReport", "Variant", "assemble_system",
     "m_matrix_check",
     # errors
-    "BadN", "CD2DError", "GeometryError", "MalformedSpec", "MeshMismatch",
-    "NonFiniteSolution", "SingularMatrix",
+    "CD2DError", "GeometryError", "MalformedSpec", "MeshMismatch",
+    "SingularMatrix",
     # mesh
     "TensorMesh", "bisect", "build_tensor_mesh",
     # problems
@@ -34,7 +34,7 @@ def test_exports():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
-    assert len(EXPORTS) == 32
+    assert len(EXPORTS) == 30
 
 
 def _raised_names() -> set[str]:
@@ -57,7 +57,7 @@ def test_every_error_type_is_raised():
                if isinstance(value, type) and issubclass(value, cd2d.CD2DError)
                and value.__module__ == errors.__name__}
     assert defined - _raised_names() == set()
-    assert len(defined) == 7
+    assert len(defined) == 5
 
 
 def _resolves(target: str) -> bool:

@@ -14,7 +14,7 @@ from cd2d import (
     register_problem,
     validate,
 )
-from cd2d.errors import BadN, MalformedSpec
+from cd2d.errors import GeometryError, MalformedSpec
 from cd2d.mesh import check_mesh_parameter
 from cd2d.problems import _REGISTRY, sample_field, sample_problem
 
@@ -165,7 +165,7 @@ def test_check_mesh_parameter():
     for good in (8, 64, np.int64(16)):
         check_mesh_parameter(good)
     for bad in (0, 4, 12, 20, -8, 7, 16.0, np.float64(16)):
-        with pytest.raises(BadN):
+        with pytest.raises(GeometryError):
             check_mesh_parameter(bad)
 
 
@@ -210,7 +210,7 @@ def test_validate_non_finite_samples(ex1):
 
 def test_validate_bad_n(ex1):
     # the mesh of a bad N cannot be built, so there is nothing to check
-    with pytest.raises(BadN):
+    with pytest.raises(GeometryError):
         assemble_system(ex1, build_tensor_mesh(ex1, 12))
 
 
