@@ -39,7 +39,6 @@ EXIT_SOLVER = 3
 
 FULL_EPSILONS = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 FULL_NS = [32, 64, 128, 256, 512, 1024]
-DESK_N_CAP = 256
 
 
 @dataclass
@@ -53,7 +52,6 @@ class RunConfig:
     double_mesh: DoubleMeshMode = DoubleMeshMode.BISECT
     workers: int = 1
     out_dir: str = "."
-    desk: bool = False
     alpha: Optional[float] = None
     beta: Optional[float] = None
 
@@ -66,20 +64,10 @@ class RunConfig:
             self.epsilons = list(FULL_EPSILONS)
         if self.ns is None:
             self.ns = list(FULL_NS)
-        if self.desk:
-            self.ns = [n for n in self.ns if n <= DESK_N_CAP]
 
 
 def _parse_list(kind, text: str) -> list:
     return [kind(p) for p in text.replace(",", " ").split()]
-
-
-def _parse_bool(text: str) -> bool:
-    return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-
-
-def _parse_bound(text: str) -> Optional[float]:
-    return float(text) if text.strip() else None
 
 
 # [run] key (= RunConfig field) -> parser of the key's text
@@ -91,15 +79,14 @@ _CONFIG_KEYS = {
     "double_mesh": lambda t: DoubleMeshMode(t.strip().lower()),
     "workers": int,
     "out_dir": str.strip,
-    "desk": _parse_bool,
-    "alpha": _parse_bound,
-    "beta": _parse_bound,
+    "alpha": float,
+    "beta": float,
 }
 
 # [run] keys each command ignores: solve makes one mesh and no estimate;
 # verify also has fixed meshes and no output files
 _IGNORED_KEYS = {"solve": ("double_mesh", "workers"),
-                 "verify": ("ns", "double_mesh", "workers", "out_dir", "desk")}
+                 "verify": ("ns", "double_mesh", "workers", "out_dir")}
 
 
 def _read_config(text: str) -> dict:
@@ -115,16 +102,14 @@ def _read_config(text: str) -> dict:
             raise CD2DError(f"unknown [run] key {key!r}")
         try:
             kwargs[key] = _CONFIG_KEYS[key](value)
-        except (KeyError, ValueError):
+        except ValueError:
             raise CD2DError(f"[run] {key} cannot be {value!r}") from None
     return kwargs
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """File settings overridden by explicit flags (every flag not given is
-    None); built once, so the ``desk`` cap applies to the merged ns wherever
-    they came from.  The given settings the command ignores are named on
-    stderr."""
+    None).  The given settings the command ignores are named on stderr."""
     if args.command == "verify" and args.ns:
         raise CD2DError("verify checks the fixed meshes N = 16 and 32 "
                         "and takes no --N")
@@ -326,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the stored lower bound on a")
         p.add_argument("--beta", type=float, default=None,
                        help="override the stored beta (beta^2 bounds b)")
-        p.add_argument("--desk", action="store_true", default=None,
-                       help="cap N at 256 for quick runs")
         p.add_argument("--config", default=None,
                        help="INI config file; flags override it")
     return parser

@@ -535,3 +535,15 @@ def test_m_matrix_check_inverse_gate(ex1):
     assert m_matrix_check(above).min_inverse_entry is None
     big = assemble_system(ex1, build_tensor_mesh(ex1, 40))
     assert m_matrix_check(big).min_inverse_entry is None
+
+
+def test_m_matrix_check_singular_matrix(ex1):
+    # row 10 copied over row 20: no inverse to check
+    spec = ex1.with_epsilon(0.1)
+    system = assemble_system(spec, build_tensor_mesh(spec, 8))
+    matrix = system.matrix.tolil()
+    matrix[20] = matrix[10]
+    report = m_matrix_check(dataclasses.replace(system, matrix=matrix.tocsr()))
+    assert report.dimension == 81
+    assert math.isnan(report.min_inverse_entry)
+    assert report.summary().endswith("min inverse entry nan")

@@ -11,7 +11,6 @@ from cd2d.cli import (
     EXIT_INCOMPLETE,
     EXIT_OK,
     EXIT_SOLVER,
-    DESK_N_CAP,
     FULL_EPSILONS,
     FULL_NS,
     RunConfig,
@@ -20,7 +19,7 @@ from cd2d.cli import (
     main,
 )
 from cd2d.analysis import DoubleMeshMode
-from cd2d.assembly import Variant, assemble_system
+from cd2d.assembly import Variant, assemble_system, m_matrix_check
 from cd2d.errors import (CD2DError, GeometryError, MalformedSpec,
                          MeshMismatch, SingularMatrix)
 from cd2d.mesh import build_tensor_mesh
@@ -36,13 +35,7 @@ def test_run_config_defaults():
     assert cfg.problem == "Example1"
     assert cfg.epsilons == FULL_EPSILONS
     assert cfg.ns == FULL_NS
-    assert cfg.workers == 1 and not cfg.desk
-
-
-def test_run_config_desk_caps_ns():
-    cfg = RunConfig(desk=True)
-    assert cfg.ns == [n for n in FULL_NS if n <= DESK_N_CAP]
-    assert 512 not in cfg.ns
+    assert cfg.workers == 1
 
 
 def config_from(tmp_path, text: str) -> RunConfig:
@@ -63,7 +56,6 @@ def test_parse_config_full(tmp_path):
         "variant = raw\n"
         "double_mesh = regenerate\n"
         "workers = 3\n"
-        "desk = yes\n"
         "alpha = 4.0\n")
     assert cfg.problem == "Example2"
     assert cfg.epsilons == [1e-1, 1e-3]
@@ -71,7 +63,6 @@ def test_parse_config_full(tmp_path):
     assert cfg.variant.value == "raw"
     assert cfg.double_mesh.value == "regenerate"
     assert cfg.workers == 3
-    assert cfg.desk
     assert cfg.alpha == 4.0 and cfg.beta is None
 
 
@@ -90,18 +81,6 @@ def test_flags_override_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "u_example1_transformed_eps0.01_N16.dat" in out
     assert (tmp_path / "u_example1_transformed_eps0.01_N16.dat").exists()
-
-
-def test_desk_cap_applies_after_merging(tmp_path):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[run]\ndesk = true\n")
-    args = build_parser().parse_args(
-        ["sweep", "--config", str(ini), "--N", "16", "--N", "512"])
-    assert _merge_config(args).ns == [16]
-    ini.write_text("[run]\nns = 16 512\n")
-    args = build_parser().parse_args(
-        ["sweep", "--config", str(ini), "--desk"])
-    assert _merge_config(args).ns == [16]
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -124,15 +103,32 @@ def test_config_unknown_key_is_config_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "config error: unknown [run] key 'n'\n"
 
 
-def test_config_desk_must_be_boolean(tmp_path, capsys, monkeypatch):
-    assert config_from(tmp_path, "[run]\ndesk = off\n").desk is False
+def test_config_workers_must_be_an_integer(tmp_path, capsys, monkeypatch):
     ini = tmp_path / "run.ini"
-    ini.write_text("[run]\nepsilons = 1e-2\nns = 16\ndesk = maybe\n")
+    ini.write_text("[run]\nepsilons = 1e-2\nns = 16\nworkers = many\n")
     monkeypatch.setattr(analysis, "run_sweep", must_not_run)
     rc = main(["sweep", "--config", str(ini), "--out-dir", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error: [run] desk cannot be 'maybe'\n")
+        "config error: [run] workers cannot be 'many'\n")
+
+
+def test_removed_settings_are_rejected(tmp_path, capsys, monkeypatch):
+    # each setting has one spelling; any other is a config error, never a
+    # silent default
+    monkeypatch.setattr(analysis, "run_sweep", must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--epsilon", "1e-2", "--N", "16", "--desk"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --desk" in capsys.readouterr().err
+    ini = tmp_path / "run.ini"
+    for line, message in (("desk = yes", "unknown [run] key 'desk'"),
+                          ("alpha =", "[run] alpha cannot be ''"),
+                          ("beta =", "[run] beta cannot be ''")):
+        ini.write_text(f"[run]\nepsilons = 1e-2\nns = 16\n{line}\n")
+        rc = main(["sweep", "--config", str(ini), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG, line
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -163,7 +159,6 @@ SETTINGS = {
                     "double_mesh = regenerate"),
     "workers": (["--workers", "3"], "workers = 3"),
     "out_dir": (["--out-dir", "results"], "out_dir = results"),
-    "desk": (["--desk"], "desk = yes"),
     "alpha": (["--alpha", "4.0"], "alpha = 4.0"),
     "beta": (["--beta", "2.0"], "beta = 2.0"),
 }
@@ -626,14 +621,30 @@ def test_verify_solver_failure_exit(capsys, monkeypatch):
         "solver failure: factorization broke down\n")
 
 
+def test_verify_fails_singular_inverse(capsys, monkeypatch):
+    # a singular matrix has no inverse to be positive: its NaN minimum
+    # entry is a failed check, not a pass
+    def check_with_repeated_row(system):
+        matrix = system.matrix.tolil()
+        matrix[20] = matrix[10]
+        return m_matrix_check(dataclasses.replace(system,
+                                                  matrix=matrix.tocsr()))
+
+    monkeypatch.setattr(cli, "m_matrix_check", check_with_repeated_row)
+    assert main(["verify", "--epsilon", "1e-1"]) == EXIT_INCOMPLETE
+    out = capsys.readouterr().out
+    assert ("FAIL  inverse positivity (N=16) at eps=0.1: "
+            "min inverse entry nan\n") in out
+
+
 def test_verify_names_ignored_settings(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nepsilons = 1e-3\nns = 64\n"
                    "double_mesh = regenerate\nout_dir = elsewhere\n")
-    rc = main(["verify", "--config", str(ini), "--workers", "2", "--desk"])
+    rc = main(["verify", "--config", str(ini), "--workers", "2"])
     assert rc == EXIT_INCOMPLETE
     assert capsys.readouterr().err == (
-        "warning: verify ignores ns, double_mesh, workers, out_dir, desk\n")
+        "warning: verify ignores ns, double_mesh, workers, out_dir\n")
     ini.write_text("[run]\nepsilons = 1e-3\nvariant = raw\n")
     assert main(["verify", "--config", str(ini)]) == EXIT_INCOMPLETE
     assert capsys.readouterr().err == ""

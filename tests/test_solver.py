@@ -339,6 +339,31 @@ def test_superlu_system_error_is_singular_matrix(ex1, monkeypatch):
         "SingularMatrix: gstrf was called with invalid arguments"] * 2
 
 
+class StubLU:
+    """Stands in for a SuperLU whose triangular solve fails or overflows."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def solve(self, rhs):
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return np.full_like(rhs, self.outcome)
+
+
+@pytest.mark.parametrize("outcome, message", [
+    (RuntimeError("Factor is exactly singular"), "Factor is exactly singular"),
+    (np.nan, "solution contains NaN or Inf"),
+    (np.inf, "solution contains NaN or Inf")])
+def test_factorization_solve_failures_are_singular_matrix(ex1, outcome,
+                                                          message):
+    system = assemble_system(ex1, build_tensor_mesh(ex1, 8))
+    factors = dataclasses.replace(factorize(system), lu=StubLU(outcome))
+    with pytest.raises(SingularMatrix) as exc:
+        factors.solve(system.rhs)
+    assert str(exc.value) == message
+
+
 # each record built from a fresh N = 8 system of Example1
 ARRAY_RECORDS = {
     "TensorMesh": lambda system: system.mesh,
