@@ -42,7 +42,7 @@ from . import mesh as mesh_mod
 from .assembly import LinearSystem, Variant, assemble_system
 from .errors import CD2DError, MalformedSpec, MeshMismatch
 from .problems import ProblemSpec, _make_example1, validate
-from .solve import GridFunction, residual_norm, solve_direct
+from .solve import GridFunction, residual_norm, solve_direct, solver_name
 
 
 class DoubleMeshMode(enum.Enum):
@@ -79,9 +79,11 @@ def double_mesh_error(coarse: GridFunction, fine: GridFunction) -> float:
 
 @dataclass(frozen=True)
 class MeshSolve:
-    """A solution and its scaled residual."""
+    """A solution, its scaled residual and the solver path (the
+    ``Factorization.ordering``) that produced it."""
     solution: GridFunction
     residual: float
+    solver: str
 
 
 _STAGES = ("mesh_s", "assemble_s", "solve_s", "residual_s", "estimate_s")
@@ -95,7 +97,9 @@ class CellResult:
     ``solve_s``, ``residual_s``, ``estimate_s``) summed over both meshes; a
     reused coarse solve adds nothing.  ``fine`` is the companion's solve in
     regenerate mode, which the cell of 2N reuses as its coarse solve; it
-    is the one field the sweep JSON leaves out.
+    is the one field the sweep JSON leaves out.  ``solver`` is the solver
+    path of both solves, "coarse+fine" if they differ, None before the
+    coarse one.
     """
     epsilon: float
     N: int
@@ -110,6 +114,7 @@ class CellResult:
     timings: dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
     coarse_reused: bool = False
+    solver: Optional[str] = None
     warnings: list[str] = field(default_factory=list)
     error: Optional[str] = None
     fine: Optional[MeshSolve] = field(default=None, repr=False, compare=False)
@@ -133,7 +138,8 @@ def solve_on(system: LinearSystem, timings: dict[str, float]) -> MeshSolve:
     ``timings`` (``solve_s``, ``residual_s``)."""
     solution = timed(timings, "solve_s", solve_direct, system)
     return MeshSolve(solution,
-                     timed(timings, "residual_s", residual_norm, system, solution))
+                     timed(timings, "residual_s", residual_norm, system, solution),
+                     solver_name(system))
 
 
 def run_cell(spec: ProblemSpec, N: int,
@@ -175,8 +181,11 @@ def run_cell(spec: ProblemSpec, N: int,
             cell.coarse_reused = True
         cell.residual_coarse = coarse.residual
         cell.max_u_coarse = coarse.solution.max_norm()
+        cell.solver = coarse.solver
 
         fine = solve_on(systems.pop(), t)
+        if fine.solver != coarse.solver:
+            cell.solver += "+" + fine.solver
         cell.residual_fine = fine.residual
         cell.max_u_fine = fine.solution.max_norm()
         if mode is DoubleMeshMode.REGENERATE:

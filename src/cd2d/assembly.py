@@ -61,12 +61,16 @@ class Variant(enum.Enum):
 class LinearSystem:
     """The scheme on one mesh.  ``bound`` is the stability bound
     (1/alpha) max|f| + max|q| of the problem data ``assemble_system``
-    sampled on the mesh (NaN for a system built without problem data)."""
+    sampled on the mesh (NaN for a system built without problem data);
+    ``y_invariant`` says that the a and b it sampled are constant along y,
+    so that the matrix has the tensor form the solver can diagonalize
+    (False for a system built without problem data)."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: TensorMesh
     variant: Variant
     bound: float = float("nan")
+    y_invariant: bool = False
 
     @property
     def dimension(self) -> int:
@@ -195,7 +199,9 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     matrix = sp.csr_matrix((table[nz], (flat + offsets)[nz], indptr),
                            shape=(m * m, m * m))
     return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh, variant=variant,
-                        bound=f_max / spec.alpha + q_max)
+                        bound=f_max / spec.alpha + q_max,
+                        y_invariant=bool((a == a[0]).all()
+                                         and (b == b[0]).all()))
 
 
 # ---------------------------------------------------------------------------

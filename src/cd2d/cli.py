@@ -3,7 +3,8 @@
 Commands:
 
 * ``solve``  - one (eps, N) run; writes a plot-ready grid dump plus a
-  metadata JSON (transition widths, residual, wall time, stage timings).
+  metadata JSON (transition widths, residual, solver path, wall time,
+  stage timings).
 * ``sweep``  - an (eps, N) error table via the double-mesh estimate;
   writes CSV and JSON reports.
 * ``verify`` - runs the built-in property checks (matrix sign structure,
@@ -175,6 +176,7 @@ def cmd_solve(config: RunConfig) -> int:
         "sigma_x": tm.sigma_x,
         "sigma_y": tm.sigma_y,
         "residual": solved.residual,
+        "solver": solved.solver,
         "max_abs_u": solution.max_norm(),
         "wall_time": timings["assemble_s"] + timings["solve_s"],
         "timings": timings,

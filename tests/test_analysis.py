@@ -465,6 +465,18 @@ def test_regenerate_sweep_solves_each_mesh_once(ex2, monkeypatch):
     assert not any(c.coarse_reused for c in result.cells)
 
 
+def test_cells_name_their_solver_path(ex1, ex2):
+    # each cell records the solver path of its solves, a reused coarse
+    # solve's included, joined by "+" where the two differ
+    for spec, path in ((ex1, "tensor"), (ex2, "MMD_AT_PLUS_A")):
+        result = run_sweep(spec, [1e-2], [8, 16], mode=REGENERATE)
+        assert [c.coarse_reused for c in result.cells] == [False, True]
+        assert [c.solver for c in result.cells] == [path, path]
+    coarse = run_cell(ex2, 8, mode=REGENERATE).fine
+    cell = run_cell(ex1, 16, mode=REGENERATE, coarse=coarse)
+    assert cell.ok and cell.solver == "MMD_AT_PLUS_A+tensor"
+
+
 def test_regenerate_reuse_is_bitwise_standalone(ex2):
     result = run_sweep(ex2, [1e-1, 1e-3], [8, 16, 32], mode=REGENERATE)
     for cell in result.cells:

@@ -229,7 +229,9 @@ def test_solve_writes_grid_and_metadata(tmp_path, capsys):
     assert meta["wall_time"] == timings["assemble_s"] + timings["solve_s"]
     assert set(meta) == {"problem", "variant", "epsilon", "N", "sigma_x",
                          "sigma_y", "residual", "max_abs_u", "wall_time",
-                         "timings", "warnings"}
+                         "timings", "warnings", "solver"}
+    # Example2's b varies with y, so the system takes the sparse LU
+    assert meta["solver"] == "MMD_AT_PLUS_A"
 
 
 def test_solve_unwritable_out_dir_is_config_error(tmp_path, capsys,
@@ -494,7 +496,8 @@ def test_non_finite_bound_is_an_error(tmp_path, capsys, monkeypatch, flag,
 
 CELL_KEYS = {"epsilon", "N", "D_eps", "sigma_x", "sigma_y",
              "residual_coarse", "residual_fine", "max_u_coarse", "max_u_fine",
-             "wall_time", "timings", "coarse_reused", "warnings", "error"}
+             "wall_time", "timings", "coarse_reused", "solver", "warnings",
+             "error"}
 
 
 def test_sweep_cell_json_keys(tmp_path):
@@ -517,6 +520,8 @@ def test_sweep_cell_json_keys(tmp_path):
                 "residual_fine", "max_u_coarse", "max_u_fine"):
         assert failed[key] is None, key
         assert math.isfinite(good[key]), key
+    # a cell that fails before its first solve names no solver path
+    assert failed["solver"] is None and good["solver"] == "tensor"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from cd2d import (
     residual_norm,
     solve_direct,
 )
+from cd2d.analysis import manufactured_problem
 from cd2d.errors import MeshMismatch, SingularMatrix
 from cd2d.problems import ProblemSpec
 from cd2d.solve import (_flush_subnormals, _libm, factorize,
@@ -35,6 +36,19 @@ def identity_system(tm):
     return LinearSystem(
         matrix=sp.identity(dim, format="csr"), rhs=np.arange(dim, dtype=float),
         mesh=tm, variant=Variant.TRANSFORMED)
+
+
+def b_varying_in_y(x, y):
+    return 25.0 + y
+
+
+def lu_problem(name):
+    """The builtin problem, with b = 25 + y for Example1: a system whose
+    coefficients vary with y takes the sparse LU."""
+    spec = builtin_problem(name)
+    if name == "Example1":
+        spec = dataclasses.replace(spec, b_field=b_varying_in_y)
+    return spec
 
 
 def test_identity_solve(ex1):
@@ -117,9 +131,10 @@ def subnormals_survive():
                 and np.nextafter(0.0, 1.0) * 1.0 > 0)
 
 
-def test_factorization_stats_and_fill(ex1):
-    # the 257^2 bisect companion of the N = 128 cell at eps = 1e-4
-    spec = ex1.with_epsilon(1e-4)
+def test_factorization_stats_and_fill(ex2):
+    # the 257^2 bisect companion of the N = 128 cell at eps = 1e-4 (Example2:
+    # its b varies with y, so the system takes the sparse LU)
+    spec = ex2.with_epsilon(1e-4)
     system = assemble_system(spec, bisect(build_tensor_mesh(spec, 128)))
     f = factorize(system)
     row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
@@ -209,12 +224,16 @@ def test_flush_zeroes_subnormals():
 @given(problem=st.sampled_from(["Example1", "Example2"]),
        variant=st.sampled_from(list(Variant)),
        log_eps=st.floats(math.log10(1e-6), math.log10(0.5)),
-       N=st.sampled_from([8, 16, 32, 64]))
-@settings(max_examples=30, deadline=None, derandomize=True)
+       N=st.sampled_from([8, 16, 24, 32, 40, 64, 96]))
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_solve_matches_partial_pivoting_oracle(problem, variant, log_eps, N):
+    # Example1 takes the fast diagonalization, Example2 the sparse LU
     spec = builtin_problem(problem).with_epsilon(10.0 ** log_eps)
     system = assemble_system(spec, build_tensor_mesh(spec, N), variant)
-    u = solve_direct(system)
+    factors = factorize(system)
+    assert factors.ordering == {"Example1": "tensor",
+                                "Example2": "MMD_AT_PLUS_A"}[problem]
+    u = factors.solve(system.rhs)
     assert residual_norm(system, u) <= 1e-12
     # oracle: SuperLU's default COLAMD ordering with plain partial pivoting
     scaled, d = row_scaled(system)
@@ -222,6 +241,49 @@ def test_solve_matches_partial_pivoting_oracle(problem, variant, log_eps, N):
                       diag_pivot_thresh=1.0).solve(d * system.rhs)
     scale = np.max(np.abs(u_ref))
     assert np.max(np.abs(u.values - u_ref)) <= 1e-10 * scale
+
+
+def test_solver_path_follows_the_coefficients(ex1):
+    # a and b constant along y give the tensor form; anything else, and a
+    # system built without problem data, takes the sparse LU
+    tensor = [(ex1, v) for v in Variant] + [(manufactured_problem(),
+                                            Variant.TRANSFORMED)]
+    lu = [(builtin_problem("Example2"), v) for v in Variant] + [
+        (lu_problem("Example1"), Variant.TRANSFORMED)]
+    for specs, path in ((tensor, "tensor"), (lu, "MMD_AT_PLUS_A")):
+        for spec, variant in specs:
+            system = assemble_system(spec, build_tensor_mesh(spec, 16),
+                                     variant)
+            assert system.y_invariant is (path == "tensor")
+            assert factorize(system).ordering == path, (spec.name, variant)
+    system = identity_system(build_tensor_mesh(ex1, 8))
+    assert factorize(system).ordering == "MMD_AT_PLUS_A"
+
+
+def test_tensor_factor_failure_is_confined_to_its_cell(ex1, monkeypatch):
+    # a banded factor that reports a zero pivot fails only the cell whose
+    # companion (33^2 nodes: 31 interior lines) it belongs to
+    real_dgbtrf = cd2d.solve.lapack.dgbtrf
+
+    def failing_dgbtrf(ab, *args, **kwargs):
+        lu, pivots, info = real_dgbtrf(ab, *args, **kwargs)
+        return lu, pivots, 3 if ab.shape[1] == 31 * 31 else info
+
+    monkeypatch.setattr(cd2d.solve.lapack, "dgbtrf", failing_dgbtrf)
+    result = cd2d.run_sweep(ex1, [1e-2], [8, 16])
+    assert [cell.error for cell in result.cells] == [None, (
+        "SingularMatrix: tensor solve: banded factor failed (dgbtrf info 3)")]
+
+
+def test_tensor_eigensolver_failure_is_singular_matrix(ex1, monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cd2d.solve, "eigh_tridiagonal", failing_eigh)
+    system = assemble_system(ex1, build_tensor_mesh(ex1, 8))
+    with pytest.raises(SingularMatrix,
+                       match="^tensor solve: eigenvalues did not converge$"):
+        factorize(system)
 
 
 def test_zero_row_rejected(ex1):
@@ -269,7 +331,7 @@ def test_splu_input_is_row_scaled_matrix(splu_inputs, problem, variant, eps,
                                          N, companion):
     # the CSR that assembly emits is canonical, and the CSC that SuperLU
     # receives is bitwise its diagonal row scaling rounded to float32
-    spec = builtin_problem(problem).with_epsilon(eps)
+    spec = lu_problem(problem).with_epsilon(eps)
     mesh = build_tensor_mesh(spec, N)
     system = assemble_system(spec, bisect(mesh) if companion else mesh,
                              variant)
@@ -330,17 +392,17 @@ def test_raw_solution_within_stability_bound(problem, log_eps, N):
     assert solve_direct(system).max_norm() <= system.bound
 
 
-def test_superlu_system_error_is_singular_matrix(ex1, monkeypatch):
+def test_superlu_system_error_is_singular_matrix(ex2, monkeypatch):
     # an out-of-memory factorization can end in SystemError; it must be a
     # typed error confined to its cell, not an exception that ends the sweep
     def failing_splu(*args, **kwargs):
         raise SystemError("gstrf was called with invalid arguments")
 
     monkeypatch.setattr(cd2d.solve.spla, "splu", failing_splu)
-    spec = ex1.with_epsilon(1e-2)
+    spec = ex2.with_epsilon(1e-2)
     with pytest.raises(SingularMatrix, match="gstrf"):
         factorize(assemble_system(spec, build_tensor_mesh(spec, 16)))
-    result = cd2d.run_sweep(ex1, [1e-2], [8, 16])
+    result = cd2d.run_sweep(ex2, [1e-2], [8, 16])
     assert [cell.error for cell in result.cells] == [
         "SingularMatrix: gstrf was called with invalid arguments"] * 2
 
