@@ -40,7 +40,7 @@ import numpy as np
 
 from . import mesh as mesh_mod
 from .assembly import LinearSystem, Variant, assemble_system
-from .errors import CD2DError, MalformedSpec, MeshMismatch
+from .errors import CONTAINED_FAILURES, MalformedSpec, MeshMismatch
 from .problems import ProblemSpec, _make_example1, validate
 from .solve import GridFunction, residual_norm, solve_direct, solver_name
 
@@ -192,7 +192,7 @@ def run_cell(spec: ProblemSpec, N: int,
             cell.fine = fine
         cell.D_eps = timed(t, "estimate_s", double_mesh_error,
                            coarse.solution, fine.solution)
-    except (CD2DError, MemoryError) as exc:
+    except CONTAINED_FAILURES as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_time = time.perf_counter() - start
     return cell

@@ -20,7 +20,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,7 +29,8 @@ import numpy as np
 from . import analysis, mesh as mesh_mod
 from .assembly import Variant, assemble_system, m_matrix_check
 from .analysis import DoubleMeshMode
-from .errors import CD2DError, GeometryError, MalformedSpec
+from .errors import (CD2DError, CONTAINED_FAILURES, GeometryError,
+                     MalformedSpec)
 from .problems import ProblemSpec, builtin_problem, problem_names, validate
 from .solve import solve_direct, write_grid_dump
 
@@ -47,8 +48,8 @@ class RunConfig:
     """The settings of a run.  Each field name is also its ``[run]`` key and
     the ``dest`` of its flag."""
     problem: str = "Example1"
-    epsilons: list[float] = None
-    ns: list[int] = None
+    epsilons: list[float] = field(default_factory=FULL_EPSILONS.copy)
+    ns: list[int] = field(default_factory=FULL_NS.copy)
     variant: Variant = Variant.TRANSFORMED
     double_mesh: DoubleMeshMode = DoubleMeshMode.BISECT
     workers: int = 1
@@ -61,10 +62,6 @@ class RunConfig:
             raise CD2DError(f"workers must be at least 1, got {self.workers}")
         self.variant = Variant(self.variant)
         self.double_mesh = DoubleMeshMode(self.double_mesh)
-        if self.epsilons is None:
-            self.epsilons = list(FULL_EPSILONS)
-        if self.ns is None:
-            self.ns = list(FULL_NS)
 
 
 def _parse_list(kind, text: str) -> list:
@@ -334,8 +331,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (MalformedSpec, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CD2DError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except CONTAINED_FAILURES as exc:
+        # name a MemoryError, whose message may be empty
+        why = exc if isinstance(exc, CD2DError) else ": ".join(
+            filter(None, ("MemoryError", str(exc))))
+        print(f"solver failure: {why}", file=sys.stderr)
         return EXIT_SOLVER
 
 

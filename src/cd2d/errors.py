@@ -23,3 +23,7 @@ class MeshMismatch(CD2DError):
     """Operands do not fit one mesh: a vector of the wrong size for its
     system, axes of different lengths, or a fine mesh that does not have
     2N intervals or does not span the coarse one."""
+
+
+# what a sweep cell records and solve or verify report as a solver failure
+CONTAINED_FAILURES = (CD2DError, MemoryError)

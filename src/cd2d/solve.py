@@ -51,12 +51,13 @@ x = 0; each step forms the residual r = D (b - A x) in float64 from the
 system's own CSR A and row scale D, solves for the correction from r/|r|
 in float32, scales it back up by |r| and adds it to x (norms are max-norms;
 dividing by |r| keeps the float32 right-hand side clear of underflow as r
-shrinks).  Refinement stops when the correction is at most 4u|x|, u = 2^-53
-being float64's unit roundoff, or when c_k^2 / (c_{k-1} - c_k), the tail a
-geometric run of further corrections would add, is.  It fails with
-``SingularMatrix`` when a correction does not halve the one before, unless
-that correction is already at most 1e-12 |x|, and after 10 refinement
-steps, so a solve never returns a half-refined answer.  On the bisect
+shrinks).  A correction c_k that does not halve c_{k-1} is a stall: it
+ends refinement if already at most 1e-12 |x|, else fails with
+``SingularMatrix``.  Then refinement stops when c_k^2 / (c_{k-1} - c_k),
+the tail a geometric run of further corrections would add, is at most
+4u|x|, u = 2^-53 being float64's unit roundoff; the two imply a stop on
+c_k <= 4u|x|.  It fails after 10 steps, so a solve never returns a
+half-refined answer.  On the bisect
 companions of both examples (eps 1e-1, 1e-4, 1e-6; 129^2 to 513^2; both
 variants) it takes 2-3 steps after the first solve, the scaled residual
 stays at or below 2.1e-16 and the solution is within 3.5e-13 relative of a
@@ -209,8 +210,11 @@ class _TensorSolve:
         rows = inner * m + 1
         south, north = _entries(a, rows, -m), _entries(a, rows, m)
         sigma = np.r_[1.0, np.cumprod(np.sqrt(north[:-1] / south[1:]))]
-        lam, q = eigh_tridiagonal(-(south + north),
-                                  -np.sqrt(north[:-1] * south[1:]))
+        try:
+            lam, q = eigh_tridiagonal(-(south + north),
+                                      -np.sqrt(north[:-1] * south[1:]))
+        except LinAlgError as exc:
+            raise SingularMatrix(f"tensor solve: {exc}") from exc
         # X from grid row j = 1: its centre less the y-part, which is zero
         # on x = d1, the one column without y-coupling (D = 0)
         rows = m + inner
@@ -294,12 +298,6 @@ class Factorization:
             x += c
             c_max = float(np.max(np.abs(c)))
             x_max = float(np.max(np.abs(x)))
-            # stop on a correction, or an estimated tail
-            # c^2 / (last - c) of the remaining ones, below 4u |x|
-            if c_max <= _STOP * x_max or (
-                    step and c_max < last
-                    and c_max * c_max <= _STOP * x_max * (last - c_max)):
-                break
             if c_max > 0.5 * last:
                 if c_max <= _STALL_OK * x_max:
                     break
@@ -307,6 +305,10 @@ class Factorization:
                     f"iterative refinement stalled at step {step}: "
                     f"correction {c_max:.3e} after {last:.3e}, "
                     f"|x| {x_max:.3e}")
+            # stop when c^2 / (last - c), the tail of a geometric run of
+            # further corrections, is at most 4u |x|
+            if step and c_max * c_max <= _STOP * x_max * (last - c_max):
+                break
             last = c_max
             r = d * (rhs - self.matrix @ x)
         else:
@@ -335,10 +337,7 @@ def factorize(system: LinearSystem) -> Factorization:
     d = 1.0 / row_max
     ordering = solver_name(system)
     if ordering == _TENSOR:
-        try:
-            lu = _TensorSolve.build(a, d, system.mesh.n)
-        except LinAlgError as exc:
-            raise SingularMatrix(f"tensor solve: {exc}") from exc
+        lu = _TensorSolve.build(a, d, system.mesh.n)
     else:
         # scaled in float64, rounded once to float32; zeros are dropped
         # from tocsc's fresh arrays, not the system's own
@@ -378,10 +377,9 @@ def residual_norm(system: LinearSystem, solution: GridFunction) -> float:
     a = system.matrix
     starts = a.indptr[:-1][np.diff(a.indptr) > 0]  # no empty segments
     a_norm = float(np.add.reduceat(np.abs(a.data), starts).max(initial=0.0))
-    den = a_norm * solution.max_norm() + float(np.max(np.abs(system.rhs)))
-    if den == 0.0:
-        return float("inf")
-    return num / den
+    # num > 0 gives den > 0: each |a_ij u_j| is at most ||A|| ||U||
+    return num / (a_norm * solution.max_norm()
+                  + float(np.max(np.abs(system.rhs))))
 
 
 def write_grid_dump(solution: GridFunction, stream: IO[str]) -> None:

@@ -720,6 +720,28 @@ def test_exit_status_follows_error_type(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("message, line", [
+    ("", "solver failure: MemoryError\n"),
+    ("Unable to allocate 235. MiB",
+     "solver failure: MemoryError: Unable to allocate 235. MiB\n")],
+    ids=["bare", "message"])
+def test_memory_error_is_a_solver_failure(tmp_path, capsys, monkeypatch,
+                                          command, message, line):
+    # running out of memory is contained as in a sweep cell: one named
+    # line, status 3, no output file
+    def failing_assembly(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "assemble_system", failing_assembly)
+    args = [command, "--epsilon", "1e-3"]
+    if command == "solve":
+        args += ["--N", "16", "--out-dir", str(tmp_path)]
+    assert main(args) == EXIT_SOLVER
+    assert capsys.readouterr().err == line
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
 def test_unresolvable_epsilon_exits_before_any_solve(tmp_path, capsys,
                                                      monkeypatch, command):
     # eps = 1e-12 is below what a fitted mesh resolves: a GeometryError in

@@ -132,6 +132,17 @@ def test_geometry_error_wide_y_layers(ex1):
         build_tensor_mesh(dataclasses.replace(ex1, epsilon=0.5, d2=0.9), 8)
 
 
+def test_geometry_error_collapsed_x_piece(ex1):
+    # d1 one ulp left of 1 - sigma_x passes the overlap check, but the
+    # piece [d1, 1 - sigma_x] cannot hold N/4 distinct points
+    N = 16
+    sx = (2.0 * ex1.epsilon ** 2 / ex1.alpha) * math.log(N)
+    spec = dataclasses.replace(ex1, d1=float(np.nextafter(1.0 - sx, 0.0)))
+    with pytest.raises(GeometryError,
+                       match="^x-mesh is not strictly increasing$"):
+        build_tensor_mesh(spec, N)
+
+
 @pytest.mark.parametrize("label", ["d1", "d2"])
 def test_geometry_error_names_a_tiny_d(ex1, label):
     # d1/2 or d2/4 below the spacing floor: no eps helps, so d is named

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import os
 import re
@@ -221,6 +222,21 @@ def test_flush_zeroes_subnormals():
     assert subnormals_survive()
 
 
+def test_solve_without_flush_keeps_residual_contract(ex2, monkeypatch):
+    # where no libm flush is available (say, off x86-64 glibc) the LU path
+    # runs unflushed: the solve still meets the residual contract and the
+    # float environment is never touched
+    monkeypatch.setattr(cd2d.solve, "_libm", lambda: None)
+    spec = ex2.with_epsilon(1e-4)
+    system = assemble_system(spec, build_tensor_mesh(spec, 32))
+    with _flush_subnormals():
+        assert subnormals_survive()
+    factors = factorize(system)
+    assert factors.ordering == "MMD_AT_PLUS_A"
+    assert residual_norm(system, factors.solve(system.rhs)) <= 1e-12
+    assert subnormals_survive()
+
+
 @given(problem=st.sampled_from(["Example1", "Example2"]),
        variant=st.sampled_from(list(Variant)),
        log_eps=st.floats(math.log10(1e-6), math.log10(0.5)),
@@ -433,6 +449,71 @@ def test_factorization_solve_failures_are_singular_matrix(ex1, outcome,
     with pytest.raises(SingularMatrix) as exc:
         factors.solve(system.rhs)
     assert re.fullmatch(message, str(exc.value))
+
+
+class GainLU:
+    """Stands in for an inner solve that returns gain_k times the true
+    correction on call k, so the error after call k is (1 - gain_k) times
+    the error before it."""
+
+    def __init__(self, lu, gains):
+        self.lu, self.gains, self.calls = lu, iter(gains), 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return next(self.gains) * self.lu.solve(rhs)
+
+
+def gains_to(errors):
+    """Gains that leave errors of ``errors`` times |x| after the first
+    calls, then a gain of 2 on every call: each correction then reverses
+    the error, so corrections stop halving at twice the last error."""
+    ratios = np.array([1.0, *errors])
+    return itertools.chain(1.0 - ratios[1:] / ratios[:-1],
+                           itertools.repeat(2.0))
+
+
+def gain_factors(ex1, gains):
+    """Example 1's N = 8 system, its solution, and its factors with the
+    inner solve replaced by a ``GainLU`` of ``gains``."""
+    system = assemble_system(ex1, build_tensor_mesh(ex1, 8))
+    factors = factorize(system)
+    stub = GainLU(factors.lu, gains)
+    return system, factors.solve(system.rhs), dataclasses.replace(
+        factors, lu=stub), stub
+
+
+def test_refinement_stall_below_rescue_returns(ex1):
+    # corrections about 1e-7, 1e-11, then 1e-13 |x| twice: the last does
+    # not halve, but it is below 1e-12 |x|, so the solve returns
+    system, exact, factors, stub = gain_factors(
+        ex1, gains_to([1e-7, 1e-11, 5e-14]))
+    u = factors.solve(system.rhs)
+    assert stub.calls == 5
+    diff = np.max(np.abs(u.values - exact.values)) / exact.max_norm()
+    assert 1e-14 <= diff <= 1e-13
+    assert residual_norm(system, u) <= 1e-12
+
+
+def test_refinement_stall_above_rescue_raises(ex1):
+    # corrections about 1e-3, 1e-8, then 1e-11 |x| twice: a stall above
+    # 1e-12 |x| is a failure
+    system, _, factors, stub = gain_factors(
+        ex1, gains_to([1e-3, 1e-8, 5e-12]))
+    with pytest.raises(SingularMatrix,
+                       match=r"^iterative refinement stalled at step 4: "):
+        factors.solve(system.rhs)
+    assert stub.calls == 5
+
+
+def test_refinement_step_cap(ex1):
+    # each correction 0.4 times the last: the tail rule needs about 37
+    # steps, so the solve fails after the 10 allowed
+    system, _, factors, stub = gain_factors(ex1, itertools.repeat(0.6))
+    with pytest.raises(SingularMatrix, match=(
+            r"^iterative refinement did not converge in 10 steps: ")):
+        factors.solve(system.rhs)
+    assert stub.calls == 11
 
 
 # each record built from a fresh N = 8 system of Example1
