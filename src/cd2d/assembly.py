@@ -62,15 +62,16 @@ class LinearSystem:
     """The scheme on one mesh.  ``bound`` is the stability bound
     (1/alpha) max|f| + max|q| of the problem data ``assemble_system``
     sampled on the mesh (NaN for a system built without problem data);
-    ``y_invariant`` says that the a and b it sampled are constant along y,
-    so that the matrix has the tensor form the solver can diagonalize
-    (False for a system built without problem data)."""
+    ``y_spread`` is the largest |v - mean_y v| / |mean_y v| over the grid
+    for v = a and v = b, how far the matrix is from the tensor form the
+    solver can diagonalize (0 when a and b are constant along y, inf for
+    a system built without problem data)."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: TensorMesh
     variant: Variant
     bound: float = float("nan")
-    y_invariant: bool = False
+    y_spread: float = float("inf")
 
     @property
     def dimension(self) -> int:
@@ -198,10 +199,12 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     flat = np.arange(m * m, dtype=np.int32).reshape(m, m, 1)
     matrix = sp.csr_matrix((table[nz], (flat + offsets)[nz], indptr),
                            shape=(m * m, m * m))
+    # y_spread: |v - mean_y v| peaks where v is largest or smallest along y
+    spread = max(float(np.max(np.maximum(v.max(0) - mu, mu - v.min(0))
+                              / np.abs(mu)))
+                 for v, mu in ((a, a.mean(0)), (b, b.mean(0))))
     return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh, variant=variant,
-                        bound=f_max / spec.alpha + q_max,
-                        y_invariant=bool((a == a[0]).all()
-                                         and (b == b[0]).all()))
+                        bound=f_max / spec.alpha + q_max, y_spread=spread)
 
 
 # ---------------------------------------------------------------------------

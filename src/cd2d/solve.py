@@ -2,12 +2,13 @@
 
 ``factorize(system)`` returns a :class:`Factorization` whose ``solve(rhs)``
 takes any right-hand side of that system; ``solve_direct`` does both for the
-system's own rhs.  A system whose a and b are constant along y is solved by
-fast diagonalization, any other by sparse LU; ``solver_name`` says which.
+system's own rhs.  A system whose a and b stay within 1.5% of their means
+along y is solved by fast diagonalization, any other by sparse LU;
+``solver_name`` says which.
 
 Fast diagonalization.  When a and b do not vary with y, the matrix on the
 interior unknowns of the tensor mesh is A = I (x) X + Y (x) D: X is the
-x-stencil of one grid row (its centre less the row's y-part), Y = -eps^2
+x-stencil of any grid row (its centre less the row's y-part), Y = -eps^2
 D_yy the y-stencil of one column, and D is the identity except on x = d1,
 whose transmission rows have no y-coupling.  Y is a tridiagonal matrix
 made symmetric by a diagonal similarity S (s_{j+1} / s_j the square root
@@ -20,16 +21,22 @@ Dirichlet values move to F with one product by A (R. E. Lynch, J. R. Rice
 & D. H. Thomas, "Direct solution of partial difference equations by tensor
 product methods", Numer. Math. 6, 1964).  The work is two dense (n-1)^2
 products per solve and O(n^2) besides, against the fill of a sparse LU.
+When a or b varies with y, X differs from row to row (Y, which depends
+only on the y widths, does not) and the build takes X as the mean over
+the interior rows.  The fast solver of that nearby separable operator is
+the inner solve of the refinement loop below, which runs against A, so
+the answer is the LU's to rounding (P. Concus & G. H. Golub, SIAM J.
+Numer. Anal. 10(6), 1973).  Each step cuts the error by a factor that
+grows with the y-variation, so the path is taken for ``y_spread`` <=
+0.015.  It takes 1 step after the first solve for Example 1 (y_spread 0),
+6-7 for Example 2 (0.011) and 7-8 for a = 4 + x + 0.1y (0.0136), while
+b = 25 + 5xy (0.099) and a = 4 + x + y (0.12) run past the 10-step cap.
 On a 2-core x86-64 guest with one BLAS thread, factor and refined solve
-of Example 1's bisect companions (eps = 1e-4) take 43 ms against 323 ms
-at 257^2, 0.75 s and 307 MB peak against 13.5 s and 802 MB at 1025^2,
-and 4.2 s and 1.0 GB at 2049^2 (a float64 LU took 160 s and 5.9 GB).
-This path runs in float64, inside the same refinement loop, which absorbs
-the rounding by which the assembled centre differs from X's centre plus
-Y's diagonal: it takes one step after the first solve, the scaled
-residual stays at or below 2.2e-16 and the solution is within 2.1e-13
-relative of the LU's.  A breakdown (``LinAlgError``, or a zero pivot in
-``dgbtrf``) is ``SingularMatrix``.
+of Example 2's bisect companion at eps = 1e-4 take 1.5-1.6 s and 316 MB
+at 1025^2 against 13.3 s and 824 MB on the LU; the scaled residual stays
+at or below 2.3e-16 and the solution within 7.7e-14 relative of the LU's.
+A breakdown (``LinAlgError``, or a zero pivot in ``dgbtrf``) is
+``SingularMatrix``.
 
 Equilibration.  The transmission-row coefficients grow like 1/h1 and the fine
 width h1 shrinks like eps^2, so for the smallest eps the matrix entries span
@@ -57,9 +64,9 @@ ends refinement if already at most 1e-12 |x|, else fails with
 the tail a geometric run of further corrections would add, is at most
 4u|x|, u = 2^-53 being float64's unit roundoff; the two imply a stop on
 c_k <= 4u|x|.  It fails after 10 steps, so a solve never returns a
-half-refined answer.  On the bisect
-companions of both examples (eps 1e-1, 1e-4, 1e-6; 129^2 to 513^2; both
-variants) it takes 2-3 steps after the first solve, the scaled residual
+half-refined answer.  On the float32 LU, the bisect companions of both
+examples (eps 1e-1, 1e-4, 1e-6; 129^2 to 513^2; both variants) took 2-3
+steps after the first solve, the scaled residual
 stays at or below 2.1e-16 and the solution is within 3.5e-13 relative of a
 float64 LU with the same ordering and blocking; at 1025^2 it takes 5 steps.
 
@@ -141,6 +148,7 @@ _FTZ_DAZ = 0x8040       # MXCSR bits 15 (flush to zero), 6 (denormals are zero)
 _STOP = 4 * np.finfo(np.float64).epsneg     # 4u, u = 2^-53
 _STALL_OK = 1e-12       # a stalled correction this small (times |x|) is kept
 _MAX_STEPS = 10         # refinement steps after the first solve
+_MAX_Y_SPREAD = 0.015   # the largest y_spread the tensor path is given
 
 
 class _FenvT(ctypes.Structure):
@@ -181,18 +189,22 @@ def _flush_subnormals() -> Iterator[None]:
         libm.fesetenv(ctypes.byref(saved))
 
 
-def _entries(a: sp.csr_matrix, rows: np.ndarray, offset: int) -> np.ndarray:
-    """A[r, r + offset] for each row r (0 where nothing is stored)."""
-    return np.asarray(a[rows, rows + offset]).ravel()
+def _interior(a: sp.csr_matrix, offset: int, m: int) -> np.ndarray:
+    """A[r, r + offset] on the interior rows r of an m x m grid, as the
+    (m - 2, m - 2) grid [j - 1, i - 1] (0 where nothing is stored)."""
+    start = m + min(0, offset)  # diagonal(offset)[k] is row k - min(0, offset)
+    return a.diagonal(offset)[start:start + m * (m - 2)].reshape(
+        m - 2, m)[:, 1:-1]
 
 
 @dataclass(frozen=True, eq=False)
 class _TensorSolve:
-    """Fast diagonalization of a y-invariant system: on the interior
-    unknowns A = I (x) X + Y (x) D, with W^-1 Y W = diag(lam), and the
-    banded LU (LAPACK ``dgbtrf`` storage) of the n-1 systems X + lam_k D
-    stacked into one band matrix.  ``solve`` takes the right-hand side of
-    the row-scaled system, like a SuperLU of D A."""
+    """Fast diagonalization of the separable operator nearest a system:
+    on the interior unknowns I (x) X + Y (x) D, with W^-1 Y W = diag(lam),
+    X the mean of the rows' x-stencils, and the banded LU (LAPACK
+    ``dgbtrf`` storage) of the n-1 systems X + lam_k D stacked into one
+    band matrix.  ``solve`` takes the right-hand side of the row-scaled
+    system, like a SuperLU of D A."""
     matrix: sp.csr_matrix
     row_scale: np.ndarray
     w: np.ndarray
@@ -204,33 +216,32 @@ class _TensorSolve:
     def build(cls, a: sp.csr_matrix, row_scale: np.ndarray,
               n: int) -> "_TensorSolve":
         m, p = n + 1, n - 1
-        inner = np.arange(1, n)
+        y_south, y_north = _interior(a, -m, m), _interior(a, m, m)
         # Y from column i = 1 (never x = d1), symmetrized by
         # sigma_{j+1} / sigma_j = sqrt(north_j / south_{j+1})
-        rows = inner * m + 1
-        south, north = _entries(a, rows, -m), _entries(a, rows, m)
+        south, north = y_south[:, 0], y_north[:, 0]
         sigma = np.r_[1.0, np.cumprod(np.sqrt(north[:-1] / south[1:]))]
         try:
             lam, q = eigh_tridiagonal(-(south + north),
                                       -np.sqrt(north[:-1] * south[1:]))
         except LinAlgError as exc:
             raise SingularMatrix(f"tensor solve: {exc}") from exc
-        # X from grid row j = 1: its centre less the y-part, which is zero
-        # on x = d1, the one column without y-coupling (D = 0)
-        rows = m + inner
-        y_south, y_north = _entries(a, rows, -m), _entries(a, rows, m)
-        # X[i, i + o] (plus lam_k D_i for o = 0) is entry (k p + i,
-        # k p + i + o) of system k stacked into one band matrix, which
-        # dgbtrf storage holds at ab[4 - o, k p + i + o]; ab = band.reshape
-        # (p p, 7).T, so that is band[k, i + o, 4 - o]
-        band = np.zeros((p, p, 7))
+        # X, the mean over the interior grid rows of each row's x-stencil,
+        # its centre less the row's y-part, which is zero on x = d1, the
+        # one column without y-coupling (D = 0).  X[i, i + o] (plus
+        # lam_k D_i for o = 0) is entry (k p + i, k p + i + o) of system k
+        # stacked into one band matrix, which dgbtrf storage holds at
+        # ab[4 - o, k p + i + o]; ab = band.reshape(p p, 7).T, so that is
+        # band[k, i + o, 4 - o], and x[i + o, 4 - o] for every k
+        x = np.zeros((p, 7))
         for o in range(-2, 3):
-            x_o = _entries(a, rows, o)
+            x_o = _interior(a, o, m)
             if o == 0:
                 x_o += y_south + y_north
             lo, hi = max(0, -o), min(p, p - o)  # columns off the boundary
-            band[:, lo + o:hi + o, 4 - o] = x_o[lo:hi]
-        band[:, :, 4] += lam[:, None] * (y_north != 0.0)
+            x[lo + o:hi + o, 4 - o] = x_o.mean(axis=0)[lo:hi]
+        band = np.repeat(x[None], p, axis=0)
+        band[:, :, 4] += lam[:, None] * (y_north[0] != 0.0)
         band, pivots, info = lapack.dgbtrf(band.reshape(p * p, 7).T, 2, 2,
                                            overwrite_ab=1)
         if info != 0:
@@ -259,9 +270,9 @@ class Factorization:
     """Factors of the row-equilibrated matrix of one system, and that
     system's own float64 CSR, against which ``solve`` refines.  ``lu`` is a
     single-precision SuperLU (``ordering`` its column ordering) or, for a
-    y-invariant system, the float64 fast diagonalization (``ordering``
-    ``"tensor"``); ``row_max_range`` is (min, max) of the row maxima |A|
-    was divided by."""
+    nearly y-invariant system, the float64 fast diagonalization
+    (``ordering`` ``"tensor"``); ``row_max_range`` is (min, max) of the row
+    maxima |A| was divided by."""
     lu: spla.SuperLU | _TensorSolve
     matrix: sp.csr_matrix
     row_scale: np.ndarray
@@ -320,14 +331,15 @@ class Factorization:
 
 def solver_name(system: LinearSystem) -> str:
     """The path ``factorize`` takes for ``system``, its ``ordering``:
-    ``"tensor"`` for a y-invariant system, else the LU's column ordering."""
-    return _TENSOR if system.y_invariant else _ORDERING
+    ``"tensor"`` when its ``y_spread`` is at most 0.015, else the LU's
+    column ordering."""
+    return _TENSOR if system.y_spread <= _MAX_Y_SPREAD else _ORDERING
 
 
 def factorize(system: LinearSystem) -> Factorization:
-    """Row-equilibrated factors, by fast diagonalization for a y-invariant
-    system and single-precision sparse LU otherwise; deterministic for
-    identical inputs."""
+    """Row-equilibrated factors, by fast diagonalization for a nearly
+    y-invariant system and single-precision sparse LU otherwise;
+    deterministic for identical inputs."""
     a = system.matrix
     counts = np.diff(a.indptr)
     # reduceat reads an empty row as its successor's first entry

@@ -233,9 +233,9 @@ def test_acceptance_8_mesh_property_runtime():
 def test_full_error_tables_slow():
     """Six-epsilon sweeps up to N = 512 complete with decaying uniform error.
 
-    The N = 1024 column of Example 2 would need a sparse LU on a 2049^2
-    grid, which does not fit in this machine's memory (Example 1's takes
-    the fast diagonalization), so both sweeps stop at 512.
+    Both examples take the fast diagonalization, so the N = 1024 columns
+    fit in about 1.1 GB, but they add some two and a half minutes; the
+    sweeps stop at 512.
     """
     for name in ("example1", "example2"):
         spec = builtin_problem(name)

@@ -230,7 +230,25 @@ def test_solve_writes_grid_and_metadata(tmp_path, capsys):
     assert set(meta) == {"problem", "variant", "epsilon", "N", "sigma_x",
                          "sigma_y", "residual", "max_abs_u", "wall_time",
                          "timings", "warnings", "solver"}
-    # Example2's b varies with y, so the system takes the sparse LU
+    # Example2's b varies by about 1% along y: the tensor path, refined
+    assert meta["solver"] == "tensor"
+
+
+def test_solve_metadata_names_the_lu_path(tmp_path):
+    # b = 25 + 25y varies too much with y for the tensor path
+    name = "cli_lu_path_probe"
+    try:
+        register_problem(name, lambda: dataclasses.replace(
+            builtin_problem("example2"), name=name,
+            b_field=lambda x, y: 25.0 + 25.0 * y))
+        rc = main(["solve", "--problem", name, "--epsilon", "1e-3",
+                   "--N", "16", "--out-dir", str(tmp_path)])
+    finally:
+        _REGISTRY.pop(name, None)
+    assert rc == EXIT_OK
+    meta = json.loads((tmp_path / f"u_{name}_transformed_eps0.001_N16.json")
+                      .read_text())
+    assert meta["residual"] <= 1e-10
     assert meta["solver"] == "MMD_AT_PLUS_A"
 
 

@@ -28,7 +28,7 @@ from cd2d import (
 from cd2d.analysis import manufactured_problem
 from cd2d.errors import MeshMismatch, SingularMatrix
 from cd2d.problems import ProblemSpec
-from cd2d.solve import (_flush_subnormals, _libm, factorize,
+from cd2d.solve import (_flush_subnormals, _libm, factorize, solver_name,
                         write_grid_dump)
 
 
@@ -40,16 +40,13 @@ def identity_system(tm):
 
 
 def b_varying_in_y(x, y):
-    return 25.0 + y
+    return 25.0 + 25.0 * y
 
 
 def lu_problem(name):
-    """The builtin problem, with b = 25 + y for Example1: a system whose
-    coefficients vary with y takes the sparse LU."""
-    spec = builtin_problem(name)
-    if name == "Example1":
-        spec = dataclasses.replace(spec, b_field=b_varying_in_y)
-    return spec
+    """The builtin problem with b = 25 + 25y (y_spread 1/3): a system whose
+    coefficients vary this much with y takes the sparse LU."""
+    return dataclasses.replace(builtin_problem(name), b_field=b_varying_in_y)
 
 
 def test_identity_solve(ex1):
@@ -132,10 +129,10 @@ def subnormals_survive():
                 and np.nextafter(0.0, 1.0) * 1.0 > 0)
 
 
-def test_factorization_stats_and_fill(ex2):
-    # the 257^2 bisect companion of the N = 128 cell at eps = 1e-4 (Example2:
-    # its b varies with y, so the system takes the sparse LU)
-    spec = ex2.with_epsilon(1e-4)
+def test_factorization_stats_and_fill():
+    # the 257^2 bisect companion of the N = 128 cell at eps = 1e-4 (Example2
+    # with b = 25 + 25y, so the system takes the sparse LU)
+    spec = lu_problem("Example2").with_epsilon(1e-4)
     system = assemble_system(spec, bisect(build_tensor_mesh(spec, 128)))
     f = factorize(system)
     row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
@@ -164,6 +161,7 @@ def test_superlu_blocking_exits_cleanly():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
+        "import dataclasses\n"
         "from cd2d import (Variant, assemble_system, build_tensor_mesh,\n"
         "                  builtin_problem, residual_norm)\n"
         "from cd2d.solve import factorize\n"
@@ -171,7 +169,9 @@ def test_superlu_blocking_exits_cleanly():
         "for name in ('Example1', 'Example2'):\n"
         "    for variant in Variant:\n"
         "        for eps in (1e-1, 1e-4):\n"
-        "            spec = builtin_problem(name).with_epsilon(eps)\n"
+        "            spec = dataclasses.replace(\n"
+        "                builtin_problem(name), epsilon=eps,\n"
+        "                b_field=lambda x, y: 25.0 + 25.0 * y)\n"
         "            for N in (16, 64):\n"
         "                system = assemble_system(\n"
         "                    spec, build_tensor_mesh(spec, N), variant)\n"
@@ -222,12 +222,12 @@ def test_flush_zeroes_subnormals():
     assert subnormals_survive()
 
 
-def test_solve_without_flush_keeps_residual_contract(ex2, monkeypatch):
+def test_solve_without_flush_keeps_residual_contract(monkeypatch):
     # where no libm flush is available (say, off x86-64 glibc) the LU path
     # runs unflushed: the solve still meets the residual contract and the
     # float environment is never touched
     monkeypatch.setattr(cd2d.solve, "_libm", lambda: None)
-    spec = ex2.with_epsilon(1e-4)
+    spec = lu_problem("Example2").with_epsilon(1e-4)
     system = assemble_system(spec, build_tensor_mesh(spec, 32))
     with _flush_subnormals():
         assert subnormals_survive()
@@ -243,12 +243,12 @@ def test_solve_without_flush_keeps_residual_contract(ex2, monkeypatch):
        N=st.sampled_from([8, 16, 24, 32, 40, 64, 96]))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_solve_matches_partial_pivoting_oracle(problem, variant, log_eps, N):
-    # Example1 takes the fast diagonalization, Example2 the sparse LU
+    # both take the fast diagonalization: Example1's is exact, Example2's
+    # (b varies by about 1% along y) is refined to the same answer
     spec = builtin_problem(problem).with_epsilon(10.0 ** log_eps)
     system = assemble_system(spec, build_tensor_mesh(spec, N), variant)
     factors = factorize(system)
-    assert factors.ordering == {"Example1": "tensor",
-                                "Example2": "MMD_AT_PLUS_A"}[problem]
+    assert factors.ordering == "tensor"
     u = factors.solve(system.rhs)
     assert residual_norm(system, u) <= 1e-12
     # oracle: SuperLU's default COLAMD ordering with plain partial pivoting
@@ -259,21 +259,63 @@ def test_solve_matches_partial_pivoting_oracle(problem, variant, log_eps, N):
     assert np.max(np.abs(u.values - u_ref)) <= 1e-10 * scale
 
 
-def test_solver_path_follows_the_coefficients(ex1):
-    # a and b constant along y give the tensor form; anything else, and a
-    # system built without problem data, takes the sparse LU
-    tensor = [(ex1, v) for v in Variant] + [(manufactured_problem(),
-                                            Variant.TRANSFORMED)]
-    lu = [(builtin_problem("Example2"), v) for v in Variant] + [
-        (lu_problem("Example1"), Variant.TRANSFORMED)]
+def test_solver_path_follows_the_coefficients(ex1, ex2):
+    # a and b within 1.5% of their y-means give the tensor form; anything
+    # else, and a system built without problem data, takes the sparse LU
+    tensor = [(spec, v) for spec in (ex1, ex2) for v in Variant] + [
+        (manufactured_problem(), Variant.TRANSFORMED)]
+    lu = [(lu_problem(name), v) for name in ("Example1", "Example2")
+          for v in Variant]
     for specs, path in ((tensor, "tensor"), (lu, "MMD_AT_PLUS_A")):
         for spec, variant in specs:
             system = assemble_system(spec, build_tensor_mesh(spec, 16),
                                      variant)
-            assert system.y_invariant is (path == "tensor")
+            assert (system.y_spread <= 0.015) is (path == "tensor")
             assert factorize(system).ordering == path, (spec.name, variant)
     system = identity_system(build_tensor_mesh(ex1, 8))
     assert factorize(system).ordering == "MMD_AT_PLUS_A"
+
+
+def test_y_spread_pins_the_path_and_its_headroom(ex1, ex2):
+    # Example2's b = 25 + xy/2 is within about 1.1% of its y-mean; the two
+    # nearest cases past the 0.015 bound take the LU, and forced onto the
+    # tensor path they run past the refinement step cap
+    cases = [(ex1, 0.0, 0.0, "tensor"),
+             (ex2, 0.0105, 0.0115, "tensor"),
+             (dataclasses.replace(ex1, b_field=lambda x, y: 25.0 + 5.0 * x * y),
+              0.09, 0.11, "MMD_AT_PLUS_A"),
+             (dataclasses.replace(ex2, a_field=lambda x, y: 4.0 + x + y),
+              0.11, 0.13, "MMD_AT_PLUS_A")]
+    for spec, lo, hi, path in cases:
+        system = assemble_system(spec, build_tensor_mesh(spec, 16))
+        assert lo <= system.y_spread <= hi, (spec.name, system.y_spread)
+        assert solver_name(system) == path
+        if path != "tensor":
+            forced = dataclasses.replace(system, y_spread=0.0)
+            with pytest.raises(SingularMatrix, match=(
+                    r"^iterative refinement did not converge in 10 steps")):
+                solve_direct(forced)
+    system = identity_system(build_tensor_mesh(ex1, 8))
+    assert system.y_spread == math.inf
+    assert solver_name(system) == "MMD_AT_PLUS_A"
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_tensor_path_converges_at_the_nearest_spread(ex2, variant):
+    # a = 4 + x + 0.1y has y_spread 0.0136, the nearest measured case inside
+    # the bound: the refined tensor solve still meets the residual contract
+    # within the step cap (at most 9 inner solves when measured)
+    spec = dataclasses.replace(ex2, a_field=lambda x, y: 4.0 + x + 0.1 * y)
+    for eps in (1e-1, 1e-3, 1e-6):
+        for N in (16, 64, 256):
+            s = spec.with_epsilon(eps)
+            system = assemble_system(s, bisect(build_tensor_mesh(s, N)),
+                                     variant)
+            assert 0.0135 <= system.y_spread <= 0.015
+            factors = factorize(system)
+            assert factors.ordering == "tensor"
+            u = factors.solve(system.rhs)
+            assert residual_norm(system, u) <= 1e-12, (eps, N)
 
 
 def test_tensor_factor_failure_is_confined_to_its_cell(ex1, monkeypatch):
@@ -408,17 +450,17 @@ def test_raw_solution_within_stability_bound(problem, log_eps, N):
     assert solve_direct(system).max_norm() <= system.bound
 
 
-def test_superlu_system_error_is_singular_matrix(ex2, monkeypatch):
+def test_superlu_system_error_is_singular_matrix(monkeypatch):
     # an out-of-memory factorization can end in SystemError; it must be a
     # typed error confined to its cell, not an exception that ends the sweep
     def failing_splu(*args, **kwargs):
         raise SystemError("gstrf was called with invalid arguments")
 
     monkeypatch.setattr(cd2d.solve.spla, "splu", failing_splu)
-    spec = ex2.with_epsilon(1e-2)
+    spec = lu_problem("Example2").with_epsilon(1e-2)
     with pytest.raises(SingularMatrix, match="gstrf"):
         factorize(assemble_system(spec, build_tensor_mesh(spec, 16)))
-    result = cd2d.run_sweep(ex2, [1e-2], [8, 16])
+    result = cd2d.run_sweep(spec, [1e-2], [8, 16])
     assert [cell.error for cell in result.cells] == [
         "SingularMatrix: gstrf was called with invalid arguments"] * 2
 
