@@ -14,13 +14,18 @@ whose transmission rows have no y-coupling.  Y is a tridiagonal matrix
 made symmetric by a diagonal similarity S (s_{j+1} / s_j the square root
 of north_j / south_{j+1}), so Y = W diag(lam) W^-1 with W = S^-1 Q for the
 orthogonal eigenvectors Q of ``scipy.linalg.eigh_tridiagonal``.  In that
-basis the system splits into the n-1 pentadiagonal systems
-(X + lam_k D) v_k = (W^-1 F)_k, which are factored once, stacked as one
-banded LU (LAPACK ``dgbtrf``, two sub- and two superdiagonals); the
-Dirichlet values move to F with one product by A (R. E. Lynch, J. R. Rice
-& D. H. Thomas, "Direct solution of partial difference equations by tensor
-product methods", Numer. Math. 6, 1964).  The work is two dense (n-1)^2
-products per solve and O(n^2) besides, against the fill of a sparse LU.
+basis the system splits into the n-1 systems (X + lam_k D) v_k =
+(W^-1 F)_k (R. E. Lynch, J. R. Rice & D. H. Thomas, "Direct solution of
+partial difference equations by tensor product methods", Numer. Math. 6,
+1964).  X is tridiagonal, but for the raw variant's x = d1 row, which also
+couples to its second neighbours.  The tridiagonal parts are stacked into
+one tridiagonal matrix, factored once by LAPACK ``dgttrf`` (partial
+pivoting) and solved by ``dgttrs``; the raw row's two further entries are
+a rank-one update, applied by the Sherman-Morrison formula (J. Sherman &
+W. J. Morrison, Ann. Math. Statist. 21(1), 1950).  The Dirichlet values
+move to F through the coefficients of the interior rows and columns next
+to the boundary.  The work is two dense (n-1)^2 products per solve and
+O(n^2) besides, against the fill of a sparse LU.
 When a or b varies with y, X differs from row to row (Y, which depends
 only on the y widths, does not) and the build takes X as the mean over
 the interior rows.  The fast solver of that nearby separable operator is
@@ -32,11 +37,11 @@ grows with the y-variation, so the path is taken for ``y_spread`` <=
 6-7 for Example 2 (0.011) and 7-8 for a = 4 + x + 0.1y (0.0136), while
 b = 25 + 5xy (0.099) and a = 4 + x + y (0.12) run past the 10-step cap.
 On a 2-core x86-64 guest with one BLAS thread, factor and refined solve
-of Example 2's bisect companion at eps = 1e-4 take 1.5-1.6 s and 316 MB
+of Example 2's bisect companion at eps = 1e-4 take 1.1-1.4 s and 291 MB
 at 1025^2 against 13.3 s and 824 MB on the LU; the scaled residual stays
 at or below 2.3e-16 and the solution within 7.7e-14 relative of the LU's.
-A breakdown (``LinAlgError``, or a zero pivot in ``dgbtrf``) is
-``SingularMatrix``.
+A breakdown (``LinAlgError``, a zero pivot in ``dgttrf``, or a zero or
+non-finite Sherman-Morrison denominator) is ``SingularMatrix``.
 
 Equilibration.  The transmission-row coefficients grow like 1/h1 and the fine
 width h1 shrinks like eps^2, so for the smallest eps the matrix entries span
@@ -201,16 +206,24 @@ def _interior(a: sp.csr_matrix, offset: int, m: int) -> np.ndarray:
 class _TensorSolve:
     """Fast diagonalization of the separable operator nearest a system:
     on the interior unknowns I (x) X + Y (x) D, with W^-1 Y W = diag(lam),
-    X the mean of the rows' x-stencils, and the banded LU (LAPACK
-    ``dgbtrf`` storage) of the n-1 systems X + lam_k D stacked into one
-    band matrix.  ``solve`` takes the right-hand side of the row-scaled
-    system, like a SuperLU of D A."""
-    matrix: sp.csr_matrix
+    X the mean of the rows' x-stencils, and the LU (LAPACK ``dgttrf``) of
+    the tridiagonal parts T_k of the n-1 systems X + lam_k D, stacked into
+    one tridiagonal matrix with zero coupling between them.  The raw
+    variant's x = d1 row r also stores X[r, r -+ 2], the entries of
+    ``raw_row`` (w), so there X + lam_k D = T_k + e_r w^T, and ``update``
+    holds the rows z_k / s_k of the Sherman-Morrison correction,
+    z_k = T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0).  ``edges``
+    are the south, north, west and east coefficients of the first and last
+    interior rows and columns, which move the Dirichlet values to the
+    right-hand side.  ``solve`` takes the right-hand side of the
+    row-scaled system, like a SuperLU of D A."""
     row_scale: np.ndarray
     w: np.ndarray
     w_inv: np.ndarray
-    band: np.ndarray
-    pivots: np.ndarray
+    factors: tuple
+    edges: tuple
+    raw_row: np.ndarray
+    update: Optional[np.ndarray]
 
     @classmethod
     def build(cls, a: sp.csr_matrix, row_scale: np.ndarray,
@@ -227,42 +240,66 @@ class _TensorSolve:
         except LinAlgError as exc:
             raise SingularMatrix(f"tensor solve: {exc}") from exc
         # X, the mean over the interior grid rows of each row's x-stencil,
-        # its centre less the row's y-part, which is zero on x = d1, the
-        # one column without y-coupling (D = 0).  X[i, i + o] (plus
-        # lam_k D_i for o = 0) is entry (k p + i, k p + i + o) of system k
-        # stacked into one band matrix, which dgbtrf storage holds at
-        # ab[4 - o, k p + i + o]; ab = band.reshape(p p, 7).T, so that is
-        # band[k, i + o, 4 - o], and x[i + o, 4 - o] for every k
-        x = np.zeros((p, 7))
-        for o in range(-2, 3):
-            x_o = _interior(a, o, m)
-            if o == 0:
-                x_o += y_south + y_north
-            lo, hi = max(0, -o), min(p, p - o)  # columns off the boundary
-            x[lo + o:hi + o, 4 - o] = x_o.mean(axis=0)[lo:hi]
-        band = np.repeat(x[None], p, axis=0)
-        band[:, :, 4] += lam[:, None] * (y_north[0] != 0.0)
-        band, pivots, info = lapack.dgbtrf(band.reshape(p * p, 7).T, 2, 2,
-                                           overwrite_ab=1)
+        # its centre less the row's y-part, which is zero on x = d1 (row r
+        # of X), the one column without y-coupling (D = 0).  System k is
+        # rows k p ... k p + p - 1 of the stacked tridiagonal, whose
+        # coupling to its neighbours, the last entry of each block of
+        # dl and du, is zero
+        west, east = _interior(a, -1, m), _interior(a, 1, m)
+        diag = (_interior(a, 0, m) + (y_south + y_north)).mean(axis=0)
+        dl = np.tile(np.r_[west.mean(axis=0)[1:], 0.0], p)[:-1]
+        du = np.tile(np.r_[east.mean(axis=0)[:-1], 0.0], p)[:-1]
+        d = (diag + lam[:, None] * (y_north[0] != 0.0)).ravel()
+        *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=1,
+                                       overwrite_d=1, overwrite_du=1)
         if info != 0:
-            raise SingularMatrix(
-                f"tensor solve: banded factor failed (dgbtrf info {info})")
-        return cls(matrix=a, row_scale=row_scale, w=q / sigma[:, None],
-                   w_inv=q.T * sigma, band=band, pivots=pivots)
+            raise SingularMatrix("tensor solve: tridiagonal factor failed "
+                                 f"(dgttrf info {info})")
+        # w from the x = d1 rows' entries at offsets -+2, which N >= 8
+        # keeps off the boundary
+        r, rows = n // 2 - 1, np.arange(1, n) * m + n // 2
+        raw_row = np.zeros(p)
+        raw_row[[r - 2, r + 2]] = [a[rows, rows + o].mean() for o in (-2, 2)]
+        update = None
+        if raw_row.any():
+            e_r = np.zeros((p, p))
+            e_r[:, r] = 1.0
+            z, _ = lapack.dgttrs(*factors, e_r.reshape(p * p, 1),
+                                 overwrite_b=1)
+            z = z.reshape(p, p)
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = 1.0 + z @ raw_row
+            if not np.all(np.isfinite(s) & (s != 0.0)):
+                raise SingularMatrix(
+                    "tensor solve: rank-one update of the x = d1 row "
+                    "breaks down (1 + w^T T^-1 e_r is 0 or not finite)")
+            update = np.divide(z, s[:, None], out=z)
+        return cls(row_scale=row_scale, w=q / sigma[:, None],
+                   w_inv=q.T * sigma, factors=tuple(factors),
+                   edges=tuple(e.copy() for e in (y_south[0], y_north[-1],
+                                                  west[:, 0], east[:, -1])),
+                   raw_row=raw_row, update=update)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of (D A) c = rhs, D the row scale."""
         p = self.w.shape[0]
-        g = rhs / self.row_scale
-        c = g.copy()
-        inner = c.reshape(p + 2, p + 2)[1:-1, 1:-1]
-        inner[:] = 0.0      # c holds the Dirichlet values, the boundary's solution
-        f = (g - self.matrix @ c).reshape(p + 2, p + 2)[1:-1, 1:-1]
-        v, _ = lapack.dgbtrs(self.band, 2, 2,
+        c = (rhs / self.row_scale).reshape(p + 2, p + 2)
+        # c holds the Dirichlet values, the boundary's solution; the
+        # interior rows next to the boundary take them to the right-hand side
+        f = c[1:-1, 1:-1].copy()
+        south, north, west, east = self.edges
+        f[0] -= south * c[0, 1:-1]
+        f[-1] -= north * c[-1, 1:-1]
+        f[:, 0] -= west * c[1:-1, 0]
+        f[:, -1] -= east * c[1:-1, -1]
+        v, _ = lapack.dgttrs(*self.factors,
                              (self.w_inv @ f).reshape(p * p, 1),
-                             self.pivots, overwrite_b=1)
-        inner[:] = self.w @ v.reshape(p, p)
-        return c
+                             overwrite_b=1)
+        v = v.reshape(p, p)
+        if self.update is not None:
+            v -= self.update * (v @ self.raw_row)[:, None]
+        c[1:-1, 1:-1] = self.w @ v
+        return c.ravel()
 
 
 @dataclass(frozen=True, eq=False)

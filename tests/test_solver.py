@@ -319,18 +319,55 @@ def test_tensor_path_converges_at_the_nearest_spread(ex2, variant):
 
 
 def test_tensor_factor_failure_is_confined_to_its_cell(ex1, monkeypatch):
-    # a banded factor that reports a zero pivot fails only the cell whose
-    # companion (33^2 nodes: 31 interior lines) it belongs to
-    real_dgbtrf = cd2d.solve.lapack.dgbtrf
+    # a tridiagonal factor that reports a zero pivot fails only the cell
+    # whose companion (33^2 nodes: 31 interior lines) it belongs to
+    real_dgttrf = cd2d.solve.lapack.dgttrf
 
-    def failing_dgbtrf(ab, *args, **kwargs):
-        lu, pivots, info = real_dgbtrf(ab, *args, **kwargs)
-        return lu, pivots, 3 if ab.shape[1] == 31 * 31 else info
+    def failing_dgttrf(dl, d, du, **kwargs):
+        *factors, info = real_dgttrf(dl, d, du, **kwargs)
+        return (*factors, 3 if d.size == 31 * 31 else info)
 
-    monkeypatch.setattr(cd2d.solve.lapack, "dgbtrf", failing_dgbtrf)
+    monkeypatch.setattr(cd2d.solve.lapack, "dgttrf", failing_dgttrf)
     result = cd2d.run_sweep(ex1, [1e-2], [8, 16])
     assert [cell.error for cell in result.cells] == [None, (
-        "SingularMatrix: tensor solve: banded factor failed (dgbtrf info 3)")]
+        "SingularMatrix: tensor solve: tridiagonal factor failed "
+        "(dgttrf info 3)")]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("N", [8, 16])
+def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
+    # Example 1 is exactly separable, so one inner solve, without
+    # refinement, is the row-scaled system's solution: the tridiagonal
+    # stack, the raw row's rank-one update (its -2 neighbour at grid
+    # column 2 for N = 8) and the Dirichlet lift from the edge strips
+    system = assemble_system(ex1, build_tensor_mesh(ex1, N), variant)
+    factors = factorize(system)
+    assert factors.ordering == "tensor"
+    assert (factors.lu.update is None) is (variant is Variant.TRANSFORMED)
+    # random values on the boundary rows too: nonzero Dirichlet entries
+    rhs = np.random.default_rng(N).standard_normal(system.dimension)
+    u = factors.lu.solve(rhs)
+    u_ref = spla.spsolve(row_scaled(system)[0], rhs)
+    assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+
+
+def test_tensor_rank_one_breakdown_is_singular_matrix(ex1, monkeypatch):
+    # w holds 1/4 at both of the raw row's second neighbours and the z solve
+    # returns -2 everywhere, so s_k = 1 + w^T z_k is exactly 0; the build
+    # raises before dividing by it (a RuntimeWarning is an error here)
+    system = assemble_system(ex1, build_tensor_mesh(ex1, 8), Variant.RAW)
+    a = system.matrix
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    a.data[np.abs(a.indices - rows) == 2] = 0.25
+
+    def z_solve(dl, d, du, du2, ipiv, b, **kwargs):
+        return np.full_like(b, -2.0), 0
+
+    monkeypatch.setattr(cd2d.solve.lapack, "dgttrs", z_solve)
+    with pytest.raises(SingularMatrix, match=(
+            r"^tensor solve: rank-one update of the x = d1 row breaks down")):
+        factorize(system)
 
 
 def test_tensor_eigensolver_failure_is_singular_matrix(ex1, monkeypatch):
@@ -556,6 +593,25 @@ def test_refinement_step_cap(ex1):
             r"^iterative refinement did not converge in 10 steps: ")):
         factors.solve(system.rhs)
     assert stub.calls == 11
+
+
+@pytest.mark.parametrize("problem, fewest, most",
+                         [("Example1", 2, 2), ("Example2", 2, 8)])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_tensor_inner_solve_counts(problem, fewest, most, variant):
+    # the counts README states: Example 1 takes exactly 2 inner solves (one
+    # refinement step absorbs the rounding of X), Example 2 at most 8
+    for eps in (1e-1, 1e-4, 1e-6):
+        for N in (16, 64, 256):
+            spec = builtin_problem(problem).with_epsilon(eps)
+            system = assemble_system(spec, bisect(build_tensor_mesh(spec, N)),
+                                     variant)
+            factors = factorize(system)
+            assert factors.ordering == "tensor"
+            stub = GainLU(factors.lu, itertools.repeat(1.0))
+            u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+            assert residual_norm(system, u) <= 1e-12, (eps, N)
+            assert fewest <= stub.calls <= most, (eps, N)
 
 
 # each record built from a fresh N = 8 system of Example1
