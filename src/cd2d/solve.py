@@ -45,35 +45,34 @@ non-finite Sherman-Morrison denominator) is ``SingularMatrix``.
 
 Equilibration.  The transmission-row coefficients grow like 1/h1 and the fine
 width h1 shrinks like eps^2, so for the smallest eps the matrix entries span
-~26 orders of magnitude.  Rows are rescaled to unit max-magnitude before the
-LU factorization; without this the factorization loses enough accuracy at
-eps <= 1e-5 to pollute the double-mesh error estimates.  The row maxima
-are one ``np.maximum.reduceat`` over |data|, ``data`` times each row's
-factor, rounded once to float32, becomes the scaled CSR, zeros are dropped
-and one ``tocsc()`` gives SuperLU its input.  The scaled entries stay above
-~1e-23 at eps = 1e-6, far inside float32's normal range (above 1.2e-38).
-The residual contract is checked against the original, unscaled system.
+~26 orders of magnitude.  The LU factors D A, each row divided by its
+largest entry; without this it loses enough accuracy at eps <= 1e-5 to
+pollute the double-mesh error estimates.  The row maxima are one
+``np.maximum.reduceat`` over |data|, ``data`` times each row's factor,
+rounded once to float32, becomes the scaled CSR, zeros are dropped and one
+``tocsc()`` gives SuperLU its input.  The scaled entries stay above ~1e-23
+at eps = 1e-6, far inside float32's normal range (above 1.2e-38).
 
-Mixed precision.  On the LU path the factors are single precision and the
-solution is refined in double: iterative refinement (C. B. Moler, J. ACM
-14(2), 1967), whose mixed-precision form Carson & Higham analyse (SIAM J.
-Sci. Comput. 40(2), 2018).  The float32 factor has the fill of a float64 one at 0.6-0.8 of its
-time and with half the bytes per stored entry.  ``solve`` starts from
-x = 0; each step forms the residual r = D (b - A x) in float64 from the
-system's own CSR A and row scale D, solves for the correction from r/|r|
-in float32, scales it back up by |r| and adds it to x (norms are max-norms;
-dividing by |r| keeps the float32 right-hand side clear of underflow as r
-shrinks).  A correction c_k that does not halve c_{k-1} is a stall: it
-ends refinement if already at most 1e-12 |x|, else fails with
-``SingularMatrix``.  Then refinement stops when c_k^2 / (c_{k-1} - c_k),
-the tail a geometric run of further corrections would add, is at most
-4u|x|, u = 2^-53 being float64's unit roundoff; the two imply a stop on
-c_k <= 4u|x|.  It fails after 10 steps, so a solve never returns a
-half-refined answer.  On the float32 LU, the bisect companions of both
-examples (eps 1e-1, 1e-4, 1e-6; 129^2 to 513^2; both variants) took 2-3
-steps after the first solve, the scaled residual
-stays at or below 2.1e-16 and the solution is within 3.5e-13 relative of a
-float64 LU with the same ordering and blocking; at 1025^2 it takes 5 steps.
+Mixed precision.  Both inner solves return c with A c = r for the
+system's own A, inside one float64 loop of iterative refinement (C. B.
+Moler, J. ACM 14(2), 1967), whose mixed-precision form Carson & Higham
+analyse (SIAM J. Sci. Comput. 40(2), 2018).  ``solve`` starts from x = 0;
+each step forms r = b - A x from the system's own CSR A and adds the
+correction c to x (norms are max-norms).  The LU's factors are single
+precision, with a float64 factor's fill at 0.6-0.8 of its time and half
+its bytes; it solves for D r / |D r|, which keeps the float32 right-hand
+side clear of underflow as r shrinks, and scales c back up by |D r|.
+A zero correction (a D r that underflowed gives one) ends refinement.  A
+correction c_k that does not halve c_{k-1} is a stall: it ends refinement
+if already at most 1e-12 |x|, else fails with ``SingularMatrix``.  Then
+refinement stops when c_k^2 / (c_{k-1} - c_k), the tail a geometric run of
+further corrections would add, is at most 4u|x|, u = 2^-53 being float64's
+unit roundoff; the two imply a stop on c_k <= 4u|x|.  It fails after 10
+steps, so a solve never returns a half-refined answer.  On the LU, the
+bisect companions of both examples (eps 1e-1, 1e-4, 1e-6; 129^2 to 513^2;
+both variants) took 2-3 steps after the first solve (5 at 1025^2), with
+scaled residuals at most 2.1e-16 and solutions within 3.5e-13 relative of
+a float64 LU of the same ordering and blocking.
 
 Ordering and pivoting.  Apart from the interface rows the 5-point matrix is
 structurally symmetric, so SuperLU orders the columns by minimum degree on
@@ -96,14 +95,14 @@ SciPy 1.17.1 at interpreter exit.
 
 Subnormal flush.  After equilibration the entries reach down to ~1e-23, and
 the factors can then hold subnormal numbers, on which x86 arithmetic is
-many times slower.  Factorization and triangular solves therefore run with
-the FTZ and DAZ bits of the calling thread's MXCSR register set, so that
-subnormal results and inputs count as zero; they are tens of orders of
-magnitude below the rounding error of the entries they meet, and the
-float64 residuals of refinement are formed outside the flush.  The
-previous floating-point environment is restored on exit, also when SuperLU
-raises.  The flush applies on x86-64 Linux with glibc only; elsewhere it
-does nothing and results differ only by rounding.
+many times slower.  The LU's factorization and triangular solves therefore
+run with the FTZ and DAZ bits of the calling thread's MXCSR register set,
+so that subnormal results and inputs count as zero; they are tens of
+orders of magnitude below the rounding error of the entries they meet,
+and the LU's calls alone are flushed, not refinement's float64
+residuals.  The previous floating-point environment is restored on exit,
+also when SuperLU raises.  The flush applies on x86-64 Linux with glibc
+only; elsewhere it does nothing and results differ only by rounding.
 """
 from __future__ import annotations
 
@@ -215,9 +214,7 @@ class _TensorSolve:
     z_k = T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0).  ``edges``
     are the south, north, west and east coefficients of the first and last
     interior rows and columns, which move the Dirichlet values to the
-    right-hand side.  ``solve`` takes the right-hand side of the
-    row-scaled system, like a SuperLU of D A."""
-    row_scale: np.ndarray
+    right-hand side."""
     w: np.ndarray
     w_inv: np.ndarray
     factors: tuple
@@ -226,8 +223,7 @@ class _TensorSolve:
     update: Optional[np.ndarray]
 
     @classmethod
-    def build(cls, a: sp.csr_matrix, row_scale: np.ndarray,
-              n: int) -> "_TensorSolve":
+    def build(cls, a: sp.csr_matrix, n: int) -> "_TensorSolve":
         m, p = n + 1, n - 1
         y_south, y_north = _interior(a, -m, m), _interior(a, m, m)
         # Y from column i = 1 (never x = d1), symmetrized by
@@ -274,16 +270,15 @@ class _TensorSolve:
                     "tensor solve: rank-one update of the x = d1 row "
                     "breaks down (1 + w^T T^-1 e_r is 0 or not finite)")
             update = np.divide(z, s[:, None], out=z)
-        return cls(row_scale=row_scale, w=q / sigma[:, None],
-                   w_inv=q.T * sigma, factors=tuple(factors),
+        return cls(w=q / sigma[:, None], w_inv=q.T * sigma,
+                   factors=tuple(factors), raw_row=raw_row, update=update,
                    edges=tuple(e.copy() for e in (y_south[0], y_north[-1],
-                                                  west[:, 0], east[:, -1])),
-                   raw_row=raw_row, update=update)
+                                                  west[:, 0], east[:, -1])))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution of (D A) c = rhs, D the row scale."""
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Solution c of the separable system for the right-hand side r."""
         p = self.w.shape[0]
-        c = (rhs / self.row_scale).reshape(p + 2, p + 2)
+        c = np.array(r, dtype=np.float64).reshape(p + 2, p + 2)
         # c holds the Dirichlet values, the boundary's solution; the
         # interior rows next to the boundary take them to the right-hand side
         f = c[1:-1, 1:-1].copy()
@@ -303,49 +298,80 @@ class _TensorSolve:
 
 
 @dataclass(frozen=True, eq=False)
-class Factorization:
-    """Factors of the row-equilibrated matrix of one system, and that
-    system's own float64 CSR, against which ``solve`` refines.  ``lu`` is a
-    single-precision SuperLU (``ordering`` its column ordering) or, for a
-    nearly y-invariant system, the float64 fast diagonalization
-    (``ordering`` ``"tensor"``); ``row_max_range`` is (min, max) of the row
-    maxima |A| was divided by."""
-    lu: spla.SuperLU | _TensorSolve
-    matrix: sp.csr_matrix
+class _LUSolve:
+    """Single-precision SuperLU ``factors`` of D A, D = ``row_scale`` the
+    reciprocal row maxima of |A|, whose (min, max) is ``row_max_range``."""
+    factors: spla.SuperLU
     row_scale: np.ndarray
+    row_max_range: tuple[float, float]
+
+    @classmethod
+    def build(cls, a: sp.csr_matrix) -> "_LUSolve":
+        counts = np.diff(a.indptr)
+        # reduceat reads an empty row as its successor's first entry
+        if not counts.all() or not (row_max := np.maximum.reduceat(
+                np.abs(a.data), a.indptr[:-1])).all():
+            raise SingularMatrix("zero row in matrix")
+        d = 1.0 / row_max
+        # scaled in float64, rounded once to float32; zeros are dropped
+        # from tocsc's fresh arrays, not the system's own
+        scaled = sp.csr_matrix(
+            ((a.data * np.repeat(d, counts)).astype(np.float32),
+             a.indices, a.indptr), shape=a.shape).tocsc()
+        scaled.eliminate_zeros()
+        try:
+            with _flush_subnormals():
+                factors = spla.splu(scaled, permc_spec=_ORDERING,
+                                    diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                                    relax=_RELAX, panel_size=_PANEL_SIZE)
+        # a factorization that runs out of memory can end in SystemError
+        # ("gstrf was called with invalid arguments")
+        except (RuntimeError, SystemError) as exc:
+            raise SingularMatrix(str(exc)) from exc
+        return cls(factors, d, (float(row_max.min()), float(row_max.max())))
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Solution c of A c = r: (D A) c = D r in float32, flushed."""
+        s = self.row_scale * r
+        # a zero D r, also one that underflowed, solves to c = 0, not 0/0
+        s_max = float(np.max(np.abs(s))) or 1.0
+        with _flush_subnormals():
+            c = self.factors.solve((s / s_max).astype(np.float32))
+        return c.astype(np.float64) * s_max
+
+
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """The float64 CSR A of one system and its inner solve ``lu``, whose
+    ``solve(r)`` returns c with A c = r: a single-precision sparse LU
+    (``ordering`` its column ordering) or, for a nearly y-invariant
+    system, the fast diagonalization (``ordering`` ``"tensor"``)."""
+    lu: _LUSolve | _TensorSolve
+    matrix: sp.csr_matrix
     mesh: TensorMesh
     ordering: str
-    row_max_range: tuple[float, float]
 
     def solve(self, rhs: np.ndarray) -> GridFunction:
         """Solution of A U = rhs for the factored A, refined to float64."""
-        if np.shape(rhs) != self.row_scale.shape:
+        if np.shape(rhs) != (self.matrix.shape[0],):
             raise MeshMismatch(
                 f"rhs has shape {np.shape(rhs)}, "
-                f"system has {self.row_scale.shape[0]} unknowns")
-        d = self.row_scale
-        x = np.zeros(d.shape)
-        r = d * rhs
+                f"system has {self.matrix.shape[0]} unknowns")
+        x = np.zeros(self.matrix.shape[0])
+        r = rhs
         last = np.inf       # the previous correction's max-norm
         for step in range(_MAX_STEPS + 1):
-            r_max = float(np.max(np.abs(r), initial=0.0))
-            if r_max == 0.0:
-                break
             try:
-                if self.ordering == _TENSOR:
-                    c = self.lu.solve(r / r_max)
-                else:
-                    with _flush_subnormals():
-                        c = self.lu.solve((r / r_max).astype(np.float32))
-                    c = c.astype(np.float64)
+                c = self.lu.solve(r)
             except RuntimeError as exc:
                 raise SingularMatrix(str(exc)) from exc
-            c *= r_max
             if not np.all(np.isfinite(c)):
                 raise SingularMatrix("solution contains NaN or Inf")
             x += c
             c_max = float(np.max(np.abs(c)))
             x_max = float(np.max(np.abs(x)))
+            if c_max == 0.0:    # x can change no further
+                break
             if c_max > 0.5 * last:
                 if c_max <= _STALL_OK * x_max:
                     break
@@ -358,7 +384,7 @@ class Factorization:
             if step and c_max * c_max <= _STOP * x_max * (last - c_max):
                 break
             last = c_max
-            r = d * (rhs - self.matrix @ x)
+            r = rhs - self.matrix @ x
         else:
             raise SingularMatrix(
                 f"iterative refinement did not converge in {_MAX_STEPS} "
@@ -374,39 +400,13 @@ def solver_name(system: LinearSystem) -> str:
 
 
 def factorize(system: LinearSystem) -> Factorization:
-    """Row-equilibrated factors, by fast diagonalization for a nearly
-    y-invariant system and single-precision sparse LU otherwise;
-    deterministic for identical inputs."""
-    a = system.matrix
-    counts = np.diff(a.indptr)
-    # reduceat reads an empty row as its successor's first entry
-    if not counts.all() or not (row_max := np.maximum.reduceat(
-            np.abs(a.data), a.indptr[:-1])).all():
-        raise SingularMatrix("zero row in matrix")
-    d = 1.0 / row_max
+    """The inner solve of the refinement loop: fast diagonalization for a
+    nearly y-invariant system, a row-equilibrated single-precision sparse
+    LU otherwise; deterministic for identical inputs."""
     ordering = solver_name(system)
-    if ordering == _TENSOR:
-        lu = _TensorSolve.build(a, d, system.mesh.n)
-    else:
-        # scaled in float64, rounded once to float32; zeros are dropped
-        # from tocsc's fresh arrays, not the system's own
-        scaled = sp.csr_matrix(
-            ((a.data * np.repeat(d, counts)).astype(np.float32),
-             a.indices, a.indptr), shape=a.shape).tocsc()
-        scaled.eliminate_zeros()
-        try:
-            with _flush_subnormals():
-                lu = spla.splu(scaled, permc_spec=ordering,
-                               diag_pivot_thresh=_DIAG_PIVOT_THRESH,
-                               relax=_RELAX, panel_size=_PANEL_SIZE)
-        # a factorization that runs out of memory can end in SystemError
-        # ("gstrf was called with invalid arguments")
-        except (RuntimeError, SystemError) as exc:
-            raise SingularMatrix(str(exc)) from exc
-    return Factorization(lu=lu, matrix=a, row_scale=d, mesh=system.mesh,
-                         ordering=ordering,
-                         row_max_range=(float(row_max.min()),
-                                        float(row_max.max())))
+    lu = (_TensorSolve.build(system.matrix, system.mesh.n)
+          if ordering == _TENSOR else _LUSolve.build(system.matrix))
+    return Factorization(lu, system.matrix, system.mesh, ordering)
 
 
 def solve_direct(system: LinearSystem) -> GridFunction:

@@ -137,10 +137,11 @@ def test_factorization_stats_and_fill():
     f = factorize(system)
     row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
     assert f.ordering == "MMD_AT_PLUS_A"
-    assert f.row_max_range == (row_max.min(), row_max.max())
+    assert f.lu.row_max_range == (row_max.min(), row_max.max())
     scaled, d = row_scaled(system)
     colamd = spla.splu(scaled)
-    assert f.lu.L.nnz + f.lu.U.nnz <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+    assert (f.lu.factors.L.nnz + f.lu.factors.U.nnz
+            <= 0.7 * (colamd.L.nnz + colamd.U.nnz))
     u = f.solve(system.rhs)
     assert np.array_equal(u.values, solve_direct(system).values)
     assert residual_norm(system, u) <= 1e-12
@@ -183,6 +184,19 @@ def test_superlu_blocking_exits_cleanly():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) <= 1e-12
+
+
+def test_underflowing_row_scale_gives_zero(ex1):
+    # D b = 1e-300 * 1e-100 underflows to zero, as does the solution
+    # 1e-400: the LU returns a zero correction, not 0/0, and the solve
+    # ends with U = 0 (a RuntimeWarning is an error here)
+    tm = build_tensor_mesh(ex1, 8)
+    system = LinearSystem(matrix=1e300 * sp.identity(81, format="csr"),
+                          rhs=np.full(81, 1e-100), mesh=tm,
+                          variant=Variant.TRANSFORMED)
+    factors = factorize(system)
+    assert factors.ordering == "MMD_AT_PLUS_A"
+    assert np.all(factors.solve(system.rhs).values == 0.0)
 
 
 def test_factorization_solves_other_rhs(ex1):
@@ -338,7 +352,7 @@ def test_tensor_factor_failure_is_confined_to_its_cell(ex1, monkeypatch):
 @pytest.mark.parametrize("N", [8, 16])
 def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
     # Example 1 is exactly separable, so one inner solve, without
-    # refinement, is the row-scaled system's solution: the tridiagonal
+    # refinement, is the system's solution: the tridiagonal
     # stack, the raw row's rank-one update (its -2 neighbour at grid
     # column 2 for N = 8) and the Dirichlet lift from the edge strips
     system = assemble_system(ex1, build_tensor_mesh(ex1, N), variant)
@@ -348,7 +362,7 @@ def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
     # random values on the boundary rows too: nonzero Dirichlet entries
     rhs = np.random.default_rng(N).standard_normal(system.dimension)
     u = factors.lu.solve(rhs)
-    u_ref = spla.spsolve(row_scaled(system)[0], rhs)
+    u_ref = spla.spsolve(system.matrix.tocsc(), rhs)
     assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
 
 
