@@ -79,8 +79,8 @@ def double_mesh_error(coarse: GridFunction, fine: GridFunction) -> float:
 
 @dataclass(frozen=True)
 class MeshSolve:
-    """A solution, its scaled residual and the solver path (the
-    ``Factorization.ordering``) that produced it."""
+    """A solution, its scaled residual and the solver path (``solver_name``
+    of its system) that produced it."""
     solution: GridFunction
     residual: float
     solver: str
@@ -150,8 +150,10 @@ def run_cell(spec: ProblemSpec, N: int,
 
     ``coarse``, if given, is the solve on this cell's N-mesh, taken from the
     ``fine`` of the regenerate cell of N/2; the cell then solves only its
-    companion.
+    companion.  An unknown ``variant`` or ``mode`` raises ``ValueError``
+    before any mesh work.
     """
+    variant, mode = Variant(variant), DoubleMeshMode(mode)
     cell = CellResult(epsilon=spec.epsilon, N=N)
     t = cell.timings
     start = time.perf_counter()
@@ -301,7 +303,10 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
 
     Work is split into chains (see ``_chains``); with ``workers > 1`` they
     run in a process pool, and a crashed worker costs only its own chain.
+    ``variant`` and ``mode`` may be members or their values; anything else
+    raises ``ValueError`` before any mesh work.
     """
+    variant, mode = Variant(variant), DoubleMeshMode(mode)
     jobs = [(spec.with_epsilon(eps), chain, variant, mode)
             for eps in epsilons for chain in _chains(Ns, mode)]
     if workers > 1 and len(jobs) > 1:

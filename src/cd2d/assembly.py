@@ -134,8 +134,10 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     x = d1 rows of the variant and the Dirichlet edge.  The nonzero
     coefficients are the sparsity pattern, and the offsets ascend, so
     ``table[table != 0]`` is the CSR data with sorted columns.  Bad problem
-    data raises ``MalformedSpec``.
+    data raises ``MalformedSpec``; a ``variant`` that is neither a member
+    nor a member's value raises ``ValueError``.
     """
+    variant = Variant(variant)
     n, half, m = mesh.n, mesh.n // 2, mesh.n + 1
     hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     eps2 = spec.epsilon ** 2

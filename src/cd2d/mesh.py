@@ -30,11 +30,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GeometryError, MeshMismatch
-from .problems import ProblemSpec
+
+if TYPE_CHECKING:   # problems imports this module
+    from .problems import ProblemSpec
 
 
 @dataclass(frozen=True, eq=False)

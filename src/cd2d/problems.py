@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import MalformedSpec
-
-if TYPE_CHECKING:
-    from .mesh import TensorMesh
+from .mesh import TensorMesh, check_mesh_parameter
 
 ScalarField = Callable[[float, float], float]
 EdgeTrace = Callable[[float], float]
@@ -249,8 +247,10 @@ def validate(spec: ProblemSpec, N: int) -> list[str]:
     fitted regime from the classical one, and the boundary traces should
     agree at the corners; a trace that fails there raises ``MalformedSpec``.
     The hypotheses on a, b, f and the traces are checked where assembly
-    samples them (``sample_problem``).
+    samples them (``sample_problem``).  An N no mesh takes raises
+    ``GeometryError``, as ``build_tensor_mesh`` does.
     """
+    check_mesh_parameter(N)
     warnings = []
     threshold = 8.0 * (spec.epsilon / spec.beta) * math.log(N)
     for label, d in (("d1", spec.d1), ("d2", spec.d2)):

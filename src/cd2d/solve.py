@@ -33,25 +33,21 @@ the inner solve of the refinement loop below, which runs against A, so
 the answer is the LU's to rounding (P. Concus & G. H. Golub, SIAM J.
 Numer. Anal. 10(6), 1973).  Each step cuts the error by a factor that
 grows with the y-variation, so the path is taken for ``y_spread`` <=
-0.015.  It takes 1 step after the first solve for Example 1 (y_spread 0),
-6-7 for Example 2 (0.011) and 7-8 for a = 4 + x + 0.1y (0.0136), while
-b = 25 + 5xy (0.099) and a = 4 + x + y (0.12) run past the 10-step cap.
-On a 2-core x86-64 guest with one BLAS thread, factor and refined solve
-of Example 2's bisect companion at eps = 1e-4 take 1.1-1.4 s and 291 MB
-at 1025^2 against 13.3 s and 824 MB on the LU; the scaled residual stays
-at or below 2.3e-16 and the solution within 7.7e-14 relative of the LU's.
+0.015: Example 2 (0.011) fits inside the 10-step cap, and the nearest
+measured systems past the bound (0.099, 0.12) do not (README "Solver"
+gives the counts and timings).
 A breakdown (``LinAlgError``, a zero pivot in ``dgttrf``, or a zero or
 non-finite Sherman-Morrison denominator) is ``SingularMatrix``.
 
 Equilibration.  The transmission-row coefficients grow like 1/h1 and the fine
 width h1 shrinks like eps^2, so for the smallest eps the matrix entries span
 ~26 orders of magnitude.  The LU factors D A, each row divided by its
-largest entry; without this it loses enough accuracy at eps <= 1e-5 to
-pollute the double-mesh error estimates.  The row maxima are one
-``np.maximum.reduceat`` over |data|, ``data`` times each row's factor,
-rounded once to float32, becomes the scaled CSR, zeros are dropped and one
-``tocsc()`` gives SuperLU its input.  The scaled entries stay above ~1e-23
-at eps = 1e-6, far inside float32's normal range (above 1.2e-38).
+largest entry; without this the float32 factor is too inaccurate for
+refinement, which stalls at its first step for eps <= 1e-4.  The row
+maxima are one ``np.maximum.reduceat`` over |data|, ``data`` times each
+row's factor, rounded once to float32, becomes the scaled CSR, zeros are
+dropped and one ``tocsc()`` gives SuperLU its input.  The scaled entries
+stay above ~1e-23 at eps = 1e-6, far above float32's least normal, 1.2e-38.
 
 Mixed precision.  Both inner solves return c with A c = r for the
 system's own A, inside one float64 loop of iterative refinement (C. B.
@@ -59,20 +55,17 @@ Moler, J. ACM 14(2), 1967), whose mixed-precision form Carson & Higham
 analyse (SIAM J. Sci. Comput. 40(2), 2018).  ``solve`` starts from x = 0;
 each step forms r = b - A x from the system's own CSR A and adds the
 correction c to x (norms are max-norms).  The LU's factors are single
-precision, with a float64 factor's fill at 0.6-0.8 of its time and half
-its bytes; it solves for D r / |D r|, which keeps the float32 right-hand
-side clear of underflow as r shrinks, and scales c back up by |D r|.
+precision, which holds a float64 factor's fill in half the bytes and
+factors it faster; it solves for D r / |D r|, which keeps the float32
+right-hand side clear of underflow as r shrinks, and scales c back up by
+|D r|.
 A zero correction (a D r that underflowed gives one) ends refinement.  A
 correction c_k that does not halve c_{k-1} is a stall: it ends refinement
 if already at most 1e-12 |x|, else fails with ``SingularMatrix``.  Then
 refinement stops when c_k^2 / (c_{k-1} - c_k), the tail a geometric run of
 further corrections would add, is at most 4u|x|, u = 2^-53 being float64's
 unit roundoff; the two imply a stop on c_k <= 4u|x|.  It fails after 10
-steps, so a solve never returns a half-refined answer.  On the LU, the
-bisect companions of both examples (eps 1e-1, 1e-4, 1e-6; 129^2 to 513^2;
-both variants) took 2-3 steps after the first solve (5 at 1025^2), with
-scaled residuals at most 2.1e-16 and solutions within 3.5e-13 relative of
-a float64 LU of the same ordering and blocking.
+steps, so a solve never returns a half-refined answer.
 
 Ordering and pivoting.  Apart from the interface rows the 5-point matrix is
 structurally symmetric, so SuperLU orders the columns by minimum degree on
@@ -88,10 +81,10 @@ the blocking parameters of Demmel, Eisenstat, Gilbert, Li & Liu, "A
 supernodal approach to sparse partial pivoting" (SIAM J. Matrix Anal.
 Appl. 20(3), 1999).  The library defaults suit wide supernodes; the factors
 of these 5-point grid systems have narrow ones, and ``relax = 5``,
-``panel_size = 2`` factor them in 0.70-0.80 of the default time up to
-257^2 and 0.90 at 513^2, with the same fill and, at 513^2, a fifth less
-memory.  Much larger pairs are unsafe: relax = panel_size = 40 crashes
-SciPy 1.17.1 at interpreter exit.
+``panel_size = 2`` factor the float32 LU at 257^2 and 513^2 in 0.5-0.9 of
+the default time with 12-21% less peak memory (README "Sparse LU").  Much
+larger pairs are unsafe: relax = panel_size = 40 crashes SciPy 1.17.1 at
+interpreter exit.
 
 Subnormal flush.  After equilibration the entries reach down to ~1e-23, and
 the factors can then hold subnormal numbers, on which x86 arithmetic is
@@ -342,22 +335,20 @@ class _LUSolve:
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """The float64 CSR A of one system and its inner solve ``lu``, whose
-    ``solve(r)`` returns c with A c = r: a single-precision sparse LU
-    (``ordering`` its column ordering) or, for a nearly y-invariant
-    system, the fast diagonalization (``ordering`` ``"tensor"``)."""
+    """The inner solve ``lu`` of one ``system``, whose ``solve(r)`` returns
+    c with A c = r for the system's float64 CSR A: a single-precision
+    sparse LU or, for a nearly y-invariant system, the fast
+    diagonalization (``solver_name`` says which)."""
     lu: _LUSolve | _TensorSolve
-    matrix: sp.csr_matrix
-    mesh: TensorMesh
-    ordering: str
+    system: LinearSystem
 
     def solve(self, rhs: np.ndarray) -> GridFunction:
         """Solution of A U = rhs for the factored A, refined to float64."""
-        if np.shape(rhs) != (self.matrix.shape[0],):
+        a = self.system.matrix
+        x = np.zeros(a.shape[0])    # A's size: a hand-built rhs may differ
+        if np.shape(rhs) != x.shape:
             raise MeshMismatch(
-                f"rhs has shape {np.shape(rhs)}, "
-                f"system has {self.matrix.shape[0]} unknowns")
-        x = np.zeros(self.matrix.shape[0])
+                f"rhs has shape {np.shape(rhs)}, system has {x.size} unknowns")
         r = rhs
         last = np.inf       # the previous correction's max-norm
         for step in range(_MAX_STEPS + 1):
@@ -384,18 +375,17 @@ class Factorization:
             if step and c_max * c_max <= _STOP * x_max * (last - c_max):
                 break
             last = c_max
-            r = rhs - self.matrix @ x
+            r = rhs - a @ x
         else:
             raise SingularMatrix(
                 f"iterative refinement did not converge in {_MAX_STEPS} "
                 f"steps: last correction {last:.3e}, |x| {x_max:.3e}")
-        return GridFunction(mesh=self.mesh, values=x)
+        return GridFunction(mesh=self.system.mesh, values=x)
 
 
 def solver_name(system: LinearSystem) -> str:
-    """The path ``factorize`` takes for ``system``, its ``ordering``:
-    ``"tensor"`` when its ``y_spread`` is at most 0.015, else the LU's
-    column ordering."""
+    """The path ``factorize`` takes for ``system``: ``"tensor"`` when its
+    ``y_spread`` is at most 0.015, else the LU's column ordering."""
     return _TENSOR if system.y_spread <= _MAX_Y_SPREAD else _ORDERING
 
 
@@ -403,10 +393,9 @@ def factorize(system: LinearSystem) -> Factorization:
     """The inner solve of the refinement loop: fast diagonalization for a
     nearly y-invariant system, a row-equilibrated single-precision sparse
     LU otherwise; deterministic for identical inputs."""
-    ordering = solver_name(system)
     lu = (_TensorSolve.build(system.matrix, system.mesh.n)
-          if ordering == _TENSOR else _LUSolve.build(system.matrix))
-    return Factorization(lu, system.matrix, system.mesh, ordering)
+          if solver_name(system) == _TENSOR else _LUSolve.build(system.matrix))
+    return Factorization(lu, system)
 
 
 def solve_direct(system: LinearSystem) -> GridFunction:

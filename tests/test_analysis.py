@@ -480,6 +480,39 @@ def test_cells_name_their_solver_path(ex1, ex2):
     assert cell.ok and cell.solver == "MMD_AT_PLUS_A+tensor"
 
 
+def test_sweep_choices_by_value_equal_members(ex2):
+    # a member's value string means that member: the raw variant's table
+    # (Example 2, eps 1e-3, N 8: D 0.01368, the transformed one's 0.2165)
+    # and the regenerate chain's reuse, bitwise as with the members
+    for variant, mode in ((Variant.RAW, DoubleMeshMode.BISECT),
+                          (Variant.TRANSFORMED, REGENERATE)):
+        by_member = run_sweep(ex2, [1e-3], [8, 16], variant, mode)
+        by_value = run_sweep(ex2, [1e-3], [8, 16], variant.value, mode.value)
+        assert (by_value.variant, by_value.mode) == (variant, mode)
+        assert np.array_equal(by_value.table.D_eps, by_member.table.D_eps)
+        assert ([c.coarse_reused for c in by_value.cells]
+                == [c.coarse_reused for c in by_member.cells])
+        assert sweep_to_dict(by_value)["variant"] == variant.value
+    raw = run_sweep(ex2, [1e-3], [8], variant="raw").table.D_eps[0, 0]
+    assert raw == pytest.approx(0.01368, rel=1e-3)
+    cell = run_cell(ex2.with_epsilon(1e-3), 8, mode="regenerate")
+    assert cell.fine is not None           # kept for the cell of 2N
+
+
+@pytest.mark.parametrize("kwargs", [{"mode": "bisection"}, {"mode": "nonsense"},
+                                    {"variant": "Raw"}], ids=str)
+def test_unknown_sweep_choice_raises_before_mesh_work(ex1, monkeypatch,
+                                                      kwargs):
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(mesh_mod, "build_tensor_mesh", no_mesh)
+    with pytest.raises(ValueError):
+        run_sweep(ex1, [1e-2], [8, 16], **kwargs)
+    with pytest.raises(ValueError):
+        run_cell(ex1, 8, **kwargs)
+
+
 def test_regenerate_reuse_is_bitwise_standalone(ex2):
     result = run_sweep(ex2, [1e-1, 1e-3], [8, 16, 32], mode=REGENERATE)
     for cell in result.cells:

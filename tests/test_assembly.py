@@ -547,3 +547,18 @@ def test_m_matrix_check_singular_matrix(ex1):
     assert report.dimension == 81
     assert math.isnan(report.min_inverse_entry)
     assert report.summary().endswith("min inverse entry nan")
+
+
+def test_variant_by_value_is_the_member(ex2):
+    # "raw" builds the raw rows, not the transformed ones labelled raw
+    tm = build_tensor_mesh(ex2, 16)
+    for variant in Variant:
+        by_member = assemble_system(ex2, tm, variant)
+        by_value = assemble_system(ex2, tm, variant.value)
+        assert by_value.variant is variant
+        assert np.array_equal(by_value.rhs, by_member.rhs)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(by_value.matrix, attr),
+                                  getattr(by_member.matrix, attr)), attr
+    with pytest.raises(ValueError):
+        assemble_system(ex2, tm, "Raw")

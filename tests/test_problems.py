@@ -209,9 +209,13 @@ def test_validate_non_finite_samples(ex1):
 
 
 def test_validate_bad_n(ex1):
-    # the mesh of a bad N cannot be built, so there is nothing to check
+    # the mesh of a bad N cannot be built, so there is nothing to check;
+    # validate applies the same N rule, with the same error
     with pytest.raises(GeometryError):
         assemble_system(ex1, build_tensor_mesh(ex1, 12))
+    for N in (12, 7.5, 1, 0, -8):
+        with pytest.raises(GeometryError, match="N must be a multiple of 8"):
+            validate(ex1, N)
 
 
 def test_sample_field_matches_pointwise(ex2):

@@ -28,8 +28,8 @@ from cd2d import (
 from cd2d.analysis import manufactured_problem
 from cd2d.errors import MeshMismatch, SingularMatrix
 from cd2d.problems import ProblemSpec
-from cd2d.solve import (_flush_subnormals, _libm, factorize, solver_name,
-                        write_grid_dump)
+from cd2d.solve import (_LUSolve, _TensorSolve, _flush_subnormals, _libm,
+                        factorize, solver_name, write_grid_dump)
 
 
 def identity_system(tm):
@@ -41,6 +41,10 @@ def identity_system(tm):
 
 def b_varying_in_y(x, y):
     return 25.0 + 25.0 * y
+
+
+# the inner solve each solver path builds
+PATH_TYPES = {"tensor": _TensorSolve, "MMD_AT_PLUS_A": _LUSolve}
 
 
 def lu_problem(name):
@@ -136,7 +140,8 @@ def test_factorization_stats_and_fill():
     system = assemble_system(spec, bisect(build_tensor_mesh(spec, 128)))
     f = factorize(system)
     row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
-    assert f.ordering == "MMD_AT_PLUS_A"
+    assert solver_name(system) == "MMD_AT_PLUS_A"
+    assert isinstance(f.lu, _LUSolve)
     assert f.lu.row_max_range == (row_max.min(), row_max.max())
     scaled, d = row_scaled(system)
     colamd = spla.splu(scaled)
@@ -195,7 +200,8 @@ def test_underflowing_row_scale_gives_zero(ex1):
                           rhs=np.full(81, 1e-100), mesh=tm,
                           variant=Variant.TRANSFORMED)
     factors = factorize(system)
-    assert factors.ordering == "MMD_AT_PLUS_A"
+    assert solver_name(system) == "MMD_AT_PLUS_A"
+    assert isinstance(factors.lu, _LUSolve)
     assert np.all(factors.solve(system.rhs).values == 0.0)
 
 
@@ -203,11 +209,19 @@ def test_factorization_solves_other_rhs(ex1):
     tm = build_tensor_mesh(ex1, 8)
     system = assemble_system(ex1, tm)
     f = factorize(system)
+    # the factorization keeps its system, not copies of its matrix or mesh
+    assert [fld.name for fld in dataclasses.fields(f)] == ["lu", "system"]
+    assert f.system is system and f.solve(system.rhs).mesh is tm
     rhs = np.linspace(-1.0, 1.0, system.dimension)
     u = f.solve(rhs)
     assert residual_norm(dataclasses.replace(system, rhs=rhs), u) <= 1e-12
     with pytest.raises(MeshMismatch):
         f.solve(rhs[:-1])
+    # a hand-built system whose rhs does not fit its matrix: the rhs is
+    # checked against the matrix, not against itself
+    short = dataclasses.replace(system, rhs=rhs[:-1])
+    with pytest.raises(MeshMismatch, match="system has 81 unknowns"):
+        solve_direct(short)
 
 
 def test_float_environment_restored(ex1):
@@ -246,7 +260,8 @@ def test_solve_without_flush_keeps_residual_contract(monkeypatch):
     with _flush_subnormals():
         assert subnormals_survive()
     factors = factorize(system)
-    assert factors.ordering == "MMD_AT_PLUS_A"
+    assert solver_name(system) == "MMD_AT_PLUS_A"
+    assert isinstance(factors.lu, _LUSolve)
     assert residual_norm(system, factors.solve(system.rhs)) <= 1e-12
     assert subnormals_survive()
 
@@ -262,7 +277,8 @@ def test_solve_matches_partial_pivoting_oracle(problem, variant, log_eps, N):
     spec = builtin_problem(problem).with_epsilon(10.0 ** log_eps)
     system = assemble_system(spec, build_tensor_mesh(spec, N), variant)
     factors = factorize(system)
-    assert factors.ordering == "tensor"
+    assert solver_name(system) == "tensor"
+    assert isinstance(factors.lu, _TensorSolve)
     u = factors.solve(system.rhs)
     assert residual_norm(system, u) <= 1e-12
     # oracle: SuperLU's default COLAMD ordering with plain partial pivoting
@@ -285,9 +301,11 @@ def test_solver_path_follows_the_coefficients(ex1, ex2):
             system = assemble_system(spec, build_tensor_mesh(spec, 16),
                                      variant)
             assert (system.y_spread <= 0.015) is (path == "tensor")
-            assert factorize(system).ordering == path, (spec.name, variant)
+            assert solver_name(system) == path, (spec.name, variant)
+            assert isinstance(factorize(system).lu, PATH_TYPES[path])
     system = identity_system(build_tensor_mesh(ex1, 8))
-    assert factorize(system).ordering == "MMD_AT_PLUS_A"
+    assert solver_name(system) == "MMD_AT_PLUS_A"
+    assert isinstance(factorize(system).lu, _LUSolve)
 
 
 def test_y_spread_pins_the_path_and_its_headroom(ex1, ex2):
@@ -327,7 +345,8 @@ def test_tensor_path_converges_at_the_nearest_spread(ex2, variant):
                                      variant)
             assert 0.0135 <= system.y_spread <= 0.015
             factors = factorize(system)
-            assert factors.ordering == "tensor"
+            assert solver_name(system) == "tensor"
+            assert isinstance(factors.lu, _TensorSolve)
             u = factors.solve(system.rhs)
             assert residual_norm(system, u) <= 1e-12, (eps, N)
 
@@ -357,7 +376,8 @@ def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
     # column 2 for N = 8) and the Dirichlet lift from the edge strips
     system = assemble_system(ex1, build_tensor_mesh(ex1, N), variant)
     factors = factorize(system)
-    assert factors.ordering == "tensor"
+    assert solver_name(system) == "tensor"
+    assert isinstance(factors.lu, _TensorSolve)
     assert (factors.lu.update is None) is (variant is Variant.TRANSFORMED)
     # random values on the boundary rows too: nonzero Dirichlet entries
     rhs = np.random.default_rng(N).standard_normal(system.dimension)
@@ -621,7 +641,8 @@ def test_tensor_inner_solve_counts(problem, fewest, most, variant):
             system = assemble_system(spec, bisect(build_tensor_mesh(spec, N)),
                                      variant)
             factors = factorize(system)
-            assert factors.ordering == "tensor"
+            assert solver_name(system) == "tensor"
+            assert isinstance(factors.lu, _TensorSolve)
             stub = GainLU(factors.lu, itertools.repeat(1.0))
             u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
             assert residual_norm(system, u) <= 1e-12, (eps, N)
