@@ -48,6 +48,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import MeshMismatch
 from .mesh import TensorMesh
 from .problems import ProblemSpec, sample_problem
 
@@ -65,7 +66,8 @@ class LinearSystem:
     ``y_spread`` is the largest |v - mean_y v| / |mean_y v| over the grid
     for v = a and v = b, how far the matrix is from the tensor form the
     solver can diagonalize (0 when a and b are constant along y, inf for
-    a system built without problem data)."""
+    a system built without problem data).  A matrix or rhs that does not
+    fit the mesh's (n+1)^2 unknowns raises ``MeshMismatch``."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: TensorMesh
@@ -73,9 +75,16 @@ class LinearSystem:
     bound: float = float("nan")
     y_spread: float = float("inf")
 
+    def __post_init__(self):
+        dim = self.dimension
+        if self.matrix.shape != (dim, dim) or np.shape(self.rhs) != (dim,):
+            raise MeshMismatch(
+                f"matrix {self.matrix.shape} and rhs {np.shape(self.rhs)} do "
+                f"not fit the {dim} unknowns of the N = {self.mesh.n} mesh")
+
     @property
     def dimension(self) -> int:
-        return self.rhs.size
+        return (self.mesh.n + 1) ** 2
 
 
 # ---------------------------------------------------------------------------

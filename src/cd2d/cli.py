@@ -20,7 +20,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -54,8 +54,6 @@ class RunConfig:
     double_mesh: DoubleMeshMode = DoubleMeshMode.BISECT
     workers: int = 1
     out_dir: str = "."
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
 
     def __post_init__(self):
         if self.workers < 1:
@@ -77,8 +75,6 @@ _CONFIG_KEYS = {
     "double_mesh": lambda t: DoubleMeshMode(t.strip().lower()),
     "workers": int,
     "out_dir": str.strip,
-    "alpha": float,
-    "beta": float,
 }
 
 # [run] keys each command ignores: solve makes one mesh and no estimate;
@@ -122,15 +118,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _load_spec(config: RunConfig) -> ProblemSpec:
-    spec = builtin_problem(config.problem)
-    if config.alpha is not None:
-        spec = replace(spec, alpha=config.alpha)
-    if config.beta is not None:
-        spec = replace(spec, beta=config.beta)
-    return spec
-
-
 def _eps_tag(eps: float) -> str:
     return f"{eps:g}".replace("-", "m")
 
@@ -148,7 +135,7 @@ def cmd_solve(config: RunConfig) -> int:
         print("solve needs exactly one --epsilon and one --N", file=sys.stderr)
         return EXIT_CONFIG
     eps, N = config.epsilons[0], config.ns[0]
-    spec = _load_spec(config).with_epsilon(eps)
+    spec = builtin_problem(config.problem).with_epsilon(eps)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tm = mesh_mod.build_tensor_mesh(spec, N)
@@ -190,7 +177,7 @@ def cmd_sweep(config: RunConfig) -> int:
     if not config.epsilons or not config.ns:
         print("sweep needs at least one epsilon and one N", file=sys.stderr)
         return EXIT_CONFIG
-    spec = _load_spec(config)
+    spec = builtin_problem(config.problem)
     for eps in config.epsilons:     # an eps outside (0, 1) fails here
         spec.with_epsilon(eps)
     for N in config.ns:
@@ -250,7 +237,7 @@ def cmd_verify(config: RunConfig) -> int:
     if not config.epsilons:
         print("verify needs at least one epsilon", file=sys.stderr)
         return EXIT_CONFIG
-    base = _load_spec(config)
+    base = builtin_problem(config.problem)
     cases = [(base.with_epsilon(eps), N)
              for eps in config.epsilons for N in (16, 32)]
     meshes = [mesh_mod.build_tensor_mesh(spec, N) for spec, N in cases]
@@ -306,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel sweep cells")
         p.add_argument("--out-dir", dest="out_dir", default=None,
                        help="output directory")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="override the stored lower bound on a")
-        p.add_argument("--beta", type=float, default=None,
-                       help="override the stored beta (beta^2 bounds b)")
         p.add_argument("--config", default=None,
                        help="INI config file; flags override it")
     return parser

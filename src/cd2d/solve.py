@@ -345,7 +345,7 @@ class Factorization:
     def solve(self, rhs: np.ndarray) -> GridFunction:
         """Solution of A U = rhs for the factored A, refined to float64."""
         a = self.system.matrix
-        x = np.zeros(a.shape[0])    # A's size: a hand-built rhs may differ
+        x = np.zeros(self.system.dimension)
         if np.shape(rhs) != x.shape:
             raise MeshMismatch(
                 f"rhs has shape {np.shape(rhs)}, system has {x.size} unknowns")

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,15 +57,13 @@ def test_parse_config_full(tmp_path):
         "ns = 16 32\n"
         "variant = raw\n"
         "double_mesh = regenerate\n"
-        "workers = 3\n"
-        "alpha = 4.0\n")
+        "workers = 3\n")
     assert cfg.problem == "Example2"
     assert cfg.epsilons == [1e-1, 1e-3]
     assert cfg.ns == [16, 32]
     assert cfg.variant.value == "raw"
     assert cfg.double_mesh.value == "regenerate"
     assert cfg.workers == 3
-    assert cfg.alpha == 4.0 and cfg.beta is None
 
 
 def test_parse_config_requires_run_section(tmp_path):
@@ -115,16 +115,19 @@ def test_config_workers_must_be_an_integer(tmp_path, capsys, monkeypatch):
 
 def test_removed_settings_are_rejected(tmp_path, capsys, monkeypatch):
     # each setting has one spelling; any other is a config error, never a
-    # silent default
+    # silent default; the bounds alpha and beta are the problem's own data
+    monkeypatch.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
     monkeypatch.setattr(analysis, "run_sweep", must_not_run)
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--epsilon", "1e-2", "--N", "16", "--desk"])
-    assert exc.value.code == EXIT_CONFIG
-    assert "unrecognized arguments: --desk" in capsys.readouterr().err
+    for flags in (["--desk"], ["--alpha", "4"], ["--beta", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--epsilon", "1e-2", "--N", "16", *flags])
+        assert exc.value.code == EXIT_CONFIG
+        assert ("unrecognized arguments: " + " ".join(flags)
+                in capsys.readouterr().err)
     ini = tmp_path / "run.ini"
     for line, message in (("desk = yes", "unknown [run] key 'desk'"),
-                          ("alpha =", "[run] alpha cannot be ''"),
-                          ("beta =", "[run] beta cannot be ''")):
+                          ("alpha = 4.0", "unknown [run] key 'alpha'"),
+                          ("beta = 2.0", "unknown [run] key 'beta'")):
         ini.write_text(f"[run]\nepsilons = 1e-2\nns = 16\n{line}\n")
         rc = main(["sweep", "--config", str(ini), "--out-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG, line
@@ -159,8 +162,6 @@ SETTINGS = {
                     "double_mesh = regenerate"),
     "workers": (["--workers", "3"], "workers = 3"),
     "out_dir": (["--out-dir", "results"], "out_dir = results"),
-    "alpha": (["--alpha", "4.0"], "alpha = 4.0"),
-    "beta": (["--beta", "2.0"], "beta = 2.0"),
 }
 
 
@@ -184,6 +185,16 @@ def test_one_name_per_setting(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[--epsilon EPSILON] [--N N]" in err
     assert "argument --N: expected one argument" in err
+
+
+def test_readme_settings_table_lists_the_fields():
+    # README's table "INI key = RunConfig field" names every setting, in order
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(next(ln for ln in lines
+                             if ln.startswith("| INI key = `RunConfig` field")))
+    rows = itertools.takewhile(lambda ln: ln.startswith("|"), lines[start + 2:])
+    keys = [row.split("|")[1].strip().strip("`") for row in rows]
+    assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def test_workers_below_one_is_config_error(tmp_path, capsys, monkeypatch):
@@ -341,8 +352,15 @@ def test_solve_warns_in_classical_regime(tmp_path, capsys):
 
 
 def test_solve_alpha_override_changes_mesh(tmp_path):
-    rc = main(["solve", "--problem", "Example2", "--epsilon", "1e-2",
-               "--N", "16", "--alpha", "4", "--out-dir", str(tmp_path)])
+    # README's recipe for other bounds: a registered replacement problem
+    name = "example2_alpha4"
+    try:
+        register_problem(name, lambda: dataclasses.replace(
+            builtin_problem("Example2"), alpha=4.0))
+        rc = main(["solve", "--problem", name, "--epsilon", "1e-2",
+                   "--N", "16", "--out-dir", str(tmp_path)])
+    finally:
+        _REGISTRY.pop(name, None)
     assert rc == EXIT_OK
     meta = json.loads(
         (tmp_path / "u_example2_transformed_eps0.01_N16.json").read_text())
@@ -494,22 +512,6 @@ def test_sweep_unresolvable_eps_is_a_missing_cell(tmp_path, capsys):
     [cell] = doc["cells"]
     assert (cell["epsilon"], cell["N"], cell["D_eps"]) == (1e-12, 16, None)
     assert cell["error"].startswith("GeometryError: eps = 1e-12 is below ")
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--alpha", "nan"), ("--beta", "nan"), ("--alpha", "inf")])
-def test_non_finite_bound_is_an_error(tmp_path, capsys, monkeypatch, flag,
-                                      value):
-    monkeypatch.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
-    monkeypatch.setattr(analysis, "run_sweep", must_not_run)
-    for command in (["solve", "--N", "16", "--out-dir", str(tmp_path)],
-                    ["sweep", "--N", "16", "--out-dir", str(tmp_path)],
-                    ["verify"]):
-        rc = main([*command, "--epsilon", "1e-2", flag, value])
-        assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err.endswith(
-            f"error: {flag[2:]} must be finite and positive, got {value}\n")
-    assert list(tmp_path.iterdir()) == []
 
 
 CELL_KEYS = {"epsilon", "N", "D_eps", "sigma_x", "sigma_y",

@@ -215,13 +215,23 @@ def test_factorization_solves_other_rhs(ex1):
     rhs = np.linspace(-1.0, 1.0, system.dimension)
     u = f.solve(rhs)
     assert residual_norm(dataclasses.replace(system, rhs=rhs), u) <= 1e-12
-    with pytest.raises(MeshMismatch):
-        f.solve(rhs[:-1])
-    # a hand-built system whose rhs does not fit its matrix: the rhs is
-    # checked against the matrix, not against itself
-    short = dataclasses.replace(system, rhs=rhs[:-1])
     with pytest.raises(MeshMismatch, match="system has 81 unknowns"):
-        solve_direct(short)
+        f.solve(rhs[:-1])
+    # a system whose rhs does not fit its mesh is never built
+    with pytest.raises(MeshMismatch, match="do not fit the 81 unknowns"):
+        dataclasses.replace(system, rhs=rhs[:-1])
+
+
+def test_system_must_fit_its_mesh(ex1):
+    # matrix and rhs are checked against the N = 8 mesh's 81 unknowns when
+    # the system is built, not later by a numpy shape error
+    tm = build_tensor_mesh(ex1, 8)
+    for matrix, rhs in ((sp.identity(81, format="csr"), np.zeros(80)),
+                        (sp.identity(80, format="csr"), np.zeros(81)),
+                        (sp.identity(81, format="csr"), np.zeros((81, 1)))):
+        with pytest.raises(MeshMismatch, match="do not fit the 81 unknowns"):
+            LinearSystem(matrix=matrix, rhs=rhs, mesh=tm,
+                         variant=Variant.TRANSFORMED)
 
 
 def test_float_environment_restored(ex1):
@@ -266,19 +276,42 @@ def test_solve_without_flush_keeps_residual_contract(monkeypatch):
     assert subnormals_survive()
 
 
+def a_steep_in_y(x, y):
+    return 2.0 + 200.0 * y
+
+
+def b_quadratic_in_y(x, y):
+    return 25.0 + 1e4 * y * y
+
+
+# oracle inputs on a builtin geometry: the problem and the path it takes
+ORACLE_INPUTS = {
+    "builtin": (builtin_problem, "tensor"),
+    "b = 25 + 25y": (lu_problem, "MMD_AT_PLUS_A"),
+    "a = 2 + 200y": (lambda name: dataclasses.replace(
+        builtin_problem(name), a_field=a_steep_in_y), "MMD_AT_PLUS_A"),
+    "b = 25 + 1e4 y^2": (lambda name: dataclasses.replace(
+        builtin_problem(name), b_field=b_quadratic_in_y), "MMD_AT_PLUS_A"),
+}
+
+
 @given(problem=st.sampled_from(["Example1", "Example2"]),
+       coefficients=st.sampled_from(list(ORACLE_INPUTS)),
        variant=st.sampled_from(list(Variant)),
        log_eps=st.floats(math.log10(1e-6), math.log10(0.5)),
        N=st.sampled_from([8, 16, 24, 32, 40, 64, 96]))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_solve_matches_partial_pivoting_oracle(problem, variant, log_eps, N):
-    # both take the fast diagonalization: Example1's is exact, Example2's
-    # (b varies by about 1% along y) is refined to the same answer
-    spec = builtin_problem(problem).with_epsilon(10.0 ** log_eps)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_solve_matches_partial_pivoting_oracle(problem, coefficients, variant,
+                                               log_eps, N):
+    # the builtin problems take the fast diagonalization (Example1's is
+    # exact, Example2's b varies by about 1% along y and is refined to the
+    # same answer); the y-varying coefficients take the float32 LU
+    make, path = ORACLE_INPUTS[coefficients]
+    spec = make(problem).with_epsilon(10.0 ** log_eps)
     system = assemble_system(spec, build_tensor_mesh(spec, N), variant)
     factors = factorize(system)
-    assert solver_name(system) == "tensor"
-    assert isinstance(factors.lu, _TensorSolve)
+    assert solver_name(system) == path
+    assert isinstance(factors.lu, PATH_TYPES[path])
     u = factors.solve(system.rhs)
     assert residual_norm(system, u) <= 1e-12
     # oracle: SuperLU's default COLAMD ordering with plain partial pivoting
