@@ -34,10 +34,9 @@ orientation; its center coefficient is positive for Example 1 but is not
 positive in general (Example 2 drives it negative), which m_matrix_check
 reports.  Unknowns are ordered row-major, flat = j*(n+1) + i.
 
-``assemble_system`` is the only assembly path.  It takes a and b on the
-grid, each quadrant source on its closed block and the edge traces from
-``sample_problem``, which checks them against the problem hypotheses, then
-lays down every row class as arrays through the coefficient kernels below.
+``assemble_system`` is the only assembly path: it samples the problem once
+(``sample_problem`` checks the hypotheses), lays every row class into a
+table through the coefficient kernels below and emits it as CSR in place.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshMismatch
+from .errors import GeometryError, MeshMismatch
 from .mesh import TensorMesh
 from .problems import ProblemSpec, sample_problem
 
@@ -138,26 +137,28 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     """CSR matrix (int32 sorted indices) and rhs of the scheme on mesh.
 
     Row j*m + i keeps one coefficient per column offset (-m, -2, -1, 0, 1,
-    2, m) in ``table[j, i]``.  Each row class fills its block by slices
-    (mesh widths broadcast): the upwind rows either side of x = d1, the
-    x = d1 rows of the variant and the Dirichlet edge.  The nonzero
-    coefficients are the sparsity pattern, and the offsets ascend, so
-    ``table[table != 0]`` is the CSR data with sorted columns.  Bad problem
-    data raises ``MalformedSpec``; a ``variant`` that is neither a member
-    nor a member's value raises ``ValueError``.
+    2, m) in ``table[j, i]``: Ellpack-Itpack rows (Y. Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, 3.4).  Their
+    buffer is the CSR data, with columns flat + offset clipped into range
+    (only zero slots fall outside), and ``eliminate_zeros`` drops 0.0 and
+    -0.0 in place, in order.  N >= 17520 (7 m^2 slots past int32) raises
+    ``GeometryError`` before any sampling, bad problem data
+    ``MalformedSpec``, a ``variant`` not a member or its value ``ValueError``.
     """
     variant = Variant(variant)
     n, half, m = mesh.n, mesh.n // 2, mesh.n + 1
+    if 7 * m * m > np.iinfo(np.int32).max:
+        raise GeometryError(f"N = {n} overflows the int32 CSR indices")
     hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     eps2 = spec.epsilon ** 2
     offsets = np.array([-m, -2, -1, 0, 1, 2, m], dtype=np.int32)
     slot = {int(d): k for k, d in enumerate(offsets)}
     table = np.zeros((m, m, offsets.size))
-    rhs = np.zeros(m * m)
+    rhs = np.zeros((m, m))
 
     def put(rows, values, *stencil):
         """Rows (index tuple), rhs values, (offset, coefficients) pairs."""
-        rhs.reshape(m, m)[rows] = values
+        rhs[rows] = values
         for offset, coeffs in stencil:
             table[rows + (slot[offset],)] = coeffs
 
@@ -177,11 +178,9 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     # Upwind rows at every point off the boundary and off x = d1.
     for lo, hi in ((1, half), (half + 1, n)):
         rows = (slice(1, n), slice(lo, hi))
-        center, west, east, south, north = _upwind_coeffs(
+        put(rows, f[rows], *zip((0, -1, 1, -m, m), _upwind_coeffs(
             eps2, hx[lo - 1:hi - 1], hx[lo:hi], hy[:n - 1, None],
-            hy[1:n, None], a_up[rows], b_up[rows])
-        put(rows, f[rows], (0, center), (-1, west), (1, east),
-            (-m, south), (m, north))
+            hy[1:n, None], a_up[rows], b_up[rows])))
 
     # Transmission rows on x = d1, cross point included.
     j = slice(1, n)
@@ -197,25 +196,22 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
             (-1, west), (0, center), (1, east))
 
     # Dirichlet rows; west and east win at the corners.
-    q = np.empty((m, m))
     west_q, south_q, east_q, north_q = traces
-    q[-1], q[0], q[:, -1], q[:, 0] = north_q, south_q, east_q, west_q
-    edge = np.pad(np.zeros((m - 2, m - 2), bool), 1, constant_values=True)
-    put((edge,), q[edge], (0, 1.0))
+    rhs[-1], rhs[0], rhs[:, -1], rhs[:, 0] = north_q, south_q, east_q, west_q
+    table[[0, -1], :, slot[0]] = table[:, [0, -1], slot[0]] = 1.0
 
-    nz = table != 0
-    counts = nz.sum(axis=2, dtype=np.int32).ravel()
-    indptr = np.zeros(m * m + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:], dtype=np.int32)
-    flat = np.arange(m * m, dtype=np.int32).reshape(m, m, 1)
-    matrix = sp.csr_matrix((table[nz], (flat + offsets)[nz], indptr),
-                           shape=(m * m, m * m))
+    cols = (np.arange(m * m, dtype=np.int32)[:, None] + offsets).ravel()
+    indptr = np.arange(0, cols.size + 1, offsets.size, dtype=np.int32)
+    matrix = sp.csr_matrix((table.ravel(), cols.clip(0, m * m - 1, out=cols),
+                            indptr), shape=(m * m, m * m))
+    matrix.eliminate_zeros()
     # y_spread: |v - mean_y v| peaks where v is largest or smallest along y
     spread = max(float(np.max(np.maximum(v.max(0) - mu, mu - v.min(0))
                               / np.abs(mu)))
                  for v, mu in ((a, a.mean(0)), (b, b.mean(0))))
-    return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh, variant=variant,
-                        bound=f_max / spec.alpha + q_max, y_spread=spread)
+    return LinearSystem(matrix=matrix, rhs=rhs.ravel(), mesh=mesh,
+                        variant=variant, bound=f_max / spec.alpha + q_max,
+                        y_spread=spread)
 
 
 # ---------------------------------------------------------------------------

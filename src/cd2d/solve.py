@@ -61,11 +61,13 @@ right-hand side clear of underflow as r shrinks, and scales c back up by
 |D r|.
 A zero correction (a D r that underflowed gives one) ends refinement.  A
 correction c_k that does not halve c_{k-1} is a stall: it ends refinement
-if already at most 1e-12 |x|, else fails with ``SingularMatrix``.  Then
-refinement stops when c_k^2 / (c_{k-1} - c_k), the tail a geometric run of
-further corrections would add, is at most 4u|x|, u = 2^-53 being float64's
-unit roundoff; the two imply a stop on c_k <= 4u|x|.  It fails after 10
-steps, so a solve never returns a half-refined answer.
+if already at most 1e-12 |x|, or if x's ``residual_norm`` (a normwise
+backward error) is at most 64u, 8 times the up to 8u of rounding in a
+float64 residual over 7-entry rows, which no step undercuts; else it fails
+with ``SingularMatrix``.  Then refinement stops when c_k^2 / (c_{k-1} - c_k),
+the tail a geometric run of further corrections would add, is at most 4u|x|,
+u = 2^-53 being float64's unit roundoff; the two imply a stop on c_k <= 4u|x|.
+It fails after 10 steps, so a solve never returns a half-refined answer.
 
 Ordering and pivoting.  Apart from the interface rows the 5-point matrix is
 structurally symmetric, so SuperLU orders the columns by minimum degree on
@@ -144,6 +146,7 @@ _PANEL_SIZE = 2
 _FTZ_DAZ = 0x8040       # MXCSR bits 15 (flush to zero), 6 (denormals are zero)
 _STOP = 4 * np.finfo(np.float64).epsneg     # 4u, u = 2^-53
 _STALL_OK = 1e-12       # a stalled correction this small (times |x|) is kept
+_STALL_RESIDUAL = 64 * np.finfo(np.float64).epsneg  # see Mixed precision
 _MAX_STEPS = 10         # refinement steps after the first solve
 _MAX_Y_SPREAD = 0.015   # the largest y_spread the tensor path is given
 
@@ -364,7 +367,8 @@ class Factorization:
             if c_max == 0.0:    # x can change no further
                 break
             if c_max > 0.5 * last:
-                if c_max <= _STALL_OK * x_max:
+                if c_max <= _STALL_OK * x_max or residual_norm(self.system,
+                        GridFunction(self.system.mesh, x)) <= _STALL_RESIDUAL:
                     break
                 raise SingularMatrix(
                     f"iterative refinement stalled at step {step}: "

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from cd2d import (
     builtin_problem,
     m_matrix_check,
 )
+from cd2d import assembly
 from cd2d.assembly import _raw_interface_coeffs
+from cd2d.errors import GeometryError
 from cd2d.problems import ProblemSpec
 
 from scalar_rows import oracle_system, source_off_lines
@@ -432,6 +436,72 @@ def test_pattern_is_the_nonzero_coefficients(problem, log_eps, N):
             assert a.has_sorted_indices
             assert np.all(np.diff(a.indptr)[rows] == 1)
             assert np.array_equal(a.indices[a.indptr[rows]], rows)
+
+
+def assert_matches_dense_oracle(a):
+    """a is bitwise sp.csr_matrix(a.toarray()), the canonical CSR of its
+    dense matrix: no stored zero, sorted columns, int32 indices.  The dense
+    matrix is formed 512 rows at a time and the blocks stacked."""
+    oracle = sp.vstack([sp.csr_matrix(a[lo:lo + 512].toarray())
+                        for lo in range(0, a.shape[0], 512)], format="csr")
+    for attr, dtype in (("data", np.float64), ("indices", np.int32),
+                        ("indptr", np.int32)):
+        assert getattr(a, attr).dtype == dtype, attr
+        assert getattr(oracle, attr).dtype == dtype, attr
+        assert np.array_equal(getattr(a, attr), getattr(oracle, attr)), attr
+    assert a.has_canonical_format
+    assert a.indptr[-1] == a.nnz == a.data.size == a.indices.size
+
+
+@pytest.mark.parametrize("problem", ["Example1", "Example2"])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("eps", [1e-1, 1e-6])
+def test_csr_matches_dense_oracle(problem, variant, eps):
+    # on the N-mesh, its bisection and the regenerated 2N mesh
+    spec = builtin_problem(problem).with_epsilon(eps)
+    for N in (8, 16, 32):
+        tm = build_tensor_mesh(spec, N)
+        for mesh in (tm, bisect(tm), build_tensor_mesh(spec, 2 * N)):
+            assert_matches_dense_oracle(
+                assemble_system(spec, mesh, variant).matrix)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_coefficient_is_not_stored(ex1, monkeypatch, zero):
+    # a transmission row whose west coefficient is exactly +-0 stores only
+    # its centre and east entries; -0.0 == 0, so it is no entry either
+    kernel = assembly._transformed_coeffs
+
+    def west_zero(*args):
+        center, west, east, e_minus = kernel(*args)
+        return center, np.full_like(west, zero), east, e_minus
+
+    monkeypatch.setattr(assembly, "_transformed_coeffs", west_zero)
+    tm = build_tensor_mesh(ex1, 16)
+    a = assemble_system(ex1, tm).matrix
+    assert_matches_dense_oracle(a)
+    assert np.all(a.data != 0)
+    rows = [(tm.n + 1) * j + tm.n // 2 for j in range(1, tm.n)]
+    assert np.all(np.diff(a.indptr)[rows] == 2)
+    assert np.array_equal(a.indices[a.indptr[rows]], rows)
+
+
+def test_int32_index_overflow_raises_before_any_work(ex1):
+    # 7 (N+1)^2 slots must fit int32: N = 17520 is the first multiple of 8
+    # past it, and raises before sampling or allocating anything large
+    mesh = build_tensor_mesh(ex1, 17520)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryError, match="N = 17520 overflows"):
+            assemble_system(ex1, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the check reads only mesh.n: N = 17512 passes it and goes on to the
+    # mesh axes, which this stand-in lacks
+    with pytest.raises(AttributeError):
+        assemble_system(ex1, types.SimpleNamespace(n=17512))
 
 
 def _curved(x, y):

@@ -652,6 +652,35 @@ def test_refinement_stall_above_rescue_raises(ex1):
     assert stub.calls == 5
 
 
+class RecordingLU:
+    """Passes each solve on to ``lu`` and keeps its correction's max-norm."""
+
+    def __init__(self, lu):
+        self.lu, self.corrections = lu, []
+
+    def solve(self, rhs):
+        c = self.lu.solve(rhs)
+        self.corrections.append(float(np.max(np.abs(c))))
+        return c
+
+
+def test_refinement_stall_at_the_float64_floor_returns(ex2):
+    # a = 2 + 200y on Example 2's geometry, eps 0.1, N = 16: the corrections
+    # level off near 3.5e-12 |x|, above the 1e-12 |x| rescue, once x's
+    # scaled residual is ~1e-16, so the stall ends refinement; without the
+    # residual floor it raises "stalled at step 5"
+    spec = dataclasses.replace(ex2, a_field=a_steep_in_y, epsilon=0.1)
+    system = assemble_system(spec, build_tensor_mesh(spec, 16))
+    factors = factorize(system)
+    stub = RecordingLU(factors.lu)
+    u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+    *_, before, last = stub.corrections
+    assert last > 0.5 * before and last > 1e-12 * u.max_norm()
+    assert residual_norm(system, u) <= 64 * np.finfo(np.float64).epsneg
+    ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.max(np.abs(u.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_refinement_step_cap(ex1):
     # each correction 0.4 times the last: the tail rule needs about 37
     # steps, so the solve fails after the 10 allowed
