@@ -65,14 +65,20 @@ class LinearSystem:
     ``y_spread`` is the largest |v - mean_y v| / |mean_y v| over the grid
     for v = a and v = b, how far the matrix is from the tensor form the
     solver can diagonalize (0 when a and b are constant along y, inf for
-    a system built without problem data).  A matrix or rhs that does not
-    fit the mesh's (n+1)^2 unknowns raises ``MeshMismatch``."""
+    a system built without problem data).  ``separable`` (None for a
+    system built by hand) is that form, read off the coefficients of the
+    interior rows and columns: (X, y_south, y_north, edges), X's diagonals
+    at offsets -2 to 2 (the rows' mean x-stencil, centre less the y-part),
+    Y's entries down column i = 1, and the south, north, west and east
+    strips of the outer interior lines.  A matrix or rhs that does not fit
+    the mesh's (n+1)^2 unknowns raises ``MeshMismatch``."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: TensorMesh
     variant: Variant
     bound: float = float("nan")
     y_spread: float = float("inf")
+    separable: Optional[tuple] = None
 
     def __post_init__(self):
         dim = self.dimension
@@ -200,6 +206,20 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     rhs[-1], rhs[0], rhs[:, -1], rhs[:, 0] = north_q, south_q, east_q, west_q
     table[[0, -1], :, slot[0]] = table[:, [0, -1], slot[0]] = 1.0
 
+    # The separable part, read before eliminate_zeros compacts the table:
+    # all column means in one pass (x = d1's entries at -+2 summed
+    # pairwise, as a 1-D mean is), then copies of O(n) strips.
+    inner = table[1:-1, 1:-1]
+    means = inner.mean(axis=0).T    # row k: slot k
+    x_bar = means[slot[-2]:slot[2] + 1]     # offsets -2 ... 2
+    x_bar[2] += means[slot[-m]] + means[slot[m]]
+    x_bar[[0, -1], half - 1] = [inner[:, half - 1, slot[d]].mean()
+                                for d in (-2, 2)]
+    y_south, y_north = inner[..., slot[-m]], inner[..., slot[m]]
+    separable = (x_bar, y_south[:, 0].copy(), y_north[:, 0].copy(),
+                 (y_south[0].copy(), y_north[-1].copy(),
+                  inner[:, 0, slot[-1]].copy(), inner[:, -1, slot[1]].copy()))
+
     cols = (np.arange(m * m, dtype=np.int32)[:, None] + offsets).ravel()
     indptr = np.arange(0, cols.size + 1, offsets.size, dtype=np.int32)
     matrix = sp.csr_matrix((table.ravel(), cols.clip(0, m * m - 1, out=cols),
@@ -211,7 +231,7 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
                  for v, mu in ((a, a.mean(0)), (b, b.mean(0))))
     return LinearSystem(matrix=matrix, rhs=rhs.ravel(), mesh=mesh,
                         variant=variant, bound=f_max / spec.alpha + q_max,
-                        y_spread=spread)
+                        y_spread=spread, separable=separable)
 
 
 # ---------------------------------------------------------------------------

@@ -161,20 +161,21 @@ def sample_field(fld: Callable, xs: np.ndarray, ys: np.ndarray | None = None,
     """Evaluate a scalar field on the tensor grid, shape (len(ys), len(xs)),
     or, with ``ys`` None, an edge trace on the axis ``xs``.
 
-    Tries a single broadcast call first (all builtin fields support it) and
-    falls back to pointwise evaluation if that call fails in any way.  A
+    Tries one call on xs as a row and ys as a column, broadcast to the grid,
+    and falls back to pointwise evaluation if that call fails in any way.  A
     callable that fails pointwise as well raises ``MalformedSpec`` naming
     the point and ``label`` (default: "field <qualname>").
     """
-    points = (xs,) if ys is None else np.meshgrid(xs, ys)
+    points = (xs,) if ys is None else np.meshgrid(xs, ys, sparse=True)
+    shape = xs.shape if ys is None else (len(ys), len(xs))
     try:
-        vals = np.broadcast_to(np.asarray(fld(*points), dtype=float),
-                               points[0].shape)
+        vals = np.broadcast_to(np.asarray(fld(*points), dtype=float), shape)
         return np.array(vals, dtype=float)
     except Exception:
         pass
-    out = np.empty(points[0].shape)
-    for index in np.ndindex(out.shape):
+    out = np.empty(shape)
+    points = np.broadcast_arrays(*points)
+    for index in np.ndindex(shape):
         at = [p[index] for p in points]
         try:
             out[index] = float(fld(*at))

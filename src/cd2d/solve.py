@@ -10,34 +10,30 @@ Fast diagonalization.  When a and b do not vary with y, the matrix on the
 interior unknowns of the tensor mesh is A = I (x) X + Y (x) D: X is the
 x-stencil of any grid row (its centre less the row's y-part), Y = -eps^2
 D_yy the y-stencil of one column, and D is the identity except on x = d1,
-whose transmission rows have no y-coupling.  Y is a tridiagonal matrix
-made symmetric by a diagonal similarity S (s_{j+1} / s_j the square root
-of north_j / south_{j+1}), so Y = W diag(lam) W^-1 with W = S^-1 Q for the
-orthogonal eigenvectors Q of ``scipy.linalg.eigh_tridiagonal``.  In that
-basis the system splits into the n-1 systems (X + lam_k D) v_k =
-(W^-1 F)_k (R. E. Lynch, J. R. Rice & D. H. Thomas, "Direct solution of
-partial difference equations by tensor product methods", Numer. Math. 6,
-1964).  X is tridiagonal, but for the raw variant's x = d1 row, which also
-couples to its second neighbours.  The tridiagonal parts are stacked into
-one tridiagonal matrix, factored once by LAPACK ``dgttrf`` (partial
-pivoting) and solved by ``dgttrs``; the raw row's two further entries are
-a rank-one update, applied by the Sherman-Morrison formula (J. Sherman &
-W. J. Morrison, Ann. Math. Statist. 21(1), 1950).  The Dirichlet values
-move to F through the coefficients of the interior rows and columns next
-to the boundary.  The work is two dense (n-1)^2 products per solve and
-O(n^2) besides, against the fill of a sparse LU.
-When a or b varies with y, X differs from row to row (Y, which depends
-only on the y widths, does not) and the build takes X as the mean over
-the interior rows.  The fast solver of that nearby separable operator is
-the inner solve of the refinement loop below, which runs against A, so
-the answer is the LU's to rounding (P. Concus & G. H. Golub, SIAM J.
-Numer. Anal. 10(6), 1973).  Each step cuts the error by a factor that
-grows with the y-variation, so the path is taken for ``y_spread`` <=
-0.015: Example 2 (0.011) fits inside the 10-step cap, and the nearest
-measured systems past the bound (0.099, 0.12) do not (README "Solver"
-gives the counts and timings).
+whose transmission rows have no y-coupling.  ``assemble_system`` reads
+them off its coefficient table as the system's ``separable`` part: X as
+the interior rows' mean stencil, Y from column i = 1, and the four edge
+strips that move the Dirichlet values to the right-hand side F.  Y, made
+symmetric by a diagonal similarity S (s_{j+1} / s_j = sqrt(north_j /
+south_{j+1})), is W diag(lam) W^-1 with W = S^-1 Q for the eigenvectors Q
+of ``scipy.linalg.eigh_tridiagonal``; in that basis the system splits into
+the n-1 systems (X + lam_k D) v_k = (W^-1 F)_k (R. E. Lynch, J. R. Rice &
+D. H. Thomas, Numer. Math. 6, 1964).  Their tridiagonal parts are stacked,
+factored once by LAPACK ``dgttrf`` (partial pivoting) and solved by
+``dgttrs``; the raw variant's x = d1 row, which also couples to its second
+neighbours, is a Sherman-Morrison rank-one update (J. Sherman & W. J.
+Morrison, Ann. Math. Statist. 21(1), 1950).  A solve costs two dense
+(n-1)^2 products and O(n^2) besides.  When a or b varies with y, so does
+X from row to row, and the fast solver of the mean X is the inner solve
+of the refinement loop below, which runs against A, so the answer is the
+LU's to rounding (P. Concus & G. H. Golub, SIAM J. Numer. Anal. 10(6),
+1973).  Each step cuts the error by a factor that grows with the
+y-variation, so the path is taken for ``y_spread`` <= 0.015: Example 2
+(0.011) fits inside the 10-step cap, the nearest measured systems past
+the bound (0.099, 0.12) do not (README "Solver" gives the counts).
 A breakdown (``LinAlgError``, a zero pivot in ``dgttrf``, or a zero or
-non-finite Sherman-Morrison denominator) is ``SingularMatrix``.
+non-finite Sherman-Morrison denominator) is ``SingularMatrix``, and so is
+a system built by hand, which has no separable part.
 
 Equilibration.  The transmission-row coefficients grow like 1/h1 and the fine
 width h1 shrinks like eps^2, so for the smallest eps the matrix entries span
@@ -189,28 +185,18 @@ def _flush_subnormals() -> Iterator[None]:
         libm.fesetenv(ctypes.byref(saved))
 
 
-def _interior(a: sp.csr_matrix, offset: int, m: int) -> np.ndarray:
-    """A[r, r + offset] on the interior rows r of an m x m grid, as the
-    (m - 2, m - 2) grid [j - 1, i - 1] (0 where nothing is stored)."""
-    start = m + min(0, offset)  # diagonal(offset)[k] is row k - min(0, offset)
-    return a.diagonal(offset)[start:start + m * (m - 2)].reshape(
-        m - 2, m)[:, 1:-1]
-
-
 @dataclass(frozen=True, eq=False)
 class _TensorSolve:
-    """Fast diagonalization of the separable operator nearest a system:
-    on the interior unknowns I (x) X + Y (x) D, with W^-1 Y W = diag(lam),
-    X the mean of the rows' x-stencils, and the LU (LAPACK ``dgttrf``) of
-    the tridiagonal parts T_k of the n-1 systems X + lam_k D, stacked into
-    one tridiagonal matrix with zero coupling between them.  The raw
-    variant's x = d1 row r also stores X[r, r -+ 2], the entries of
+    """Fast diagonalization of the separable operator nearest a system,
+    built from its ``separable`` part: on the interior unknowns
+    I (x) X + Y (x) D, with W^-1 Y W = diag(lam), and the LU (LAPACK
+    ``dgttrf``) of the tridiagonal parts T_k of the n-1 systems
+    X + lam_k D, stacked with zero coupling between them.  The raw
+    variant's x = d1 row r also has X[r, r -+ 2], the entries of
     ``raw_row`` (w), so there X + lam_k D = T_k + e_r w^T, and ``update``
-    holds the rows z_k / s_k of the Sherman-Morrison correction,
-    z_k = T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0).  ``edges``
-    are the south, north, west and east coefficients of the first and last
-    interior rows and columns, which move the Dirichlet values to the
-    right-hand side."""
+    holds the rows z_k / s_k of the Sherman-Morrison correction, z_k =
+    T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0); ``edges`` are the
+    part's edge strips."""
     w: np.ndarray
     w_inv: np.ndarray
     factors: tuple
@@ -219,39 +205,33 @@ class _TensorSolve:
     update: Optional[np.ndarray]
 
     @classmethod
-    def build(cls, a: sp.csr_matrix, n: int) -> "_TensorSolve":
-        m, p = n + 1, n - 1
-        y_south, y_north = _interior(a, -m, m), _interior(a, m, m)
+    def build(cls, part: Optional[tuple]) -> "_TensorSolve":
+        if part is None:    # a system built by hand
+            raise SingularMatrix("tensor solve: system has no separable part")
+        x_bar, south, north, edges = part
+        p = south.size
         # Y from column i = 1 (never x = d1), symmetrized by
         # sigma_{j+1} / sigma_j = sqrt(north_j / south_{j+1})
-        south, north = y_south[:, 0], y_north[:, 0]
         sigma = np.r_[1.0, np.cumprod(np.sqrt(north[:-1] / south[1:]))]
         try:
             lam, q = eigh_tridiagonal(-(south + north),
                                       -np.sqrt(north[:-1] * south[1:]))
         except LinAlgError as exc:
             raise SingularMatrix(f"tensor solve: {exc}") from exc
-        # X, the mean over the interior grid rows of each row's x-stencil,
-        # its centre less the row's y-part, which is zero on x = d1 (row r
-        # of X), the one column without y-coupling (D = 0).  System k is
-        # rows k p ... k p + p - 1 of the stacked tridiagonal, whose
-        # coupling to its neighbours, the last entry of each block of
-        # dl and du, is zero
-        west, east = _interior(a, -1, m), _interior(a, 1, m)
-        diag = (_interior(a, 0, m) + (y_south + y_north)).mean(axis=0)
-        dl = np.tile(np.r_[west.mean(axis=0)[1:], 0.0], p)[:-1]
-        du = np.tile(np.r_[east.mean(axis=0)[:-1], 0.0], p)[:-1]
-        d = (diag + lam[:, None] * (y_north[0] != 0.0)).ravel()
+        # D = 0 where the south strip is, on x = d1 (no y-coupling).  System
+        # k is rows k p ... k p + p - 1 of the stacked tridiagonal, whose
+        # coupling to its neighbours, the last entry of each block, is 0
+        dl = np.tile(np.r_[x_bar[1, 1:], 0.0], p)[:-1]
+        du = np.tile(np.r_[x_bar[3, :-1], 0.0], p)[:-1]
+        d = (x_bar[2] + lam[:, None] * (edges[0] != 0.0)).ravel()
         *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=1,
                                        overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise SingularMatrix("tensor solve: tridiagonal factor failed "
                                  f"(dgttrf info {info})")
-        # w from the x = d1 rows' entries at offsets -+2, which N >= 8
-        # keeps off the boundary
-        r, rows = n // 2 - 1, np.arange(1, n) * m + n // 2
-        raw_row = np.zeros(p)
-        raw_row[[r - 2, r + 2]] = [a[rows, rows + o].mean() for o in (-2, 2)]
+        # w, X's x = d1 row at offsets -+2 (N >= 8 keeps them off the edge)
+        r, raw_row = p // 2, np.zeros(p)
+        raw_row[[r - 2, r + 2]] = x_bar[[0, 4], r]
         update = None
         if raw_row.any():
             e_r = np.zeros((p, p))
@@ -268,8 +248,7 @@ class _TensorSolve:
             update = np.divide(z, s[:, None], out=z)
         return cls(w=q / sigma[:, None], w_inv=q.T * sigma,
                    factors=tuple(factors), raw_row=raw_row, update=update,
-                   edges=tuple(e.copy() for e in (y_south[0], y_north[-1],
-                                                  west[:, 0], east[:, -1])))
+                   edges=edges)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solution c of the separable system for the right-hand side r."""
@@ -359,10 +338,10 @@ class Factorization:
                 c = self.lu.solve(r)
             except RuntimeError as exc:
                 raise SingularMatrix(str(exc)) from exc
-            if not np.all(np.isfinite(c)):
+            c_max = float(np.max(np.abs(c)))   # NaN or inf if any c is
+            if not np.isfinite(c_max):
                 raise SingularMatrix("solution contains NaN or Inf")
             x += c
-            c_max = float(np.max(np.abs(c)))
             x_max = float(np.max(np.abs(x)))
             if c_max == 0.0:    # x can change no further
                 break
@@ -397,7 +376,7 @@ def factorize(system: LinearSystem) -> Factorization:
     """The inner solve of the refinement loop: fast diagonalization for a
     nearly y-invariant system, a row-equilibrated single-precision sparse
     LU otherwise; deterministic for identical inputs."""
-    lu = (_TensorSolve.build(system.matrix, system.mesh.n)
+    lu = (_TensorSolve.build(system.separable)
           if solver_name(system) == _TENSOR else _LUSolve.build(system.matrix))
     return Factorization(lu, system)
 
@@ -416,9 +395,9 @@ def residual_norm(system: LinearSystem, solution: GridFunction) -> float:
     num = float(np.max(np.abs(system.matrix @ solution.values - system.rhs)))
     if num == 0.0:
         return 0.0
-    a = system.matrix
-    starts = a.indptr[:-1][np.diff(a.indptr) > 0]  # no empty segments
-    a_norm = float(np.add.reduceat(np.abs(a.data), starts).max(initial=0.0))
+    a = system.matrix   # ||A||_inf is the largest entry of |A| 1
+    a_norm = float(np.max(sp.csr_matrix((np.abs(a.data), a.indices, a.indptr),
+                                        shape=a.shape) @ np.ones(a.shape[1])))
     # num > 0 gives den > 0: each |a_ij u_j| is at most ||A|| ||U||
     return num / (a_norm * solution.max_norm()
                   + float(np.max(np.abs(system.rhs))))

@@ -466,6 +466,60 @@ def test_csr_matches_dense_oracle(problem, variant, eps):
                 assemble_system(spec, mesh, variant).matrix)
 
 
+def csr_interior(a, offset, m):
+    """A[r, r + offset] on the interior rows r of an m x m grid, as the
+    (m - 2, m - 2) grid [j - 1, i - 1] (0 where nothing is stored)."""
+    start = m + min(0, offset)  # diagonal(offset)[k] is row k - min(0, offset)
+    return a.diagonal(offset)[start:start + m * (m - 2)].reshape(
+        m - 2, m)[:, 1:-1]
+
+
+def separable_from_csr(a, n):
+    """The separable part read back from the CSR a, independently of the
+    coefficient table: Y's column i = 1, the edge strips, the x = d1 rows'
+    mean entries at offsets -+2, D's diagonal and X's (west, centre, east)
+    diagonals, the centre less the y-part."""
+    m = n + 1
+    y_south, y_north = csr_interior(a, -m, m), csr_interior(a, m, m)
+    west, east = csr_interior(a, -1, m), csr_interior(a, 1, m)
+    rows = np.arange(1, n) * m + n // 2
+    return dict(
+        y_south=y_south[:, 0], y_north=y_north[:, 0],
+        edges=(y_south[0], y_north[-1], west[:, 0], east[:, -1]),
+        raw=[a[rows, rows + o].mean() for o in (-2, 2)],
+        coupled=y_north[0] != 0.0,
+        x_bar=(west.mean(axis=0), (csr_interior(a, 0, m)
+                                   + (y_south + y_north)).mean(axis=0),
+               east.mean(axis=0)))
+
+
+@pytest.mark.parametrize("problem", ["Example1", "Example2"])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("eps", [1e-1, 1e-4, 1e-6])
+def test_separable_part_matches_csr_read_back(problem, variant, eps):
+    # on the N-mesh, its bisection and the regenerated 2N mesh; all but X's
+    # means are bitwise the CSR's, and X's centre sums its three slot means
+    spec = builtin_problem(problem).with_epsilon(eps)
+    for N in (8, 16, 64):
+        tm = build_tensor_mesh(spec, N)
+        for mesh in (tm, bisect(tm), build_tensor_mesh(spec, 2 * N)):
+            system = assemble_system(spec, mesh, variant)
+            x_bar, y_south, y_north, edges = system.separable
+            ref = separable_from_csr(system.matrix, mesh.n)
+            r = mesh.n // 2 - 1
+            assert x_bar.shape == (5, mesh.n - 1) and len(edges) == 4
+            for got, want in ((y_south, ref["y_south"]),
+                              (y_north, ref["y_north"]),
+                              (edges[0] != 0.0, ref["coupled"]),
+                              (x_bar[[0, 4], r], ref["raw"]),
+                              *zip(edges, ref["edges"])):
+                assert np.array_equal(got, want)
+            for got, want in zip(x_bar[1:4], ref["x_bar"]):
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            # only the x = d1 column stores entries at offsets -+2
+            assert not np.delete(x_bar[[0, 4]], r, axis=1).any()
+
+
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 def test_zero_coefficient_is_not_stored(ex1, monkeypatch, zero):
     # a transmission row whose west coefficient is exactly +-0 stores only

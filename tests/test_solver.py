@@ -424,9 +424,8 @@ def test_tensor_rank_one_breakdown_is_singular_matrix(ex1, monkeypatch):
     # returns -2 everywhere, so s_k = 1 + w^T z_k is exactly 0; the build
     # raises before dividing by it (a RuntimeWarning is an error here)
     system = assemble_system(ex1, build_tensor_mesh(ex1, 8), Variant.RAW)
-    a = system.matrix
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    a.data[np.abs(a.indices - rows) == 2] = 0.25
+    x_bar = system.separable[0]     # entries at -+2 only at x = d1
+    x_bar[[0, 4]] = np.where(x_bar[[0, 4]] != 0.0, 0.25, 0.0)
 
     def z_solve(dl, d, du, du2, ipiv, b, **kwargs):
         return np.full_like(b, -2.0), 0
@@ -435,6 +434,33 @@ def test_tensor_rank_one_breakdown_is_singular_matrix(ex1, monkeypatch):
     with pytest.raises(SingularMatrix, match=(
             r"^tensor solve: rank-one update of the x = d1 row breaks down")):
         factorize(system)
+
+
+def test_tensor_path_without_separable_part_is_singular_matrix(ex1):
+    # a system built by hand carries no separable part; forced onto the
+    # tensor path it fails with a message, not a TypeError
+    system = dataclasses.replace(identity_system(build_tensor_mesh(ex1, 8)),
+                                 y_spread=0.0)
+    assert system.separable is None and solver_name(system) == "tensor"
+    with pytest.raises(SingularMatrix, match=(
+            r"^tensor solve: system has no separable part$")):
+        factorize(system)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_tensor_factor_does_not_read_the_csr(ex2, variant, monkeypatch):
+    # the tensor factor comes from the assembly's separable part; reading
+    # diagonals or entries back out of the CSR would raise here
+    system = assemble_system(ex2, bisect(build_tensor_mesh(ex2, 16)), variant)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the tensor factor read the CSR")
+
+    for name in ("diagonal", "__getitem__"):
+        monkeypatch.setattr(sp.csr_matrix, name, no_read)
+    factors = factorize(system)
+    assert isinstance(factors.lu, _TensorSolve)
+    assert residual_norm(system, factors.solve(system.rhs)) <= 1e-12
 
 
 def test_tensor_eigensolver_failure_is_singular_matrix(ex1, monkeypatch):
