@@ -61,23 +61,20 @@ class Variant(enum.Enum):
 class LinearSystem:
     """The scheme on one mesh.  ``bound`` is the stability bound
     (1/alpha) max|f| + max|q| of the problem data ``assemble_system``
-    sampled on the mesh (NaN for a system built without problem data);
-    ``y_spread`` is the largest |v - mean_y v| / |mean_y v| over the grid
-    for v = a and v = b, how far the matrix is from the tensor form the
-    solver can diagonalize (0 when a and b are constant along y, inf for
-    a system built without problem data).  ``separable`` (None for a
-    system built by hand) is that form, read off the coefficients of the
-    interior rows and columns: (X, y_south, y_north, edges), X's diagonals
-    at offsets -2 to 2 (the rows' mean x-stencil, centre less the y-part),
-    Y's entries down column i = 1, and the south, north, west and east
-    strips of the outer interior lines.  A matrix or rhs that does not fit
-    the mesh's (n+1)^2 unknowns raises ``MeshMismatch``."""
+    sampled on the mesh (NaN for a system built without problem data).
+    ``separable`` is the tensor form the solver diagonalizes, read off the
+    coefficients of the interior rows and columns: (X, y_south, y_north,
+    edges), X's diagonals at offsets -2 to 2 (the rows' mean x-stencil,
+    centre less the y-part), Y's entries down column i = 1, and the south,
+    north, west and east strips of the outer interior lines.  It is None,
+    and the solver takes the sparse LU, unless ``assemble_system`` found a
+    and b within ``_MAX_Y_SPREAD`` of their means along y; a system built
+    by hand has none.  A matrix or rhs that does not fit the mesh's
+    (n+1)^2 unknowns raises ``MeshMismatch``."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: TensorMesh
-    variant: Variant
     bound: float = float("nan")
-    y_spread: float = float("inf")
     separable: Optional[tuple] = None
 
     def __post_init__(self):
@@ -137,6 +134,9 @@ def _raw_interface_coeffs(h1, H2):
 
 # ---------------------------------------------------------------------------
 # Full-system assembly.
+
+_MAX_Y_SPREAD = 0.015   # largest y-spread given a separable part (solve.py)
+
 
 def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
                     variant: Variant = Variant.TRANSFORMED) -> LinearSystem:
@@ -206,32 +206,34 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     rhs[-1], rhs[0], rhs[:, -1], rhs[:, 0] = north_q, south_q, east_q, west_q
     table[[0, -1], :, slot[0]] = table[:, [0, -1], slot[0]] = 1.0
 
-    # The separable part, read before eliminate_zeros compacts the table:
-    # all column means in one pass (x = d1's entries at -+2 summed
-    # pairwise, as a 1-D mean is), then copies of O(n) strips.
-    inner = table[1:-1, 1:-1]
-    means = inner.mean(axis=0).T    # row k: slot k
-    x_bar = means[slot[-2]:slot[2] + 1]     # offsets -2 ... 2
-    x_bar[2] += means[slot[-m]] + means[slot[m]]
-    x_bar[[0, -1], half - 1] = [inner[:, half - 1, slot[d]].mean()
-                                for d in (-2, 2)]
-    y_south, y_north = inner[..., slot[-m]], inner[..., slot[m]]
-    separable = (x_bar, y_south[:, 0].copy(), y_north[:, 0].copy(),
-                 (y_south[0].copy(), y_north[-1].copy(),
-                  inner[:, 0, slot[-1]].copy(), inner[:, -1, slot[1]].copy()))
+    # The separable part, if |v - mean_y v| / |mean_y v| (largest at v's
+    # extremes along y) is within _MAX_Y_SPREAD for v = a and v = b, read
+    # before eliminate_zeros compacts the table: all column means in one
+    # pass (x = d1's -+2 entries summed pairwise, as a 1-D mean is), strips.
+    spread = max(float(np.max(np.maximum(v.max(0) - mu, mu - v.min(0))
+                              / np.abs(mu)))
+                 for v, mu in ((a, a.mean(0)), (b, b.mean(0))))
+    separable = None
+    if spread <= _MAX_Y_SPREAD:
+        inner = table[1:-1, 1:-1]
+        means = inner.mean(axis=0).T    # row k: slot k
+        x_bar = means[slot[-2]:slot[2] + 1]     # offsets -2 ... 2
+        x_bar[2] += means[slot[-m]] + means[slot[m]]
+        x_bar[[0, -1], half - 1] = [inner[:, half - 1, slot[d]].mean()
+                                    for d in (-2, 2)]
+        y_south, y_north = inner[..., slot[-m]], inner[..., slot[m]]
+        separable = (x_bar, y_south[:, 0].copy(), y_north[:, 0].copy(),
+                     (y_south[0].copy(), y_north[-1].copy(),
+                      inner[:, 0, slot[-1]].copy(),
+                      inner[:, -1, slot[1]].copy()))
 
     cols = (np.arange(m * m, dtype=np.int32)[:, None] + offsets).ravel()
     indptr = np.arange(0, cols.size + 1, offsets.size, dtype=np.int32)
     matrix = sp.csr_matrix((table.ravel(), cols.clip(0, m * m - 1, out=cols),
                             indptr), shape=(m * m, m * m))
     matrix.eliminate_zeros()
-    # y_spread: |v - mean_y v| peaks where v is largest or smallest along y
-    spread = max(float(np.max(np.maximum(v.max(0) - mu, mu - v.min(0))
-                              / np.abs(mu)))
-                 for v, mu in ((a, a.mean(0)), (b, b.mean(0))))
     return LinearSystem(matrix=matrix, rhs=rhs.ravel(), mesh=mesh,
-                        variant=variant, bound=f_max / spec.alpha + q_max,
-                        y_spread=spread, separable=separable)
+                        bound=f_max / spec.alpha + q_max, separable=separable)
 
 
 # ---------------------------------------------------------------------------

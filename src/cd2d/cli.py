@@ -86,7 +86,7 @@ _IGNORED_KEYS = {"solve": ("double_mesh", "workers"),
 def _read_config(text: str) -> dict:
     """RunConfig keyword arguments from an INI config (section [run]); an
     unknown key or a value its field cannot take raises ``CD2DError``."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text)
     if not parser.has_section("run"):
         raise CD2DError("config file has no [run] section")
@@ -205,14 +205,14 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_INCOMPLETE
 
 
-def _verify_checks(spec: ProblemSpec, systems: list
+def _verify_checks(spec: ProblemSpec, systems: list, variant: Variant
                    ) -> list[tuple[str, bool, str]]:
     """(name, passed, detail) of each check at ``spec.epsilon`` on the
-    systems of the chosen variant for N = 16 and N = 32."""
+    systems of ``variant`` for N = 16 and N = 32."""
     at = f" at eps={spec.epsilon:g}"
     system = systems[0]
     other = assemble_system(spec, system.mesh, Variant.RAW
-                            if system.variant is Variant.TRANSFORMED
+                            if variant is Variant.TRANSFORMED
                             else Variant.TRANSFORMED)
     report = m_matrix_check(system)
     inv = report.min_inverse_entry
@@ -220,7 +220,7 @@ def _verify_checks(spec: ProblemSpec, systems: list
     diff = float(np.max(np.abs(solutions[0].values
                                - solve_direct(other).values)))
     return [
-        (f"matrix sign structure ({system.variant.value}, N=16){at}",
+        (f"matrix sign structure ({variant.value}, N=16){at}",
          report.sign_ok, report.summary()),
         (f"inverse positivity (N=16){at}",
          inv is not None and inv >= -1e-12, f"min inverse entry {inv:.3e}"),
@@ -253,7 +253,7 @@ def cmd_verify(config: RunConfig) -> int:
     if len(systems) < len(cases):
         return EXIT_CONFIG
     checks = [check for k in range(0, len(cases), 2) for check in
-              _verify_checks(cases[k][0], systems[k:k + 2])]
+              _verify_checks(cases[k][0], systems[k:k + 2], config.variant)]
     mms = analysis.manufactured_solution_study([32, 64, 128], config.variant)
     orders = mms.E_uniform
     checks.append(("smooth-oracle order in [0.90, 1.15]",

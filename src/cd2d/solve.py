@@ -2,9 +2,8 @@
 
 ``factorize(system)`` returns a :class:`Factorization` whose ``solve(rhs)``
 takes any right-hand side of that system; ``solve_direct`` does both for the
-system's own rhs.  A system whose a and b stay within 1.5% of their means
-along y is solved by fast diagonalization, any other by sparse LU;
-``solver_name`` says which.
+system's own rhs.  A system with a ``separable`` part is solved by fast
+diagonalization, any other by sparse LU; ``solver_name`` says which.
 
 Fast diagonalization.  When a and b do not vary with y, the matrix on the
 interior unknowns of the tensor mesh is A = I (x) X + Y (x) D: X is the
@@ -28,12 +27,12 @@ X from row to row, and the fast solver of the mean X is the inner solve
 of the refinement loop below, which runs against A, so the answer is the
 LU's to rounding (P. Concus & G. H. Golub, SIAM J. Numer. Anal. 10(6),
 1973).  Each step cuts the error by a factor that grows with the
-y-variation, so the path is taken for ``y_spread`` <= 0.015: Example 2
-(0.011) fits inside the 10-step cap, the nearest measured systems past
-the bound (0.099, 0.12) do not (README "Solver" gives the counts).
-A breakdown (``LinAlgError``, a zero pivot in ``dgttrf``, or a zero or
-non-finite Sherman-Morrison denominator) is ``SingularMatrix``, and so is
-a system built by hand, which has no separable part.
+y-variation, so the part is given only for a y-spread |v - mean_y v| /
+|mean_y v| of at most 0.015 (``assembly._MAX_Y_SPREAD``): Example 2 (0.011)
+fits inside the 10-step cap, the nearest measured systems past the bound
+(0.099, 0.12) do not (README "Solver" gives the counts).  A breakdown
+(``LinAlgError``, a zero pivot in ``dgttrf``, or a zero or non-finite
+Sherman-Morrison denominator) is ``SingularMatrix``.
 
 Equilibration.  The transmission-row coefficients grow like 1/h1 and the fine
 width h1 shrinks like eps^2, so for the smallest eps the matrix entries span
@@ -85,15 +84,16 @@ larger pairs are unsafe: relax = panel_size = 40 crashes SciPy 1.17.1 at
 interpreter exit.
 
 Subnormal flush.  After equilibration the entries reach down to ~1e-23, and
-the factors can then hold subnormal numbers, on which x86 arithmetic is
-many times slower.  The LU's factorization and triangular solves therefore
-run with the FTZ and DAZ bits of the calling thread's MXCSR register set,
-so that subnormal results and inputs count as zero; they are tens of
-orders of magnitude below the rounding error of the entries they meet,
-and the LU's calls alone are flushed, not refinement's float64
-residuals.  The previous floating-point environment is restored on exit,
-also when SuperLU raises.  The flush applies on x86-64 Linux with glibc
-only; elsewhere it does nothing and results differ only by rounding.
+the factors can then hold subnormal numbers, on which x86 arithmetic is slow:
+unflushed, L + U held 16k-34k of them at 129^2 and took 1.1-2.6 times as long
+to factor, for bitwise equal solutions, and column equilibration does not
+remove them (README "Sparse LU").  So the LU's factorization and triangular
+solves run with the FTZ and DAZ bits of the calling thread's MXCSR set:
+subnormal results and inputs count as zero, tens of orders of magnitude below
+the rounding error of the entries they meet.  Refinement's float64 residuals
+are not flushed.  The previous floating-point environment is restored on exit,
+also when SuperLU raises.  The flush applies on x86-64 Linux with glibc only;
+elsewhere it does nothing and results differ only by rounding.
 """
 from __future__ import annotations
 
@@ -144,7 +144,6 @@ _STOP = 4 * np.finfo(np.float64).epsneg     # 4u, u = 2^-53
 _STALL_OK = 1e-12       # a stalled correction this small (times |x|) is kept
 _STALL_RESIDUAL = 64 * np.finfo(np.float64).epsneg  # see Mixed precision
 _MAX_STEPS = 10         # refinement steps after the first solve
-_MAX_Y_SPREAD = 0.015   # the largest y_spread the tensor path is given
 
 
 class _FenvT(ctypes.Structure):
@@ -205,9 +204,7 @@ class _TensorSolve:
     update: Optional[np.ndarray]
 
     @classmethod
-    def build(cls, part: Optional[tuple]) -> "_TensorSolve":
-        if part is None:    # a system built by hand
-            raise SingularMatrix("tensor solve: system has no separable part")
+    def build(cls, part: tuple) -> "_TensorSolve":
         x_bar, south, north, edges = part
         p = south.size
         # Y from column i = 1 (never x = d1), symmetrized by
@@ -367,9 +364,9 @@ class Factorization:
 
 
 def solver_name(system: LinearSystem) -> str:
-    """The path ``factorize`` takes for ``system``: ``"tensor"`` when its
-    ``y_spread`` is at most 0.015, else the LU's column ordering."""
-    return _TENSOR if system.y_spread <= _MAX_Y_SPREAD else _ORDERING
+    """The path ``factorize`` takes for ``system``: ``"tensor"`` when it
+    has a ``separable`` part, else the LU's column ordering."""
+    return _ORDERING if system.separable is None else _TENSOR
 
 
 def factorize(system: LinearSystem) -> Factorization:

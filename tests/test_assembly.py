@@ -601,8 +601,7 @@ def test_m_matrix_check_identity(ex1):
     tm = build_tensor_mesh(ex1, 8)
     dim = 81
     system = LinearSystem(
-        matrix=sp.identity(dim, format="csr"), rhs=np.zeros(dim), mesh=tm,
-        variant=Variant.TRANSFORMED)
+        matrix=sp.identity(dim, format="csr"), rhs=np.zeros(dim), mesh=tm)
     report = m_matrix_check(system)
     assert report.sign_ok
     assert report.n_sign_violations == 0
@@ -674,12 +673,11 @@ def test_m_matrix_check_singular_matrix(ex1):
 
 
 def test_variant_by_value_is_the_member(ex2):
-    # "raw" builds the raw rows, not the transformed ones labelled raw
+    # "raw" builds the raw rows: by value and by member give one system
     tm = build_tensor_mesh(ex2, 16)
     for variant in Variant:
         by_member = assemble_system(ex2, tm, variant)
         by_value = assemble_system(ex2, tm, variant.value)
-        assert by_value.variant is variant
         assert np.array_equal(by_value.rhs, by_member.rhs)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(by_value.matrix, attr),

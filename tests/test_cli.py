@@ -137,11 +137,10 @@ def test_removed_settings_are_rejected(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("text, message", [
     ("problem = Example2\n", "File contains no section headers."),
     ("[run]\nns = 16\nns = 32\n",
-     "option 'ns' in section 'run' already exists"),
-    ("[run]\nout_dir = runs%1\n", "'%' must be followed by '%' or '('")])
+     "option 'ns' in section 'run' already exists")])
 def test_malformed_ini_is_config_error(tmp_path, capsys, monkeypatch, text,
                                        message):
-    # no section header, a duplicated key, a bare %
+    # no section header, a duplicated key
     ini = tmp_path / "run.ini"
     ini.write_text(text)
     monkeypatch.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
@@ -675,6 +674,35 @@ def test_verify_names_ignored_settings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def assert_same_outputs(one: Path, other: Path):
+    """The two directories hold the same files; their JSON is equal apart
+    from the run's timings, every other file byte for byte."""
+    names = sorted(p.name for p in one.iterdir())
+    assert names and names == sorted(p.name for p in other.iterdir())
+    for name in names:
+        if name.endswith(".json"):
+            a, b = (json.loads((d / name).read_text()) for d in (one, other))
+            for meta in (a, b):
+                del meta["timings"], meta["wall_time"]
+            assert a == b
+        else:
+            assert (one / name).read_bytes() == (other / name).read_bytes()
+
+
+def test_config_values_are_taken_literally(tmp_path, capsys):
+    # no '%' interpolation in the file: a path holding a bare '%' or a
+    # '%(problem)s' names the directory the flag names
+    args = ["solve", "--epsilon", "1e-3", "--N", "16"]
+    ini = tmp_path / "run.ini"
+    for name in ("out50%", "%(problem)s"):
+        by_flag, by_file = tmp_path / "flag" / name, tmp_path / "file" / name
+        assert main(args + ["--out-dir", str(by_flag)]) == EXIT_OK
+        ini.write_text(f"[run]\nout_dir = {by_file}\n")
+        assert main(args + ["--config", str(ini)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert_same_outputs(by_flag, by_file)
+
+
 def test_solve_names_ignored_settings(tmp_path, capsys):
     args = ["solve", "--epsilon", "1e-3", "--N", "16"]
     plain, flagged = tmp_path / "plain", tmp_path / "flagged"
@@ -684,17 +712,7 @@ def test_solve_names_ignored_settings(tmp_path, capsys):
                         "--double-mesh", "regenerate"]) == EXIT_OK
     assert capsys.readouterr().err == (
         "warning: solve ignores double_mesh, workers\n")
-    names = sorted(p.name for p in plain.iterdir())
-    assert names == sorted(p.name for p in flagged.iterdir())
-    for name in names:
-        if name.endswith(".json"):
-            a, b = (json.loads((d / name).read_text())
-                    for d in (plain, flagged))
-            for meta in (a, b):
-                del meta["timings"], meta["wall_time"]
-            assert a == b
-        else:
-            assert (plain / name).read_bytes() == (flagged / name).read_bytes()
+    assert_same_outputs(plain, flagged)
     # sweep uses both settings
     assert main(["sweep", "--epsilon", "1e-2", "--N", "8", "--workers", "2",
                  "--double-mesh", "regenerate",

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -35,6 +36,13 @@ def test_exports():
               and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
     assert len(EXPORTS) == 30
+
+
+def test_linear_system_fields():
+    # the system is its matrix, rhs, mesh, stability bound and, on the
+    # fast-diagonalization path only, its separable part
+    assert [f.name for f in dataclasses.fields(cd2d.LinearSystem)] == [
+        "matrix", "rhs", "mesh", "bound", "separable"]
 
 
 def _raised_names() -> set[str]:

@@ -34,9 +34,8 @@ from cd2d.solve import (_LUSolve, _TensorSolve, _flush_subnormals, _libm,
 
 def identity_system(tm):
     dim = (tm.n + 1) ** 2
-    return LinearSystem(
-        matrix=sp.identity(dim, format="csr"), rhs=np.arange(dim, dtype=float),
-        mesh=tm, variant=Variant.TRANSFORMED)
+    return LinearSystem(matrix=sp.identity(dim, format="csr"),
+                        rhs=np.arange(dim, dtype=float), mesh=tm)
 
 
 def b_varying_in_y(x, y):
@@ -48,7 +47,7 @@ PATH_TYPES = {"tensor": _TensorSolve, "MMD_AT_PLUS_A": _LUSolve}
 
 
 def lu_problem(name):
-    """The builtin problem with b = 25 + 25y (y_spread 1/3): a system whose
+    """The builtin problem with b = 25 + 25y (y-spread 1/3): a system whose
     coefficients vary this much with y takes the sparse LU."""
     return dataclasses.replace(builtin_problem(name), b_field=b_varying_in_y)
 
@@ -197,8 +196,7 @@ def test_underflowing_row_scale_gives_zero(ex1):
     # ends with U = 0 (a RuntimeWarning is an error here)
     tm = build_tensor_mesh(ex1, 8)
     system = LinearSystem(matrix=1e300 * sp.identity(81, format="csr"),
-                          rhs=np.full(81, 1e-100), mesh=tm,
-                          variant=Variant.TRANSFORMED)
+                          rhs=np.full(81, 1e-100), mesh=tm)
     factors = factorize(system)
     assert solver_name(system) == "MMD_AT_PLUS_A"
     assert isinstance(factors.lu, _LUSolve)
@@ -230,8 +228,7 @@ def test_system_must_fit_its_mesh(ex1):
                         (sp.identity(80, format="csr"), np.zeros(81)),
                         (sp.identity(81, format="csr"), np.zeros((81, 1)))):
         with pytest.raises(MeshMismatch, match="do not fit the 81 unknowns"):
-            LinearSystem(matrix=matrix, rhs=rhs, mesh=tm,
-                         variant=Variant.TRANSFORMED)
+            LinearSystem(matrix=matrix, rhs=rhs, mesh=tm)
 
 
 def test_float_environment_restored(ex1):
@@ -244,8 +241,7 @@ def test_float_environment_restored(ex1):
     mat = sp.identity(dim, format="lil")
     mat[1, 1] = 0.0
     mat[1, 0] = 1.0
-    system = LinearSystem(matrix=mat.tocsr(), rhs=np.ones(dim), mesh=tm,
-                          variant=Variant.TRANSFORMED)
+    system = LinearSystem(matrix=mat.tocsr(), rhs=np.ones(dim), mesh=tm)
     with pytest.raises(SingularMatrix, match="singular"):
         solve_direct(system)
     assert subnormals_survive()
@@ -333,7 +329,7 @@ def test_solver_path_follows_the_coefficients(ex1, ex2):
         for spec, variant in specs:
             system = assemble_system(spec, build_tensor_mesh(spec, 16),
                                      variant)
-            assert (system.y_spread <= 0.015) is (path == "tensor")
+            assert (system.separable is None) is (path != "tensor")
             assert solver_name(system) == path, (spec.name, variant)
             assert isinstance(factorize(system).lu, PATH_TYPES[path])
     system = identity_system(build_tensor_mesh(ex1, 8))
@@ -341,42 +337,49 @@ def test_solver_path_follows_the_coefficients(ex1, ex2):
     assert isinstance(factorize(system).lu, _LUSolve)
 
 
-def test_y_spread_pins_the_path_and_its_headroom(ex1, ex2):
-    # Example2's b = 25 + xy/2 is within about 1.1% of its y-mean; the two
-    # nearest cases past the 0.015 bound take the LU, and forced onto the
-    # tensor path they run past the refinement step cap
-    cases = [(ex1, 0.0, 0.0, "tensor"),
+def test_y_spread_pins_the_path_and_its_headroom(ex1, ex2, monkeypatch):
+    # each case's y-spread lies in (lo, hi]: assembled under a bound of lo
+    # it takes the LU, under hi the tensor path.  Example2's b = 25 + xy/2
+    # is within about 1.1% of its y-mean; the two nearest cases past the
+    # 0.015 bound take the LU, and on the tensor path they run past the
+    # refinement step cap
+    cases = [(ex1, None, 0.0, "tensor"),
              (ex2, 0.0105, 0.0115, "tensor"),
              (dataclasses.replace(ex1, b_field=lambda x, y: 25.0 + 5.0 * x * y),
               0.09, 0.11, "MMD_AT_PLUS_A"),
              (dataclasses.replace(ex2, a_field=lambda x, y: 4.0 + x + y),
               0.11, 0.13, "MMD_AT_PLUS_A")]
     for spec, lo, hi, path in cases:
-        system = assemble_system(spec, build_tensor_mesh(spec, 16))
-        assert lo <= system.y_spread <= hi, (spec.name, system.y_spread)
-        assert solver_name(system) == path
-        if path != "tensor":
-            forced = dataclasses.replace(system, y_spread=0.0)
-            with pytest.raises(SingularMatrix, match=(
-                    r"^iterative refinement did not converge in 10 steps")):
-                solve_direct(forced)
-    system = identity_system(build_tensor_mesh(ex1, 8))
-    assert system.y_spread == math.inf
-    assert solver_name(system) == "MMD_AT_PLUS_A"
+        mesh = build_tensor_mesh(spec, 16)
+        assert solver_name(assemble_system(spec, mesh)) == path
+        with monkeypatch.context() as patch:
+            for bound, bound_path in ((lo, "MMD_AT_PLUS_A"), (hi, "tensor")):
+                if bound is not None:
+                    patch.setattr(cd2d.assembly, "_MAX_Y_SPREAD", bound)
+                    system = assemble_system(spec, mesh)
+                    assert solver_name(system) == bound_path, bound
+            if path != "tensor":    # system: assembled under hi
+                with pytest.raises(SingularMatrix, match=(
+                        r"^iterative refinement did not converge in 10 "
+                        r"steps")):
+                    solve_direct(system)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_tensor_path_converges_at_the_nearest_spread(ex2, variant):
-    # a = 4 + x + 0.1y has y_spread 0.0136, the nearest measured case inside
+    # a = 4 + x + 0.1y has y-spread 0.0136, the nearest measured case inside
     # the bound: the refined tensor solve still meets the residual contract
-    # within the step cap (at most 9 inner solves when measured)
+    # within the step cap (at most 9 inner solves when measured); with
+    # a = 4 + x + 0.115y (y-spread 0.0155) the system takes the LU
     spec = dataclasses.replace(ex2, a_field=lambda x, y: 4.0 + x + 0.1 * y)
+    past = dataclasses.replace(ex2, a_field=lambda x, y: 4.0 + x + 0.115 * y)
     for eps in (1e-1, 1e-3, 1e-6):
         for N in (16, 64, 256):
             s = spec.with_epsilon(eps)
-            system = assemble_system(s, bisect(build_tensor_mesh(s, N)),
-                                     variant)
-            assert 0.0135 <= system.y_spread <= 0.015
+            mesh = bisect(build_tensor_mesh(s, N))
+            assert solver_name(assemble_system(past.with_epsilon(eps), mesh,
+                                               variant)) == "MMD_AT_PLUS_A"
+            system = assemble_system(s, mesh, variant)
             factors = factorize(system)
             assert solver_name(system) == "tensor"
             assert isinstance(factors.lu, _TensorSolve)
@@ -436,15 +439,21 @@ def test_tensor_rank_one_breakdown_is_singular_matrix(ex1, monkeypatch):
         factorize(system)
 
 
-def test_tensor_path_without_separable_part_is_singular_matrix(ex1):
-    # a system built by hand carries no separable part; forced onto the
-    # tensor path it fails with a message, not a TypeError
-    system = dataclasses.replace(identity_system(build_tensor_mesh(ex1, 8)),
-                                 y_spread=0.0)
-    assert system.separable is None and solver_name(system) == "tensor"
-    with pytest.raises(SingularMatrix, match=(
-            r"^tensor solve: system has no separable part$")):
-        factorize(system)
+def test_hand_built_system_takes_the_lu(ex1):
+    # only assembly gives a system its separable part: Example 1's matrix
+    # built by hand, or its system with the part dropped, takes the LU and
+    # solves to the tensor path's answer
+    system = assemble_system(ex1, build_tensor_mesh(ex1, 16))
+    by_hand = LinearSystem(matrix=system.matrix, rhs=system.rhs,
+                           mesh=system.mesh)
+    u_ref = solve_direct(system).values
+    for lu_system in (by_hand, dataclasses.replace(system, separable=None)):
+        assert lu_system.separable is None
+        assert solver_name(lu_system) == "MMD_AT_PLUS_A"
+        factors = factorize(lu_system)
+        assert isinstance(factors.lu, _LUSolve)
+        u = factors.solve(lu_system.rhs).values
+        assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -486,8 +495,7 @@ def test_zero_row_rejected(ex1):
         vals = np.r_[np.ones(80), stored]
         mat = sp.csr_matrix((vals, (rows, cols)), shape=(81, 81))
         assert mat.nnz == 80 + len(stored)
-        system = LinearSystem(matrix=mat, rhs=np.zeros(81), mesh=tm,
-                              variant=Variant.TRANSFORMED)
+        system = LinearSystem(matrix=mat, rhs=np.zeros(81), mesh=tm)
         with pytest.raises(SingularMatrix, match="zero row"):
             solve_direct(system)
 
@@ -543,8 +551,7 @@ def test_stored_zero_left_out_of_splu_input(ex1, splu_inputs):
     mat = sp.csr_matrix((np.r_[np.ones(81), 0.0],
                          (np.r_[np.arange(81), 40], np.r_[np.arange(81), 41])),
                         shape=(81, 81))
-    system = LinearSystem(matrix=mat, rhs=np.ones(81), mesh=tm,
-                          variant=Variant.TRANSFORMED)
+    system = LinearSystem(matrix=mat, rhs=np.ones(81), mesh=tm)
     assert np.array_equal(factorize(system).solve(system.rhs).values,
                           np.ones(81))
     (given_csc,) = splu_inputs
@@ -559,8 +566,7 @@ def test_residual_norm_skips_empty_rows(ex1):
     diag = np.r_[0.0, np.full(79, 2.0), 0.0]
     mat = sp.diags(diag, format="csr")
     mat.eliminate_zeros()
-    system = LinearSystem(matrix=mat, rhs=np.ones(81), mesh=tm,
-                          variant=Variant.TRANSFORMED)
+    system = LinearSystem(matrix=mat, rhs=np.ones(81), mesh=tm)
     u = GridFunction(mesh=tm, values=np.full(81, 0.25))
     # ||A U - rhs|| = 1 (the empty rows), ||A|| = 2, ||U|| = 0.25, ||rhs|| = 1
     assert residual_norm(system, u) == 1.0 / (2.0 * 0.25 + 1.0)
