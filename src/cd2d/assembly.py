@@ -62,15 +62,16 @@ class LinearSystem:
     """The scheme on one mesh.  ``bound`` is the stability bound
     (1/alpha) max|f| + max|q| of the problem data ``assemble_system``
     sampled on the mesh (NaN for a system built without problem data).
-    ``separable`` is the tensor form the solver diagonalizes, read off the
-    coefficients of the interior rows and columns: (X, y_south, y_north,
-    edges), X's diagonals at offsets -2 to 2 (the rows' mean x-stencil,
-    centre less the y-part), Y's entries down column i = 1, and the south,
-    north, west and east strips of the outer interior lines.  It is None,
-    and the solver takes the sparse LU, unless ``assemble_system`` found a
-    and b within ``_MAX_Y_SPREAD`` of their means along y; a system built
-    by hand has none.  A matrix or rhs that does not fit the mesh's
-    (n+1)^2 unknowns raises ``MeshMismatch``."""
+    ``separable`` is the operator I (x) X + Y (x) D on the interior
+    unknowns that the solver diagonalizes, read off the interior rows'
+    coefficients as the flat (X, y_south, y_north, coupled): X's diagonals
+    at offsets -2 to 2 (the rows' mean x-stencil, centre less the y-part),
+    Y's entries down column i = 1 and D's diagonal, False only on x = d1
+    (no y-coupling).  X[1, 0], X[3, -1], y_south[0] and y_north[-1] couple
+    to the boundary.  It is None, and the solver takes the sparse LU,
+    unless ``assemble_system`` found a and b within ``_MAX_Y_SPREAD`` of
+    their means along y; a system built by hand has none.  A matrix or rhs
+    that does not fit the mesh's (n+1)^2 unknowns raises ``MeshMismatch``."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: TensorMesh
@@ -209,7 +210,7 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     # The separable part, if |v - mean_y v| / |mean_y v| (largest at v's
     # extremes along y) is within _MAX_Y_SPREAD for v = a and v = b, read
     # before eliminate_zeros compacts the table: all column means in one
-    # pass (x = d1's -+2 entries summed pairwise, as a 1-D mean is), strips.
+    # pass (x = d1's -+2 entries summed pairwise, as a 1-D mean is).
     spread = max(float(np.max(np.maximum(v.max(0) - mu, mu - v.min(0))
                               / np.abs(mu)))
                  for v, mu in ((a, a.mean(0)), (b, b.mean(0))))
@@ -221,11 +222,8 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
         x_bar[2] += means[slot[-m]] + means[slot[m]]
         x_bar[[0, -1], half - 1] = [inner[:, half - 1, slot[d]].mean()
                                     for d in (-2, 2)]
-        y_south, y_north = inner[..., slot[-m]], inner[..., slot[m]]
-        separable = (x_bar, y_south[:, 0].copy(), y_north[:, 0].copy(),
-                     (y_south[0].copy(), y_north[-1].copy(),
-                      inner[:, 0, slot[-1]].copy(),
-                      inner[:, -1, slot[1]].copy()))
+        separable = (x_bar, inner[:, 0, slot[-m]].copy(),
+                     inner[:, 0, slot[m]].copy(), means[slot[-m]] != 0.0)
 
     cols = (np.arange(m * m, dtype=np.int32)[:, None] + offsets).ravel()
     indptr = np.arange(0, cols.size + 1, offsets.size, dtype=np.int32)

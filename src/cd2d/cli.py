@@ -118,15 +118,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _eps_tag(eps: float) -> str:
-    return f"{eps:g}".replace("-", "m")
-
-
-def _print_warnings(spec: ProblemSpec, N: int) -> list[str]:
-    """Print the problem's warnings on the N-mesh on stderr; returns them."""
+def _print_warnings(spec: ProblemSpec, N: int, printed: set) -> list[str]:
+    """Print on stderr the problem's warnings on the N-mesh that ``printed``
+    does not hold yet, and add them to it; returns all of them."""
     warnings = validate(spec, N)
     for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        if warning not in printed:
+            print(f"warning: {warning}", file=sys.stderr)
+    printed.update(warnings)
     return warnings
 
 
@@ -139,7 +138,7 @@ def cmd_solve(config: RunConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tm = mesh_mod.build_tensor_mesh(spec, N)
-    warnings = _print_warnings(spec, N)
+    warnings = _print_warnings(spec, N, set())
     timings = dict.fromkeys(("assemble_s", "solve_s", "residual_s", "dump_s"),
                             0.0)
     system = analysis.timed(timings, "assemble_s", assemble_system, spec, tm,
@@ -147,7 +146,9 @@ def cmd_solve(config: RunConfig) -> int:
     solved = analysis.solve_on(system, timings)
     solution = solved.solution
 
-    stem = f"u_{spec.name.lower()}_{config.variant.value}_eps{_eps_tag(eps)}_N{N}"
+    # the shortest text that reads back as eps: distinct eps, distinct files
+    tag = repr(float(eps)).replace("-", "m")
+    stem = f"u_{spec.name.lower()}_{config.variant.value}_eps{tag}_N{N}"
     grid_path = out / f"{stem}.dat"
     meta_path = out / f"{stem}.json"
     with open(grid_path, "w") as fh:
@@ -242,11 +243,11 @@ def cmd_verify(config: RunConfig) -> int:
              for eps in config.epsilons for N in (16, 32)]
     meshes = [mesh_mod.build_tensor_mesh(spec, N) for spec, N in cases]
     # Assembly checks the problem data; the findings on every mesh are
-    # reported before any solve.
-    systems = []
+    # reported before any solve, each distinct warning once.
+    systems, printed = [], set()
     for (spec, N), tm in zip(cases, meshes):
         try:
-            _print_warnings(spec, N)
+            _print_warnings(spec, N, printed)
             systems.append(assemble_system(spec, tm, config.variant))
         except MalformedSpec as exc:
             print(f"error: {exc}", file=sys.stderr)

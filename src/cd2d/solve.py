@@ -10,9 +10,9 @@ interior unknowns of the tensor mesh is A = I (x) X + Y (x) D: X is the
 x-stencil of any grid row (its centre less the row's y-part), Y = -eps^2
 D_yy the y-stencil of one column, and D is the identity except on x = d1,
 whose transmission rows have no y-coupling.  ``assemble_system`` reads
-them off its coefficient table as the system's ``separable`` part: X as
-the interior rows' mean stencil, Y from column i = 1, and the four edge
-strips that move the Dirichlet values to the right-hand side F.  Y, made
+them off its coefficient table as the system's ``separable`` part (laid
+out in ``LinearSystem``), whose own boundary entries move the Dirichlet
+values to the right-hand side F.  Y, made
 symmetric by a diagonal similarity S (s_{j+1} / s_j = sqrt(north_j /
 south_{j+1})), is W diag(lam) W^-1 with W = S^-1 Q for the eigenvectors Q
 of ``scipy.linalg.eigh_tridiagonal``; in that basis the system splits into
@@ -186,26 +186,26 @@ def _flush_subnormals() -> Iterator[None]:
 
 @dataclass(frozen=True, eq=False)
 class _TensorSolve:
-    """Fast diagonalization of the separable operator nearest a system,
-    built from its ``separable`` part: on the interior unknowns
-    I (x) X + Y (x) D, with W^-1 Y W = diag(lam), and the LU (LAPACK
-    ``dgttrf``) of the tridiagonal parts T_k of the n-1 systems
-    X + lam_k D, stacked with zero coupling between them.  The raw
-    variant's x = d1 row r also has X[r, r -+ 2], the entries of
-    ``raw_row`` (w), so there X + lam_k D = T_k + e_r w^T, and ``update``
-    holds the rows z_k / s_k of the Sherman-Morrison correction, z_k =
-    T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0); ``edges`` are the
-    part's edge strips."""
+    """Fast diagonalization of a system's ``separable`` operator
+    I (x) X + Y (x) D (laid out in ``LinearSystem``): W^-1 Y W = diag(lam)
+    and the LU (LAPACK ``dgttrf``) of the tridiagonal parts T_k of the n-1
+    systems X + lam_k D, stacked with zero coupling between them.  The raw
+    variant's x = d1 row r, the one where D is 0, also has X[r, r -+ 2],
+    the entries of ``raw_row`` (w), so there X + lam_k D = T_k + e_r w^T,
+    and ``update`` holds the rows z_k / s_k of the Sherman-Morrison
+    correction, z_k = T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0).
+    ``lift`` couples the operator to the south, north, west and east
+    Dirichlet values: Y's end entries times D, then X's."""
     w: np.ndarray
     w_inv: np.ndarray
     factors: tuple
-    edges: tuple
+    lift: tuple
     raw_row: np.ndarray
     update: Optional[np.ndarray]
 
     @classmethod
     def build(cls, part: tuple) -> "_TensorSolve":
-        x_bar, south, north, edges = part
+        x_bar, south, north, coupled = part
         p = south.size
         # Y from column i = 1 (never x = d1), symmetrized by
         # sigma_{j+1} / sigma_j = sqrt(north_j / south_{j+1})
@@ -215,19 +215,18 @@ class _TensorSolve:
                                       -np.sqrt(north[:-1] * south[1:]))
         except LinAlgError as exc:
             raise SingularMatrix(f"tensor solve: {exc}") from exc
-        # D = 0 where the south strip is, on x = d1 (no y-coupling).  System
-        # k is rows k p ... k p + p - 1 of the stacked tridiagonal, whose
-        # coupling to its neighbours, the last entry of each block, is 0
+        # System k is rows k p ... k p + p - 1 of the stacked tridiagonal,
+        # whose coupling to its neighbours, the last entry of each block, is 0
         dl = np.tile(np.r_[x_bar[1, 1:], 0.0], p)[:-1]
         du = np.tile(np.r_[x_bar[3, :-1], 0.0], p)[:-1]
-        d = (x_bar[2] + lam[:, None] * (edges[0] != 0.0)).ravel()
+        d = (x_bar[2] + lam[:, None] * coupled).ravel()
         *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=1,
                                        overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise SingularMatrix("tensor solve: tridiagonal factor failed "
                                  f"(dgttrf info {info})")
         # w, X's x = d1 row at offsets -+2 (N >= 8 keeps them off the edge)
-        r, raw_row = p // 2, np.zeros(p)
+        r, raw_row = int(np.argmin(coupled)), np.zeros(p)
         raw_row[[r - 2, r + 2]] = x_bar[[0, 4], r]
         update = None
         if raw_row.any():
@@ -245,7 +244,8 @@ class _TensorSolve:
             update = np.divide(z, s[:, None], out=z)
         return cls(w=q / sigma[:, None], w_inv=q.T * sigma,
                    factors=tuple(factors), raw_row=raw_row, update=update,
-                   edges=edges)
+                   lift=(south[0] * coupled, north[-1] * coupled,
+                         x_bar[1, 0], x_bar[3, -1]))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solution c of the separable system for the right-hand side r."""
@@ -254,7 +254,7 @@ class _TensorSolve:
         # c holds the Dirichlet values, the boundary's solution; the
         # interior rows next to the boundary take them to the right-hand side
         f = c[1:-1, 1:-1].copy()
-        south, north, west, east = self.edges
+        south, north, west, east = self.lift
         f[0] -= south * c[0, 1:-1]
         f[-1] -= north * c[-1, 1:-1]
         f[:, 0] -= west * c[1:-1, 0]

@@ -476,16 +476,16 @@ def csr_interior(a, offset, m):
 
 def separable_from_csr(a, n):
     """The separable part read back from the CSR a, independently of the
-    coefficient table: Y's column i = 1, the edge strips, the x = d1 rows'
-    mean entries at offsets -+2, D's diagonal and X's (west, centre, east)
-    diagonals, the centre less the y-part."""
+    coefficient table: Y's column i = 1, the south and north edge strips,
+    the x = d1 rows' mean entries at offsets -+2, D's diagonal and X's
+    (west, centre, east) diagonals, the centre less the y-part."""
     m = n + 1
     y_south, y_north = csr_interior(a, -m, m), csr_interior(a, m, m)
     west, east = csr_interior(a, -1, m), csr_interior(a, 1, m)
     rows = np.arange(1, n) * m + n // 2
     return dict(
         y_south=y_south[:, 0], y_north=y_north[:, 0],
-        edges=(y_south[0], y_north[-1], west[:, 0], east[:, -1]),
+        strips=(y_south[0], y_north[-1]),
         raw=[a[rows, rows + o].mean() for o in (-2, 2)],
         coupled=y_north[0] != 0.0,
         x_bar=(west.mean(axis=0), (csr_interior(a, 0, m)
@@ -498,21 +498,24 @@ def separable_from_csr(a, n):
 @pytest.mark.parametrize("eps", [1e-1, 1e-4, 1e-6])
 def test_separable_part_matches_csr_read_back(problem, variant, eps):
     # on the N-mesh, its bisection and the regenerated 2N mesh; all but X's
-    # means are bitwise the CSR's, and X's centre sums its three slot means
+    # means are bitwise the CSR's, and X's centre sums its three slot means.
+    # X's diagonals include its west and east couplings to the boundary, and
+    # Y's end entries times D are the south and north edge strips
     spec = builtin_problem(problem).with_epsilon(eps)
     for N in (8, 16, 64):
         tm = build_tensor_mesh(spec, N)
         for mesh in (tm, bisect(tm), build_tensor_mesh(spec, 2 * N)):
             system = assemble_system(spec, mesh, variant)
-            x_bar, y_south, y_north, edges = system.separable
+            x_bar, y_south, y_north, coupled = system.separable
             ref = separable_from_csr(system.matrix, mesh.n)
             r = mesh.n // 2 - 1
-            assert x_bar.shape == (5, mesh.n - 1) and len(edges) == 4
+            assert x_bar.shape == (5, mesh.n - 1)
             for got, want in ((y_south, ref["y_south"]),
                               (y_north, ref["y_north"]),
-                              (edges[0] != 0.0, ref["coupled"]),
+                              (coupled, ref["coupled"]),
                               (x_bar[[0, 4], r], ref["raw"]),
-                              *zip(edges, ref["edges"])):
+                              (y_south[0] * coupled, ref["strips"][0]),
+                              (y_north[-1] * coupled, ref["strips"][1])):
                 assert np.array_equal(got, want)
             for got, want in zip(x_bar[1:4], ref["x_bar"]):
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

@@ -244,6 +244,21 @@ def test_solve_writes_grid_and_metadata(tmp_path, capsys):
     assert meta["solver"] == "tensor"
 
 
+def test_solve_names_keep_every_digit_of_eps(tmp_path, capsys):
+    # eps that agree in 6 significant digits write distinct files; an eps
+    # of at most 6 significant digits keeps its short name
+    tags = {"1e-3": "0.001", "1.0000001e-3": "0.0010000001",
+            "0.3333333": "0.3333333", "0.33333333": "0.33333333",
+            "1e-1": "0.1", "1e-4": "0.0001", "1e-5": "1em05",
+            "2.5e-3": "0.0025"}
+    for eps in tags:
+        assert main(["solve", "--epsilon", eps, "--N", "16",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"u_example1_transformed_eps{tag}_N16.{ext}"
+        for tag in tags.values() for ext in ("dat", "json"))
+
+
 def test_solve_metadata_names_the_lu_path(tmp_path):
     # b = 25 + 25y varies too much with y for the tensor path
     name = "cli_lu_path_probe"
@@ -624,6 +639,30 @@ def test_verify_checks_every_epsilon(capsys):
         assert f"PASS  stability bound at eps={eps}:" in out
         assert f"FAIL  raw/transformed agreement (N=16) at eps={eps}:" in out
     assert out.count("smooth-oracle order") == 1
+
+
+def test_verify_prints_each_warning_once(capsys):
+    # the corner warnings hold on all four meshes, the small-layer warnings
+    # differ with (eps, N): each distinct line is printed once, in the order
+    # first seen
+    name = "cli_west_trace_probe"
+    spec = dataclasses.replace(
+        builtin_problem("example1"), name=name,
+        q_edges=(lambda y: 1.0, lambda x: 0.0, lambda y: 0.0, lambda x: 0.0))
+    every = [w for eps in (0.2, 1e-3) for N in (16, 32)
+             for w in cli.validate(spec.with_epsilon(eps), N)]
+    try:
+        register_problem(name, lambda: spec)
+        rc = main(["verify", "--problem", name,
+                   "--epsilon", "0.2", "--epsilon", "1e-3"])
+    finally:
+        _REGISTRY.pop(name, None)
+    assert rc == EXIT_INCOMPLETE
+    distinct = list(dict.fromkeys(every))
+    assert len(every) == 12 and len(distinct) == 6
+    assert sum("classical regime" in w for w in distinct) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {w}" for w in distinct]
 
 
 def test_verify_rejects_n(capsys, monkeypatch):

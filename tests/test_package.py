@@ -2,12 +2,15 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import re
 import sys
 import types
 from pathlib import Path
 
 import cd2d
-from cd2d import errors
+from cd2d import errors, problems
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EXPORTS = {
     # analysis
@@ -84,3 +87,18 @@ def test_benchmark_trace_layers_resolve(monkeypatch):
     for name, layer, targets, _ in spans.TARGETS:
         assert any(map(_resolves, targets)), (
             f"layer {layer!r} ({name}) has no callable target")
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch):
+    # each python block of the README runs as written; the second registers
+    # a problem and writes its solve output to the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(problems, "_REGISTRY", dict(problems._REGISTRY))
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k + 1}", "exec"), {})
+    assert "example2_alpha4" in cd2d.problem_names()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"u_example2_transformed_eps0.01_N16.{ext}" for ext in ("dat", "json")]

@@ -407,9 +407,9 @@ def test_tensor_factor_failure_is_confined_to_its_cell(ex1, monkeypatch):
 @pytest.mark.parametrize("N", [8, 16])
 def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
     # Example 1 is exactly separable, so one inner solve, without
-    # refinement, is the system's solution: the tridiagonal
-    # stack, the raw row's rank-one update (its -2 neighbour at grid
-    # column 2 for N = 8) and the Dirichlet lift from the edge strips
+    # refinement, is the system's solution: the tridiagonal stack, the raw
+    # row's rank-one update (its -2 neighbour at grid column 2 for N = 8)
+    # and the Dirichlet lift through X's and Y's boundary entries
     system = assemble_system(ex1, build_tensor_mesh(ex1, N), variant)
     factors = factorize(system)
     assert solver_name(system) == "tensor"
@@ -741,6 +741,36 @@ def test_tensor_inner_solve_counts(problem, fewest, most, variant):
             u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
             assert residual_norm(system, u) <= 1e-12, (eps, N)
             assert fewest <= stub.calls <= most, (eps, N)
+
+
+@pytest.mark.parametrize("a_field", [None, lambda x, y: 4.0 + x + 0.1 * y],
+                         ids=["example2", "a=4+x+0.1y"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_tensor_lift_of_nearly_separable_systems(ex2, a_field, variant):
+    # nonzero Dirichlet data 0.3 + 0.2t on every edge of a system whose
+    # coefficients vary with y (Example 2's y-spread is 0.011, the other
+    # 0.0136): the tensor path lifts them through the separable operator's
+    # boundary entries and refinement against the CSR gives the answer of
+    # spsolve on the row-equilibrated system (unscaled, its own error at
+    # eps = 1e-4 is about 1e-8)
+    spec = dataclasses.replace(ex2, q_edges=(lambda t: 0.3 + 0.2 * t,) * 4)
+    if a_field is not None:
+        spec = dataclasses.replace(spec, a_field=a_field)
+    for eps in (1e-1, 1e-4, 1e-6):
+        for N in (16, 64):
+            s = spec.with_epsilon(eps)
+            system = assemble_system(s, bisect(build_tensor_mesh(s, N)),
+                                     variant)
+            factors = factorize(system)
+            assert solver_name(system) == "tensor"
+            stub = GainLU(factors.lu, itertools.repeat(1.0))
+            u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+            assert residual_norm(system, u) <= 1e-12, (eps, N)
+            scaled, d = row_scaled(system)
+            u_ref = spla.spsolve(scaled, d * system.rhs)
+            assert np.max(np.abs(u.values - u_ref)) <= 1e-10 * np.max(
+                np.abs(u_ref)), (eps, N)
+            assert stub.calls <= 10, (eps, N)
 
 
 # each record built from a fresh N = 8 system of Example1
