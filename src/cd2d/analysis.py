@@ -384,8 +384,11 @@ def _table_rows(table: ConvergenceTable, missing: str) -> Iterator[list[str]]:
                 for v in values]
 
     yield ["eps"] + [str(n) for n in table.Ns]
-    for eps, row in zip(table.epsilons, table.D_eps):
-        yield [f"{eps:.1e}"] + fmt(".3e", row)
+    # eps as .1e, or as its shortest round-trip text where .1e collides
+    labels = [f"{eps:.1e}" for eps in table.epsilons]
+    for eps, label, row in zip(table.epsilons, labels, table.D_eps):
+        yield ([label if labels.count(label) == 1 else repr(float(eps))]
+               + fmt(".3e", row))
     yield ["D"] + fmt(".3e", table.D_uniform)
     yield ["E"] + fmt(".3f", table.E_uniform)
 

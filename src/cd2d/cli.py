@@ -201,8 +201,8 @@ def cmd_sweep(config: RunConfig) -> int:
     print(f"wrote {csv_path} and {json_path}")
     failed = [c for c in result.cells if not c.ok]
     for cell in failed:
-        print(f"missing cell eps={cell.epsilon:g} N={cell.N}: {cell.error}",
-              file=sys.stderr)
+        print(f"missing cell eps={float(cell.epsilon)!r} N={cell.N}: "
+              f"{cell.error}", file=sys.stderr)
     return EXIT_OK if not failed else EXIT_INCOMPLETE
 
 
@@ -210,7 +210,7 @@ def _verify_checks(spec: ProblemSpec, systems: list, variant: Variant
                    ) -> list[tuple[str, bool, str]]:
     """(name, passed, detail) of each check at ``spec.epsilon`` on the
     systems of ``variant`` for N = 16 and N = 32."""
-    at = f" at eps={spec.epsilon:g}"
+    at = f" at eps={float(spec.epsilon)!r}"
     system = systems[0]
     other = assemble_system(spec, system.mesh, Variant.RAW
                             if variant is Variant.TRANSFORMED
@@ -243,14 +243,16 @@ def cmd_verify(config: RunConfig) -> int:
              for eps in config.epsilons for N in (16, 32)]
     meshes = [mesh_mod.build_tensor_mesh(spec, N) for spec, N in cases]
     # Assembly checks the problem data; the findings on every mesh are
-    # reported before any solve, each distinct warning once.
-    systems, printed = [], set()
+    # reported before any solve, each distinct warning and error once.
+    systems, printed, reported = [], set(), set()
     for (spec, N), tm in zip(cases, meshes):
         try:
             _print_warnings(spec, N, printed)
             systems.append(assemble_system(spec, tm, config.variant))
         except MalformedSpec as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            if str(exc) not in reported:
+                print(f"error: {exc}", file=sys.stderr)
+            reported.add(str(exc))
     if len(systems) < len(cases):
         return EXIT_CONFIG
     checks = [check for k in range(0, len(cases), 2) for check in

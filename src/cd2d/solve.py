@@ -400,17 +400,129 @@ def residual_norm(system: LinearSystem, solution: GridFunction) -> float:
                   + float(np.max(np.abs(system.rhs))))
 
 
+_SPLIT = 134217729.0    # 2^27 + 1, Dekker's splitting constant
+_E16_MIN, _E16_MAX = 1e-280, 1e280  # |v| the exact products cover
+_E16_TIE = 1e-6         # a product this close to a rounding tie falls back
+_DUMP_BLOCK = 1 << 12   # values of U formatted at once by write_grid_dump
+
+
+@functools.cache
+def _pow10(k: int) -> tuple[float, float]:
+    """10^k as the double-double hi + lo, hi the nearest double to it; both
+    are rounded from exact integer ratios."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den
+    h_num, h_den = hi.as_integer_ratio()
+    return hi, (num * h_den - h_num * den) / (den * h_den)
+
+
+@functools.cache
+def _e16_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The texts "00".."99", "0000".."9999" and "e-300".."e+300" (NUL
+    padded) as little-endian integers, to be shifted into 8-byte words."""
+    def digits(width: int) -> np.ndarray:
+        n = np.arange(10 ** width, dtype=np.uint64)
+        text = np.zeros_like(n)
+        for c in range(width):          # character c is byte c
+            text |= (n // 10 ** (width - 1 - c) % 10 + ord("0")) << 8 * c
+        return text
+    exponent = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0")
+                                      for e in range(-300, 301)), "<u8")
+    return digits(2), digits(4), exponent.astype(np.uint64)
+
+
+def _times_pow10(a: np.ndarray,
+                 k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a 10^k as p + t: p = fl(a hi), t the exact error of that product
+    plus a lo, for 10^k = hi + lo (T. J. Dekker, Numer. Math. 18, 1971)."""
+    k0 = int(k.min())
+    hi, lo = np.array([_pow10(j) for j in range(k0, int(k.max()) + 1)]).T
+    hi, lo = hi[k - k0], lo[k - k0]
+    p = a * hi
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * hi
+    bh = c - (c - hi)
+    bl = hi - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+
+
+def _format_e16(values: np.ndarray) -> list[bytes]:
+    """``b"%.16e" % v`` for each float64 v of ``values``, computed in numpy.
+
+    CPython's ``%.16e`` runs D. M. Gay's correctly rounded dtoa, which for
+    17 digits leaves floating point for bignum arithmetic.  Here, with e the
+    guess floor(log10 |v|), |v| 10^(16-e) is p + t to within 1e-14
+    (``_times_pow10``); e moves by one where the unrounded p + t is outside
+    [1e16, 1e17), and the 17 digits are p + rint(t), p being an integer
+    there, with a carry to 1e17 moved into the exponent.  The digits, the
+    exponent and a '.' are laid out as three 8-byte words per value; a
+    minus sign shifts the text right by one byte.  NaN, +-inf, |v| outside
+    [1e-280, 1e280] other than +-0, and products within 1e-6 of a rounding
+    tie are formatted by ``%.16e`` itself.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if not v.size:
+        return []
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = zero | ((a >= _E16_MIN) & (a <= _E16_MAX))
+    a[zero | ~fast] = 1.0   # placeholder, overwritten below
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _times_pow10(a, 16 - e)
+    shift = (((p > 1e17) | ((p == 1e17) & (t >= 0))).astype(np.int64)
+             - ((p < 1e16) | ((p == 1e16) & (t < 0))))
+    if shift.any():
+        i = np.flatnonzero(shift)
+        e[i] += shift[i]
+        p[i], t[i] = _times_pow10(a[i], 16 - e[i])
+    fast &= np.abs(t - np.floor(t) - 0.5) >= _E16_TIE
+    m = p.astype(np.int64) + np.rint(t).astype(np.int64)
+    carry = m == 10 ** 17
+    m[carry] = 10 ** 16
+    e += carry
+    m[zero] = 0             # and e = 0, from a = 1
+
+    d2, d4, exponent = _e16_tables()
+    lead, r = np.divmod(m, 10 ** 16)
+    q1, r = np.divmod(r, 10 ** 10)      # digits 1-6
+    q2, q3 = np.divmod(r, 100)          # digits 7-14 and 15-16
+    words = np.empty((v.size, 3), "<u8")
+    words[:, 0] = ((lead.astype(np.uint64) + np.uint64(0x2E30))    # "d."
+                   | d2[q1 // 10000] << 16 | d4[q1 % 10000] << 32)
+    words[:, 1] = d4[q2 // 10000] | d4[q2 % 10000] << 32
+    words[:, 2] = d2[q3] | exponent[e + 300] << 16
+    neg = np.flatnonzero(np.signbit(v))
+    if neg.size:
+        text = words.view(np.uint8)
+        text[neg, 1:] = text[neg, :-1]  # the last byte is a NUL pad
+        text[neg, 0] = ord("-")
+    out = words.view("S24").ravel().tolist()    # trailing NULs dropped
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = b"%.16e" % float(v[i])
+    return out
+
+
 def write_grid_dump(solution: GridFunction, stream: IO[str]) -> None:
     """Three ``.16e`` columns x y U, x varying fastest, one blank line between
     y-rows and none after the last.
 
-    Each axis is formatted once; a y-row is filled into a template holding
-    its x and y strings and written in one call, so memory stays one row.
+    ``_format_e16`` writes the numbers: x and y once each, U in blocks of
+    whole rows of at most ``_DUMP_BLOCK`` values (or one row), so memory
+    stays one block.  Each y-row fills a bytes template holding its x and y
+    texts and is written in one call.
     """
-    xs = [f"{x:.16e}" for x in solution.mesh.x.tolist()]
+    xs = _format_e16(solution.mesh.x)
+    ys = _format_e16(solution.mesh.y)
     grid = solution.grid()
-    lead = ""
-    for j, y in enumerate(solution.mesh.y.tolist()):
-        sep = f" {y:.16e} %.16e\n"
-        stream.write((lead + sep.join(xs) + sep) % tuple(grid[j].tolist()))
-        lead = "\n"
+    m = grid.shape[1]
+    rows = max(1, _DUMP_BLOCK // m)
+    lead = b""
+    for j0 in range(0, len(ys), rows):
+        block = _format_e16(grid[j0:j0 + rows])
+        for j, y in enumerate(ys[j0:j0 + rows]):
+            sep = b" " + y + b" %s\n"
+            row = tuple(block[j * m:(j + 1) * m])
+            stream.write(((lead + sep.join(xs) + sep) % row).decode("ascii"))
+            lead = b"\n"

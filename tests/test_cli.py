@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -663,6 +664,55 @@ def test_verify_prints_each_warning_once(capsys):
     assert sum("classical regime" in w for w in distinct) == 4
     assert capsys.readouterr().err.splitlines() == [
         f"warning: {w}" for w in distinct]
+
+
+def test_verify_prints_each_error_once(capsys, monkeypatch):
+    # b = NaN fails alike for both eps: each mesh size's line once
+    name = "cli_nan_b_twice_probe"
+    monkeypatch.setattr(cli, "solve_direct", must_not_run)
+    try:
+        register_problem(name, lambda: dataclasses.replace(
+            builtin_problem("example1"), name=name,
+            b_field=lambda x, y: np.full(np.shape(x), np.nan)))
+        rc = main(["verify", "--problem", name,
+                   "--epsilon", "1e-1", "--epsilon", "1e-3"])
+    finally:
+        _REGISTRY.pop(name, None)
+    assert rc == EXIT_CONFIG
+    errors_printed = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error: ")]
+    assert errors_printed == ["error: b is not finite at 289 mesh points",
+                              "error: b is not finite at 1089 mesh points"]
+
+
+def test_close_epsilons_get_distinct_labels(tmp_path, capsys):
+    # 1e-3 and 1.0000001e-3 share the .1e and :g texts
+    close = ["--epsilon", "1e-3", "--epsilon", "1.0000001e-3"]
+    assert main(["verify"] + close) == EXIT_INCOMPLETE
+    out = capsys.readouterr().out
+    for eps in ("0.001", "0.0010000001"):
+        assert out.count(f"stability bound at eps={eps}:") == 1
+    assert main(["sweep", "--N", "8", "--out-dir", str(tmp_path)]
+                + close) == EXIT_OK
+    text = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in text[1:3]] == ["0.001",
+                                                       "0.0010000001"]
+    csv = (tmp_path / "table_example1_transformed_bisect.csv").read_text()
+    assert [line.split(",")[0] for line in csv.splitlines()[1:3]] == [
+        "0.001", "0.0010000001"]
+
+
+@pytest.mark.parametrize("config", ["table1.ini", "table2.ini"])
+def test_desk_table_epsilons_keep_short_labels(config):
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    epsilons = cli._read_config(path.read_text())["epsilons"]
+    table = analysis.ConvergenceTable.from_errors(
+        epsilons, [32], np.ones((len(epsilons), 1)))
+    buf = io.StringIO()
+    analysis.write_table_csv(table, buf)
+    assert [line.split(",")[0] for line in buf.getvalue().splitlines()[1:-2]
+            ] == ["1.0e-01", "1.0e-02", "1.0e-03", "1.0e-04", "1.0e-05",
+                  "1.0e-06"]
 
 
 def test_verify_rejects_n(capsys, monkeypatch):

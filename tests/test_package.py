@@ -2,7 +2,9 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -60,6 +62,23 @@ def _raised_names() -> set[str]:
                 elif isinstance(exc, ast.Attribute):
                     names.add(exc.attr)
     return names
+
+
+def test_import_loads_no_optional_modules():
+    # README "Start-up": importing the package and its CLI loads none of
+    # these; a fresh interpreter sees what an import pulls in
+    lazy = ["scipy.interpolate", "scipy.special", "scipy.optimize",
+            "multiprocessing", "concurrent.futures.process", "fractions"]
+    src = str(Path(cd2d.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, cd2d, cd2d.cli\n"
+            f"print([m for m in {lazy!r} if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_error_type_is_raised():

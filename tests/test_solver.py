@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from cd2d import (
 from cd2d.analysis import manufactured_problem
 from cd2d.errors import MeshMismatch, SingularMatrix
 from cd2d.problems import ProblemSpec
-from cd2d.solve import (_LUSolve, _TensorSolve, _flush_subnormals, _libm,
-                        factorize, solver_name, write_grid_dump)
+from cd2d.solve import (_LUSolve, _TensorSolve, _flush_subnormals,
+                        _format_e16, _libm, factorize, solver_name,
+                        write_grid_dump)
 
 
 def identity_system(tm):
@@ -897,3 +899,59 @@ def test_grid_dump_special_values(ex1):
     assert columns == ["-0.0000000000000000e+00", "4.9406564584124654e-324",
                        "-1.0000000000000001e+300", "1.0000000000000000e+00",
                        "1.0000000000000001e-01"]
+
+
+def percent_e16(values):
+    """The reference: CPython's ``%.16e`` of each value."""
+    return [b"%.16e" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def test_format_e16_matches_percent_format():
+    # raw bit patterns (NaNs, infinities and subnormals among them), normals
+    # scaled over 1e-300..1e300, each power of ten and both its neighbours,
+    # the edges of the exact range, ties and specials
+    rng = np.random.default_rng(20261020)
+    powers = np.array([10.0 ** k for k in range(-300, 300)])
+    edges = np.array([1e-280, 1e280])
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 60_000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(40_000) * 10.0 ** rng.uniform(-300, 300, 40_000),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), -edges,
+        [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan,
+         1234567890123456.25, -1234567890123456.75, 0.5, 1.0, 0.1,
+         9.999999999999999e22, 1e23]])
+    assert values.size >= 100_000
+    assert _format_e16(values) == percent_e16(values)
+    assert _format_e16(np.array([])) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), max_size=40))
+def test_format_e16_property(values):
+    assert _format_e16(np.array(values)) == percent_e16(values)
+
+
+def test_grid_dump_memory_is_one_block(ex1):
+    # the N = 512 grid has 263169 values: formatted at once they would take
+    # tens of MB, in blocks of rows about 1 MB
+    tm = build_tensor_mesh(ex1, 512)
+    rng = np.random.default_rng(5)
+    u = GridFunction(mesh=tm, values=rng.standard_normal(513 ** 2)
+                     * 10.0 ** rng.uniform(-20, 5, 513 ** 2))
+
+    class Sink:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_grid_dump(u, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written >= 513 ** 2 * 3 * 23
+    assert peak < 4_000_000
