@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -151,7 +152,7 @@ def cmd_solve(config: RunConfig) -> int:
     stem = f"u_{spec.name.lower()}_{config.variant.value}_eps{tag}_N{N}"
     grid_path = out / f"{stem}.dat"
     meta_path = out / f"{stem}.json"
-    with open(grid_path, "w") as fh:
+    with open(grid_path, "wb") as fh:
         analysis.timed(timings, "dump_s", write_grid_dump, solution, fh)
     meta = {
         "problem": spec.name,
@@ -269,6 +270,14 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser (``main`` reuses one), naming the registered problems."""
+    return _parser.__wrapped__(tuple(problem_names()))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser naming the problems ``names``; cached, so ``main`` builds
+    it on its first call and again only after a problem is registered."""
     parser = argparse.ArgumentParser(
         prog="cd2d",
         description="Fitted-mesh upwind solver for 2-D convection-diffusion "
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--problem", default=None,
                        help="registered problem name (builtin: "
-                            + ", ".join(problem_names()) + ")")
+                            + ", ".join(names) + ")")
         p.add_argument("--epsilon", dest="epsilons", metavar="EPSILON",
                        type=float, action="append", default=None,
                        help="perturbation parameter (repeatable)")
@@ -302,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(tuple(problem_names())).parse_args(argv)
     try:
         config = _merge_config(args)
     except (CD2DError, ValueError, OSError, configparser.Error) as exc:

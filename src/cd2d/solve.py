@@ -504,14 +504,14 @@ def _format_e16(values: np.ndarray) -> list[bytes]:
     return out
 
 
-def write_grid_dump(solution: GridFunction, stream: IO[str]) -> None:
+def write_grid_dump(solution: GridFunction, stream: IO[bytes]) -> None:
     """Three ``.16e`` columns x y U, x varying fastest, one blank line between
-    y-rows and none after the last.
+    y-rows and none after the last, as ASCII bytes on the binary ``stream``.
 
     ``_format_e16`` writes the numbers: x and y once each, U in blocks of
     whole rows of at most ``_DUMP_BLOCK`` values (or one row), so memory
     stays one block.  Each y-row fills a bytes template holding its x and y
-    texts and is written in one call.
+    texts, and each block's rows are written in one call.
     """
     xs = _format_e16(solution.mesh.x)
     ys = _format_e16(solution.mesh.y)
@@ -521,8 +521,9 @@ def write_grid_dump(solution: GridFunction, stream: IO[str]) -> None:
     lead = b""
     for j0 in range(0, len(ys), rows):
         block = _format_e16(grid[j0:j0 + rows])
+        text = []
         for j, y in enumerate(ys[j0:j0 + rows]):
             sep = b" " + y + b" %s\n"
-            row = tuple(block[j * m:(j + 1) * m])
-            stream.write(((lead + sep.join(xs) + sep) % row).decode("ascii"))
-            lead = b"\n"
+            text.append((sep.join(xs) + sep) % tuple(block[j * m:(j + 1) * m]))
+        stream.write(lead + b"\n".join(text))
+        lead = b"\n"

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import itertools
@@ -195,6 +196,60 @@ def test_readme_settings_table_lists_the_fields():
     rows = itertools.takewhile(lambda ln: ln.startswith("|"), lines[start + 2:])
     keys = [row.split("|")[1].strip().strip("`") for row in rows]
     assert keys == [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def test_main_builds_one_parser_for_many_calls(tmp_path, capsys,
+                                              monkeypatch):
+    # argparse builds a parser per subcommand too: count the ones named cd2d
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    build_parser()
+    per_build = len(progs)
+    assert progs.count("cd2d") == 1 and per_build > 1
+    progs.clear()
+    cli._parser.cache_clear()
+    for eps in ("1e-1", "1e-2", "1e-3"):
+        assert main(["solve", "--epsilon", eps, "--N", "8",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert progs.count("cd2d") == 1
+    assert len(progs) == per_build
+
+
+def test_help_lists_a_problem_registered_later(capsys, monkeypatch):
+    # wide help lines: argparse would wrap a name at its hyphen
+    monkeypatch.setenv("COLUMNS", "200")
+    name = "probe-x"
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert name not in capsys.readouterr().out
+    try:
+        register_problem(name, lambda: builtin_problem("example1"))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+    finally:
+        _REGISTRY.pop(name, None)
+    assert exc.value.code == 0
+    assert name in capsys.readouterr().out
+
+
+def test_calls_sharing_a_parser_get_their_own_settings(monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "cmd_solve",
+                        lambda config: configs.append(config) or EXIT_OK)
+    assert main(["solve", "--epsilon", "1e-1", "--N", "8"]) == EXIT_OK
+    assert main(["solve", "--epsilon", "1e-3", "--epsilon", "1e-4",
+                 "--N", "16"]) == EXIT_OK
+    first, second = configs
+    assert (first.epsilons, first.ns) == ([1e-1], [8])
+    assert (second.epsilons, second.ns) == ([1e-3, 1e-4], [16])
+    assert first.epsilons is not second.epsilons
+    assert first.ns is not second.ns
 
 
 def test_workers_below_one_is_config_error(tmp_path, capsys, monkeypatch):

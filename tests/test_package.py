@@ -109,8 +109,9 @@ def test_benchmark_trace_layers_resolve(monkeypatch):
 
 
 def test_readme_library_examples_run(tmp_path, monkeypatch):
-    # each python block of the README runs as written; the second registers
-    # a problem and writes its solve output to the working directory
+    # each python block of the README runs as written; the first writes a
+    # grid dump, the second registers a problem and writes its solve output,
+    # both to the working directory
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(problems, "_REGISTRY", dict(problems._REGISTRY))
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
@@ -119,5 +120,6 @@ def test_readme_library_examples_run(tmp_path, monkeypatch):
     for k, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {k + 1}", "exec"), {})
     assert "example2_alpha4" in cd2d.problem_names()
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.dat"] + [
         f"u_example2_transformed_eps0.01_N16.{ext}" for ext in ("dat", "json")]
+    assert (tmp_path / "u.dat").read_bytes().count(b"\n") == 65 * 65 + 64

@@ -29,9 +29,10 @@ from cd2d import (
 from cd2d.analysis import manufactured_problem
 from cd2d.errors import MeshMismatch, SingularMatrix
 from cd2d.problems import ProblemSpec
-from cd2d.solve import (_LUSolve, _TensorSolve, _flush_subnormals,
-                        _format_e16, _libm, factorize, solver_name,
-                        write_grid_dump)
+from cd2d.cli import main as cli_main
+from cd2d.solve import (_DUMP_BLOCK, _LUSolve, _TensorSolve,
+                        _flush_subnormals, _format_e16, _libm, factorize,
+                        solver_name, write_grid_dump)
 
 
 def identity_system(tm):
@@ -715,6 +716,28 @@ def test_refinement_stall_at_the_float64_floor_returns(ex2):
     assert np.max(np.abs(u.values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("eps, max_u", [(1e-4, 13830.26), (1e-6, 5839.09)])
+def test_float32_lu_stall_at_the_floor_returns(ex2, eps, max_u):
+    # a = 2.2 + 2 sin 20y, alpha 0.2, on Example 2's geometry: the float32
+    # LU's refinement stalls near 1e-10 |x|, where the scaled residual is
+    # ~1e-17, so the solve returns instead of raising SingularMatrix
+    spec = dataclasses.replace(
+        ex2, a_field=lambda x, y: 2.2 + 2.0 * np.sin(20.0 * y),
+        alpha=0.2).with_epsilon(eps)
+    system = assemble_system(spec, build_tensor_mesh(spec, 32),
+                             Variant.TRANSFORMED)
+    assert solver_name(system) == "MMD_AT_PLUS_A"
+    factors = factorize(system)
+    stub = RecordingLU(factors.lu)
+    u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+    *_, before, last = stub.corrections
+    assert last > 0.5 * before and last > 1e-12 * u.max_norm()
+    assert residual_norm(system, u) <= 1e-12
+    ref = np.max(np.abs(spla.spsolve(system.matrix.tocsc(), system.rhs)))
+    assert u.max_norm() == pytest.approx(ref, rel=1e-9)
+    assert u.max_norm() == pytest.approx(max_u, rel=1e-6)
+
+
 def test_refinement_step_cap(ex1):
     # each correction 0.4 times the last: the tail rule needs about 37
     # steps, so the solve fails after the 10 allowed
@@ -843,34 +866,39 @@ def test_grid_dump_format(tmp_path, ex1):
     tm = build_tensor_mesh(ex1, 8)
     u = solve_direct(assemble_system(ex1, tm))
     out = tmp_path / "u.dat"
-    with out.open("w") as fh:
+    with out.open("wb") as fh:
         write_grid_dump(u, fh)
-    lines = out.read_text().splitlines()
+    data = out.read_bytes()
+    lines = data.splitlines()
     # 9 blocks of 9 data lines separated by 8 blank lines
     assert len(lines) == 9 * 9 + 8
-    assert lines[9] == ""
+    assert lines[9] == b""
     x, y, v = lines[0].split()
     assert float(x) == 0.0 and float(y) == 0.0 and float(v) == 0.0
-    assert lines[-1] != ""
+    assert lines[-1] != b""
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+    assert b"\r" not in data
 
 
 def oracle_grid_dump(solution, stream):
-    """Reference dump: one line per grid point, each float formatted there."""
+    """Reference dump: one line per grid point, each float formatted there
+    and the line written to the binary ``stream`` as ASCII."""
     xs = solution.mesh.x
     ys = solution.mesh.y
     grid = solution.grid()
     last = len(ys) - 1
     for j, y in enumerate(ys):
         for i, x in enumerate(xs):
-            stream.write(f"{x:.16e} {y:.16e} {grid[j, i]:.16e}\n")
+            stream.write(f"{x:.16e} {y:.16e} {grid[j, i]:.16e}\n"
+                         .encode("ascii"))
         if j != last:
-            stream.write("\n")
+            stream.write(b"\n")
 
 
 def dump_lines(solution, writer):
-    """The dump split after each "\\n", so that a mismatch reports the first
-    differing line instead of a diff of the whole text."""
-    buf = io.StringIO()
+    """The dump split after each b"\\n", so that a mismatch reports the
+    first differing line instead of a diff of the whole text."""
+    buf = io.BytesIO()
     writer(solution, buf)
     return buf.getvalue().splitlines(keepends=True)
 
@@ -884,8 +912,8 @@ def test_grid_dump_matches_oracle(problem, variant, N):
                                      variant))
     lines = dump_lines(u, write_grid_dump)
     assert lines == dump_lines(u, oracle_grid_dump)
-    assert lines[-1].endswith("\n") and lines[-1] != "\n"
-    assert lines.count("\n") == N
+    assert lines[-1].endswith(b"\n") and lines[-1] != b"\n"
+    assert lines.count(b"\n") == N
 
 
 def test_grid_dump_special_values(ex1):
@@ -896,9 +924,45 @@ def test_grid_dump_special_values(ex1):
     lines = dump_lines(u, write_grid_dump)
     assert lines == dump_lines(u, oracle_grid_dump)
     columns = [ln.split()[2] for ln in lines[:5]]
-    assert columns == ["-0.0000000000000000e+00", "4.9406564584124654e-324",
-                       "-1.0000000000000001e+300", "1.0000000000000000e+00",
-                       "1.0000000000000001e-01"]
+    assert columns == [b"-0.0000000000000000e+00", b"4.9406564584124654e-324",
+                       b"-1.0000000000000001e+300", b"1.0000000000000000e+00",
+                       b"1.0000000000000001e-01"]
+
+
+@pytest.mark.parametrize("problem, variant, N", [
+    ("Example2", Variant.RAW, 8), ("Example1", Variant.TRANSFORMED, 64)])
+def test_solve_command_writes_the_oracle_dump(tmp_path, capsys, problem,
+                                              variant, N):
+    # the file cd2d solve writes, byte for byte, against the oracle's dump of
+    # the same solution
+    assert cli_main(["solve", "--problem", problem, "--epsilon", "1e-3",
+                     "--N", str(N), "--variant", variant.value,
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = (tmp_path / f"u_{problem.lower()}_{variant.value}"
+            f"_eps0.001_N{N}.dat").read_bytes()
+    spec = builtin_problem(problem).with_epsilon(1e-3)
+    u = solve_direct(assemble_system(spec, build_tensor_mesh(spec, N),
+                                     variant))
+    oracle = io.BytesIO()
+    oracle_grid_dump(u, oracle)
+    assert data == oracle.getvalue()
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+    assert data.splitlines().count(b"") == N
+
+
+DUMP_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                 -1e-310, 1e300, -1e300]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(DUMP_SPECIALS)),
+                min_size=81, max_size=81))
+def test_grid_dump_property(values):
+    spec = builtin_problem("Example2")
+    u = GridFunction(mesh=build_tensor_mesh(spec, 8), values=np.array(values))
+    assert dump_lines(u, write_grid_dump) == dump_lines(u, oracle_grid_dump)
 
 
 def percent_e16(values):
@@ -941,10 +1005,12 @@ def test_grid_dump_memory_is_one_block(ex1):
                      * 10.0 ** rng.uniform(-20, 5, 513 ** 2))
 
     class Sink:
-        written = 0
+        written = calls = 0
 
-        def write(self, text):
-            self.written += len(text)
+        def write(self, data):
+            assert isinstance(data, bytes)
+            self.written += len(data)
+            self.calls += 1
 
     sink = Sink()
     tracemalloc.start()
@@ -955,3 +1021,5 @@ def test_grid_dump_memory_is_one_block(ex1):
         tracemalloc.stop()
     assert sink.written >= 513 ** 2 * 3 * 23
     assert peak < 4_000_000
+    # one write per block of whole rows
+    assert sink.calls == math.ceil(513 / (_DUMP_BLOCK // 513))
