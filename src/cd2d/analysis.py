@@ -24,8 +24,8 @@ order E(N) = log2(D(N) / D(2N)), given only where the next column is 2N.
 
 In regenerate mode the 2N mesh of cell (eps, N) is the N-mesh of cell
 (eps, 2N), so a sweep runs each eps row as chains of cells whose N doubles
-from one to the next, and hands each cell's fine solve on as the next
-cell's coarse solve.
+from one to the next; the chain loop hands each cell's companion solve on
+as the next cell's coarse solve, and ``run_cell`` is the chain of one.
 """
 from __future__ import annotations
 
@@ -95,11 +95,8 @@ class CellResult:
 
     ``timings`` holds the seconds of each stage (``mesh_s``, ``assemble_s``,
     ``solve_s``, ``residual_s``, ``estimate_s``) summed over both meshes; a
-    reused coarse solve adds nothing.  ``fine`` is the companion's solve in
-    regenerate mode, which the cell of 2N reuses as its coarse solve; it
-    is the one field the sweep JSON leaves out.  ``solver`` is the solver
-    path of both solves, "coarse+fine" if they differ, None before the
-    coarse one.
+    reused coarse solve adds nothing.  ``solver`` is the solver path of
+    both solves, "coarse+fine" if they differ, None before the coarse one.
     """
     epsilon: float
     N: int
@@ -117,7 +114,6 @@ class CellResult:
     solver: Optional[str] = None
     warnings: list[str] = field(default_factory=list)
     error: Optional[str] = None
-    fine: Optional[MeshSolve] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -144,27 +140,25 @@ def solve_on(system: LinearSystem, timings: dict[str, float]) -> MeshSolve:
 
 def run_cell(spec: ProblemSpec, N: int,
              variant: Variant = Variant.TRANSFORMED,
-             mode: DoubleMeshMode = DoubleMeshMode.BISECT,
-             coarse: Optional[MeshSolve] = None) -> CellResult:
-    """Solve one (eps, N) cell: coarse solve, companion solve, estimate.
+             mode: DoubleMeshMode = DoubleMeshMode.BISECT) -> CellResult:
+    """Solve one (eps, N) cell, the chain of one: coarse solve, companion
+    solve, estimate.  An unknown ``variant`` or ``mode`` raises
+    ``ValueError`` before any mesh work."""
+    return _chain_worker((spec, [N], Variant(variant), DoubleMeshMode(mode)))[0]
 
-    ``coarse``, if given, is the solve on this cell's N-mesh, taken from the
-    ``fine`` of the regenerate cell of N/2; the cell then solves only its
-    companion.  An unknown ``variant`` or ``mode`` raises ``ValueError``
-    before any mesh work.
-    """
-    variant, mode = Variant(variant), DoubleMeshMode(mode)
+
+def _cell(spec: ProblemSpec, N: int, variant: Variant, mode: DoubleMeshMode,
+          coarse: Optional[MeshSolve]) -> tuple[CellResult, Optional[MeshSolve]]:
+    """The cell (eps, N), and in regenerate mode its companion's solve, the
+    coarse solve of the cell of 2N.  ``coarse``, if given, is the solve on
+    this cell's N-mesh; the cell then solves only its companion."""
     cell = CellResult(epsilon=spec.epsilon, N=N)
     t = cell.timings
     start = time.perf_counter()
+    fine = None
     try:
-        if coarse is None:
-            coarse_mesh = timed(t, "mesh_s", mesh_mod.build_tensor_mesh, spec, N)
-        elif coarse.solution.n != N:
-            raise MeshMismatch(f"reused coarse solve has {coarse.solution.n} "
-                               f"intervals, expected {N}")
-        else:
-            coarse_mesh = coarse.solution.mesh
+        coarse_mesh = (timed(t, "mesh_s", mesh_mod.build_tensor_mesh, spec, N)
+                       if coarse is None else coarse.solution.mesh)
         cell.sigma_x, cell.sigma_y = coarse_mesh.sigma_x, coarse_mesh.sigma_y
         # both meshes up front, so an infeasible companion costs no solve
         if mode is DoubleMeshMode.BISECT:
@@ -190,14 +184,12 @@ def run_cell(spec: ProblemSpec, N: int,
             cell.solver += "+" + fine.solver
         cell.residual_fine = fine.residual
         cell.max_u_fine = fine.solution.max_norm()
-        if mode is DoubleMeshMode.REGENERATE:
-            cell.fine = fine
         cell.D_eps = timed(t, "estimate_s", double_mesh_error,
                            coarse.solution, fine.solution)
     except CONTAINED_FAILURES as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_time = time.perf_counter() - start
-    return cell
+    return cell, fine if mode is DoubleMeshMode.REGENERATE else None
 
 
 def _chains(Ns: Sequence[int], mode: DoubleMeshMode) -> list[list[int]]:
@@ -213,13 +205,11 @@ def _chains(Ns: Sequence[int], mode: DoubleMeshMode) -> list[list[int]]:
 
 
 def _chain_worker(args) -> list[CellResult]:
-    """The cells of one chain, each reusing the fine solve of the one before."""
+    """The cells of one chain, each reusing the last one's companion solve."""
     spec, Ns, variant, mode = args
-    cells: list[CellResult] = []
-    shared = None
+    cells, shared = [], None
     for N in Ns:
-        cell = run_cell(spec, N, variant, mode, coarse=shared)
-        shared, cell.fine = cell.fine, None
+        cell, shared = _cell(spec, N, variant, mode, shared)
         cells.append(cell)
     return cells
 
@@ -411,9 +401,8 @@ def _clean(v):
 
 
 def _record_dict(record) -> dict:
-    """A dataclass's compared fields by name, non-finite floats as None."""
-    return {f.name: _clean(getattr(record, f.name))
-            for f in fields(record) if f.compare}
+    """A dataclass's fields by name, non-finite floats as None."""
+    return {f.name: _clean(getattr(record, f.name)) for f in fields(record)}
 
 
 def sweep_to_dict(result: SweepResult) -> dict:

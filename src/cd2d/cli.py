@@ -130,12 +130,24 @@ def _print_warnings(spec: ProblemSpec, N: int, printed: set) -> list[str]:
     return warnings
 
 
+def _file_stem(stem: str) -> str:
+    """``stem``, checked to name a file in the output directory (a problem
+    name may hold a path separator) before any directory or mesh is made."""
+    if Path(stem).name != stem:
+        raise MalformedSpec(f"output name {stem!r} is not a file name")
+    return stem
+
+
 def cmd_solve(config: RunConfig) -> int:
     if len(config.epsilons) != 1 or len(config.ns) != 1:
         print("solve needs exactly one --epsilon and one --N", file=sys.stderr)
         return EXIT_CONFIG
     eps, N = config.epsilons[0], config.ns[0]
     spec = builtin_problem(config.problem).with_epsilon(eps)
+    # the shortest text that reads back as eps: distinct eps, distinct files
+    tag = repr(float(eps)).replace("-", "m")
+    stem = _file_stem(f"u_{spec.name.lower()}_{config.variant.value}"
+                      f"_eps{tag}_N{N}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tm = mesh_mod.build_tensor_mesh(spec, N)
@@ -146,10 +158,6 @@ def cmd_solve(config: RunConfig) -> int:
                             config.variant)
     solved = analysis.solve_on(system, timings)
     solution = solved.solution
-
-    # the shortest text that reads back as eps: distinct eps, distinct files
-    tag = repr(float(eps)).replace("-", "m")
-    stem = f"u_{spec.name.lower()}_{config.variant.value}_eps{tag}_N{N}"
     grid_path = out / f"{stem}.dat"
     meta_path = out / f"{stem}.json"
     with open(grid_path, "wb") as fh:
@@ -180,6 +188,8 @@ def cmd_sweep(config: RunConfig) -> int:
         print("sweep needs at least one epsilon and one N", file=sys.stderr)
         return EXIT_CONFIG
     spec = builtin_problem(config.problem)
+    stem = _file_stem(f"table_{spec.name.lower()}_{config.variant.value}"
+                      f"_{config.double_mesh.value}")
     for eps in config.epsilons:     # an eps outside (0, 1) fails here
         spec.with_epsilon(eps)
     for N in config.ns:
@@ -189,8 +199,6 @@ def cmd_sweep(config: RunConfig) -> int:
     result = analysis.run_sweep(spec, config.epsilons, config.ns,
                                 variant=config.variant, mode=config.double_mesh,
                                 workers=config.workers)
-    stem = (f"table_{spec.name.lower()}_{config.variant.value}"
-            f"_{config.double_mesh.value}")
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
     print(analysis.format_table_text(result.table))

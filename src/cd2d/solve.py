@@ -54,14 +54,15 @@ precision, which holds a float64 factor's fill in half the bytes and
 factors it faster; it solves for D r / |D r|, which keeps the float32
 right-hand side clear of underflow as r shrinks, and scales c back up by
 |D r|.
-A zero correction (a D r that underflowed gives one) ends refinement.  A
-correction c_k that does not halve c_{k-1} is a stall: it ends refinement
+A correction c_k that does not halve c_{k-1} is a stall: it ends refinement
 if already at most 1e-12 |x|, or if x's ``residual_norm`` (a normwise
 backward error) is at most 64u, 8 times the up to 8u of rounding in a
 float64 residual over 7-entry rows, which no step undercuts; else it fails
 with ``SingularMatrix``.  Then refinement stops when c_k^2 / (c_{k-1} - c_k),
 the tail a geometric run of further corrections would add, is at most 4u|x|,
-u = 2^-53 being float64's unit roundoff; the two imply a stop on c_k <= 4u|x|.
+u = 2^-53 being float64's unit roundoff; the two imply a stop on c_k <= 4u|x|,
+so a zero correction (a D r that underflowed gives one) ends refinement from
+step 1 on.
 It fails after 10 steps, so a solve never returns a half-refined answer.
 
 Ordering and pivoting.  Apart from the interface rows the 5-point matrix is
@@ -340,8 +341,6 @@ class Factorization:
                 raise SingularMatrix("solution contains NaN or Inf")
             x += c
             x_max = float(np.max(np.abs(x)))
-            if c_max == 0.0:    # x can change no further
-                break
             if c_max > 0.5 * last:
                 if c_max <= _STALL_OK * x_max or residual_norm(self.system,
                         GridFunction(self.system.mesh, x)) <= _STALL_RESIDUAL:

@@ -475,9 +475,13 @@ def test_cells_name_their_solver_path(ex1, ex2):
         result = run_sweep(spec, [1e-2], [8, 16], mode=REGENERATE)
         assert [c.coarse_reused for c in result.cells] == [False, True]
         assert [c.solver for c in result.cells] == [path, path]
-    coarse = run_cell(lu_spec, 8, mode=REGENERATE).fine
-    cell = run_cell(ex1, 16, mode=REGENERATE, coarse=coarse)
-    assert cell.ok and cell.solver == "MMD_AT_PLUS_A+tensor"
+    # a chain hands the companion's solve on whatever its path
+    _, coarse = analysis._cell(lu_spec, 8, Variant.TRANSFORMED, REGENERATE,
+                               None)
+    assert coarse.solver == "MMD_AT_PLUS_A" and coarse.solution.n == 16
+    cell, _ = analysis._cell(ex1, 16, Variant.TRANSFORMED, REGENERATE, coarse)
+    assert cell.ok and cell.coarse_reused
+    assert cell.solver == "MMD_AT_PLUS_A+tensor"
 
 
 def test_sweep_choices_by_value_equal_members(ex2):
@@ -495,8 +499,10 @@ def test_sweep_choices_by_value_equal_members(ex2):
         assert sweep_to_dict(by_value)["variant"] == variant.value
     raw = run_sweep(ex2, [1e-3], [8], variant="raw").table.D_eps[0, 0]
     assert raw == pytest.approx(0.01368, rel=1e-3)
-    cell = run_cell(ex2.with_epsilon(1e-3), 8, mode="regenerate")
-    assert cell.fine is not None           # kept for the cell of 2N
+    spec = ex2.with_epsilon(1e-3)
+    by_value = run_cell(spec, 8, "transformed", "regenerate")
+    by_member = run_cell(spec, 8, Variant.TRANSFORMED, REGENERATE)
+    assert by_value.ok and by_value.D_eps == by_member.D_eps
 
 
 @pytest.mark.parametrize("kwargs", [{"mode": "bisection"}, {"mode": "nonsense"},
@@ -522,15 +528,45 @@ def test_regenerate_reuse_is_bitwise_standalone(ex2):
                      "residual_fine", "max_u_coarse", "max_u_fine"):
             assert getattr(cell, name) == getattr(alone, name), (cell.N, name)
         assert cell.warnings == alone.warnings
-        assert cell.fine is None           # the sweep keeps no solutions
+        assert not alone.coarse_reused     # alone is a chain of one
         assert set(cell.timings) == set(alone.timings) == {
             "mesh_s", "assemble_s", "solve_s", "residual_s", "estimate_s"}
         assert all(math.isfinite(v) and v >= 0.0 for v in cell.timings.values())
     assert [c.coarse_reused for c in result.cells] == [False, True, True] * 2
-    assert alone.fine.solution.n == 64     # alone is (1e-3, 32)
-    wrong = run_cell(ex2.with_epsilon(1e-3), 16, mode=REGENERATE,
-                     coarse=alone.fine)
-    assert wrong.error.startswith("MeshMismatch: reused coarse solve has 64")
+
+
+def reachable(obj):
+    """Every object reachable from ``obj`` through containers and instance
+    attributes."""
+    stack, seen = [obj], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        yield item
+        if isinstance(item, dict):
+            stack.extend(item.items())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            stack.extend(vars(item).values())
+
+
+def test_regenerate_cell_is_plain_data(ex2):
+    # the companion solve is handed on by the chain loop, not by the cell:
+    # a cell holds no solution, and the sweep JSON holds all of its fields
+    cell = run_cell(ex2.with_epsilon(1e-3), 8, mode=REGENERATE)
+    assert cell.ok
+    assert not any(isinstance(item, (GridFunction, analysis.MeshSolve))
+                   for item in reachable(cell))
+    result = run_sweep(ex2, [1e-3], [8], mode=REGENERATE)
+    record, = sweep_to_dict(result)["cells"]
+    names = {f.name for f in dataclasses.fields(cell)}
+    assert set(record) == names
+    for name in names - {"wall_time", "timings"}:
+        assert record[name] == getattr(cell, name), name
+    json.dumps(record, allow_nan=False)
 
 
 def test_regenerate_chain_after_failed_companion(ex1, monkeypatch):

@@ -526,6 +526,27 @@ def test_sweep_unwritable_out_dir_is_config_error(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("name", ["a/b", "../up"])
+def test_output_name_that_is_not_a_file_name(tmp_path, capsys, monkeypatch,
+                                             command, name):
+    # the problem name becomes part of a file name; one holding a path
+    # separator is a data error before any directory or mesh is made
+    out = tmp_path / "out"
+    monkeypatch.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
+    try:
+        register_problem(name, lambda: dataclasses.replace(
+            builtin_problem("example1"), name=name))
+        rc = main([command, "--problem", name, "--epsilon", "1e-2",
+                   "--N", "8", "--out-dir", str(out)])
+    finally:
+        _REGISTRY.pop(name.lower(), None)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: output name ") and "not a file name" in err
+    assert not out.exists()
+
+
 def test_sweep_empty_epsilons_config_error(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nepsilons =\nns = 8\n")

@@ -738,6 +738,59 @@ def test_float32_lu_stall_at_the_floor_returns(ex2, eps, max_u):
     assert u.max_norm() == pytest.approx(max_u, rel=1e-6)
 
 
+def _a_fuzz1(x, y):
+    return 0.1468 + 1.063 * x + 0.00077 * y
+
+
+def _b_fuzz1(x, y):
+    return 45.68 + 4.972 * x
+
+
+def _a_fuzz2(x, y):
+    return 0.1895 + 1.818 * x
+
+
+def _b_fuzz2(x, y):
+    return 5.388 + 0.5242 * x + 0.1065 * y
+
+
+def tensor_failure(case):
+    """A transformed system of Example 1's sources and traces with linear a
+    and b within the tensor path's y-spread, whose separable mean contracts
+    too slowly on the near-singular x = d1 rows: the bisect companion of
+    N = 32 (n = 64), or the N = 16 mesh."""
+    if case == "bisect-64":
+        spec = dataclasses.replace(
+            builtin_problem("Example1"), epsilon=7.14e-5, d1=0.436, d2=0.147,
+            alpha=0.118, beta=5.93, a_field=_a_fuzz1, b_field=_b_fuzz1)
+        tm = bisect(build_tensor_mesh(spec, 32))
+    else:
+        spec = dataclasses.replace(
+            builtin_problem("Example1"), epsilon=3.21e-3, d1=0.230, d2=0.550,
+            alpha=0.137, beta=1.79, a_field=_a_fuzz2, b_field=_b_fuzz2)
+        tm = build_tensor_mesh(spec, 16)
+    system = assemble_system(spec, tm, Variant.TRANSFORMED)
+    assert solver_name(system) == "tensor"
+    return system
+
+
+@pytest.mark.parametrize("case", ["bisect-64", "N16"])
+def test_tensor_failures_solve_on_the_lu(case):
+    # the sparse LU solves both systems the tensor path fails on
+    system = dataclasses.replace(tensor_failure(case), separable=None)
+    assert solver_name(system) == "MMD_AT_PLUS_A"
+    assert residual_norm(system, solve_direct(system)) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=SingularMatrix,
+                   reason="the tensor path's refinement does not converge "
+                          "and nothing falls back to the LU")
+@pytest.mark.parametrize("case", ["bisect-64", "N16"])
+def test_tensor_failures_solve_by_default(case):
+    system = tensor_failure(case)
+    assert residual_norm(system, solve_direct(system)) <= 1e-12
+
+
 def test_refinement_step_cap(ex1):
     # each correction 0.4 times the last: the tail rule needs about 37
     # steps, so the solve fails after the 10 allowed
