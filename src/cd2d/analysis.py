@@ -166,7 +166,7 @@ def _cell(spec: ProblemSpec, N: int, variant: Variant, mode: DoubleMeshMode,
         else:
             fine_mesh = timed(t, "mesh_s", mesh_mod.build_tensor_mesh,
                                spec, 2 * N)
-        cell.warnings = validate(spec, N)
+        cell.warnings = validate(spec, coarse_mesh)
         # both systems up front, so data bad on the companion costs no solve
         meshes = [coarse_mesh, fine_mesh] if coarse is None else [fine_mesh]
         systems = [timed(t, "assemble_s", assemble_system, spec, tm, variant)
@@ -270,10 +270,6 @@ class ConvergenceTable:
                 E_uniform[k] = math.log2(D_uniform[k] / D_uniform[k + 1])
         return cls(epsilons=list(epsilons), Ns=list(Ns), D_eps=D_eps,
                    D_uniform=D_uniform, E_uniform=E_uniform)
-
-    @property
-    def complete(self) -> bool:
-        return bool(np.all(np.isfinite(self.D_eps)))
 
 
 @dataclass

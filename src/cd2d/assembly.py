@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GeometryError, MeshMismatch
+from .errors import MeshMismatch
 from .mesh import TensorMesh
 from .problems import ProblemSpec, sample_problem
 
@@ -148,14 +148,12 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, 3.4).  Their
     buffer is the CSR data, with columns flat + offset clipped into range
     (only zero slots fall outside), and ``eliminate_zeros`` drops 0.0 and
-    -0.0 in place, in order.  N >= 17520 (7 m^2 slots past int32) raises
-    ``GeometryError`` before any sampling, bad problem data
-    ``MalformedSpec``, a ``variant`` not a member or its value ``ValueError``.
+    -0.0 in place, in order.  The 7 m^2 slots fit int32 because a mesh has
+    N <= ``mesh.MAX_N``.  Bad problem data raises ``MalformedSpec``, a
+    ``variant`` not a member or its value ``ValueError``.
     """
     variant = Variant(variant)
     n, half, m = mesh.n, mesh.n // 2, mesh.n + 1
-    if 7 * m * m > np.iinfo(np.int32).max:
-        raise GeometryError(f"N = {n} overflows the int32 CSR indices")
     hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     eps2 = spec.epsilon ** 2
     offsets = np.array([-m, -2, -1, 0, 1, 2, m], dtype=np.int32)

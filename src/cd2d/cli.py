@@ -119,10 +119,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _print_warnings(spec: ProblemSpec, N: int, printed: set) -> list[str]:
-    """Print on stderr the problem's warnings on the N-mesh that ``printed``
-    does not hold yet, and add them to it; returns all of them."""
-    warnings = validate(spec, N)
+def _print_warnings(spec: ProblemSpec, tm: mesh_mod.TensorMesh,
+                    printed: set) -> list[str]:
+    """Print on stderr the problem's warnings on mesh ``tm`` that
+    ``printed`` does not hold yet, and add them to it; returns all of them."""
+    warnings = validate(spec, tm)
     for warning in warnings:
         if warning not in printed:
             print(f"warning: {warning}", file=sys.stderr)
@@ -151,7 +152,7 @@ def cmd_solve(config: RunConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tm = mesh_mod.build_tensor_mesh(spec, N)
-    warnings = _print_warnings(spec, N, set())
+    warnings = _print_warnings(spec, tm, set())
     timings = dict.fromkeys(("assemble_s", "solve_s", "residual_s", "dump_s"),
                             0.0)
     system = analysis.timed(timings, "assemble_s", assemble_system, spec, tm,
@@ -254,9 +255,9 @@ def cmd_verify(config: RunConfig) -> int:
     # Assembly checks the problem data; the findings on every mesh are
     # reported before any solve, each distinct warning and error once.
     systems, printed, reported = [], set(), set()
-    for (spec, N), tm in zip(cases, meshes):
+    for (spec, _), tm in zip(cases, meshes):
         try:
-            _print_warnings(spec, N, printed)
+            _print_warnings(spec, tm, printed)
             systems.append(assemble_system(spec, tm, config.variant))
         except MalformedSpec as exc:
             if str(exc) not in reported:
@@ -275,11 +276,6 @@ def cmd_verify(config: RunConfig) -> int:
     for name, ok, detail_text in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail_text}")
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INCOMPLETE
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser (``main`` reuses one), naming the registered problems."""
-    return _parser.__wrapped__(tuple(problem_names()))
 
 
 @functools.lru_cache(maxsize=1)

@@ -20,10 +20,11 @@ Breakpoints (in particular d1 and d2 at index N/2) are assigned exactly,
 never accumulated, because row selection in the discretization keys on the
 interface indices.  ``build_tensor_mesh`` is the one place that builds a
 mesh, and this module owns its rules: the N rule (``check_mesh_parameter``),
-the floor below which double precision cannot resolve a layer piece (d1/2,
-d2/4 or eps too small) and the overlap rules (1 - sigma_x > d1,
-1 - sigma_y > d2 + sigma_y).  A mesh is the two sorted point arrays plus
-sigma_x and sigma_y.
+the size rule (every ``TensorMesh`` has N <= ``MAX_N``, since assembly's CSR
+indices are int32), the floor below which double precision cannot resolve a
+layer piece (d1/2, d2/4 or eps too small) and the overlap rules
+(1 - sigma_x > d1, 1 - sigma_y > d2 + sigma_y).  A mesh is the two sorted
+point arrays plus sigma_x and sigma_y.
 """
 from __future__ import annotations
 
@@ -39,10 +40,13 @@ from .errors import GeometryError, MeshMismatch
 if TYPE_CHECKING:   # problems imports this module
     from .problems import ProblemSpec
 
+# the largest N (a multiple of 8) whose 7 (N+1)^2 CSR slots fit int32
+MAX_N = 17512
+
 
 @dataclass(frozen=True, eq=False)
 class TensorMesh:
-    """Sorted point arrays of both axes, each with n + 1 entries."""
+    """Sorted point arrays of both axes, each with n + 1 <= MAX_N + 1."""
     x: np.ndarray
     y: np.ndarray
     sigma_x: float
@@ -52,6 +56,9 @@ class TensorMesh:
         if self.x.size != self.y.size:
             raise MeshMismatch(f"axes disagree: {self.x.size - 1} x-intervals"
                                f" vs {self.y.size - 1} y-intervals")
+        if self.n > MAX_N:
+            raise GeometryError(
+                f"N = {self.n} overflows the int32 CSR indices")
 
     @property
     def n(self) -> int:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MalformedSpec
-from .mesh import TensorMesh, check_mesh_parameter
+from .mesh import TensorMesh
 
 ScalarField = Callable[[float, float], float]
 EdgeTrace = Callable[[float], float]
@@ -241,19 +241,18 @@ def sample_problem(spec: ProblemSpec, mesh: TensorMesh) -> tuple[
     return a, b, sources, traces
 
 
-def validate(spec: ProblemSpec, N: int) -> list[str]:
-    """Warnings about the problem on the N-mesh that need no samples.
+def validate(spec: ProblemSpec, mesh: TensorMesh) -> list[str]:
+    """Warnings about the problem on ``mesh`` that need no samples.
 
-    The small-layer condition d > 8 (eps/beta) ln N merely separates the
-    fitted regime from the classical one, and the boundary traces should
-    agree at the corners; a trace that fails there raises ``MalformedSpec``.
-    The hypotheses on a, b, f and the traces are checked where assembly
-    samples them (``sample_problem``).  An N no mesh takes raises
-    ``GeometryError``, as ``build_tensor_mesh`` does.
+    The small-layer condition d > 8 (eps/beta) ln N, N = ``mesh.n``, merely
+    separates the fitted regime from the classical one, and the boundary
+    traces should agree at the corners; a trace that fails there raises
+    ``MalformedSpec``.  The hypotheses on a, b, f and the traces are
+    checked where assembly samples them (``sample_problem``), the rules on
+    N where the mesh is built.
     """
-    check_mesh_parameter(N)
     warnings = []
-    threshold = 8.0 * (spec.epsilon / spec.beta) * math.log(N)
+    threshold = 8.0 * (spec.epsilon / spec.beta) * math.log(mesh.n)
     for label, d in (("d1", spec.d1), ("d2", spec.d2)):
         if d <= threshold:
             warnings.append(

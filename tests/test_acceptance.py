@@ -77,7 +77,7 @@ def test_acceptance_1_example1_reference_table(desk_run):
     """Every desk-size D and E entry within 5% / 0.05 of the reference."""
     result, elapsed = desk_run
     table = result.table
-    complete = table.complete
+    complete = bool(np.isfinite(table.D_eps).all())
     d_dev = float(np.max(np.abs(table.D_eps - REFERENCE_D_EX1)
                          / REFERENCE_D_EX1)) if complete else float("inf")
     e_dev = float(np.max(np.abs(table.E_uniform - REFERENCE_E_EX1)))
@@ -243,5 +243,5 @@ def test_full_error_tables_slow():
                            Variant.TRANSFORMED, DoubleMeshMode.BISECT)
         print(f"\n{name}:")
         print(format_table_text(result.table))
-        assert result.table.complete
+        assert np.isfinite(result.table.D_eps).all()
         assert np.all(np.diff(result.table.D_uniform) < 0.0)

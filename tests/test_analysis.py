@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from cd2d import (
     run_sweep,
     write_table_csv,
 )
-from cd2d import analysis, errors, mesh as mesh_mod
+from cd2d import analysis, errors, mesh as mesh_mod, problems
 from cd2d.analysis import (format_table_text, manufactured_problem,
                            mms_exact, sweep_to_dict)
 from cd2d.assembly import assemble_system
@@ -229,6 +230,29 @@ def test_run_cell_infeasible_geometry(ex1):
     assert math.isnan(cell.residual_coarse)
 
 
+@pytest.mark.parametrize("mode", list(DoubleMeshMode))
+def test_run_cell_past_the_companion_limit_fails_before_sampling(
+        ex1, mode, monkeypatch):
+    # N = 8760 is a valid N, but its 2N companion (bisected or built) is
+    # past the int32 limit: the cell fails while its meshes are made, with
+    # no more allocated than their point axes
+    def must_not_run(*args):
+        raise AssertionError("sampled or assembled a cell that cannot finish")
+
+    monkeypatch.setattr(analysis, "assemble_system", must_not_run)
+    monkeypatch.setattr(problems, "sample_problem", must_not_run)
+    tracemalloc.start()
+    try:
+        cell = run_cell(ex1.with_epsilon(1e-2), 8760, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cell.error == ("GeometryError: N = 17520 overflows the int32 CSR "
+                          "indices")
+    assert math.isnan(cell.residual_coarse) and cell.solver is None
+    assert peak < 2 ** 20
+
+
 def test_run_cell_scalar_only_field(ex2):
     # math.sin rejects arrays; the field is then sampled point by point
     scalar = dataclasses.replace(ex2, epsilon=1e-3,
@@ -334,7 +358,7 @@ def test_run_sweep_missing_cells_not_fatal(ex1):
     D = result.table.D_eps
     assert np.all(np.isnan(D[0]))
     assert np.all(np.isfinite(D[1]))
-    assert not result.table.complete
+    assert not np.isfinite(result.table.D_eps).all()
     # uniform row falls back to the finite entries
     assert np.array_equal(result.table.D_uniform, D[1])
     assert len(result.cells) == 4
@@ -373,11 +397,11 @@ def test_serial_sweep_imports_no_interpolation_or_process_pool():
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys\n"
-        "import cd2d, cd2d.cli\n"
+        "import cd2d, cd2d.cli, numpy as np\n"
         "from cd2d import DoubleMeshMode, builtin_problem, run_sweep\n"
         "r = run_sweep(builtin_problem('Example2'), [1e-2], [8, 16],\n"
         "              mode=DoubleMeshMode.REGENERATE, workers=1)\n"
-        "assert r.table.complete\n"
+        "assert np.isfinite(r.table.D_eps).all()\n"
         "print([m for m in ('scipy.interpolate', 'concurrent.futures.process')\n"
         "       if m in sys.modules])\n"
     )
@@ -418,8 +442,9 @@ def test_pool_is_capped_at_the_chain_count(ex1, monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    assert run_sweep(ex1, [1e-1, 1e-2], [8], workers=64).table.complete
-    assert run_sweep(ex1, [1e-1], [8, 16, 24], workers=2).table.complete
+    for result in (run_sweep(ex1, [1e-1, 1e-2], [8], workers=64),
+                   run_sweep(ex1, [1e-1], [8, 16, 24], workers=2)):
+        assert np.isfinite(result.table.D_eps).all()
     assert sizes == [2, 2]
 
 
@@ -427,7 +452,8 @@ def test_pooled_sweep_rejects_unpicklable_problem(ex1, monkeypatch):
     # a lambda field works serially; a pool could not send it, so the sweep
     # says why before starting one
     spec = dataclasses.replace(ex1, a_field=lambda x, y: 2.0)
-    assert run_sweep(spec, [1e-1, 1e-2], [8], workers=1).table.complete
+    result = run_sweep(spec, [1e-1, 1e-2], [8], workers=1)
+    assert np.isfinite(result.table.D_eps).all()
 
     def no_pool(*args):
         raise AssertionError("pool started")
@@ -458,7 +484,7 @@ def test_regenerate_sweep_solves_each_mesh_once(ex2, monkeypatch):
     # per eps row: 8 and 16 for the first cell, then only each companion
     assert sorted(calls) == [8, 8, 16, 16, 32, 32, 64, 64]
     assert [c.coarse_reused for c in result.cells] == [False, True, True] * 2
-    assert result.table.complete
+    assert np.isfinite(result.table.D_eps).all()
     calls.clear()
     result = run_sweep(ex2, [1e-1, 1e-3], [8, 32], mode=REGENERATE)
     assert len(calls) == 8                 # no N doubles: nothing shared
@@ -706,7 +732,7 @@ def test_convergence_table_reduction_with_missing():
     t = ConvergenceTable.from_errors([1e-1, 1e-2], [8, 16], D)
     assert t.D_uniform[0] == 2e-2 and t.D_uniform[1] == 1e-2
     assert t.E_uniform[0] == pytest.approx(1.0)
-    assert not t.complete
+    assert not np.isfinite(t.D_eps).all()
     empty = ConvergenceTable.from_errors([1e-1], [8, 16],
                                          np.array([[np.nan, 1e-3]]))
     assert math.isnan(empty.D_uniform[0])

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cd2d import (
     LinearSystem,
+    TensorMesh,
     Variant,
     assemble_system,
     bisect,
@@ -17,14 +20,16 @@ from cd2d import (
     builtin_problem,
     m_matrix_check,
 )
-from cd2d import assembly
+from cd2d import assembly, mesh as mesh_mod, problems
 from cd2d.assembly import _raw_interface_coeffs
+from cd2d.cli import EXIT_CONFIG, main as cli_main
 from cd2d.errors import GeometryError
 from cd2d.problems import ProblemSpec
 
 from scalar_rows import oracle_system, source_off_lines
 
 REL = 1e-12
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def flat(system, i, j):
@@ -543,22 +548,64 @@ def test_zero_coefficient_is_not_stored(ex1, monkeypatch, zero):
     assert np.array_equal(a.indices[a.indptr[rows]], rows)
 
 
-def test_int32_index_overflow_raises_before_any_work(ex1):
+def test_int32_index_overflow_raises_before_any_work(ex1, tmp_path, capsys,
+                                                    monkeypatch):
     # 7 (N+1)^2 slots must fit int32: N = 17520 is the first multiple of 8
-    # past it, and raises before sampling or allocating anything large
-    mesh = build_tensor_mesh(ex1, 17520)
+    # past it, and every mesh that large raises when it is made, before
+    # anything is sampled or anything large allocated
+    coarse = build_tensor_mesh(ex1, 8760)
+    points = np.linspace(0.0, 1.0, 17521)
     tracemalloc.start()
     try:
-        with pytest.raises(GeometryError, match="N = 17520 overflows"):
-            assemble_system(ex1, mesh)
+        with pytest.raises(GeometryError, match=(
+                "^N = 17520 overflows the int32 CSR indices$")):
+            build_tensor_mesh(ex1, 17520)
+        with pytest.raises(GeometryError, match="^N = 17520 overflows"):
+            bisect(coarse)
+        with pytest.raises(GeometryError, match="^N = 17520 overflows"):
+            TensorMesh(x=points, y=points, sigma_x=0.1, sigma_y=0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    # the check reads only mesh.n: N = 17512 passes it and goes on to the
-    # mesh axes, which this stand-in lacks
-    with pytest.raises(AttributeError):
-        assemble_system(ex1, types.SimpleNamespace(n=17512))
+
+    # solve takes it for bad input (status 2) before any sampling
+    def must_not_sample(*args):
+        raise AssertionError("sampled a mesh past the int32 limit")
+
+    monkeypatch.setattr(problems, "sample_problem", must_not_sample)
+    monkeypatch.setattr(assembly, "sample_problem", must_not_sample)
+    assert cli_main(["solve", "--epsilon", "1e-2", "--N", "17520",
+                     "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: N = 17520 overflows the int32 CSR indices\n")
+
+
+def test_mesh_size_limit_follows_the_csr_layout(ex1, monkeypatch):
+    # the mesh's MAX_N is the largest multiple of 8 whose system fits the
+    # CSR arrays assembly emits: its slots a row and its index type, read
+    # off a small system, so a wider row or a narrower index fails here
+    emitted = []
+
+    def spy(arrays, shape):
+        emitted.append([a.copy() for a in arrays])   # eliminate_zeros edits
+        return sp.csr_matrix(arrays, shape=shape)
+
+    monkeypatch.setattr(assembly, "sp", types.SimpleNamespace(csr_matrix=spy))
+    assemble_system(ex1, build_tensor_mesh(ex1, 8))
+    [(_, indices, indptr)] = emitted
+    [width] = set(np.diff(indptr).tolist())
+    top = min(np.iinfo(indices.dtype).max, np.iinfo(indptr.dtype).max)
+    largest = math.isqrt(top // width) - 1      # width (n+1)^2 <= top
+    largest -= largest % 8
+    assert largest == mesh_mod.MAX_N
+    # README's Library prose states the limit, the first N it rejects, and
+    # the largest and first rejected sweep N (whose 2N companion it bounds)
+    paragraph = next(p for p in README.read_text().split("\n\n")
+                     if "int32 indices" in p and "companion" in p)
+    cap = largest // 2 - largest // 2 % 8
+    assert re.findall(r"\d+,\d{3}", paragraph) == [
+        f"{n:,}" for n in (largest, largest + 8, cap, cap + 8)]
 
 
 def _curved(x, y):

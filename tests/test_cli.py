@@ -19,7 +19,6 @@ from cd2d.cli import (
     FULL_NS,
     RunConfig,
     _merge_config,
-    build_parser,
     main,
 )
 from cd2d.analysis import DoubleMeshMode
@@ -27,7 +26,8 @@ from cd2d.assembly import Variant, assemble_system, m_matrix_check
 from cd2d.errors import (CD2DError, GeometryError, MalformedSpec,
                          MeshMismatch, SingularMatrix)
 from cd2d.mesh import build_tensor_mesh
-from cd2d.problems import _REGISTRY, builtin_problem, register_problem
+from cd2d.problems import (_REGISTRY, builtin_problem, problem_names,
+                           register_problem)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def config_from(tmp_path, text: str) -> RunConfig:
     """The RunConfig of a sweep given only ``--config`` with ``text``."""
     ini = tmp_path / "run.ini"
     ini.write_text(text)
-    return _merge_config(build_parser().parse_args(
+    return _merge_config(cli._parser(tuple(problem_names())).parse_args(
         ["sweep", "--config", str(ini)]))
 
 
@@ -171,7 +171,7 @@ def test_one_name_per_setting(tmp_path, capsys):
     assert list(cli._CONFIG_KEYS) == fields
     assert list(SETTINGS) == fields
     ini = tmp_path / "run.ini"
-    parser = build_parser()
+    parser = cli._parser(tuple(problem_names()))
     for name, (flags, line) in SETTINGS.items():
         ini.write_text(f"[run]\n{line}\n")
         from_flags = _merge_config(parser.parse_args(["sweep"] + flags))
@@ -209,7 +209,7 @@ def test_main_builds_one_parser_for_many_calls(tmp_path, capsys,
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    build_parser()
+    cli._parser.__wrapped__(tuple(problem_names()))
     per_build = len(progs)
     assert progs.count("cd2d") == 1 and per_build > 1
     progs.clear()
@@ -611,6 +611,25 @@ CELL_KEYS = {"epsilon", "N", "D_eps", "sigma_x", "sigma_y",
              "error"}
 
 
+def test_sweep_cell_past_the_companion_limit_is_missing(tmp_path, capsys,
+                                                        monkeypatch):
+    # N = 8760 is a valid N, but its 2N companion is past the int32 limit:
+    # the cell fails while its meshes are built, and nothing is assembled
+    def must_not_assemble(*args):
+        raise AssertionError("assembled a cell whose companion is too large")
+
+    monkeypatch.setattr(analysis, "assemble_system", must_not_assemble)
+    rc = main(["sweep", "--epsilon", "1e-2", "--N", "8760",
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_INCOMPLETE
+    assert capsys.readouterr().err == (
+        "missing cell eps=0.01 N=8760: GeometryError: N = 17520 overflows "
+        "the int32 CSR indices\n")
+    doc = json.loads(
+        (tmp_path / "table_example1_transformed_bisect.json").read_text())
+    assert doc["D_eps"] == [[None]]
+
+
 def test_sweep_cell_json_keys(tmp_path):
     # the d1 = 0.7 problem of test_sweep_missing_cell_exit: eps 0.5 fails
     name = "cli_badgeom_keys"
@@ -726,8 +745,9 @@ def test_verify_prints_each_warning_once(capsys):
     spec = dataclasses.replace(
         builtin_problem("example1"), name=name,
         q_edges=(lambda y: 1.0, lambda x: 0.0, lambda y: 0.0, lambda x: 0.0))
-    every = [w for eps in (0.2, 1e-3) for N in (16, 32)
-             for w in cli.validate(spec.with_epsilon(eps), N)]
+    every = [w for s in (spec.with_epsilon(0.2), spec.with_epsilon(1e-3))
+             for N in (16, 32)
+             for w in cli.validate(s, build_tensor_mesh(s, N))]
     try:
         register_problem(name, lambda: spec)
         rc = main(["verify", "--problem", name,

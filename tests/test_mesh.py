@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cd2d import TensorMesh, bisect, build_tensor_mesh, builtin_problem
 from cd2d.errors import GeometryError, MeshMismatch
@@ -229,3 +229,25 @@ def test_mesh_invariants_property(log_eps, N, dx, dy):
     spec = dataclasses.replace(builtin_problem("example1"),
                                epsilon=10.0 ** log_eps, d1=dx, d2=dy)
     check_mesh_invariants(spec, N)
+
+
+@given(N=st.integers(1, 2500).map(lambda k: 8 * k))
+@example(N=8752)
+@example(N=8760)
+@example(N=17512)
+@example(N=17520)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_size_limit_property(ex1, N):
+    # the mesh takes N up to 17512 (int32 CSR indices), and so its bisection
+    # only up to N = 8752; only point axes are allocated
+    spec = ex1.with_epsilon(1e-2)
+    if N > 17512:
+        with pytest.raises(GeometryError, match=f"^N = {N} overflows"):
+            build_tensor_mesh(spec, N)
+        return
+    tm = build_tensor_mesh(spec, N)
+    if 2 * N > 17512:
+        with pytest.raises(GeometryError, match=f"^N = {2 * N} overflows"):
+            bisect(tm)
+    else:
+        assert bisect(tm).n == 2 * N

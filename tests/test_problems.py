@@ -171,16 +171,18 @@ def test_check_mesh_parameter():
 
 def test_validate_clean(ex1):
     spec = ex1.with_epsilon(1e-6)
-    assert validate(spec, 64) == []
-    assemble_system(spec, build_tensor_mesh(spec, 64))   # data checks pass
+    mesh = build_tensor_mesh(spec, 64)
+    assert validate(spec, mesh) == []
+    assemble_system(spec, mesh)     # data checks pass
 
 
 def test_validate_wide_layer_warning(ex1):
     # epsilon = 0.5: d2 = 0.5 < 8*(eps/beta)*ln N = 3.327 at N = 64
     spec = ex1.with_epsilon(0.5)
-    warnings = validate(spec, 64)
+    mesh = build_tensor_mesh(spec, 64)
+    warnings = validate(spec, mesh)
     assert any("d2" in w or "layer" in w.lower() for w in warnings)
-    assemble_system(spec, build_tensor_mesh(spec, 64))
+    assemble_system(spec, mesh)
 
 
 def test_validate_coefficient_floor_violation(ex1):
@@ -209,13 +211,9 @@ def test_validate_non_finite_samples(ex1):
 
 
 def test_validate_bad_n(ex1):
-    # the mesh of a bad N cannot be built, so there is nothing to check;
-    # validate applies the same N rule, with the same error
+    # the mesh of a bad N cannot be built, so there is nothing to validate
     with pytest.raises(GeometryError):
         assemble_system(ex1, build_tensor_mesh(ex1, 12))
-    for N in (12, 7.5, 1, 0, -8):
-        with pytest.raises(GeometryError, match="N must be a multiple of 8"):
-            validate(ex1, N)
 
 
 def test_sample_field_matches_pointwise(ex2):
@@ -288,7 +286,7 @@ def test_array_trace_called_once_per_edge_per_assembly(ex1):
     assert sorted(calls) == [(edge, (17,)) for edge in range(4)]
     assert np.array_equal(system.rhs, assemble_system(ex1, mesh).rhs)
     calls.clear()
-    assert validate(spec, 16) == []
+    assert validate(spec, mesh) == []
     assert sorted(calls) == [(edge, (2,)) for edge in range(4)]
 
 
@@ -306,7 +304,7 @@ def test_scalar_only_trace_falls_back_point_by_point(ex1):
                                              *ex1.q_edges[2:]))
     traces = sample_problem(spec, mesh)[3]
     assert traces[1].tolist() == [south(x) for x in mesh.x]
-    assert validate(spec, 16) == [
+    assert validate(spec, mesh) == [
         "boundary traces disagree at the southeast corner: 0.0 vs 1.0"]
     bad = dataclasses.replace(spec, q_edges=(west, *spec.q_edges[1:]))
     with pytest.raises(MalformedSpec, match=(
@@ -318,11 +316,12 @@ def test_validate_trace_failing_at_a_corner(ex1):
     # the west trace is fine inside but fails at y = 0
     bad = dataclasses.replace(
         ex1, q_edges=(lambda y: 0.0 * math.log(y), *ex1.q_edges[1:]))
+    mesh = build_tensor_mesh(bad, 16)
     with pytest.raises(MalformedSpec, match=(
             r"^west trace fails at 0: ValueError: math domain error$")):
-        validate(bad, 16)
+        validate(bad, mesh)
     with pytest.raises(MalformedSpec, match=r"^west trace fails at 0: "):
-        assemble_system(bad, build_tensor_mesh(bad, 16))
+        assemble_system(bad, mesh)
 
 
 def test_register_problem(ex1):

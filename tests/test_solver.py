@@ -259,6 +259,31 @@ def test_flush_zeroes_subnormals():
     assert subnormals_survive()
 
 
+@pytest.fixture
+def fresh_libm():
+    """``_libm`` with its cache cleared, and cleared again after the test."""
+    _libm.cache_clear()
+    yield _libm
+    _libm.cache_clear()
+
+
+def test_no_libm_off_x86_64(fresh_libm, monkeypatch):
+    monkeypatch.setattr(cd2d.solve.platform, "machine", lambda: "aarch64")
+    assert fresh_libm() is None
+
+
+def test_no_libm_where_it_does_not_load(fresh_libm, monkeypatch):
+    # the platform is x86-64 glibc, but libm.so.6 cannot be opened
+    def cannot_open(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(cd2d.solve.platform, "machine", lambda: "x86_64")
+    monkeypatch.setattr(cd2d.solve.platform, "libc_ver",
+                        lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(cd2d.solve.ctypes, "CDLL", cannot_open)
+    assert fresh_libm() is None
+
+
 def test_solve_without_flush_keeps_residual_contract(monkeypatch):
     # where no libm flush is available (say, off x86-64 glibc) the LU path
     # runs unflushed: the solve still meets the residual contract and the
