@@ -246,30 +246,30 @@ def _run_pooled(jobs: list, workers: int) -> list[list[CellResult]]:
 
 @dataclass
 class ConvergenceTable:
+    """D(N, eps) per cell and the rows computed from it whenever a table is
+    built: D_uniform, each column's max over its finite D_eps, and E_uniform,
+    log2(D(N) / D(2N)) where the next N doubles and both D are positive."""
     epsilons: list[float]
     Ns: list[int]
     D_eps: np.ndarray          # shape (len(epsilons), len(Ns)), nan = missing
-    D_uniform: np.ndarray      # shape (len(Ns),)
-    E_uniform: np.ndarray      # shape (len(Ns) - 1,), nan unless N doubles
+    D_uniform: np.ndarray = field(init=False)   # shape (len(Ns),)
+    E_uniform: np.ndarray = field(init=False)   # shape (len(Ns) - 1,)
 
-    @classmethod
-    def from_errors(cls, epsilons: Sequence[float], Ns: Sequence[int],
-                    D_eps: np.ndarray) -> "ConvergenceTable":
-        D_eps = np.asarray(D_eps, dtype=float)
-        n_cols = len(Ns)
-        D_uniform = np.full(n_cols, np.nan)
+    def __post_init__(self):
+        self.epsilons, self.Ns = list(self.epsilons), list(self.Ns)
+        D_eps = self.D_eps = np.asarray(self.D_eps, dtype=float)
+        n_cols = len(self.Ns)
+        D_uniform = self.D_uniform = np.full(n_cols, np.nan)
         for k in range(n_cols):
             col = D_eps[:, k]
             finite = col[np.isfinite(col)]
             if finite.size:
                 D_uniform[k] = finite.max()
-        E_uniform = np.full(max(n_cols - 1, 0), np.nan)
+        self.E_uniform = np.full(max(n_cols - 1, 0), np.nan)
         for k in range(n_cols - 1):
-            if (Ns[k + 1] == 2 * Ns[k]
+            if (self.Ns[k + 1] == 2 * self.Ns[k]
                     and D_uniform[k] > 0.0 and D_uniform[k + 1] > 0.0):
-                E_uniform[k] = math.log2(D_uniform[k] / D_uniform[k + 1])
-        return cls(epsilons=list(epsilons), Ns=list(Ns), D_eps=D_eps,
-                   D_uniform=D_uniform, E_uniform=E_uniform)
+                self.E_uniform[k] = math.log2(D_uniform[k] / D_uniform[k + 1])
 
 
 @dataclass
@@ -311,7 +311,7 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
         r, c = divmod(idx, len(Ns))
         if cell.ok:
             D[r, c] = cell.D_eps
-    table = ConvergenceTable.from_errors(epsilons, Ns, D)
+    table = ConvergenceTable(epsilons, Ns, D)
     return SweepResult(table=table, cells=cells, variant=variant, mode=mode,
                        problem=spec.name)
 
@@ -354,7 +354,7 @@ def manufactured_solution_study(Ns: Sequence[int],
         X, Y = np.meshgrid(tm.x, tm.y)
         exact = mms_exact(X, Y).ravel()
         errors[0, k] = float(np.max(np.abs(solution.values - exact)))
-    return ConvergenceTable.from_errors([spec.epsilon], Ns, errors)
+    return ConvergenceTable([spec.epsilon], Ns, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,16 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
 
 @dataclass
 class MMatrixReport:
+    """``m_matrix_check``'s findings; ``violating_rows`` is computed from
+    ``sign_violations`` whenever a report is built."""
     dimension: int
     sign_violations: list[tuple[int, int, float]] = field(default_factory=list)
-    violating_rows: list[int] = field(default_factory=list)
+    violating_rows: list[int] = field(init=False)
     nonpositive_diagonal_rows: list[int] = field(default_factory=list)
     min_inverse_entry: Optional[float] = None
+
+    def __post_init__(self):
+        self.violating_rows = sorted({r for r, _, _ in self.sign_violations})
 
     @property
     def n_sign_violations(self) -> int:
@@ -268,25 +273,19 @@ def m_matrix_check(system: LinearSystem) -> MMatrixReport:
 
     A monotone (M-matrix) discretization needs positive diagonal entries,
     nonpositive off-diagonal entries and a nonnegative inverse.  The dense
-    inverse is only formed when the dimension is small (N <= 16).
+    inverse is only formed when the dimension is small (N <= 16), else its
+    minimum is None; a singular matrix gives nan.
     """
-    report = MMatrixReport(dimension=system.dimension)
     coo = system.matrix.tocoo()
-    off = coo.row != coo.col
-    bad = off & (coo.data > 0.0)
+    bad = (coo.row != coo.col) & (coo.data > 0.0)
     order = np.lexsort((coo.col[bad], coo.row[bad]))
-    report.sign_violations = [
-        (int(r), int(c), float(v))
-        for r, c, v in zip(coo.row[bad][order], coo.col[bad][order],
-                           coo.data[bad][order])
-    ]
-    report.violating_rows = sorted({r for r, _, _ in report.sign_violations})
-    diag = system.matrix.diagonal()
-    report.nonpositive_diagonal_rows = [int(r) for r in np.flatnonzero(diag <= 0.0)]
+    violations = [(int(r), int(c), float(v)) for r, c, v in zip(
+        coo.row[bad][order], coo.col[bad][order], coo.data[bad][order])]
+    nonpositive = [int(r) for r in np.flatnonzero(system.matrix.diagonal() <= 0.0)]
+    inverse_min = None
     if system.dimension <= _DENSE_INVERSE_LIMIT:
         try:
-            inv = np.linalg.inv(system.matrix.toarray())
-            report.min_inverse_entry = float(inv.min())
+            inverse_min = float(np.linalg.inv(system.matrix.toarray()).min())
         except np.linalg.LinAlgError:
-            report.min_inverse_entry = float("nan")
-    return report
+            inverse_min = float("nan")
+    return MMatrixReport(system.dimension, violations, nonpositive, inverse_min)

@@ -21,7 +21,8 @@ never accumulated, because row selection in the discretization keys on the
 interface indices.  ``build_tensor_mesh`` is the one place that builds a
 mesh, and this module owns its rules: the N rule (``check_mesh_parameter``),
 the size rule (every ``TensorMesh`` has N <= ``MAX_N``, since assembly's CSR
-indices are int32), the floor below which double precision cannot resolve a
+indices are int32; ``build_tensor_mesh`` checks it before either axis
+exists), the floor below which double precision cannot resolve a
 layer piece (d1/2, d2/4 or eps too small) and the overlap rules
 (1 - sigma_x > d1, 1 - sigma_y > d2 + sigma_y).  A mesh is the two sorted
 point arrays plus sigma_x and sigma_y.
@@ -56,9 +57,7 @@ class TensorMesh:
         if self.x.size != self.y.size:
             raise MeshMismatch(f"axes disagree: {self.x.size - 1} x-intervals"
                                f" vs {self.y.size - 1} y-intervals")
-        if self.n > MAX_N:
-            raise GeometryError(
-                f"N = {self.n} overflows the int32 CSR indices")
+        _check_mesh_size(self.n)
 
     @property
     def n(self) -> int:
@@ -81,6 +80,11 @@ def _piecewise_uniform(breakpoints: tuple[float, ...], counts: tuple[int, ...],
     if not np.all(np.diff(pts) > 0):
         raise GeometryError(f"{axis}-mesh is not strictly increasing")
     return pts
+
+
+def _check_mesh_size(N: int) -> None:
+    if N > MAX_N:
+        raise GeometryError(f"N = {N} overflows the int32 CSR indices")
 
 
 def check_mesh_parameter(N: int) -> None:
@@ -129,6 +133,7 @@ def build_tensor_mesh(spec: ProblemSpec, N: int) -> TensorMesh:
     if 1.0 - sy <= d2 + sy:
         raise GeometryError(
             f"layer pieces around y = {d2} and y = 1 overlap for sigma_y = {sy}")
+    _check_mesh_size(N)   # before the axes, which take 24 bytes an interval
     x = _piecewise_uniform((0.0, d1 - sx, d1, 1.0 - sx, 1.0), (quarter,) * 4, "x")
     y = _piecewise_uniform((0.0, sy, d2 - sy, d2, d2 + sy, 1.0 - sy, 1.0),
                            (eighth, quarter, eighth, eighth, quarter, eighth), "y")

@@ -118,9 +118,15 @@ from .mesh import TensorMesh
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Scalar field on the tensor mesh, flat row-major values (j*(n+1)+i)."""
+    """Scalar field on the tensor mesh, flat row-major values (j*(n+1)+i).
+    Values that do not fit the mesh's (n+1)^2 points raise ``MeshMismatch``."""
     mesh: TensorMesh
     values: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.values) != ((self.n + 1) ** 2,):
+            raise MeshMismatch(f"values {np.shape(self.values)} do not fit the "
+                               f"{(self.n + 1) ** 2} points of N = {self.n}")
 
     @property
     def n(self) -> int:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cd2d import (
     LinearSystem,
+    MMatrixReport,
     TensorMesh,
     Variant,
     assemble_system,
@@ -423,7 +424,7 @@ def test_transformed_rows_have_three_entries(ex1):
 @given(problem=st.sampled_from(["Example1", "Example2"]),
        log_eps=st.floats(-6.0, math.log10(0.5)),
        N=st.sampled_from([8, 16, 32, 64]))
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 def test_pattern_is_the_nonzero_coefficients(problem, log_eps, N):
     # the CSR stores no zero, keeps its columns sorted and gives every
     # Dirichlet row its diagonal alone, on the N-mesh, its bisection and
@@ -673,6 +674,21 @@ def test_m_matrix_check_transformed_example1(ex1):
             assert gi == 8 and c == r + 1 and v > 0
         assert report.min_inverse_entry == pytest.approx(inv_min, rel=1e-3)
         assert "15 positive" in report.summary()
+
+
+def test_m_matrix_report_rows_follow_its_violations(ex1):
+    # violating_rows is computed from sign_violations whenever a report is
+    # built, so a replaced list brings its own rows and its own summary
+    spec = ex1.with_epsilon(1e-3)
+    report = m_matrix_check(assemble_system(spec, build_tensor_mesh(spec, 16),
+                                            Variant.TRANSFORMED))
+    assert len(report.violating_rows) == 15
+    cleared = dataclasses.replace(report, sign_violations=[])
+    assert cleared.violating_rows == []
+    assert cleared.sign_ok
+    assert "0 positive off-diagonal entries in 0 rows" in cleared.summary()
+    with pytest.raises(TypeError, match="violating_rows"):
+        MMatrixReport(289, violating_rows=[0])
 
 
 def test_m_matrix_check_transformed_example2(ex2):

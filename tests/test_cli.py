@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -630,6 +631,28 @@ def test_sweep_cell_past_the_companion_limit_is_missing(tmp_path, capsys,
     assert doc["D_eps"] == [[None]]
 
 
+@pytest.mark.parametrize("argv, status, err", [
+    (["solve", "--N", "80000"], EXIT_CONFIG,
+     "error: N = 80000 overflows the int32 CSR indices\n"),
+    (["sweep", "--N", "17520"], EXIT_INCOMPLETE,
+     "missing cell eps=0.01 N=17520: GeometryError: N = 17520 overflows "
+     "the int32 CSR indices\n"),
+], ids=["solve", "sweep"])
+def test_oversize_n_is_refused_before_its_axes(tmp_path, capsys, argv, status,
+                                               err):
+    # solve takes it for bad input, a sweep records a missing cell; neither
+    # allocates the mesh's axes first
+    cli._parser(tuple(problem_names()))     # built outside the measurement
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--epsilon", "1e-2", "--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, capsys.readouterr().err) == (status, err)
+    assert peak < 64 * 2 ** 10
+
+
 def test_sweep_cell_json_keys(tmp_path):
     # the d1 = 0.7 problem of test_sweep_missing_cell_exit: eps 0.5 fails
     name = "cli_badgeom_keys"
@@ -802,8 +825,8 @@ def test_close_epsilons_get_distinct_labels(tmp_path, capsys):
 def test_desk_table_epsilons_keep_short_labels(config):
     path = Path(__file__).resolve().parents[1] / "configs" / config
     epsilons = cli._read_config(path.read_text())["epsilons"]
-    table = analysis.ConvergenceTable.from_errors(
-        epsilons, [32], np.ones((len(epsilons), 1)))
+    table = analysis.ConvergenceTable(epsilons, [32],
+                                      np.ones((len(epsilons), 1)))
     buf = io.StringIO()
     analysis.write_table_csv(table, buf)
     assert [line.split(",")[0] for line in buf.getvalue().splitlines()[1:-2]
