@@ -89,7 +89,7 @@ class MeshSolve:
 _STAGES = ("mesh_s", "assemble_s", "solve_s", "residual_s", "estimate_s")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellResult:
     """One (eps, N) cell.
 
@@ -152,21 +152,21 @@ def _cell(spec: ProblemSpec, N: int, variant: Variant, mode: DoubleMeshMode,
     """The cell (eps, N), and in regenerate mode its companion's solve, the
     coarse solve of the cell of 2N.  ``coarse``, if given, is the solve on
     this cell's N-mesh; the cell then solves only its companion."""
-    cell = CellResult(epsilon=spec.epsilon, N=N)
-    t = cell.timings
+    t = dict.fromkeys(_STAGES, 0.0)
+    found = dict(epsilon=spec.epsilon, N=N, timings=t)  # the fields so far
     start = time.perf_counter()
     fine = None
     try:
         coarse_mesh = (timed(t, "mesh_s", mesh_mod.build_tensor_mesh, spec, N)
                        if coarse is None else coarse.solution.mesh)
-        cell.sigma_x, cell.sigma_y = coarse_mesh.sigma_x, coarse_mesh.sigma_y
+        found.update(sigma_x=coarse_mesh.sigma_x, sigma_y=coarse_mesh.sigma_y)
         # both meshes up front, so an infeasible companion costs no solve
         if mode is DoubleMeshMode.BISECT:
             fine_mesh = timed(t, "mesh_s", mesh_mod.bisect, coarse_mesh)
         else:
             fine_mesh = timed(t, "mesh_s", mesh_mod.build_tensor_mesh,
                                spec, 2 * N)
-        cell.warnings = validate(spec, coarse_mesh)
+        found["warnings"] = validate(spec, coarse_mesh)
         # both systems up front, so data bad on the companion costs no solve
         meshes = [coarse_mesh, fine_mesh] if coarse is None else [fine_mesh]
         systems = [timed(t, "assemble_s", assemble_system, spec, tm, variant)
@@ -174,21 +174,21 @@ def _cell(spec: ProblemSpec, N: int, variant: Variant, mode: DoubleMeshMode,
         if coarse is None:
             coarse = solve_on(systems.pop(0), t)
         else:
-            cell.coarse_reused = True
-        cell.residual_coarse = coarse.residual
-        cell.max_u_coarse = coarse.solution.max_norm()
-        cell.solver = coarse.solver
+            found["coarse_reused"] = True
+        found.update(residual_coarse=coarse.residual,
+                     max_u_coarse=coarse.solution.max_norm(),
+                     solver=coarse.solver)
 
         fine = solve_on(systems.pop(), t)
         if fine.solver != coarse.solver:
-            cell.solver += "+" + fine.solver
-        cell.residual_fine = fine.residual
-        cell.max_u_fine = fine.solution.max_norm()
-        cell.D_eps = timed(t, "estimate_s", double_mesh_error,
-                           coarse.solution, fine.solution)
+            found["solver"] += "+" + fine.solver
+        found.update(residual_fine=fine.residual,
+                     max_u_fine=fine.solution.max_norm())
+        found["D_eps"] = timed(t, "estimate_s", double_mesh_error,
+                               coarse.solution, fine.solution)
     except CONTAINED_FAILURES as exc:
-        cell.error = f"{type(exc).__name__}: {exc}"
-    cell.wall_time = time.perf_counter() - start
+        found["error"] = f"{type(exc).__name__}: {exc}"
+    cell = CellResult(wall_time=time.perf_counter() - start, **found)
     return cell, fine if mode is DoubleMeshMode.REGENERATE else None
 
 
@@ -244,11 +244,13 @@ def _run_pooled(jobs: list, workers: int) -> list[list[CellResult]]:
     return results
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceTable:
-    """D(N, eps) per cell and the rows computed from it whenever a table is
+    """D(N, eps) per cell and the rows computed from it when a table is
     built: D_uniform, each column's max over its finite D_eps, and E_uniform,
-    log2(D(N) / D(2N)) where the next N doubles and both D are positive."""
+    log2(D(N) / D(2N)) where the next N doubles and both D are positive.
+    The table keeps read-only arrays, D_eps its own copy of the one given;
+    a D_eps not of shape (len(epsilons), len(Ns)) raises ``ValueError``."""
     epsilons: list[float]
     Ns: list[int]
     D_eps: np.ndarray          # shape (len(epsilons), len(Ns)), nan = missing
@@ -256,23 +258,26 @@ class ConvergenceTable:
     E_uniform: np.ndarray = field(init=False)   # shape (len(Ns) - 1,)
 
     def __post_init__(self):
-        self.epsilons, self.Ns = list(self.epsilons), list(self.Ns)
-        D_eps = self.D_eps = np.asarray(self.D_eps, dtype=float)
-        n_cols = len(self.Ns)
-        D_uniform = self.D_uniform = np.full(n_cols, np.nan)
-        for k in range(n_cols):
-            col = D_eps[:, k]
-            finite = col[np.isfinite(col)]
-            if finite.size:
-                D_uniform[k] = finite.max()
-        self.E_uniform = np.full(max(n_cols - 1, 0), np.nan)
-        for k in range(n_cols - 1):
-            if (self.Ns[k + 1] == 2 * self.Ns[k]
-                    and D_uniform[k] > 0.0 and D_uniform[k + 1] > 0.0):
-                self.E_uniform[k] = math.log2(D_uniform[k] / D_uniform[k + 1])
+        epsilons, Ns = list(self.epsilons), list(self.Ns)
+        D_eps = np.array(self.D_eps, dtype=float)   # the table's own copy
+        if D_eps.shape != (len(epsilons), len(Ns)):
+            raise ValueError(f"D_eps has shape {D_eps.shape}, not the "
+                             f"{(len(epsilons), len(Ns))} of its eps and Ns")
+        finite = [col[np.isfinite(col)] for col in D_eps.T]
+        D_uniform = np.array([c.max() if c.size else np.nan for c in finite])
+        E_uniform = np.array([
+            math.log2(d / d2) if n2 == 2 * n and d > 0.0 and d2 > 0.0
+            else np.nan
+            for n, n2, d, d2 in zip(Ns, Ns[1:], D_uniform, D_uniform[1:])])
+        for row in (D_eps, D_uniform, E_uniform):
+            row.flags.writeable = False
+        for name, value in zip(("epsilons", "Ns", "D_eps", "D_uniform",
+                                "E_uniform"),
+                               (epsilons, Ns, D_eps, D_uniform, E_uniform)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
     table: ConvergenceTable
     cells: list[CellResult]

@@ -57,7 +57,7 @@ class Variant(enum.Enum):
     RAW = "raw"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """The scheme on one mesh.  ``bound`` is the stability bound
     (1/alpha) max|f| + max|q| of the problem data ``assemble_system``
@@ -235,18 +235,17 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
 # ---------------------------------------------------------------------------
 # Diagnostics.
 
-@dataclass
+@dataclass(frozen=True)
 class MMatrixReport:
-    """``m_matrix_check``'s findings; ``violating_rows`` is computed from
-    ``sign_violations`` whenever a report is built."""
+    """``m_matrix_check``'s findings."""
     dimension: int
     sign_violations: list[tuple[int, int, float]] = field(default_factory=list)
-    violating_rows: list[int] = field(init=False)
     nonpositive_diagonal_rows: list[int] = field(default_factory=list)
     min_inverse_entry: Optional[float] = None
 
-    def __post_init__(self):
-        self.violating_rows = sorted({r for r, _, _ in self.sign_violations})
+    @property
+    def violating_rows(self) -> list[int]:
+        return sorted({r for r, _, _ in self.sign_violations})
 
     @property
     def n_sign_violations(self) -> int:

@@ -44,7 +44,7 @@ FULL_EPSILONS = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 FULL_NS = [32, 64, 128, 256, 512, 1024]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """The settings of a run.  Each field name is also its ``[run]`` key and
     the ``dest`` of its flag."""
@@ -59,8 +59,9 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise CD2DError(f"workers must be at least 1, got {self.workers}")
-        self.variant = Variant(self.variant)
-        self.double_mesh = DoubleMeshMode(self.double_mesh)
+        object.__setattr__(self, "variant", Variant(self.variant))
+        object.__setattr__(self, "double_mesh",
+                           DoubleMeshMode(self.double_mesh))
 
 
 def _parse_list(kind, text: str) -> list:

@@ -144,12 +144,24 @@ def register_problem(name: str, factory: Callable[[], ProblemSpec]) -> None:
 
 
 def builtin_problem(name: str) -> ProblemSpec:
-    """Look up a registered problem by name (case-insensitive)."""
+    """Look up a registered problem by name (case-insensitive) and build it.
+    A factory that raises (``MemoryError`` aside) or returns no
+    ``ProblemSpec`` raises ``MalformedSpec`` naming the problem."""
     key = name.lower()
     if key not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise MalformedSpec(f"unknown problem {name!r} (known: {known})")
-    return _REGISTRY[key]()
+    try:
+        spec = _REGISTRY[key]()
+    except MemoryError:
+        raise
+    except Exception as exc:
+        raise MalformedSpec(f"problem {name!r} cannot be built: "
+                            f"{type(exc).__name__}: {exc}") from exc
+    if not isinstance(spec, ProblemSpec):
+        raise MalformedSpec(f"problem {name!r} is built as a "
+                            f"{type(spec).__name__}, not a ProblemSpec")
+    return spec
 
 
 def problem_names() -> list[str]:
@@ -162,15 +174,18 @@ def sample_field(fld: Callable, xs: np.ndarray, ys: np.ndarray | None = None,
     or, with ``ys`` None, an edge trace on the axis ``xs``.
 
     Tries one call on xs as a row and ys as a column, broadcast to the grid,
-    and falls back to pointwise evaluation if that call fails in any way.  A
-    callable that fails pointwise as well raises ``MalformedSpec`` naming
-    the point and ``label`` (default: "field <qualname>").
+    and falls back to pointwise evaluation if that call fails in any way but
+    ``MemoryError``, which it raises.  A callable that fails pointwise as
+    well raises ``MalformedSpec`` naming the point and ``label`` (default:
+    "field <qualname>").
     """
     points = (xs,) if ys is None else np.meshgrid(xs, ys, sparse=True)
     shape = xs.shape if ys is None else (len(ys), len(xs))
     try:
         vals = np.broadcast_to(np.asarray(fld(*points), dtype=float), shape)
         return np.array(vals, dtype=float)
+    except MemoryError:
+        raise
     except Exception:
         pass
     out = np.empty(shape)

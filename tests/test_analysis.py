@@ -263,6 +263,23 @@ def test_run_cell_scalar_only_field(ex2):
     assert cell.D_eps == pytest.approx(run_cell(twin, 16).D_eps, rel=1e-12)
 
 
+def test_run_cell_records_memory_error_of_a_field(ex2):
+    # a field that runs out of memory on the grid is called once, and the
+    # cell records the MemoryError instead of sampling point by point
+    calls = []
+
+    def hungry_b(x, y):
+        calls.append(np.shape(x))
+        raise MemoryError("Unable to allocate 2.2 KiB")
+
+    cell = run_cell(dataclasses.replace(ex2, epsilon=1e-3, b_field=hungry_b),
+                    16)
+    assert cell.error == "MemoryError: Unable to allocate 2.2 KiB"
+    assert calls == [(1, 17)]
+    assert cell.sigma_x == build_tensor_mesh(ex2.with_epsilon(1e-3), 16).sigma_x
+    assert math.isnan(cell.residual_coarse) and cell.solver is None
+
+
 def test_run_cell_nan_source_is_a_validation_error(ex1):
     spec = dataclasses.replace(
         ex1, f_quadrants=(lambda x, y: np.nan * x, *ex1.f_quadrants[1:]))
@@ -752,6 +769,41 @@ def test_convergence_table_rows_follow_its_errors():
     for row in ("D_uniform", "E_uniform"):
         with pytest.raises(TypeError, match=row):
             ConvergenceTable([1e-1], [8, 16], [[2e-2, 1e-2]], **{row: [0.0]})
+
+
+def test_convergence_table_is_a_value():
+    # the table keeps its own read-only copy of D_eps: neither the caller's
+    # array nor an assignment can leave D and E behind their errors
+    D = np.array([[2e-2, 1e-2]])
+    table = ConvergenceTable([1e-1], [8, 16], D)
+    D[0, 1] = 5e-3
+    assert list(table.D_eps[0]) == [2e-2, 1e-2]
+    assert list(table.D_uniform) == [2e-2, 1e-2] and table.E_uniform[0] == 1.0
+    for row in (table.D_eps, table.D_uniform, table.E_uniform):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.D_eps = np.array([[4e-2, 1e-2]])
+    assert list(table.D_uniform) == [2e-2, 1e-2]
+
+
+@pytest.mark.parametrize("D_eps, shape", [
+    ([[1e-2]], r"\(1, 1\)"), ([[1e-2, 5e-3, 2e-3]], r"\(1, 3\)"),
+    ([1e-2, 5e-3], r"\(2,\)")], ids=["narrow", "wide", "flat"])
+def test_convergence_table_refuses_a_shape_off_its_lists(D_eps, shape):
+    # a table must hold one row per eps and one column per N; a wide one
+    # would write an eps row longer than its CSV header
+    with pytest.raises(ValueError, match=(
+            rf"^D_eps has shape {shape}, not the \(1, 2\) of its eps and Ns$")):
+        ConvergenceTable([1e-1], [8, 16], D_eps)
+
+
+def test_cell_result_is_frozen(ex1):
+    cell = run_cell(ex1, 16)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cell.wall_time = 0.0
+    assert cell.wall_time > 0.0
+    assert dataclasses.replace(cell, error="injected").ok is False
 
 
 def test_csv_golden():

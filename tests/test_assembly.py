@@ -677,12 +677,16 @@ def test_m_matrix_check_transformed_example1(ex1):
 
 
 def test_m_matrix_report_rows_follow_its_violations(ex1):
-    # violating_rows is computed from sign_violations whenever a report is
-    # built, so a replaced list brings its own rows and its own summary
+    # violating_rows is computed from sign_violations and the report is
+    # frozen, so only dataclasses.replace changes it, and a replaced list
+    # brings its own rows and its own summary
     spec = ex1.with_epsilon(1e-3)
     report = m_matrix_check(assemble_system(spec, build_tensor_mesh(spec, 16),
                                             Variant.TRANSFORMED))
     assert len(report.violating_rows) == 15
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.sign_violations = []
+    assert "15 positive off-diagonal entries in 15 rows" in report.summary()
     cleared = dataclasses.replace(report, sign_violations=[])
     assert cleared.violating_rows == []
     assert cleared.sign_ok

@@ -415,6 +415,30 @@ def test_solve_unknown_problem(capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
+def _divide_by_zero():
+    return 1 / 0
+
+
+@pytest.mark.parametrize("factory, why", [
+    (_divide_by_zero, "cannot be built: ZeroDivisionError: division by zero"),
+    (lambda: None, "is built as a NoneType, not a ProblemSpec")],
+    ids=["raises", "none"])
+def test_failing_problem_factory_is_a_data_error(tmp_path, capsys, factory,
+                                                 why):
+    # a registered factory that fails is the user's problem data at fault:
+    # one named line and status 2, not a traceback
+    name = "cli_bad_factory_probe"
+    try:
+        register_problem(name, factory)
+        rc = main(["solve", "--problem", name, "--epsilon", "1e-2",
+                   "--N", "16", "--out-dir", str(tmp_path)])
+    finally:
+        _REGISTRY.pop(name, None)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: problem {name!r} {why}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_warns_in_classical_regime(tmp_path, capsys):
     rc = main(["solve", "--epsilon", "0.5", "--N", "64",
                "--out-dir", str(tmp_path)])

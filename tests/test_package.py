@@ -50,6 +50,20 @@ def test_linear_system_fields():
         "matrix", "rhs", "mesh", "bound", "separable"]
 
 
+def test_every_record_is_frozen():
+    # results are values: no dataclass of the package changes after its
+    # constructor returns (dataclasses.replace gives a changed copy)
+    modules = [importlib.import_module(f"cd2d.{path.stem}") for path in
+               Path(cd2d.__file__).parent.glob("*.py")
+               if path.stem != "__init__"]
+    records = [value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and dataclasses.is_dataclass(value)
+               and value.__module__ == module.__name__]
+    assert len(records) == 14
+    assert [r.__qualname__ for r in records
+            if not r.__dataclass_params__.frozen] == []
+
+
 def _raised_names() -> set[str]:
     """The names after ``raise`` anywhere in ``src/cd2d``."""
     names = set()

@@ -259,6 +259,21 @@ def test_sample_field_falls_back_on_any_error():
         sample_field(b_divides_by_x, np.array([0.0, 0.5]), np.array([0.25]))
 
 
+def test_sample_field_raises_memory_error_after_one_call():
+    # running out of memory on the whole grid is not a field that rejects
+    # arrays: no point-by-point fallback, the error propagates
+    calls = []
+
+    def hungry(x, y):
+        calls.append(np.shape(x))
+        raise MemoryError("Unable to allocate 32. KiB")
+
+    xs = np.linspace(0.0, 1.0, 65)
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        sample_field(hungry, xs, xs)
+    assert calls == [(1, 65)]
+
+
 def test_sample_field_reads_an_edge_trace_on_one_axis():
     ts = np.linspace(0.0, 1.0, 5)
     assert np.array_equal(sample_field(np.sin, ts), np.sin(ts))
@@ -322,6 +337,20 @@ def test_validate_trace_failing_at_a_corner(ex1):
         validate(bad, mesh)
     with pytest.raises(MalformedSpec, match=r"^west trace fails at 0: "):
         assemble_system(bad, mesh)
+
+
+def test_factory_memory_error_is_not_wrapped():
+    # running out of memory is no fault of the problem data
+    def hungry():
+        raise MemoryError
+
+    name = "unit_hungry_factory_probe"
+    try:
+        register_problem(name, hungry)
+        with pytest.raises(MemoryError):
+            builtin_problem(name)
+    finally:
+        _REGISTRY.pop(name, None)
 
 
 def test_register_problem(ex1):
