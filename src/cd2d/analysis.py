@@ -42,7 +42,7 @@ from . import mesh as mesh_mod
 from .assembly import LinearSystem, Variant, assemble_system
 from .errors import CONTAINED_FAILURES, MalformedSpec, MeshMismatch
 from .problems import ProblemSpec, _make_example1, validate
-from .solve import GridFunction, residual_norm, solve_direct, solver_name
+from .solve import GridFunction, residual_norm, solve_direct
 
 
 class DoubleMeshMode(enum.Enum):
@@ -79,11 +79,9 @@ def double_mesh_error(coarse: GridFunction, fine: GridFunction) -> float:
 
 @dataclass(frozen=True)
 class MeshSolve:
-    """A solution, its scaled residual and the solver path (``solver_name``
-    of its system) that produced it."""
+    """A solution, which names its solver path, and its scaled residual."""
     solution: GridFunction
     residual: float
-    solver: str
 
 
 _STAGES = ("mesh_s", "assemble_s", "solve_s", "residual_s", "estimate_s")
@@ -133,9 +131,8 @@ def solve_on(system: LinearSystem, timings: dict[str, float]) -> MeshSolve:
     """Solve ``system`` and take the residual, adding each step's seconds to
     ``timings`` (``solve_s``, ``residual_s``)."""
     solution = timed(timings, "solve_s", solve_direct, system)
-    return MeshSolve(solution,
-                     timed(timings, "residual_s", residual_norm, system, solution),
-                     solver_name(system))
+    return MeshSolve(solution, timed(timings, "residual_s", residual_norm,
+                                     system, solution))
 
 
 def run_cell(spec: ProblemSpec, N: int,
@@ -177,11 +174,11 @@ def _cell(spec: ProblemSpec, N: int, variant: Variant, mode: DoubleMeshMode,
             found["coarse_reused"] = True
         found.update(residual_coarse=coarse.residual,
                      max_u_coarse=coarse.solution.max_norm(),
-                     solver=coarse.solver)
+                     solver=coarse.solution.solver)
 
         fine = solve_on(systems.pop(), t)
-        if fine.solver != coarse.solver:
-            found["solver"] += "+" + fine.solver
+        if fine.solution.solver != coarse.solution.solver:
+            found["solver"] += "+" + fine.solution.solver
         found.update(residual_fine=fine.residual,
                      max_u_fine=fine.solution.max_norm())
         found["D_eps"] = timed(t, "estimate_s", double_mesh_error,
@@ -249,16 +246,17 @@ class ConvergenceTable:
     """D(N, eps) per cell and the rows computed from it when a table is
     built: D_uniform, each column's max over its finite D_eps, and E_uniform,
     log2(D(N) / D(2N)) where the next N doubles and both D are positive.
-    The table keeps read-only arrays, D_eps its own copy of the one given;
-    a D_eps not of shape (len(epsilons), len(Ns)) raises ``ValueError``."""
-    epsilons: list[float]
-    Ns: list[int]
+    The table keeps tuples of its eps and Ns and read-only arrays, D_eps its
+    own copy of the one given; a D_eps not of shape (len(epsilons), len(Ns))
+    raises ``ValueError``."""
+    epsilons: tuple[float, ...]
+    Ns: tuple[int, ...]
     D_eps: np.ndarray          # shape (len(epsilons), len(Ns)), nan = missing
     D_uniform: np.ndarray = field(init=False)   # shape (len(Ns),)
     E_uniform: np.ndarray = field(init=False)   # shape (len(Ns) - 1,)
 
     def __post_init__(self):
-        epsilons, Ns = list(self.epsilons), list(self.Ns)
+        epsilons, Ns = tuple(self.epsilons), tuple(self.Ns)
         D_eps = np.array(self.D_eps, dtype=float)   # the table's own copy
         if D_eps.shape != (len(epsilons), len(Ns)):
             raise ValueError(f"D_eps has shape {D_eps.shape}, not the "

@@ -68,10 +68,10 @@ class LinearSystem:
     at offsets -2 to 2 (the rows' mean x-stencil, centre less the y-part),
     Y's entries down column i = 1 and D's diagonal, False only on x = d1
     (no y-coupling).  X[1, 0], X[3, -1], y_south[0] and y_north[-1] couple
-    to the boundary.  It is None, and the solver takes the sparse LU,
-    unless ``assemble_system`` found a and b within ``_MAX_Y_SPREAD`` of
-    their means along y; a system built by hand has none.  A matrix or rhs
-    that does not fit the mesh's (n+1)^2 unknowns raises ``MeshMismatch``."""
+    to the boundary.  ``assemble_system`` gives every system its part, exact
+    when a and b do not vary with y; a system built by hand has none, and
+    the solver takes the sparse LU.  A matrix or rhs that does not fit the
+    mesh's (n+1)^2 unknowns raises ``MeshMismatch``."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: TensorMesh
@@ -135,8 +135,6 @@ def _raw_interface_coeffs(h1, H2):
 
 # ---------------------------------------------------------------------------
 # Full-system assembly.
-
-_MAX_Y_SPREAD = 0.015   # largest y-spread given a separable part (solve.py)
 
 
 def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
@@ -205,23 +203,17 @@ def assemble_system(spec: ProblemSpec, mesh: TensorMesh,
     rhs[-1], rhs[0], rhs[:, -1], rhs[:, 0] = north_q, south_q, east_q, west_q
     table[[0, -1], :, slot[0]] = table[:, [0, -1], slot[0]] = 1.0
 
-    # The separable part, if |v - mean_y v| / |mean_y v| (largest at v's
-    # extremes along y) is within _MAX_Y_SPREAD for v = a and v = b, read
-    # before eliminate_zeros compacts the table: all column means in one
-    # pass (x = d1's -+2 entries summed pairwise, as a 1-D mean is).
-    spread = max(float(np.max(np.maximum(v.max(0) - mu, mu - v.min(0))
-                              / np.abs(mu)))
-                 for v, mu in ((a, a.mean(0)), (b, b.mean(0))))
-    separable = None
-    if spread <= _MAX_Y_SPREAD:
-        inner = table[1:-1, 1:-1]
-        means = inner.mean(axis=0).T    # row k: slot k
-        x_bar = means[slot[-2]:slot[2] + 1]     # offsets -2 ... 2
-        x_bar[2] += means[slot[-m]] + means[slot[m]]
-        x_bar[[0, -1], half - 1] = [inner[:, half - 1, slot[d]].mean()
-                                    for d in (-2, 2)]
-        separable = (x_bar, inner[:, 0, slot[-m]].copy(),
-                     inner[:, 0, slot[m]].copy(), means[slot[-m]] != 0.0)
+    # The separable part, read before eliminate_zeros compacts the table:
+    # all column means in one pass (x = d1's -+2 entries summed pairwise,
+    # as a 1-D mean is).
+    inner = table[1:-1, 1:-1]
+    means = inner.mean(axis=0).T    # row k: slot k
+    x_bar = means[slot[-2]:slot[2] + 1]     # offsets -2 ... 2
+    x_bar[2] += means[slot[-m]] + means[slot[m]]
+    x_bar[[0, -1], half - 1] = [inner[:, half - 1, slot[d]].mean()
+                                for d in (-2, 2)]
+    separable = (x_bar, inner[:, 0, slot[-m]].copy(),
+                 inner[:, 0, slot[m]].copy(), means[slot[-m]] != 0.0)
 
     cols = (np.arange(m * m, dtype=np.int32)[:, None] + offsets).ravel()
     indptr = np.arange(0, cols.size + 1, offsets.size, dtype=np.int32)

@@ -172,7 +172,7 @@ def cmd_solve(config: RunConfig) -> int:
         "sigma_x": tm.sigma_x,
         "sigma_y": tm.sigma_y,
         "residual": solved.residual,
-        "solver": solved.solver,
+        "solver": solution.solver,
         "max_abs_u": solution.max_norm(),
         "wall_time": timings["assemble_s"] + timings["solve_s"],
         "timings": timings,

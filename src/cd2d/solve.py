@@ -2,37 +2,37 @@
 
 ``factorize(system)`` returns a :class:`Factorization` whose ``solve(rhs)``
 takes any right-hand side of that system; ``solve_direct`` does both for the
-system's own rhs.  A system with a ``separable`` part is solved by fast
-diagonalization, any other by sparse LU; ``solver_name`` says which.
+system's own rhs.  An assembled system starts on the fast diagonalization
+of its ``separable`` part; a ``SingularMatrix`` from its build or from its
+refinement restarts the system on the sparse LU, which a system built by
+hand takes at once.  ``GridFunction.solver`` names the path taken:
+"tensor", "MMD_AT_PLUS_A" (the LU's ordering) or "tensor>MMD_AT_PLUS_A".
 
 Fast diagonalization.  When a and b do not vary with y, the matrix on the
 interior unknowns of the tensor mesh is A = I (x) X + Y (x) D: X is the
-x-stencil of any grid row (its centre less the row's y-part), Y = -eps^2
-D_yy the y-stencil of one column, and D is the identity except on x = d1,
-whose transmission rows have no y-coupling.  ``assemble_system`` reads
-them off its coefficient table as the system's ``separable`` part (laid
-out in ``LinearSystem``), whose own boundary entries move the Dirichlet
-values to the right-hand side F.  Y, made
-symmetric by a diagonal similarity S (s_{j+1} / s_j = sqrt(north_j /
-south_{j+1})), is W diag(lam) W^-1 with W = S^-1 Q for the eigenvectors Q
-of ``scipy.linalg.eigh_tridiagonal``; in that basis the system splits into
-the n-1 systems (X + lam_k D) v_k = (W^-1 F)_k (R. E. Lynch, J. R. Rice &
-D. H. Thomas, Numer. Math. 6, 1964).  Their tridiagonal parts are stacked,
-factored once by LAPACK ``dgttrf`` (partial pivoting) and solved by
-``dgttrs``; the raw variant's x = d1 row, which also couples to its second
-neighbours, is a Sherman-Morrison rank-one update (J. Sherman & W. J.
-Morrison, Ann. Math. Statist. 21(1), 1950).  A solve costs two dense
-(n-1)^2 products and O(n^2) besides.  When a or b varies with y, so does
-X from row to row, and the fast solver of the mean X is the inner solve
-of the refinement loop below, which runs against A, so the answer is the
-LU's to rounding (P. Concus & G. H. Golub, SIAM J. Numer. Anal. 10(6),
-1973).  Each step cuts the error by a factor that grows with the
-y-variation, so the part is given only for a y-spread |v - mean_y v| /
-|mean_y v| of at most 0.015 (``assembly._MAX_Y_SPREAD``): Example 2 (0.011)
-fits inside the 10-step cap, the nearest measured systems past the bound
-(0.099, 0.12) do not (README "Solver" gives the counts).  A breakdown
-(``LinAlgError``, a zero pivot in ``dgttrf``, or a zero or non-finite
-Sherman-Morrison denominator) is ``SingularMatrix``.
+x-stencil of any grid row (its centre less the row's y-part), Y = -eps^2 D_yy
+the y-stencil of one column, and D is the identity except on x = d1, whose
+transmission rows have no y-coupling.  ``assemble_system`` reads them off its
+coefficient table as the system's ``separable`` part (laid out in
+``LinearSystem``), whose own boundary entries move the Dirichlet values to
+the right-hand side F.  Y, made symmetric by a diagonal similarity S
+(s_{j+1} / s_j = sqrt(north_j / south_{j+1})), is W diag(lam) W^-1 with
+W = S^-1 Q for the eigenvectors Q of ``scipy.linalg.eigh_tridiagonal``; in
+that basis the system splits into the n-1 systems (X + lam_k D) v_k =
+(W^-1 F)_k (R. E. Lynch, J. R. Rice & D. H. Thomas, Numer. Math. 6, 1964).
+Their tridiagonal parts are stacked, factored once by LAPACK ``dgttrf``
+(partial pivoting) and solved by ``dgttrs``; the raw variant's x = d1 row,
+which also couples to its second neighbours, is a Sherman-Morrison rank-one
+update (J. Sherman & W. J. Morrison, Ann. Math. Statist. 21(1), 1950).  A
+solve costs two dense (n-1)^2 products and O(n^2) besides.  When a or b
+varies with y, so does X from row to row, and the fast solver of the mean X
+is the inner solve of the refinement loop below, which runs against A, so the
+answer is the LU's to rounding (P. Concus & G. H. Golub, SIAM J. Numer.
+Anal. 10(6), 1973).  Each step cuts the error by a factor that grows with the
+y-variation, until refinement stalls and the solve restarts on the LU (README
+"Solver" gives the counts).  A breakdown (``LinAlgError``, a zero pivot in
+``dgttrf``, or a zero or non-finite Sherman-Morrison denominator) is
+``SingularMatrix``.
 
 Equilibration.  The transmission-row coefficients grow like 1/h1 and the fine
 width h1 shrinks like eps^2, so for the smallest eps the matrix entries span
@@ -44,26 +44,25 @@ row's factor, rounded once to float32, becomes the scaled CSR, zeros are
 dropped and one ``tocsc()`` gives SuperLU its input.  The scaled entries
 stay above ~1e-23 at eps = 1e-6, far above float32's least normal, 1.2e-38.
 
-Mixed precision.  Both inner solves return c with A c = r for the
-system's own A, inside one float64 loop of iterative refinement (C. B.
-Moler, J. ACM 14(2), 1967), whose mixed-precision form Carson & Higham
-analyse (SIAM J. Sci. Comput. 40(2), 2018).  ``solve`` starts from x = 0;
-each step forms r = b - A x from the system's own CSR A and adds the
-correction c to x (norms are max-norms).  The LU's factors are single
-precision, which holds a float64 factor's fill in half the bytes and
-factors it faster; it solves for D r / |D r|, which keeps the float32
-right-hand side clear of underflow as r shrinks, and scales c back up by
-|D r|.
-A correction c_k that does not halve c_{k-1} is a stall: it ends refinement
-if already at most 1e-12 |x|, or if x's ``residual_norm`` (a normwise
-backward error) is at most 64u, 8 times the up to 8u of rounding in a
-float64 residual over 7-entry rows, which no step undercuts; else it fails
-with ``SingularMatrix``.  Then refinement stops when c_k^2 / (c_{k-1} - c_k),
-the tail a geometric run of further corrections would add, is at most 4u|x|,
-u = 2^-53 being float64's unit roundoff; the two imply a stop on c_k <= 4u|x|,
-so a zero correction (a D r that underflowed gives one) ends refinement from
-step 1 on.
-It fails after 10 steps, so a solve never returns a half-refined answer.
+Mixed precision.  Both inner solves return c with A c = r for the system's
+own A, inside one float64 loop of iterative refinement (C. B. Moler, J. ACM
+14(2), 1967), whose mixed-precision form Carson & Higham analyse (SIAM J.
+Sci. Comput. 40(2), 2018).  ``solve`` starts from x = 0; each step forms
+r = b - A x from the system's own CSR A and adds the correction c to x (norms
+are max-norms).  The LU's factors are single precision, which holds a float64
+factor's fill in half the bytes and factors it faster; it solves for
+D r / |D r|, which keeps the float32 right-hand side clear of underflow as r
+shrinks, and scales c back up by |D r|.  A correction c_k that does not halve
+c_{k-1} is a stall: it ends refinement if already at most 1e-12 |x|, or if
+x's ``residual_norm`` (a normwise backward error) is at most 64u, 8 times the
+up to 8u of rounding in a float64 residual over 7-entry rows, which no step
+undercuts; else it fails with ``SingularMatrix``.  Then refinement stops when
+c_k^2 / (c_{k-1} - c_k), the tail a geometric run of further corrections
+would add, is at most 4u|x|, u = 2^-53 being float64's unit roundoff; the two
+imply a stop on c_k <= 4u|x|, so a zero correction (a D r that underflowed
+gives one) ends refinement from step 1 on.  Corrections that each halve the
+last fall from |x| to 4u|x| within log2(1/4u) = 51 steps, so refinement fails
+after 51 steps: a solve never returns a half-refined answer.
 
 Ordering and pivoting.  Apart from the interface rows the 5-point matrix is
 structurally symmetric, so SuperLU orders the columns by minimum degree on
@@ -77,10 +76,9 @@ Supernode blocking.  SuperLU's ``relax`` (the largest subtree merged into
 one relaxed supernode) and ``panel_size`` (columns factored together) are
 the blocking parameters of Demmel, Eisenstat, Gilbert, Li & Liu, "A
 supernodal approach to sparse partial pivoting" (SIAM J. Matrix Anal.
-Appl. 20(3), 1999).  The library defaults suit wide supernodes; the factors
-of these 5-point grid systems have narrow ones, and ``relax = 5``,
-``panel_size = 2`` factor the float32 LU at 257^2 and 513^2 in 0.5-0.9 of
-the default time with 12-21% less peak memory (README "Sparse LU").  Much
+Appl. 20(3), 1999).  The factors of these 5-point grid systems have narrow
+supernodes, and ``relax = 5``, ``panel_size = 2`` factor in 0.5-0.9 of the
+default time with 12-21% less peak memory (README "Sparse LU").  Much
 larger pairs are unsafe: relax = panel_size = 40 crashes SciPy 1.17.1 at
 interpreter exit.
 
@@ -103,8 +101,8 @@ import ctypes
 import functools
 import platform
 import sys
-from dataclasses import dataclass
-from typing import IO, Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import IO, ClassVar, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,10 +116,12 @@ from .mesh import TensorMesh
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Scalar field on the tensor mesh, flat row-major values (j*(n+1)+i).
+    """Scalar field on the tensor mesh, flat row-major values (j*(n+1)+i),
+    and the solver path that produced it (None for values not solved for).
     Values that do not fit the mesh's (n+1)^2 points raise ``MeshMismatch``."""
     mesh: TensorMesh
     values: np.ndarray
+    solver: Optional[str] = None
 
     def __post_init__(self):
         if np.shape(self.values) != ((self.n + 1) ** 2,):
@@ -142,7 +142,7 @@ class GridFunction:
 
 
 _ORDERING = "MMD_AT_PLUS_A"
-_TENSOR = "tensor"
+_FALLBACK = "tensor>" + _ORDERING      # the LU, after the tensor path failed
 _DIAG_PIVOT_THRESH = 0.1
 _RELAX = 5
 _PANEL_SIZE = 2
@@ -150,7 +150,7 @@ _FTZ_DAZ = 0x8040       # MXCSR bits 15 (flush to zero), 6 (denormals are zero)
 _STOP = 4 * np.finfo(np.float64).epsneg     # 4u, u = 2^-53
 _STALL_OK = 1e-12       # a stalled correction this small (times |x|) is kept
 _STALL_RESIDUAL = 64 * np.finfo(np.float64).epsneg  # see Mixed precision
-_MAX_STEPS = 10         # refinement steps after the first solve
+_MAX_STEPS = round(-np.log2(_STOP))     # 51: see Mixed precision
 
 
 class _FenvT(ctypes.Structure):
@@ -203,6 +203,7 @@ class _TensorSolve:
     correction, z_k = T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0).
     ``lift`` couples the operator to the south, north, west and east
     Dirichlet values: Y's end entries times D, then X's."""
+    path: ClassVar[str] = "tensor"
     w: np.ndarray
     w_inv: np.ndarray
     factors: tuple
@@ -279,13 +280,15 @@ class _TensorSolve:
 @dataclass(frozen=True, eq=False)
 class _LUSolve:
     """Single-precision SuperLU ``factors`` of D A, D = ``row_scale`` the
-    reciprocal row maxima of |A|, whose (min, max) is ``row_max_range``."""
+    reciprocal row maxima of |A|, whose (min, max) is ``row_max_range``;
+    ``path`` names the solver path that ends on it."""
     factors: spla.SuperLU
     row_scale: np.ndarray
     row_max_range: tuple[float, float]
+    path: str = _ORDERING
 
     @classmethod
-    def build(cls, a: sp.csr_matrix) -> "_LUSolve":
+    def build(cls, a: sp.csr_matrix, path: str = _ORDERING) -> "_LUSolve":
         counts = np.diff(a.indptr)
         # reduceat reads an empty row as its successor's first entry
         if not counts.all() or not (row_max := np.maximum.reduceat(
@@ -307,7 +310,8 @@ class _LUSolve:
         # ("gstrf was called with invalid arguments")
         except (RuntimeError, SystemError) as exc:
             raise SingularMatrix(str(exc)) from exc
-        return cls(factors, d, (float(row_max.min()), float(row_max.max())))
+        return cls(factors, d, (float(row_max.min()), float(row_max.max())),
+                   path)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solution c of A c = r: (D A) c = D r in float32, flushed."""
@@ -322,15 +326,24 @@ class _LUSolve:
 @dataclass(frozen=True, eq=False)
 class Factorization:
     """The inner solve ``lu`` of one ``system``, whose ``solve(r)`` returns
-    c with A c = r for the system's float64 CSR A: a single-precision
-    sparse LU or, for a nearly y-invariant system, the fast
-    diagonalization (``solver_name`` says which)."""
+    c with A c = r for the system's float64 CSR A: the fast diagonalization
+    of its ``separable`` part or a single-precision sparse LU."""
     lu: _LUSolve | _TensorSolve
     system: LinearSystem
 
     def solve(self, rhs: np.ndarray) -> GridFunction:
-        """Solution of A U = rhs for the factored A, refined to float64."""
-        a = self.system.matrix
+        """Solution of A U = rhs for the factored A, refined to float64; a
+        failed refinement on the fast diagonalization restarts on the LU."""
+        try:
+            return GridFunction(self.system.mesh, self._refine(rhs),
+                                self.lu.path)
+        except SingularMatrix:
+            if not isinstance(self.lu, _TensorSolve):
+                raise
+        return replace(self, lu=_LUSolve.build(self.system.matrix,
+                                               _FALLBACK)).solve(rhs)
+
+    def _refine(self, rhs: np.ndarray) -> np.ndarray:
         x = np.zeros(self.system.dimension)
         if np.shape(rhs) != x.shape:
             raise MeshMismatch(
@@ -350,7 +363,7 @@ class Factorization:
             if c_max > 0.5 * last:
                 if c_max <= _STALL_OK * x_max or residual_norm(self.system,
                         GridFunction(self.system.mesh, x)) <= _STALL_RESIDUAL:
-                    break
+                    return x
                 raise SingularMatrix(
                     f"iterative refinement stalled at step {step}: "
                     f"correction {c_max:.3e} after {last:.3e}, "
@@ -358,29 +371,25 @@ class Factorization:
             # stop when c^2 / (last - c), the tail of a geometric run of
             # further corrections, is at most 4u |x|
             if step and c_max * c_max <= _STOP * x_max * (last - c_max):
-                break
+                return x
             last = c_max
-            r = rhs - a @ x
-        else:
-            raise SingularMatrix(
-                f"iterative refinement did not converge in {_MAX_STEPS} "
-                f"steps: last correction {last:.3e}, |x| {x_max:.3e}")
-        return GridFunction(mesh=self.system.mesh, values=x)
-
-
-def solver_name(system: LinearSystem) -> str:
-    """The path ``factorize`` takes for ``system``: ``"tensor"`` when it
-    has a ``separable`` part, else the LU's column ordering."""
-    return _ORDERING if system.separable is None else _TENSOR
+            r = rhs - self.system.matrix @ x
+        raise SingularMatrix(
+            f"iterative refinement did not converge in {_MAX_STEPS} "
+            f"steps: last correction {last:.3e}, |x| {x_max:.3e}")
 
 
 def factorize(system: LinearSystem) -> Factorization:
-    """The inner solve of the refinement loop: fast diagonalization for a
-    nearly y-invariant system, a row-equilibrated single-precision sparse
-    LU otherwise; deterministic for identical inputs."""
-    lu = (_TensorSolve.build(system.separable)
-          if solver_name(system) == _TENSOR else _LUSolve.build(system.matrix))
-    return Factorization(lu, system)
+    """The inner solve of the refinement loop: the fast diagonalization of
+    the system's ``separable`` part, or the row-equilibrated single-precision
+    sparse LU for a system without one or whose part breaks down;
+    deterministic for identical inputs."""
+    if system.separable is None:
+        return Factorization(_LUSolve.build(system.matrix), system)
+    try:
+        return Factorization(_TensorSolve.build(system.separable), system)
+    except SingularMatrix:
+        return Factorization(_LUSolve.build(system.matrix, _FALLBACK), system)
 
 
 def solve_direct(system: LinearSystem) -> GridFunction:

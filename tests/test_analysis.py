@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 import cd2d
@@ -368,6 +368,87 @@ def test_run_cell_is_typed_or_finite_property(problem, variant, mode, log_eps,
         assert issubclass(getattr(errors, name, object), CD2DError), cell.error
 
 
+@dataclasses.dataclass(frozen=True)
+class LinearField:
+    """c0 + cx x + cy y, a user coefficient that pickles."""
+    c0: float
+    cx: float
+    cy: float
+
+    def __call__(self, x, y):
+        return self.c0 + self.cx * x + self.cy * y
+
+
+@st.composite
+def linear_fields(draw, floor):
+    """A LinearField at least ``floor`` on the unit square: slopes of either
+    sign up to 4 floor, and a constant that keeps 1% of floor to spare."""
+    cx, cy = (draw(st.floats(-4.0, 4.0)) * floor for _ in range(2))
+    spare = draw(st.floats(0.01, 1.0)) * floor
+    return LinearField(floor + spare + max(0.0, -cx) + max(0.0, -cy), cx, cy)
+
+
+@st.composite
+def user_problems(draw):
+    """Example 1's sources and traces with drawn eps, d1, d2, bounds and
+    linear a >= alpha and b >= beta^2."""
+    alpha, beta = draw(st.floats(0.1, 316.0)), draw(st.floats(0.1, 32.0))
+    return dataclasses.replace(
+        builtin_problem("Example1"), name="user",
+        epsilon=10.0 ** draw(st.floats(-7.0, math.log10(0.3))),
+        d1=draw(st.floats(0.01, 0.99)), d2=draw(st.floats(0.01, 0.99)),
+        alpha=alpha, beta=beta, a_field=draw(linear_fields(alpha)),
+        b_field=draw(linear_fields(beta ** 2)))
+
+
+# the systems that once failed on the tensor path (ROADMAP item 2), and one
+# on which it stalls, so the solve restarts on the LU
+USER_EXAMPLES = [
+    (dataclasses.replace(
+        builtin_problem("Example1"), epsilon=7.14e-5, d1=0.436, d2=0.147,
+        alpha=0.118, beta=5.93, a_field=LinearField(0.1468, 1.063, 0.00077),
+        b_field=LinearField(45.68, 4.972, 0.0)), 32, DoubleMeshMode.BISECT),
+    (dataclasses.replace(
+        builtin_problem("Example1"), epsilon=3.21e-3, d1=0.230, d2=0.550,
+        alpha=0.137, beta=1.79, a_field=LinearField(0.1895, 1.818, 0.0),
+        b_field=LinearField(5.388, 0.5242, 0.1065)), 16, REGENERATE),
+    (dataclasses.replace(
+        builtin_problem("Example1"), epsilon=1e-4,
+        b_field=LinearField(25.0, 0.0, 100.0)), 32, REGENERATE),
+]
+
+
+def _with_user_examples(test):
+    for spec, N, mode in USER_EXAMPLES:
+        test = example(spec=spec, N=N, variant=Variant.TRANSFORMED,
+                       mode=mode)(test)
+    return test
+
+
+@given(spec=user_problems(), N=st.sampled_from([8, 16, 24, 32]),
+       variant=st.sampled_from(list(Variant)),
+       mode=st.sampled_from(list(DoubleMeshMode)))
+@_with_user_examples
+@settings(max_examples=50)
+def test_user_problem_cells_solve_or_name_their_data(spec, N, variant, mode):
+    # a cell of a user problem either solves both systems to the residual
+    # contract, on whichever path, or fails on its mesh or its data: never
+    # with SingularMatrix
+    cell = run_cell(spec, N, variant, mode)
+    if cell.ok:
+        assert cell.residual_coarse <= 1e-12 and cell.residual_fine <= 1e-12
+    else:
+        assert cell.error.startswith(("GeometryError: ", "MalformedSpec: ")), (
+            cell.error)
+
+
+def test_user_examples_take_both_paths():
+    # the reproducers end on the tensor path, b = 25 + 100y on the LU
+    solvers = [run_cell(spec, N, mode=mode).solver
+               for spec, N, mode in USER_EXAMPLES]
+    assert solvers == ["tensor", "tensor", "tensor>MMD_AT_PLUS_A"]
+
+
 def test_run_sweep_missing_cells_not_fatal(ex1):
     spec = dataclasses.replace(ex1, d2=0.9)
     result = run_sweep(spec, [0.5, 1e-3], [8, 16])
@@ -510,20 +591,23 @@ def test_regenerate_sweep_solves_each_mesh_once(ex2, monkeypatch):
 def test_cells_name_their_solver_path(ex1, ex2):
     # each cell records the solver path of its solves, a reused coarse
     # solve's included, joined by "+" where the two differ; b = 25 + 25y
-    # varies too much with y for the tensor path
-    lu_spec = dataclasses.replace(ex2, b_field=lambda x, y: 25.0 + 25.0 * y)
+    # stays on the tensor path, and b = 25 + 100y varies too much with y
+    # for it, so those solves restart on the LU
+    tensor_spec = dataclasses.replace(ex2, b_field=lambda x, y: 25.0 + 25.0 * y)
+    lu_spec = dataclasses.replace(ex2, b_field=lambda x, y: 25.0 + 100.0 * y)
+    fallback = "tensor>MMD_AT_PLUS_A"
     for spec, path in ((ex1, "tensor"), (ex2, "tensor"),
-                       (lu_spec, "MMD_AT_PLUS_A")):
+                       (tensor_spec, "tensor"), (lu_spec, fallback)):
         result = run_sweep(spec, [1e-2], [8, 16], mode=REGENERATE)
         assert [c.coarse_reused for c in result.cells] == [False, True]
         assert [c.solver for c in result.cells] == [path, path]
     # a chain hands the companion's solve on whatever its path
     _, coarse = analysis._cell(lu_spec, 8, Variant.TRANSFORMED, REGENERATE,
                                None)
-    assert coarse.solver == "MMD_AT_PLUS_A" and coarse.solution.n == 16
+    assert coarse.solution.solver == fallback and coarse.solution.n == 16
     cell, _ = analysis._cell(ex1, 16, Variant.TRANSFORMED, REGENERATE, coarse)
     assert cell.ok and cell.coarse_reused
-    assert cell.solver == "MMD_AT_PLUS_A+tensor"
+    assert cell.solver == fallback + "+tensor"
 
 
 def test_sweep_choices_by_value_equal_members(ex2):
@@ -785,6 +869,28 @@ def test_convergence_table_is_a_value():
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.D_eps = np.array([[4e-2, 1e-2]])
     assert list(table.D_uniform) == [2e-2, 1e-2]
+
+
+def test_convergence_table_keeps_tuples_of_eps_and_ns():
+    # eps and Ns are tuples: an appended N would head a CSV column with no
+    # data, an appended eps a row the CSV drops, and the caller's lists are
+    # the caller's; the JSON still writes them as lists
+    epsilons, Ns = [1e-1], [8, 16]
+    table = ConvergenceTable(epsilons, Ns, [[2e-2, 1e-2]])
+    epsilons.append(1e-3)
+    Ns.append(32)
+    assert (table.epsilons, table.Ns) == ((1e-1,), (8, 16))
+    for row in (table.epsilons, table.Ns):
+        with pytest.raises(AttributeError):
+            row.append(0)
+    buf = io.StringIO()
+    write_table_csv(table, buf)
+    assert buf.getvalue().splitlines()[:2] == ["eps,8,16",
+                                               "1.0e-01,2.000e-02,1.000e-02"]
+    result = analysis.SweepResult(table, [], Variant.TRANSFORMED,
+                                  DoubleMeshMode.BISECT, "Example1")
+    record = json.loads(json.dumps(sweep_to_dict(result)))
+    assert (record["epsilons"], record["Ns"]) == ([1e-1], [8, 16])
 
 
 @pytest.mark.parametrize("D_eps, shape", [

@@ -32,7 +32,7 @@ from cd2d.problems import ProblemSpec
 from cd2d.cli import main as cli_main
 from cd2d.solve import (_DUMP_BLOCK, _LUSolve, _TensorSolve,
                         _flush_subnormals, _format_e16, _libm, factorize,
-                        solver_name, write_grid_dump)
+                        write_grid_dump)
 
 
 def identity_system(tm):
@@ -45,14 +45,29 @@ def b_varying_in_y(x, y):
     return 25.0 + 25.0 * y
 
 
-# the inner solve each solver path builds
-PATH_TYPES = {"tensor": _TensorSolve, "MMD_AT_PLUS_A": _LUSolve}
+def b_steep_in_y(x, y):
+    return 25.0 + 100.0 * y
 
 
-def lu_problem(name):
-    """The builtin problem with b = 25 + 25y (y-spread 1/3): a system whose
-    coefficients vary this much with y takes the sparse LU."""
+LU = "MMD_AT_PLUS_A"
+FALLBACK = "tensor>MMD_AT_PLUS_A"
+
+
+def y_varying(name):
+    """The builtin problem with b = 25 + 25y (y-spread 1/3), which the fast
+    diagonalization still solves, in about 25 refinement steps."""
     return dataclasses.replace(builtin_problem(name), b_field=b_varying_in_y)
+
+
+def stalling(name):
+    """The builtin problem with b = 25 + 100y: its fast diagonalization
+    stalls within the first few steps, and the solve restarts on the LU."""
+    return dataclasses.replace(builtin_problem(name), b_field=b_steep_in_y)
+
+
+def on_the_lu(system):
+    """``system`` without its separable part: it takes the sparse LU."""
+    return dataclasses.replace(system, separable=None)
 
 
 def test_identity_solve(ex1):
@@ -144,19 +159,20 @@ def subnormals_survive():
 
 def test_factorization_stats_and_fill():
     # the 257^2 bisect companion of the N = 128 cell at eps = 1e-4 (Example2
-    # with b = 25 + 25y, so the system takes the sparse LU)
-    spec = lu_problem("Example2").with_epsilon(1e-4)
-    system = assemble_system(spec, bisect(build_tensor_mesh(spec, 128)))
+    # with b = 25 + 25y), without its separable part, so on the sparse LU
+    spec = y_varying("Example2").with_epsilon(1e-4)
+    system = on_the_lu(assemble_system(spec,
+                                       bisect(build_tensor_mesh(spec, 128))))
     f = factorize(system)
     row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
-    assert solver_name(system) == "MMD_AT_PLUS_A"
-    assert isinstance(f.lu, _LUSolve)
+    assert isinstance(f.lu, _LUSolve) and f.lu.path == LU
     assert f.lu.row_max_range == (row_max.min(), row_max.max())
     scaled, d = row_scaled(system)
     colamd = spla.splu(scaled)
     assert (f.lu.factors.L.nnz + f.lu.factors.U.nnz
             <= 0.7 * (colamd.L.nnz + colamd.U.nnz))
     u = f.solve(system.rhs)
+    assert u.solver == LU
     assert np.array_equal(u.values, solve_direct(system).values)
     assert residual_norm(system, u) <= 1e-12
     # the refined float32 factor agrees with a float64 LU of the same
@@ -188,9 +204,11 @@ def test_superlu_blocking_exits_cleanly():
         "                builtin_problem(name), epsilon=eps,\n"
         "                b_field=lambda x, y: 25.0 + 25.0 * y)\n"
         "            for N in (16, 64):\n"
-        "                system = assemble_system(\n"
-        "                    spec, build_tensor_mesh(spec, N), variant)\n"
+        "                system = dataclasses.replace(assemble_system(\n"
+        "                    spec, build_tensor_mesh(spec, N), variant),\n"
+        "                    separable=None)\n"
         "                u = factorize(system).solve(system.rhs)\n"
+        "                assert u.solver == 'MMD_AT_PLUS_A'\n"
         "                worst = max(worst, residual_norm(system, u))\n"
         "print(repr(worst))\n"
     )
@@ -208,7 +226,6 @@ def test_underflowing_row_scale_gives_zero(ex1):
     system = LinearSystem(matrix=1e300 * sp.identity(81, format="csr"),
                           rhs=np.full(81, 1e-100), mesh=tm)
     factors = factorize(system)
-    assert solver_name(system) == "MMD_AT_PLUS_A"
     assert isinstance(factors.lu, _LUSolve)
     assert np.all(factors.solve(system.rhs).values == 0.0)
 
@@ -296,12 +313,11 @@ def test_solve_without_flush_keeps_residual_contract(monkeypatch):
     # runs unflushed: the solve still meets the residual contract and the
     # float environment is never touched
     monkeypatch.setattr(cd2d.solve, "_libm", lambda: None)
-    spec = lu_problem("Example2").with_epsilon(1e-4)
-    system = assemble_system(spec, build_tensor_mesh(spec, 32))
+    spec = y_varying("Example2").with_epsilon(1e-4)
+    system = on_the_lu(assemble_system(spec, build_tensor_mesh(spec, 32)))
     with _flush_subnormals():
         assert subnormals_survive()
     factors = factorize(system)
-    assert solver_name(system) == "MMD_AT_PLUS_A"
     assert isinstance(factors.lu, _LUSolve)
     assert residual_norm(system, factors.solve(system.rhs)) <= 1e-12
     assert subnormals_survive()
@@ -318,11 +334,11 @@ def b_quadratic_in_y(x, y):
 # oracle inputs on a builtin geometry: the problem and the path it takes
 ORACLE_INPUTS = {
     "builtin": (builtin_problem, "tensor"),
-    "b = 25 + 25y": (lu_problem, "MMD_AT_PLUS_A"),
+    "b = 25 + 25y": (y_varying, "tensor"),
     "a = 2 + 200y": (lambda name: dataclasses.replace(
-        builtin_problem(name), a_field=a_steep_in_y), "MMD_AT_PLUS_A"),
+        builtin_problem(name), a_field=a_steep_in_y), FALLBACK),
     "b = 25 + 1e4 y^2": (lambda name: dataclasses.replace(
-        builtin_problem(name), b_field=b_quadratic_in_y), "MMD_AT_PLUS_A"),
+        builtin_problem(name), b_field=b_quadratic_in_y), FALLBACK),
 }
 
 
@@ -334,16 +350,14 @@ ORACLE_INPUTS = {
 @settings(max_examples=80)
 def test_solve_matches_partial_pivoting_oracle(problem, coefficients, variant,
                                                log_eps, N):
-    # the builtin problems take the fast diagonalization (Example1's is
-    # exact, Example2's b varies by about 1% along y and is refined to the
-    # same answer); the y-varying coefficients take the float32 LU
+    # the fast diagonalization solves the builtin problems (Example1's
+    # exactly) and b = 25 + 25y, refined to the same answer; on the steeply
+    # y-varying coefficients it stalls and the solve restarts on the LU
     make, path = ORACLE_INPUTS[coefficients]
     spec = make(problem).with_epsilon(10.0 ** log_eps)
     system = assemble_system(spec, build_tensor_mesh(spec, N), variant)
-    factors = factorize(system)
-    assert solver_name(system) == path
-    assert isinstance(factors.lu, PATH_TYPES[path])
-    u = factors.solve(system.rhs)
+    u = solve_direct(system)
+    assert u.solver == path
     assert residual_norm(system, u) <= 1e-12
     # oracle: SuperLU's default COLAMD ordering with plain partial pivoting
     scaled, d = row_scaled(system)
@@ -354,88 +368,78 @@ def test_solve_matches_partial_pivoting_oracle(problem, coefficients, variant,
 
 
 def test_solver_path_follows_the_coefficients(ex1, ex2):
-    # a and b within 1.5% of their y-means give the tensor form; anything
-    # else, and a system built without problem data, takes the sparse LU
+    # every assembled system starts on the fast diagonalization and keeps
+    # it while refinement converges; one whose refinement stalls restarts
+    # on the LU, and a system built without problem data takes the LU
     tensor = [(spec, v) for spec in (ex1, ex2) for v in Variant] + [
-        (manufactured_problem(), Variant.TRANSFORMED)]
-    lu = [(lu_problem(name), v) for name in ("Example1", "Example2")
-          for v in Variant]
-    for specs, path in ((tensor, "tensor"), (lu, "MMD_AT_PLUS_A")):
+        (manufactured_problem(), Variant.TRANSFORMED)] + [
+        (y_varying(name), v) for name in ("Example1", "Example2")
+        for v in Variant]
+    fallback = [(make(name), v) for make in (stalling, lambda name:
+                dataclasses.replace(builtin_problem(name),
+                                    a_field=a_steep_in_y))
+                for name in ("Example1", "Example2") for v in Variant]
+    for specs, path in ((tensor, "tensor"), (fallback, FALLBACK)):
         for spec, variant in specs:
             system = assemble_system(spec, build_tensor_mesh(spec, 16),
                                      variant)
-            assert (system.separable is None) is (path != "tensor")
-            assert solver_name(system) == path, (spec.name, variant)
-            assert isinstance(factorize(system).lu, PATH_TYPES[path])
+            assert system.separable is not None
+            assert isinstance(factorize(system).lu, _TensorSolve)
+            u = solve_direct(system)
+            assert u.solver == path, (spec.name, variant)
+            assert residual_norm(system, u) <= 1e-12
     system = identity_system(build_tensor_mesh(ex1, 8))
-    assert solver_name(system) == "MMD_AT_PLUS_A"
     assert isinstance(factorize(system).lu, _LUSolve)
-
-
-def test_y_spread_pins_the_path_and_its_headroom(ex1, ex2, monkeypatch):
-    # each case's y-spread lies in (lo, hi]: assembled under a bound of lo
-    # it takes the LU, under hi the tensor path.  Example2's b = 25 + xy/2
-    # is within about 1.1% of its y-mean; the two nearest cases past the
-    # 0.015 bound take the LU, and on the tensor path they run past the
-    # refinement step cap
-    cases = [(ex1, None, 0.0, "tensor"),
-             (ex2, 0.0105, 0.0115, "tensor"),
-             (dataclasses.replace(ex1, b_field=lambda x, y: 25.0 + 5.0 * x * y),
-              0.09, 0.11, "MMD_AT_PLUS_A"),
-             (dataclasses.replace(ex2, a_field=lambda x, y: 4.0 + x + y),
-              0.11, 0.13, "MMD_AT_PLUS_A")]
-    for spec, lo, hi, path in cases:
-        mesh = build_tensor_mesh(spec, 16)
-        assert solver_name(assemble_system(spec, mesh)) == path
-        with monkeypatch.context() as patch:
-            for bound, bound_path in ((lo, "MMD_AT_PLUS_A"), (hi, "tensor")):
-                if bound is not None:
-                    patch.setattr(cd2d.assembly, "_MAX_Y_SPREAD", bound)
-                    system = assemble_system(spec, mesh)
-                    assert solver_name(system) == bound_path, bound
-            if path != "tensor":    # system: assembled under hi
-                with pytest.raises(SingularMatrix, match=(
-                        r"^iterative refinement did not converge in 10 "
-                        r"steps")):
-                    solve_direct(system)
+    assert solve_direct(system).solver == LU
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_tensor_path_converges_at_the_nearest_spread(ex2, variant):
-    # a = 4 + x + 0.1y has y-spread 0.0136, the nearest measured case inside
-    # the bound: the refined tensor solve still meets the residual contract
-    # within the step cap (at most 9 inner solves when measured); with
-    # a = 4 + x + 0.115y (y-spread 0.0155) the system takes the LU
-    spec = dataclasses.replace(ex2, a_field=lambda x, y: 4.0 + x + 0.1 * y)
-    past = dataclasses.replace(ex2, a_field=lambda x, y: 4.0 + x + 0.115 * y)
-    for eps in (1e-1, 1e-3, 1e-6):
-        for N in (16, 64, 256):
-            s = spec.with_epsilon(eps)
-            mesh = bisect(build_tensor_mesh(s, N))
-            assert solver_name(assemble_system(past.with_epsilon(eps), mesh,
-                                               variant)) == "MMD_AT_PLUS_A"
-            system = assemble_system(s, mesh, variant)
-            factors = factorize(system)
-            assert solver_name(system) == "tensor"
-            assert isinstance(factors.lu, _TensorSolve)
-            u = factors.solve(system.rhs)
-            assert residual_norm(system, u) <= 1e-12, (eps, N)
+    # a = 4 + x + 0.1y has y-spread 0.0136 (|a - mean_y a| / |mean_y a|)
+    # and a = 4 + x + 0.115y 0.0155, the nearest measured cases either side
+    # of the bound that once sent systems to the LU: the refined tensor
+    # solve meets the residual contract on both
+    for slope in (0.1, 0.115):
+        spec = dataclasses.replace(
+            ex2, a_field=lambda x, y: 4.0 + x + slope * y)
+        for eps in (1e-1, 1e-3, 1e-6):
+            for N in (16, 64, 256):
+                s = spec.with_epsilon(eps)
+                system = assemble_system(s, bisect(build_tensor_mesh(s, N)),
+                                         variant)
+                u = solve_direct(system)
+                assert u.solver == "tensor", (slope, eps, N)
+                assert residual_norm(system, u) <= 1e-12, (slope, eps, N)
 
 
 def test_tensor_factor_failure_is_confined_to_its_cell(ex1, monkeypatch):
-    # a tridiagonal factor that reports a zero pivot fails only the cell
-    # whose companion (33^2 nodes: 31 interior lines) it belongs to
-    real_dgttrf = cd2d.solve.lapack.dgttrf
+    # a tridiagonal factor that reports a zero pivot on the N = 16 cell's
+    # companion (33^2 nodes: 31 interior lines) restarts that system on the
+    # LU, to the same estimate; only a companion on which the LU fails too
+    # fails its cell
+    healthy = cd2d.run_sweep(ex1, [1e-2], [8, 16])
+    real_dgttrf, real_splu = cd2d.solve.lapack.dgttrf, spla.splu
 
     def failing_dgttrf(dl, d, du, **kwargs):
         *factors, info = real_dgttrf(dl, d, du, **kwargs)
         return (*factors, 3 if d.size == 31 * 31 else info)
 
+    def failing_splu(matrix, **kwargs):
+        if matrix.shape[0] == 33 * 33:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(matrix, **kwargs)
+
     monkeypatch.setattr(cd2d.solve.lapack, "dgttrf", failing_dgttrf)
     result = cd2d.run_sweep(ex1, [1e-2], [8, 16])
-    assert [cell.error for cell in result.cells] == [None, (
-        "SingularMatrix: tensor solve: tridiagonal factor failed "
-        "(dgttrf info 3)")]
+    assert [cell.error for cell in result.cells] == [None, None]
+    assert [cell.solver for cell in result.cells] == [
+        "tensor", "tensor+tensor>MMD_AT_PLUS_A"]
+    assert result.table.D_eps == pytest.approx(healthy.table.D_eps,
+                                               rel=1e-10)
+    monkeypatch.setattr(cd2d.solve.spla, "splu", failing_splu)
+    result = cd2d.run_sweep(ex1, [1e-2], [8, 16])
+    assert [cell.error for cell in result.cells] == [
+        None, "SingularMatrix: Factor is exactly singular"]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -447,7 +451,6 @@ def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
     # and the Dirichlet lift through X's and Y's boundary entries
     system = assemble_system(ex1, build_tensor_mesh(ex1, N), variant)
     factors = factorize(system)
-    assert solver_name(system) == "tensor"
     assert isinstance(factors.lu, _TensorSolve)
     assert (factors.lu.update is None) is (variant is Variant.TRANSFORMED)
     # random values on the boundary rows too: nonzero Dirichlet entries
@@ -460,7 +463,8 @@ def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
 def test_tensor_rank_one_breakdown_is_singular_matrix(ex1, monkeypatch):
     # w holds 1/4 at both of the raw row's second neighbours and the z solve
     # returns -2 everywhere, so s_k = 1 + w^T z_k is exactly 0; the build
-    # raises before dividing by it (a RuntimeWarning is an error here)
+    # raises before dividing by it (a RuntimeWarning is an error here), and
+    # the system is factored on the LU instead
     system = assemble_system(ex1, build_tensor_mesh(ex1, 8), Variant.RAW)
     x_bar = system.separable[0]     # entries at -+2 only at x = d1
     x_bar[[0, 4]] = np.where(x_bar[[0, 4]] != 0.0, 0.25, 0.0)
@@ -471,7 +475,9 @@ def test_tensor_rank_one_breakdown_is_singular_matrix(ex1, monkeypatch):
     monkeypatch.setattr(cd2d.solve.lapack, "dgttrs", z_solve)
     with pytest.raises(SingularMatrix, match=(
             r"^tensor solve: rank-one update of the x = d1 row breaks down")):
-        factorize(system)
+        _TensorSolve.build(system.separable)
+    u = solve_direct(system)
+    assert u.solver == FALLBACK and residual_norm(system, u) <= 1e-12
 
 
 def test_hand_built_system_takes_the_lu(ex1):
@@ -482,13 +488,14 @@ def test_hand_built_system_takes_the_lu(ex1):
     by_hand = LinearSystem(matrix=system.matrix, rhs=system.rhs,
                            mesh=system.mesh)
     u_ref = solve_direct(system).values
-    for lu_system in (by_hand, dataclasses.replace(system, separable=None)):
+    for lu_system in (by_hand, on_the_lu(system)):
         assert lu_system.separable is None
-        assert solver_name(lu_system) == "MMD_AT_PLUS_A"
         factors = factorize(lu_system)
         assert isinstance(factors.lu, _LUSolve)
-        u = factors.solve(lu_system.rhs).values
-        assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+        u = factors.solve(lu_system.rhs)
+        assert u.solver == LU
+        assert np.max(np.abs(u.values - u_ref)) <= 1e-12 * np.max(
+            np.abs(u_ref))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -515,7 +522,10 @@ def test_tensor_eigensolver_failure_is_singular_matrix(ex1, monkeypatch):
     system = assemble_system(ex1, build_tensor_mesh(ex1, 8))
     with pytest.raises(SingularMatrix,
                        match="^tensor solve: eigenvalues did not converge$"):
-        factorize(system)
+        _TensorSolve.build(system.separable)
+    factors = factorize(system)
+    assert isinstance(factors.lu, _LUSolve) and factors.lu.path == FALLBACK
+    assert factors.solve(system.rhs).solver == FALLBACK
 
 
 def test_zero_row_rejected(ex1):
@@ -562,10 +572,10 @@ def test_splu_input_is_row_scaled_matrix(splu_inputs, problem, variant, eps,
                                          N, companion):
     # the CSR that assembly emits is canonical, and the CSC that SuperLU
     # receives is bitwise its diagonal row scaling rounded to float32
-    spec = lu_problem(problem).with_epsilon(eps)
+    spec = y_varying(problem).with_epsilon(eps)
     mesh = build_tensor_mesh(spec, N)
-    system = assemble_system(spec, bisect(mesh) if companion else mesh,
-                             variant)
+    system = on_the_lu(assemble_system(
+        spec, bisect(mesh) if companion else mesh, variant))
     a = system.matrix
     assert a.indices.dtype == a.indptr.dtype == np.int32
     row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
@@ -624,13 +634,14 @@ def test_raw_solution_within_stability_bound(problem, log_eps, N):
 def test_superlu_system_error_is_singular_matrix(monkeypatch):
     # an out-of-memory factorization can end in SystemError; it must be a
     # typed error confined to its cell, not an exception that ends the sweep
+    # (the tensor path stalls on these systems, so both paths fail)
     def failing_splu(*args, **kwargs):
         raise SystemError("gstrf was called with invalid arguments")
 
     monkeypatch.setattr(cd2d.solve.spla, "splu", failing_splu)
-    spec = lu_problem("Example2").with_epsilon(1e-2)
+    spec = stalling("Example2").with_epsilon(1e-2)
     with pytest.raises(SingularMatrix, match="gstrf"):
-        factorize(assemble_system(spec, build_tensor_mesh(spec, 16)))
+        factorize(on_the_lu(assemble_system(spec, build_tensor_mesh(spec, 16))))
     result = cd2d.run_sweep(spec, [1e-2], [8, 16])
     assert [cell.error for cell in result.cells] == [
         "SingularMatrix: gstrf was called with invalid arguments"] * 2
@@ -656,12 +667,30 @@ class StubLU:
     (1.0, r"iterative refinement (stalled|did not converge) .*")])
 def test_factorization_solve_failures_are_singular_matrix(ex1, outcome,
                                                           message):
-    # a finite but wrong correction is caught by refinement, not returned
+    # a finite but wrong correction is caught by refinement, not returned;
+    # an inner solve other than the fast diagonalization has no fallback
     system = assemble_system(ex1, build_tensor_mesh(ex1, 8))
     factors = dataclasses.replace(factorize(system), lu=StubLU(outcome))
     with pytest.raises(SingularMatrix) as exc:
         factors.solve(system.rhs)
     assert re.fullmatch(message, str(exc.value))
+
+
+@pytest.mark.parametrize("outcome", [
+    RuntimeError("Factor is exactly singular"), np.nan, np.inf, 1.0])
+def test_tensor_solve_failures_restart_on_the_lu(ex2, outcome, monkeypatch):
+    # the same failures of the fast diagonalization's solve, a breakdown,
+    # a non-finite correction or a stall, restart the system on the LU,
+    # whose answer the solve returns and names
+    system = assemble_system(ex2, build_tensor_mesh(ex2, 16))
+    expected = solve_direct(on_the_lu(system)).values
+    monkeypatch.setattr(_TensorSolve, "solve",
+                        lambda self, r: StubLU(outcome).solve(r))
+    factors = factorize(system)
+    assert isinstance(factors.lu, _TensorSolve)
+    for u in (factors.solve(system.rhs), solve_direct(system)):
+        assert u.solver == FALLBACK
+        assert np.array_equal(u.values, expected)
 
 
 class GainLU:
@@ -671,6 +700,7 @@ class GainLU:
 
     def __init__(self, lu, gains):
         self.lu, self.gains, self.calls = lu, iter(gains), 0
+        self.path = lu.path
 
     def solve(self, rhs):
         self.calls += 1
@@ -724,6 +754,7 @@ class RecordingLU:
 
     def __init__(self, lu):
         self.lu, self.corrections = lu, []
+        self.path = lu.path
 
     def solve(self, rhs):
         c = self.lu.solve(rhs)
@@ -732,12 +763,12 @@ class RecordingLU:
 
 
 def test_refinement_stall_at_the_float64_floor_returns(ex2):
-    # a = 2 + 200y on Example 2's geometry, eps 0.1, N = 16: the corrections
-    # level off near 3.5e-12 |x|, above the 1e-12 |x| rescue, once x's
-    # scaled residual is ~1e-16, so the stall ends refinement; without the
-    # residual floor it raises "stalled at step 5"
+    # a = 2 + 200y on Example 2's geometry, eps 0.1, N = 16, on the LU: the
+    # corrections level off near 3.5e-12 |x|, above the 1e-12 |x| rescue,
+    # once x's scaled residual is ~1e-16, so the stall ends refinement;
+    # without the residual floor it raises "stalled at step 5"
     spec = dataclasses.replace(ex2, a_field=a_steep_in_y, epsilon=0.1)
-    system = assemble_system(spec, build_tensor_mesh(spec, 16))
+    system = on_the_lu(assemble_system(spec, build_tensor_mesh(spec, 16)))
     factors = factorize(system)
     stub = RecordingLU(factors.lu)
     u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
@@ -750,15 +781,17 @@ def test_refinement_stall_at_the_float64_floor_returns(ex2):
 
 @pytest.mark.parametrize("eps, max_u", [(1e-4, 13830.26), (1e-6, 5839.09)])
 def test_float32_lu_stall_at_the_floor_returns(ex2, eps, max_u):
-    # a = 2.2 + 2 sin 20y, alpha 0.2, on Example 2's geometry: the float32
-    # LU's refinement stalls near 1e-10 |x|, where the scaled residual is
-    # ~1e-17, so the solve returns instead of raising SingularMatrix
+    # a = 2.2 + 2 sin 20y, alpha 0.2, on Example 2's geometry: the tensor
+    # path stalls at once, and the float32 LU's refinement stalls near
+    # 1e-10 |x|, where the scaled residual is ~1e-17, so the solve returns
+    # instead of raising SingularMatrix
     spec = dataclasses.replace(
         ex2, a_field=lambda x, y: 2.2 + 2.0 * np.sin(20.0 * y),
         alpha=0.2).with_epsilon(eps)
     system = assemble_system(spec, build_tensor_mesh(spec, 32),
                              Variant.TRANSFORMED)
-    assert solver_name(system) == "MMD_AT_PLUS_A"
+    assert solve_direct(system).solver == FALLBACK
+    system = on_the_lu(system)
     factors = factorize(system)
     stub = RecordingLU(factors.lu)
     u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
@@ -788,8 +821,9 @@ def _b_fuzz2(x, y):
 
 def tensor_failure(case):
     """A transformed system of Example 1's sources and traces with linear a
-    and b within the tensor path's y-spread, whose separable mean contracts
-    too slowly on the near-singular x = d1 rows: the bisect companion of
+    and b that vary little with y, whose separable mean contracts slowly
+    (about 5x and 10x a step) on the near-singular x = d1 rows, so
+    refinement once ran past a cap of 10 steps: the bisect companion of
     N = 32 (n = 64), or the N = 16 mesh."""
     if case == "bisect-64":
         spec = dataclasses.replace(
@@ -801,36 +835,59 @@ def tensor_failure(case):
             builtin_problem("Example1"), epsilon=3.21e-3, d1=0.230, d2=0.550,
             alpha=0.137, beta=1.79, a_field=_a_fuzz2, b_field=_b_fuzz2)
         tm = build_tensor_mesh(spec, 16)
-    system = assemble_system(spec, tm, Variant.TRANSFORMED)
-    assert solver_name(system) == "tensor"
-    return system
+    return assemble_system(spec, tm, Variant.TRANSFORMED)
 
 
 @pytest.mark.parametrize("case", ["bisect-64", "N16"])
 def test_tensor_failures_solve_on_the_lu(case):
-    # the sparse LU solves both systems the tensor path fails on
-    system = dataclasses.replace(tensor_failure(case), separable=None)
-    assert solver_name(system) == "MMD_AT_PLUS_A"
-    assert residual_norm(system, solve_direct(system)) <= 1e-12
+    # the sparse LU solves both systems
+    system = on_the_lu(tensor_failure(case))
+    u = solve_direct(system)
+    assert u.solver == LU
+    assert residual_norm(system, u) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=SingularMatrix,
-                   reason="the tensor path's refinement does not converge "
-                          "and nothing falls back to the LU")
-@pytest.mark.parametrize("case", ["bisect-64", "N16"])
-def test_tensor_failures_solve_by_default(case):
+@pytest.mark.parametrize("case, inner_solves",
+                         [("bisect-64", 24), ("N16", 16)])
+def test_tensor_failures_solve_by_default(case, inner_solves):
+    # refinement keeps halving its corrections, so it ends on the tensor
+    # path within the step cap
     system = tensor_failure(case)
-    assert residual_norm(system, solve_direct(system)) <= 1e-12
+    factors = factorize(system)
+    stub = GainLU(factors.lu, itertools.repeat(1.0))
+    u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+    assert stub.calls == inner_solves
+    assert u.solver == "tensor" and residual_norm(system, u) <= 1e-12
+    assert np.array_equal(solve_direct(system).values, u.values)
+
+
+class SequenceLU:
+    """Returns the next of ``values`` at every unknown, whatever r is."""
+    path = "stub"
+
+    def __init__(self, values):
+        self.values, self.calls = iter(values), 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return np.full_like(rhs, next(self.values))
 
 
 def test_refinement_step_cap(ex1):
-    # each correction 0.4 times the last: the tail rule needs about 37
-    # steps, so the solve fails after the 10 allowed
-    system, _, factors, stub = gain_factors(ex1, itertools.repeat(0.6))
+    # each correction 0.4 times the last: the tail rule stops after about
+    # 37 steps, inside the cap of log2(1 / 4u) = 51 steps, the most a run
+    # of halving corrections needs to fall from |x| to 4u |x|
+    system, exact, factors, stub = gain_factors(ex1, itertools.repeat(0.6))
+    u = factors.solve(system.rhs)
+    assert stub.calls == 38
+    assert residual_norm(system, u) <= 1e-12
+    # corrections 2^-k that halve at every step but cancel x as fast, so
+    # x = 2^-k and the tail rule never holds: the solve fails after 51 steps
+    stub = SequenceLU([1.0] + [-0.5 ** k for k in range(1, 60)])
     with pytest.raises(SingularMatrix, match=(
-            r"^iterative refinement did not converge in 10 steps: ")):
-        factors.solve(system.rhs)
-    assert stub.calls == 11
+            r"^iterative refinement did not converge in 51 steps: ")):
+        dataclasses.replace(factors, lu=stub).solve(system.rhs)
+    assert stub.calls == 52
 
 
 @pytest.mark.parametrize("problem, fewest, most",
@@ -845,10 +902,10 @@ def test_tensor_inner_solve_counts(problem, fewest, most, variant):
             system = assemble_system(spec, bisect(build_tensor_mesh(spec, N)),
                                      variant)
             factors = factorize(system)
-            assert solver_name(system) == "tensor"
             assert isinstance(factors.lu, _TensorSolve)
             stub = GainLU(factors.lu, itertools.repeat(1.0))
             u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+            assert u.solver == "tensor"
             assert residual_norm(system, u) <= 1e-12, (eps, N)
             assert fewest <= stub.calls <= most, (eps, N)
 
@@ -872,7 +929,7 @@ def test_tensor_lift_of_nearly_separable_systems(ex2, a_field, variant):
             system = assemble_system(s, bisect(build_tensor_mesh(s, N)),
                                      variant)
             factors = factorize(system)
-            assert solver_name(system) == "tensor"
+            assert isinstance(factors.lu, _TensorSolve)
             stub = GainLU(factors.lu, itertools.repeat(1.0))
             u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
             assert residual_norm(system, u) <= 1e-12, (eps, N)
