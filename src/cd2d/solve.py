@@ -1,12 +1,12 @@
-"""Direct solve of the assembled system: factor once, then solve.
+"""Direct solve of the assembled system: ``solve_direct(system)``.
 
-``factorize(system)`` returns a :class:`Factorization` whose ``solve(rhs)``
-takes any right-hand side of that system; ``solve_direct`` does both for the
-system's own rhs.  An assembled system starts on the fast diagonalization
-of its ``separable`` part; a ``SingularMatrix`` from its build or from its
-refinement restarts the system on the sparse LU, which a system built by
-hand takes at once.  ``GridFunction.solver`` names the path taken:
-"tensor", "MMD_AT_PLUS_A" (the LU's ordering) or "tensor>MMD_AT_PLUS_A".
+It picks the inner solve in one place.  An assembled system starts on the
+fast diagonalization of its ``separable`` part; a ``SingularMatrix`` from
+its build or from its refinement restarts the system on the sparse LU,
+which a system built by hand takes at once.  ``GridFunction.solver`` names
+the path taken: "tensor", "MMD_AT_PLUS_A" (the LU's ordering) or
+"tensor>MMD_AT_PLUS_A".  When both paths fail, the error names both
+failures.
 
 Fast diagonalization.  When a and b do not vary with y, the matrix on the
 interior unknowns of the tensor mesh is A = I (x) X + Y (x) D: X is the
@@ -47,7 +47,7 @@ stay above ~1e-23 at eps = 1e-6, far above float32's least normal, 1.2e-38.
 Mixed precision.  Both inner solves return c with A c = r for the system's
 own A, inside one float64 loop of iterative refinement (C. B. Moler, J. ACM
 14(2), 1967), whose mixed-precision form Carson & Higham analyse (SIAM J.
-Sci. Comput. 40(2), 2018).  ``solve`` starts from x = 0; each step forms
+Sci. Comput. 40(2), 2018).  ``_refine`` starts from x = 0; each step forms
 r = b - A x from the system's own CSR A and adds the correction c to x (norms
 are max-norms).  The LU's factors are single precision, which holds a float64
 factor's fill in half the bytes and factors it faster; it solves for
@@ -101,8 +101,8 @@ import ctypes
 import functools
 import platform
 import sys
-from dataclasses import dataclass, replace
-from typing import IO, ClassVar, Iterator, Optional
+from dataclasses import dataclass
+from typing import IO, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,7 +142,6 @@ class GridFunction:
 
 
 _ORDERING = "MMD_AT_PLUS_A"
-_FALLBACK = "tensor>" + _ORDERING      # the LU, after the tensor path failed
 _DIAG_PIVOT_THRESH = 0.1
 _RELAX = 5
 _PANEL_SIZE = 2
@@ -203,7 +202,6 @@ class _TensorSolve:
     correction, z_k = T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0).
     ``lift`` couples the operator to the south, north, west and east
     Dirichlet values: Y's end entries times D, then X's."""
-    path: ClassVar[str] = "tensor"
     w: np.ndarray
     w_inv: np.ndarray
     factors: tuple
@@ -280,15 +278,13 @@ class _TensorSolve:
 @dataclass(frozen=True, eq=False)
 class _LUSolve:
     """Single-precision SuperLU ``factors`` of D A, D = ``row_scale`` the
-    reciprocal row maxima of |A|, whose (min, max) is ``row_max_range``;
-    ``path`` names the solver path that ends on it."""
+    reciprocal row maxima of |A|, whose (min, max) is ``row_max_range``."""
     factors: spla.SuperLU
     row_scale: np.ndarray
     row_max_range: tuple[float, float]
-    path: str = _ORDERING
 
     @classmethod
-    def build(cls, a: sp.csr_matrix, path: str = _ORDERING) -> "_LUSolve":
+    def build(cls, a: sp.csr_matrix) -> "_LUSolve":
         counts = np.diff(a.indptr)
         # reduceat reads an empty row as its successor's first entry
         if not counts.all() or not (row_max := np.maximum.reduceat(
@@ -310,8 +306,7 @@ class _LUSolve:
         # ("gstrf was called with invalid arguments")
         except (RuntimeError, SystemError) as exc:
             raise SingularMatrix(str(exc)) from exc
-        return cls(factors, d, (float(row_max.min()), float(row_max.max())),
-                   path)
+        return cls(factors, d, (float(row_max.min()), float(row_max.max())))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solution c of A c = r: (D A) c = D r in float32, flushed."""
@@ -323,78 +318,65 @@ class _LUSolve:
         return c.astype(np.float64) * s_max
 
 
-@dataclass(frozen=True, eq=False)
-class Factorization:
-    """The inner solve ``lu`` of one ``system``, whose ``solve(r)`` returns
-    c with A c = r for the system's float64 CSR A: the fast diagonalization
-    of its ``separable`` part or a single-precision sparse LU."""
-    lu: _LUSolve | _TensorSolve
-    system: LinearSystem
-
-    def solve(self, rhs: np.ndarray) -> GridFunction:
-        """Solution of A U = rhs for the factored A, refined to float64; a
-        failed refinement on the fast diagonalization restarts on the LU."""
+def _refine(system: LinearSystem, inner) -> np.ndarray:
+    """x with A x = rhs for the system's float64 CSR A and rhs, refined on
+    ``inner``, whose ``solve(r)`` returns c with A c = r (see Mixed
+    precision); a failed refinement raises ``SingularMatrix``."""
+    x = np.zeros(system.dimension)
+    r = system.rhs
+    last = np.inf       # the previous correction's max-norm
+    for step in range(_MAX_STEPS + 1):
         try:
-            return GridFunction(self.system.mesh, self._refine(rhs),
-                                self.lu.path)
-        except SingularMatrix:
-            if not isinstance(self.lu, _TensorSolve):
-                raise
-        return replace(self, lu=_LUSolve.build(self.system.matrix,
-                                               _FALLBACK)).solve(rhs)
-
-    def _refine(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.system.dimension)
-        if np.shape(rhs) != x.shape:
-            raise MeshMismatch(
-                f"rhs has shape {np.shape(rhs)}, system has {x.size} unknowns")
-        r = rhs
-        last = np.inf       # the previous correction's max-norm
-        for step in range(_MAX_STEPS + 1):
-            try:
-                c = self.lu.solve(r)
-            except RuntimeError as exc:
-                raise SingularMatrix(str(exc)) from exc
-            c_max = float(np.max(np.abs(c)))   # NaN or inf if any c is
-            if not np.isfinite(c_max):
-                raise SingularMatrix("solution contains NaN or Inf")
-            x += c
-            x_max = float(np.max(np.abs(x)))
-            if c_max > 0.5 * last:
-                if c_max <= _STALL_OK * x_max or residual_norm(self.system,
-                        GridFunction(self.system.mesh, x)) <= _STALL_RESIDUAL:
-                    return x
-                raise SingularMatrix(
-                    f"iterative refinement stalled at step {step}: "
-                    f"correction {c_max:.3e} after {last:.3e}, "
-                    f"|x| {x_max:.3e}")
-            # stop when c^2 / (last - c), the tail of a geometric run of
-            # further corrections, is at most 4u |x|
-            if step and c_max * c_max <= _STOP * x_max * (last - c_max):
+            c = inner.solve(r)
+        except RuntimeError as exc:
+            raise SingularMatrix(str(exc)) from exc
+        c_max = float(np.max(np.abs(c)))   # NaN or inf if any c is
+        if not np.isfinite(c_max):
+            raise SingularMatrix("solution contains NaN or Inf")
+        x += c
+        x_max = float(np.max(np.abs(x)))
+        if c_max > 0.5 * last:
+            if c_max <= _STALL_OK * x_max or residual_norm(
+                    system, GridFunction(system.mesh, x)) <= _STALL_RESIDUAL:
                 return x
-            last = c_max
-            r = rhs - self.system.matrix @ x
-        raise SingularMatrix(
-            f"iterative refinement did not converge in {_MAX_STEPS} "
-            f"steps: last correction {last:.3e}, |x| {x_max:.3e}")
-
-
-def factorize(system: LinearSystem) -> Factorization:
-    """The inner solve of the refinement loop: the fast diagonalization of
-    the system's ``separable`` part, or the row-equilibrated single-precision
-    sparse LU for a system without one or whose part breaks down;
-    deterministic for identical inputs."""
-    if system.separable is None:
-        return Factorization(_LUSolve.build(system.matrix), system)
-    try:
-        return Factorization(_TensorSolve.build(system.separable), system)
-    except SingularMatrix:
-        return Factorization(_LUSolve.build(system.matrix, _FALLBACK), system)
+            raise SingularMatrix(
+                f"iterative refinement stalled at step {step}: "
+                f"correction {c_max:.3e} after {last:.3e}, "
+                f"|x| {x_max:.3e}")
+        # stop when c^2 / (last - c), the tail of a geometric run of
+        # further corrections, is at most 4u |x|
+        if step and c_max * c_max <= _STOP * x_max * (last - c_max):
+            return x
+        last = c_max
+        r = system.rhs - system.matrix @ x
+    raise SingularMatrix(
+        f"iterative refinement did not converge in {_MAX_STEPS} "
+        f"steps: last correction {last:.3e}, |x| {x_max:.3e}")
 
 
 def solve_direct(system: LinearSystem) -> GridFunction:
-    """Factor the system matrix and solve for the system's rhs."""
-    return factorize(system).solve(system.rhs)
+    """Solution of A U = rhs for the system's A and rhs, refined to float64
+    on the fast diagonalization of its ``separable`` part, or on the
+    row-equilibrated single-precision sparse LU for a system without one or
+    whose fast diagonalization fails; deterministic for identical inputs."""
+    tensor_failure = None
+    if system.separable is not None:
+        try:
+            return GridFunction(system.mesh, _refine(
+                system, _TensorSolve.build(system.separable)), "tensor")
+        except SingularMatrix as exc:
+            # the message only: the exception's traceback holds the tensor
+            # factor, which is freed before the LU is built
+            tensor_failure = str(exc)
+    try:
+        x = _refine(system, _LUSolve.build(system.matrix))
+    except SingularMatrix as exc:
+        if tensor_failure is None:
+            raise
+        raise SingularMatrix(
+            f"{exc} (after the tensor path: {tensor_failure})") from exc
+    solver = _ORDERING if tensor_failure is None else "tensor>" + _ORDERING
+    return GridFunction(system.mesh, x, solver)
 
 
 def residual_norm(system: LinearSystem, solution: GridFunction) -> float:

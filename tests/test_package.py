@@ -62,7 +62,7 @@ def test_every_record_is_frozen():
     records = [value for module in modules for value in vars(module).values()
                if isinstance(value, type) and dataclasses.is_dataclass(value)
                and value.__module__ == module.__name__]
-    assert len(records) == 14
+    assert len(records) == 13
     assert [r.__qualname__ for r in records
             if not r.__dataclass_params__.frozen] == []
 
@@ -79,6 +79,21 @@ def _raised_names() -> set[str]:
                 elif isinstance(exc, ast.Attribute):
                     names.add(exc.attr)
     return names
+
+
+def test_each_inner_solve_is_built_in_one_place():
+    # the solve picks its path in one place: a second call site of either
+    # build would be a second fallback policy
+    calls = {"_TensorSolve": 0, "_LUSolve": 0}
+    for path in Path(cd2d.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "build"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in calls):
+                calls[node.func.value.id] += 1
+    assert calls == {"_TensorSolve": 1, "_LUSolve": 1}
 
 
 def test_import_loads_no_optional_modules():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from cd2d.errors import MeshMismatch, SingularMatrix
 from cd2d.problems import ProblemSpec
 from cd2d.cli import main as cli_main
 from cd2d.solve import (_DUMP_BLOCK, _LUSolve, _TensorSolve,
-                        _flush_subnormals, _format_e16, _libm, factorize,
+                        _flush_subnormals, _format_e16, _libm, _refine,
                         write_grid_dump)
 
 
@@ -163,17 +164,16 @@ def test_factorization_stats_and_fill():
     spec = y_varying("Example2").with_epsilon(1e-4)
     system = on_the_lu(assemble_system(spec,
                                        bisect(build_tensor_mesh(spec, 128))))
-    f = factorize(system)
+    lu = _LUSolve.build(system.matrix)
     row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
-    assert isinstance(f.lu, _LUSolve) and f.lu.path == LU
-    assert f.lu.row_max_range == (row_max.min(), row_max.max())
+    assert lu.row_max_range == (row_max.min(), row_max.max())
     scaled, d = row_scaled(system)
     colamd = spla.splu(scaled)
-    assert (f.lu.factors.L.nnz + f.lu.factors.U.nnz
+    assert (lu.factors.L.nnz + lu.factors.U.nnz
             <= 0.7 * (colamd.L.nnz + colamd.U.nnz))
-    u = f.solve(system.rhs)
+    u = solve_direct(system)
     assert u.solver == LU
-    assert np.array_equal(u.values, solve_direct(system).values)
+    assert np.array_equal(u.values, _refine(system, lu))
     assert residual_norm(system, u) <= 1e-12
     # the refined float32 factor agrees with a float64 LU of the same
     # ordering and blocking
@@ -194,8 +194,7 @@ def test_superlu_blocking_exits_cleanly():
     code = (
         "import dataclasses\n"
         "from cd2d import (Variant, assemble_system, build_tensor_mesh,\n"
-        "                  builtin_problem, residual_norm)\n"
-        "from cd2d.solve import factorize\n"
+        "                  builtin_problem, residual_norm, solve_direct)\n"
         "worst = 0.0\n"
         "for name in ('Example1', 'Example2'):\n"
         "    for variant in Variant:\n"
@@ -207,7 +206,7 @@ def test_superlu_blocking_exits_cleanly():
         "                system = dataclasses.replace(assemble_system(\n"
         "                    spec, build_tensor_mesh(spec, N), variant),\n"
         "                    separable=None)\n"
-        "                u = factorize(system).solve(system.rhs)\n"
+        "                u = solve_direct(system)\n"
         "                assert u.solver == 'MMD_AT_PLUS_A'\n"
         "                worst = max(worst, residual_norm(system, u))\n"
         "print(repr(worst))\n"
@@ -225,26 +224,9 @@ def test_underflowing_row_scale_gives_zero(ex1):
     tm = build_tensor_mesh(ex1, 8)
     system = LinearSystem(matrix=1e300 * sp.identity(81, format="csr"),
                           rhs=np.full(81, 1e-100), mesh=tm)
-    factors = factorize(system)
-    assert isinstance(factors.lu, _LUSolve)
-    assert np.all(factors.solve(system.rhs).values == 0.0)
-
-
-def test_factorization_solves_other_rhs(ex1):
-    tm = build_tensor_mesh(ex1, 8)
-    system = assemble_system(ex1, tm)
-    f = factorize(system)
-    # the factorization keeps its system, not copies of its matrix or mesh
-    assert [fld.name for fld in dataclasses.fields(f)] == ["lu", "system"]
-    assert f.system is system and f.solve(system.rhs).mesh is tm
-    rhs = np.linspace(-1.0, 1.0, system.dimension)
-    u = f.solve(rhs)
-    assert residual_norm(dataclasses.replace(system, rhs=rhs), u) <= 1e-12
-    with pytest.raises(MeshMismatch, match="system has 81 unknowns"):
-        f.solve(rhs[:-1])
-    # a system whose rhs does not fit its mesh is never built
-    with pytest.raises(MeshMismatch, match="do not fit the 81 unknowns"):
-        dataclasses.replace(system, rhs=rhs[:-1])
+    u = solve_direct(system)
+    assert u.solver == LU
+    assert np.all(u.values == 0.0)
 
 
 def test_system_must_fit_its_mesh(ex1):
@@ -317,9 +299,9 @@ def test_solve_without_flush_keeps_residual_contract(monkeypatch):
     system = on_the_lu(assemble_system(spec, build_tensor_mesh(spec, 32)))
     with _flush_subnormals():
         assert subnormals_survive()
-    factors = factorize(system)
-    assert isinstance(factors.lu, _LUSolve)
-    assert residual_norm(system, factors.solve(system.rhs)) <= 1e-12
+    u = solve_direct(system)
+    assert u.solver == LU
+    assert residual_norm(system, u) <= 1e-12
     assert subnormals_survive()
 
 
@@ -384,12 +366,10 @@ def test_solver_path_follows_the_coefficients(ex1, ex2):
             system = assemble_system(spec, build_tensor_mesh(spec, 16),
                                      variant)
             assert system.separable is not None
-            assert isinstance(factorize(system).lu, _TensorSolve)
             u = solve_direct(system)
             assert u.solver == path, (spec.name, variant)
             assert residual_norm(system, u) <= 1e-12
     system = identity_system(build_tensor_mesh(ex1, 8))
-    assert isinstance(factorize(system).lu, _LUSolve)
     assert solve_direct(system).solver == LU
 
 
@@ -439,7 +419,8 @@ def test_tensor_factor_failure_is_confined_to_its_cell(ex1, monkeypatch):
     monkeypatch.setattr(cd2d.solve.spla, "splu", failing_splu)
     result = cd2d.run_sweep(ex1, [1e-2], [8, 16])
     assert [cell.error for cell in result.cells] == [
-        None, "SingularMatrix: Factor is exactly singular"]
+        None, "SingularMatrix: Factor is exactly singular (after the tensor "
+        "path: tensor solve: tridiagonal factor failed (dgttrf info 3))"]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -450,12 +431,11 @@ def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
     # row's rank-one update (its -2 neighbour at grid column 2 for N = 8)
     # and the Dirichlet lift through X's and Y's boundary entries
     system = assemble_system(ex1, build_tensor_mesh(ex1, N), variant)
-    factors = factorize(system)
-    assert isinstance(factors.lu, _TensorSolve)
-    assert (factors.lu.update is None) is (variant is Variant.TRANSFORMED)
+    inner = _TensorSolve.build(system.separable)
+    assert (inner.update is None) is (variant is Variant.TRANSFORMED)
     # random values on the boundary rows too: nonzero Dirichlet entries
     rhs = np.random.default_rng(N).standard_normal(system.dimension)
-    u = factors.lu.solve(rhs)
+    u = inner.solve(rhs)
     u_ref = spla.spsolve(system.matrix.tocsc(), rhs)
     assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
 
@@ -490,9 +470,7 @@ def test_hand_built_system_takes_the_lu(ex1):
     u_ref = solve_direct(system).values
     for lu_system in (by_hand, on_the_lu(system)):
         assert lu_system.separable is None
-        factors = factorize(lu_system)
-        assert isinstance(factors.lu, _LUSolve)
-        u = factors.solve(lu_system.rhs)
+        u = solve_direct(lu_system)
         assert u.solver == LU
         assert np.max(np.abs(u.values - u_ref)) <= 1e-12 * np.max(
             np.abs(u_ref))
@@ -509,9 +487,9 @@ def test_tensor_factor_does_not_read_the_csr(ex2, variant, monkeypatch):
 
     for name in ("diagonal", "__getitem__"):
         monkeypatch.setattr(sp.csr_matrix, name, no_read)
-    factors = factorize(system)
-    assert isinstance(factors.lu, _TensorSolve)
-    assert residual_norm(system, factors.solve(system.rhs)) <= 1e-12
+    u = solve_direct(system)
+    assert u.solver == "tensor"
+    assert residual_norm(system, u) <= 1e-12
 
 
 def test_tensor_eigensolver_failure_is_singular_matrix(ex1, monkeypatch):
@@ -523,9 +501,7 @@ def test_tensor_eigensolver_failure_is_singular_matrix(ex1, monkeypatch):
     with pytest.raises(SingularMatrix,
                        match="^tensor solve: eigenvalues did not converge$"):
         _TensorSolve.build(system.separable)
-    factors = factorize(system)
-    assert isinstance(factors.lu, _LUSolve) and factors.lu.path == FALLBACK
-    assert factors.solve(system.rhs).solver == FALLBACK
+    assert solve_direct(system).solver == FALLBACK
 
 
 def test_zero_row_rejected(ex1):
@@ -580,7 +556,7 @@ def test_splu_input_is_row_scaled_matrix(splu_inputs, problem, variant, eps,
     assert a.indices.dtype == a.indptr.dtype == np.int32
     row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
     assert np.all(np.diff(row * a.shape[1] + a.indices) > 0)  # sorted, unique
-    factorize(system)
+    solve_direct(system)
     expected = row_scaled(system)[0].astype(np.float32)
     (given_csc,) = splu_inputs
     assert given_csc.format == "csc"
@@ -597,8 +573,7 @@ def test_stored_zero_left_out_of_splu_input(ex1, splu_inputs):
                          (np.r_[np.arange(81), 40], np.r_[np.arange(81), 41])),
                         shape=(81, 81))
     system = LinearSystem(matrix=mat, rhs=np.ones(81), mesh=tm)
-    assert np.array_equal(factorize(system).solve(system.rhs).values,
-                          np.ones(81))
+    assert np.array_equal(solve_direct(system).values, np.ones(81))
     (given_csc,) = splu_inputs
     assert given_csc.nnz == 81 and np.all(given_csc.data != 0.0)
     assert mat.nnz == 82 and mat.indices[41] == 41
@@ -634,17 +609,23 @@ def test_raw_solution_within_stability_bound(problem, log_eps, N):
 def test_superlu_system_error_is_singular_matrix(monkeypatch):
     # an out-of-memory factorization can end in SystemError; it must be a
     # typed error confined to its cell, not an exception that ends the sweep
-    # (the tensor path stalls on these systems, so both paths fail)
+    # (the tensor path stalls on these systems, so both paths fail, and the
+    # cells name both failures)
     def failing_splu(*args, **kwargs):
         raise SystemError("gstrf was called with invalid arguments")
 
     monkeypatch.setattr(cd2d.solve.spla, "splu", failing_splu)
     spec = stalling("Example2").with_epsilon(1e-2)
-    with pytest.raises(SingularMatrix, match="gstrf"):
-        factorize(on_the_lu(assemble_system(spec, build_tensor_mesh(spec, 16))))
+    with pytest.raises(SingularMatrix,
+                       match="^gstrf was called with invalid arguments$"):
+        solve_direct(on_the_lu(assemble_system(spec,
+                                               build_tensor_mesh(spec, 16))))
     result = cd2d.run_sweep(spec, [1e-2], [8, 16])
-    assert [cell.error for cell in result.cells] == [
-        "SingularMatrix: gstrf was called with invalid arguments"] * 2
+    for cell in result.cells:
+        assert re.fullmatch(
+            r"SingularMatrix: gstrf was called with invalid arguments "
+            r"\(after the tensor path: iterative refinement stalled at step "
+            r"\d+: .*\)", cell.error), cell.error
 
 
 class StubLU:
@@ -667,12 +648,10 @@ class StubLU:
     (1.0, r"iterative refinement (stalled|did not converge) .*")])
 def test_factorization_solve_failures_are_singular_matrix(ex1, outcome,
                                                           message):
-    # a finite but wrong correction is caught by refinement, not returned;
-    # an inner solve other than the fast diagonalization has no fallback
+    # a finite but wrong correction is caught by refinement, not returned
     system = assemble_system(ex1, build_tensor_mesh(ex1, 8))
-    factors = dataclasses.replace(factorize(system), lu=StubLU(outcome))
     with pytest.raises(SingularMatrix) as exc:
-        factors.solve(system.rhs)
+        _refine(system, StubLU(outcome))
     assert re.fullmatch(message, str(exc.value))
 
 
@@ -686,11 +665,66 @@ def test_tensor_solve_failures_restart_on_the_lu(ex2, outcome, monkeypatch):
     expected = solve_direct(on_the_lu(system)).values
     monkeypatch.setattr(_TensorSolve, "solve",
                         lambda self, r: StubLU(outcome).solve(r))
-    factors = factorize(system)
-    assert isinstance(factors.lu, _TensorSolve)
-    for u in (factors.solve(system.rhs), solve_direct(system)):
-        assert u.solver == FALLBACK
-        assert np.array_equal(u.values, expected)
+    u = solve_direct(system)
+    assert u.solver == FALLBACK
+    assert np.array_equal(u.values, expected)
+
+
+def record_builds(monkeypatch):
+    """The inner solves built, "tensor" or "lu" in call order, recorded
+    around the real builds."""
+    built = []
+    real_tensor, real_lu = _TensorSolve.build, _LUSolve.build
+
+    def tensor(part):
+        built.append("tensor")
+        return real_tensor(part)
+
+    def lu(matrix):
+        built.append("lu")
+        return real_lu(matrix)
+
+    monkeypatch.setattr(_TensorSolve, "build", tensor)
+    monkeypatch.setattr(_LUSolve, "build", lu)
+    return built
+
+
+def test_one_solve_builds_each_inner_solve_once(monkeypatch):
+    # a system whose tensor refinement stalls builds the fast
+    # diagonalization once and then the LU once; without a separable part
+    # it builds only the LU
+    built = record_builds(monkeypatch)
+    spec = stalling("Example2").with_epsilon(1e-2)
+    system = assemble_system(spec, build_tensor_mesh(spec, 16))
+    assert solve_direct(system).solver == FALLBACK
+    assert built == ["tensor", "lu"]
+    built.clear()
+    assert solve_direct(on_the_lu(system)).solver == LU
+    assert built == ["lu"]
+
+
+def test_tensor_factor_is_freed_before_the_lu_is_built(monkeypatch):
+    # the failed tensor path keeps only its message, not the exception
+    # whose traceback holds the tensor factor, so the factor is gone by the
+    # time the fallback LU is built
+    factors, live = [], []
+    real_tensor, real_lu = _TensorSolve.build, _LUSolve.build
+
+    def tensor(part):
+        factor = real_tensor(part)
+        factors.append(weakref.ref(factor))
+        return factor
+
+    def lu(matrix):
+        live.extend(ref() is not None for ref in factors)
+        return real_lu(matrix)
+
+    monkeypatch.setattr(_TensorSolve, "build", tensor)
+    monkeypatch.setattr(_LUSolve, "build", lu)
+    spec = stalling("Example2").with_epsilon(1e-2)
+    system = assemble_system(spec, build_tensor_mesh(spec, 16))
+    assert solve_direct(system).solver == FALLBACK
+    assert live == [False]
 
 
 class GainLU:
@@ -700,7 +734,6 @@ class GainLU:
 
     def __init__(self, lu, gains):
         self.lu, self.gains, self.calls = lu, iter(gains), 0
-        self.path = lu.path
 
     def solve(self, rhs):
         self.calls += 1
@@ -716,22 +749,24 @@ def gains_to(errors):
                            itertools.repeat(2.0))
 
 
-def gain_factors(ex1, gains):
-    """Example 1's N = 8 system, its solution, and its factors with the
-    inner solve replaced by a ``GainLU`` of ``gains``."""
+def gain_stub(ex1, gains):
+    """Example 1's N = 8 system, its solution, and a ``GainLU`` of ``gains``
+    on its fast diagonalization."""
     system = assemble_system(ex1, build_tensor_mesh(ex1, 8))
-    factors = factorize(system)
-    stub = GainLU(factors.lu, gains)
-    return system, factors.solve(system.rhs), dataclasses.replace(
-        factors, lu=stub), stub
+    stub = GainLU(_TensorSolve.build(system.separable), gains)
+    return system, solve_direct(system), stub
+
+
+def refined(system, inner):
+    """The solution ``_refine`` reaches on ``inner``, as a grid function."""
+    return GridFunction(system.mesh, _refine(system, inner))
 
 
 def test_refinement_stall_below_rescue_returns(ex1):
     # corrections about 1e-7, 1e-11, then 1e-13 |x| twice: the last does
     # not halve, but it is below 1e-12 |x|, so the solve returns
-    system, exact, factors, stub = gain_factors(
-        ex1, gains_to([1e-7, 1e-11, 5e-14]))
-    u = factors.solve(system.rhs)
+    system, exact, stub = gain_stub(ex1, gains_to([1e-7, 1e-11, 5e-14]))
+    u = refined(system, stub)
     assert stub.calls == 5
     diff = np.max(np.abs(u.values - exact.values)) / exact.max_norm()
     assert 1e-14 <= diff <= 1e-13
@@ -741,11 +776,10 @@ def test_refinement_stall_below_rescue_returns(ex1):
 def test_refinement_stall_above_rescue_raises(ex1):
     # corrections about 1e-3, 1e-8, then 1e-11 |x| twice: a stall above
     # 1e-12 |x| is a failure
-    system, _, factors, stub = gain_factors(
-        ex1, gains_to([1e-3, 1e-8, 5e-12]))
+    system, _, stub = gain_stub(ex1, gains_to([1e-3, 1e-8, 5e-12]))
     with pytest.raises(SingularMatrix,
                        match=r"^iterative refinement stalled at step 4: "):
-        factors.solve(system.rhs)
+        _refine(system, stub)
     assert stub.calls == 5
 
 
@@ -754,7 +788,6 @@ class RecordingLU:
 
     def __init__(self, lu):
         self.lu, self.corrections = lu, []
-        self.path = lu.path
 
     def solve(self, rhs):
         c = self.lu.solve(rhs)
@@ -769,9 +802,8 @@ def test_refinement_stall_at_the_float64_floor_returns(ex2):
     # without the residual floor it raises "stalled at step 5"
     spec = dataclasses.replace(ex2, a_field=a_steep_in_y, epsilon=0.1)
     system = on_the_lu(assemble_system(spec, build_tensor_mesh(spec, 16)))
-    factors = factorize(system)
-    stub = RecordingLU(factors.lu)
-    u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+    stub = RecordingLU(_LUSolve.build(system.matrix))
+    u = refined(system, stub)
     *_, before, last = stub.corrections
     assert last > 0.5 * before and last > 1e-12 * u.max_norm()
     assert residual_norm(system, u) <= 64 * np.finfo(np.float64).epsneg
@@ -792,9 +824,8 @@ def test_float32_lu_stall_at_the_floor_returns(ex2, eps, max_u):
                              Variant.TRANSFORMED)
     assert solve_direct(system).solver == FALLBACK
     system = on_the_lu(system)
-    factors = factorize(system)
-    stub = RecordingLU(factors.lu)
-    u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+    stub = RecordingLU(_LUSolve.build(system.matrix))
+    u = refined(system, stub)
     *_, before, last = stub.corrections
     assert last > 0.5 * before and last > 1e-12 * u.max_norm()
     assert residual_norm(system, u) <= 1e-12
@@ -853,17 +884,16 @@ def test_tensor_failures_solve_by_default(case, inner_solves):
     # refinement keeps halving its corrections, so it ends on the tensor
     # path within the step cap
     system = tensor_failure(case)
-    factors = factorize(system)
-    stub = GainLU(factors.lu, itertools.repeat(1.0))
-    u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+    stub = GainLU(_TensorSolve.build(system.separable), itertools.repeat(1.0))
+    x = _refine(system, stub)
     assert stub.calls == inner_solves
+    u = solve_direct(system)
     assert u.solver == "tensor" and residual_norm(system, u) <= 1e-12
-    assert np.array_equal(solve_direct(system).values, u.values)
+    assert np.array_equal(u.values, x)
 
 
 class SequenceLU:
     """Returns the next of ``values`` at every unknown, whatever r is."""
-    path = "stub"
 
     def __init__(self, values):
         self.values, self.calls = iter(values), 0
@@ -877,8 +907,8 @@ def test_refinement_step_cap(ex1):
     # each correction 0.4 times the last: the tail rule stops after about
     # 37 steps, inside the cap of log2(1 / 4u) = 51 steps, the most a run
     # of halving corrections needs to fall from |x| to 4u |x|
-    system, exact, factors, stub = gain_factors(ex1, itertools.repeat(0.6))
-    u = factors.solve(system.rhs)
+    system, _, stub = gain_stub(ex1, itertools.repeat(0.6))
+    u = refined(system, stub)
     assert stub.calls == 38
     assert residual_norm(system, u) <= 1e-12
     # corrections 2^-k that halve at every step but cancel x as fast, so
@@ -886,7 +916,7 @@ def test_refinement_step_cap(ex1):
     stub = SequenceLU([1.0] + [-0.5 ** k for k in range(1, 60)])
     with pytest.raises(SingularMatrix, match=(
             r"^iterative refinement did not converge in 51 steps: ")):
-        dataclasses.replace(factors, lu=stub).solve(system.rhs)
+        _refine(system, stub)
     assert stub.calls == 52
 
 
@@ -895,17 +925,16 @@ def test_refinement_step_cap(ex1):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_tensor_inner_solve_counts(problem, fewest, most, variant):
     # the counts README states: Example 1 takes exactly 2 inner solves (one
-    # refinement step absorbs the rounding of X), Example 2 at most 8
+    # refinement step absorbs the rounding of X), Example 2 at most 8; a
+    # refinement on the fast diagonalization that returns is the tensor path
     for eps in (1e-1, 1e-4, 1e-6):
         for N in (16, 64, 256):
             spec = builtin_problem(problem).with_epsilon(eps)
             system = assemble_system(spec, bisect(build_tensor_mesh(spec, N)),
                                      variant)
-            factors = factorize(system)
-            assert isinstance(factors.lu, _TensorSolve)
-            stub = GainLU(factors.lu, itertools.repeat(1.0))
-            u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
-            assert u.solver == "tensor"
+            stub = GainLU(_TensorSolve.build(system.separable),
+                          itertools.repeat(1.0))
+            u = refined(system, stub)
             assert residual_norm(system, u) <= 1e-12, (eps, N)
             assert fewest <= stub.calls <= most, (eps, N)
 
@@ -928,10 +957,9 @@ def test_tensor_lift_of_nearly_separable_systems(ex2, a_field, variant):
             s = spec.with_epsilon(eps)
             system = assemble_system(s, bisect(build_tensor_mesh(s, N)),
                                      variant)
-            factors = factorize(system)
-            assert isinstance(factors.lu, _TensorSolve)
-            stub = GainLU(factors.lu, itertools.repeat(1.0))
-            u = dataclasses.replace(factors, lu=stub).solve(system.rhs)
+            stub = GainLU(_TensorSolve.build(system.separable),
+                          itertools.repeat(1.0))
+            u = refined(system, stub)
             assert residual_norm(system, u) <= 1e-12, (eps, N)
             scaled, d = row_scaled(system)
             u_ref = spla.spsolve(scaled, d * system.rhs)
@@ -944,7 +972,6 @@ def test_tensor_lift_of_nearly_separable_systems(ex2, a_field, variant):
 ARRAY_RECORDS = {
     "TensorMesh": lambda system: system.mesh,
     "LinearSystem": lambda system: system,
-    "Factorization": factorize,
     "GridFunction": solve_direct,
 }
 
