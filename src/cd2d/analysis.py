@@ -41,7 +41,7 @@ import numpy as np
 from . import mesh as mesh_mod
 from .assembly import LinearSystem, Variant, assemble_system
 from .errors import CONTAINED_FAILURES, MalformedSpec, MeshMismatch
-from .problems import ProblemSpec, _make_example1, validate
+from .problems import _EXAMPLE1, ProblemSpec, validate
 from .solve import GridFunction, residual_norm, solve_direct
 
 
@@ -321,10 +321,8 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # Smooth manufactured oracle: u*(x,y) = x sin(pi x) sin(pi y) solves Example 1
-# (from its own factory: a registered "example1" must not change the oracle)
-# with one continuous source f = -eps^2 lap u* + a u*_x + b u* on all quadrants.
-
-_EXAMPLE1 = _make_example1()
+# (its own value: a registered "example1" must not change the oracle) with
+# one continuous source f = -eps^2 lap u* + a u*_x + b u* on all quadrants.
 
 
 def mms_exact(x, y):

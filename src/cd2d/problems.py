@@ -106,62 +106,50 @@ def _ex2_f4(x, y):
     return 1.0 + x + y
 
 
-def _make_example1() -> ProblemSpec:
-    return ProblemSpec(
-        epsilon=0.1,
-        a_field=_Constant(2.0),
-        b_field=_Constant(25.0),
-        f_quadrants=tuple(map(_Constant, (0.5, 0.6, -0.6, -0.5))),
-        q_edges=(_Constant(0.0),) * 4,
-        d1=0.5, d2=0.5, alpha=2.0, beta=5.0,
-        name="Example1",
-    )
+_EXAMPLE1 = ProblemSpec(
+    epsilon=0.1,
+    a_field=_Constant(2.0),
+    b_field=_Constant(25.0),
+    f_quadrants=tuple(map(_Constant, (0.5, 0.6, -0.6, -0.5))),
+    q_edges=(_Constant(0.0),) * 4,
+    d1=0.5, d2=0.5, alpha=2.0, beta=5.0,
+    name="Example1",
+)
 
+# alpha = 2 is kept although a = 4 + x would allow alpha = 4: the mesh
+# transition points are built from the stored constants.
+_EXAMPLE2 = ProblemSpec(
+    epsilon=0.1,
+    a_field=_ex2_a,
+    b_field=_ex2_b,
+    f_quadrants=(_ex2_f1, _ex2_f2, _ex2_f3, _ex2_f4),
+    q_edges=(_Constant(0.0),) * 4,
+    d1=0.4, d2=0.6, alpha=2.0, beta=5.0,
+    name="Example2",
+)
 
-def _make_example2() -> ProblemSpec:
-    # alpha = 2 is kept although a = 4 + x would allow alpha = 4: the mesh
-    # transition points are built from the stored constants.
-    return ProblemSpec(
-        epsilon=0.1,
-        a_field=_ex2_a,
-        b_field=_ex2_b,
-        f_quadrants=(_ex2_f1, _ex2_f2, _ex2_f3, _ex2_f4),
-        q_edges=(_Constant(0.0),) * 4,
-        d1=0.4, d2=0.6, alpha=2.0, beta=5.0,
-        name="Example2",
-    )
-
-
-_REGISTRY: dict[str, Callable[[], ProblemSpec]] = {
-    "example1": _make_example1,
-    "example2": _make_example2,
+_REGISTRY: dict[str, ProblemSpec] = {
+    "example1": _EXAMPLE1,
+    "example2": _EXAMPLE2,
 }
 
 
-def register_problem(name: str, factory: Callable[[], ProblemSpec]) -> None:
-    """Register a custom problem factory under a lookup name."""
-    _REGISTRY[name.lower()] = factory
+def register_problem(name: str, spec: ProblemSpec) -> None:
+    """Register a custom problem under a lookup name (case-insensitive);
+    anything but a ``ProblemSpec`` raises ``MalformedSpec`` naming it."""
+    if not isinstance(spec, ProblemSpec):
+        raise MalformedSpec(f"problem {name!r} is a {type(spec).__name__}, "
+                            "not a ProblemSpec")
+    _REGISTRY[name.lower()] = spec
 
 
 def builtin_problem(name: str) -> ProblemSpec:
-    """Look up a registered problem by name (case-insensitive) and build it.
-    A factory that raises (``MemoryError`` aside) or returns no
-    ``ProblemSpec`` raises ``MalformedSpec`` naming the problem."""
+    """Look up a registered problem by name (case-insensitive)."""
     key = name.lower()
     if key not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise MalformedSpec(f"unknown problem {name!r} (known: {known})")
-    try:
-        spec = _REGISTRY[key]()
-    except MemoryError:
-        raise
-    except Exception as exc:
-        raise MalformedSpec(f"problem {name!r} cannot be built: "
-                            f"{type(exc).__name__}: {exc}") from exc
-    if not isinstance(spec, ProblemSpec):
-        raise MalformedSpec(f"problem {name!r} is built as a "
-                            f"{type(spec).__name__}, not a ProblemSpec")
-    return spec
+    return _REGISTRY[key]
 
 
 def problem_names() -> list[str]:

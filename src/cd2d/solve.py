@@ -278,10 +278,9 @@ class _TensorSolve:
 @dataclass(frozen=True, eq=False)
 class _LUSolve:
     """Single-precision SuperLU ``factors`` of D A, D = ``row_scale`` the
-    reciprocal row maxima of |A|, whose (min, max) is ``row_max_range``."""
+    reciprocal row maxima of |A|."""
     factors: spla.SuperLU
     row_scale: np.ndarray
-    row_max_range: tuple[float, float]
 
     @classmethod
     def build(cls, a: sp.csr_matrix) -> "_LUSolve":
@@ -306,7 +305,7 @@ class _LUSolve:
         # ("gstrf was called with invalid arguments")
         except (RuntimeError, SystemError) as exc:
             raise SingularMatrix(str(exc)) from exc
-        return cls(factors, d, (float(row_max.min()), float(row_max.max())))
+        return cls(factors, d)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solution c of A c = r: (D A) c = D r in float32, flushed."""

@@ -747,7 +747,7 @@ def test_crashed_worker_loses_only_its_chain(ex1, tmp_path, capsys):
     assert np.all(np.isnan(result.table.D_eps[1]))
     # the command line reports the lost cells and exits 1
     try:
-        register_problem("crash_probe", lambda: spec)
+        register_problem("crash_probe", spec)
         rc = main(["sweep", "--problem", "crash_probe", "--epsilon", "1e-1",
                    "--epsilon", "1e-3", "--N", "8", "--workers", "2",
                    "--out-dir", str(tmp_path)])
@@ -801,7 +801,7 @@ def test_manufactured_problem_ignores_a_registered_example1(ex1):
     before = manufactured_problem()
     saved = _REGISTRY["example1"]
     try:
-        register_problem("example1", lambda: dataclasses.replace(
+        register_problem("example1", dataclasses.replace(
             ex1, d1=0.3, alpha=1.0, a_field=lambda x, y: 1.0 + x))
         after = manufactured_problem()
     finally:

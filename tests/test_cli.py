@@ -230,7 +230,7 @@ def test_help_lists_a_problem_registered_later(capsys, monkeypatch):
         main(["solve", "--help"])
     assert name not in capsys.readouterr().out
     try:
-        register_problem(name, lambda: builtin_problem("example1"))
+        register_problem(name, builtin_problem("example1"))
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--help"])
     finally:
@@ -321,7 +321,7 @@ def test_solve_metadata_names_the_lu_path(tmp_path):
     # refinement stalls and the solve restarts on the LU
     name = "cli_lu_path_probe"
     try:
-        register_problem(name, lambda: dataclasses.replace(
+        register_problem(name, dataclasses.replace(
             builtin_problem("example2"), name=name,
             b_field=lambda x, y: 25.0 + 100.0 * y))
         rc = main(["solve", "--problem", name, "--epsilon", "1e-3",
@@ -356,7 +356,7 @@ def test_solve_unwritable_out_dir_is_config_error(tmp_path, capsys,
 def test_solve_data_error_is_config_error(tmp_path, capsys):
     name = "cli_nan_b_solve_probe"
     try:
-        register_problem(name, lambda: dataclasses.replace(
+        register_problem(name, dataclasses.replace(
             builtin_problem("example1"), name=name,
             b_field=lambda x, y: np.full(np.shape(x), np.nan)))
         rc = main(["solve", "--problem", name, "--epsilon", "1e-3",
@@ -381,7 +381,7 @@ def test_failing_trace_is_a_data_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(analysis, "solve_direct", must_not_run)
     name = "cli_failing_trace_probe"
     try:
-        register_problem(name, lambda: dataclasses.replace(
+        register_problem(name, dataclasses.replace(
             builtin_problem("example1"), name=name,
             q_edges=(_west_fails_inside,) * 4))
         common = ["--problem", name, "--epsilon", "1e-2"]
@@ -416,30 +416,6 @@ def test_solve_unknown_problem(capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
-def _divide_by_zero():
-    return 1 / 0
-
-
-@pytest.mark.parametrize("factory, why", [
-    (_divide_by_zero, "cannot be built: ZeroDivisionError: division by zero"),
-    (lambda: None, "is built as a NoneType, not a ProblemSpec")],
-    ids=["raises", "none"])
-def test_failing_problem_factory_is_a_data_error(tmp_path, capsys, factory,
-                                                 why):
-    # a registered factory that fails is the user's problem data at fault:
-    # one named line and status 2, not a traceback
-    name = "cli_bad_factory_probe"
-    try:
-        register_problem(name, factory)
-        rc = main(["solve", "--problem", name, "--epsilon", "1e-2",
-                   "--N", "16", "--out-dir", str(tmp_path)])
-    finally:
-        _REGISTRY.pop(name, None)
-    assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: problem {name!r} {why}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_solve_warns_in_classical_regime(tmp_path, capsys):
     rc = main(["solve", "--epsilon", "0.5", "--N", "64",
                "--out-dir", str(tmp_path)])
@@ -451,7 +427,7 @@ def test_solve_alpha_override_changes_mesh(tmp_path):
     # README's recipe for other bounds: a registered replacement problem
     name = "example2_alpha4"
     try:
-        register_problem(name, lambda: dataclasses.replace(
+        register_problem(name, dataclasses.replace(
             builtin_problem("Example2"), alpha=4.0))
         rc = main(["solve", "--problem", name, "--epsilon", "1e-2",
                    "--N", "16", "--out-dir", str(tmp_path)])
@@ -561,7 +537,7 @@ def test_output_name_that_is_not_a_file_name(tmp_path, capsys, monkeypatch,
     out = tmp_path / "out"
     monkeypatch.setattr(mesh_mod, "build_tensor_mesh", must_not_run)
     try:
-        register_problem(name, lambda: dataclasses.replace(
+        register_problem(name, dataclasses.replace(
             builtin_problem("example1"), name=name))
         rc = main([command, "--problem", name, "--epsilon", "1e-2",
                    "--N", "8", "--out-dir", str(out)])
@@ -601,9 +577,8 @@ def test_sweep_missing_cell_exit(tmp_path, capsys):
     # sigma_x >= 0.3 to fail, reachable at eps = 0.5
     name = "cli_badgeom_probe"
     try:
-        register_problem(
-            name, lambda: dataclasses.replace(builtin_problem("example1"),
-                                              d1=0.7, name=name))
+        register_problem(name, dataclasses.replace(
+            builtin_problem("example1"), d1=0.7, name=name))
         rc = main(["sweep", "--problem", name, "--epsilon", "0.5",
                    "--epsilon", "1e-3", "--N", "8", "--out-dir", str(tmp_path)])
         assert rc == EXIT_INCOMPLETE
@@ -682,9 +657,8 @@ def test_sweep_cell_json_keys(tmp_path):
     # the d1 = 0.7 problem of test_sweep_missing_cell_exit: eps 0.5 fails
     name = "cli_badgeom_keys"
     try:
-        register_problem(
-            name, lambda: dataclasses.replace(builtin_problem("example1"),
-                                              d1=0.7, name=name))
+        register_problem(name, dataclasses.replace(
+            builtin_problem("example1"), d1=0.7, name=name))
         rc = main(["sweep", "--problem", name, "--epsilon", "0.5",
                    "--epsilon", "1e-3", "--N", "8", "--out-dir", str(tmp_path)])
     finally:
@@ -743,7 +717,7 @@ def test_verify_validates_before_solving(capsys, monkeypatch):
     name = "cli_nan_b_probe"
     monkeypatch.setattr(cli, "solve_direct", must_not_run)
     try:
-        register_problem(name, lambda: dataclasses.replace(
+        register_problem(name, dataclasses.replace(
             builtin_problem("example1"), name=name,
             b_field=lambda x, y: np.full(np.shape(x), np.nan)))
         rc = main(["verify", "--problem", name, "--epsilon", "1e-3"])
@@ -797,7 +771,7 @@ def test_verify_prints_each_warning_once(capsys):
              for N in (16, 32)
              for w in cli.validate(s, build_tensor_mesh(s, N))]
     try:
-        register_problem(name, lambda: spec)
+        register_problem(name, spec)
         rc = main(["verify", "--problem", name,
                    "--epsilon", "0.2", "--epsilon", "1e-3"])
     finally:
@@ -815,7 +789,7 @@ def test_verify_prints_each_error_once(capsys, monkeypatch):
     name = "cli_nan_b_twice_probe"
     monkeypatch.setattr(cli, "solve_direct", must_not_run)
     try:
-        register_problem(name, lambda: dataclasses.replace(
+        register_problem(name, dataclasses.replace(
             builtin_problem("example1"), name=name,
             b_field=lambda x, y: np.full(np.shape(x), np.nan)))
         rc = main(["verify", "--problem", name,

@@ -3,6 +3,8 @@ import dataclasses
 import functools
 import importlib
 import importlib.util
+import json
+import math
 import os
 import re
 import subprocess
@@ -161,6 +163,14 @@ TRACED_CALLS = {
               "cd2d.analysis:solve_direct", "cd2d.analysis:residual_norm",
               "cd2d.cli:write_grid_dump"},
 }
+TRACED_ARGV = {
+    "bisect": ["sweep", "--problem", "Example1", "--epsilon", "1e-1",
+               "--epsilon", "1e-4", "--N", "16", "--N", "32"],
+    "regenerate": ["sweep", "--problem", "Example2", "--double-mesh",
+                   "regenerate", "--epsilon", "1e-1", "--N", "16", "--N", "32"],
+    "solve": ["solve", "--problem", "Example2", "--variant", "raw",
+              "--epsilon", "1e-3", "--N", "16"],
+}
 
 
 @pytest.mark.parametrize("run", sorted(TRACED_CALLS))
@@ -183,17 +193,31 @@ def test_benchmark_targets_are_called(run, tmp_path, monkeypatch, capsys):
             module = importlib.import_module(module_name)
             monkeypatch.setattr(module, attr,
                                 counted(target, getattr(module, attr)))
-    argv = {"bisect": ["sweep", "--problem", "Example1", "--epsilon", "1e-1",
-                       "--epsilon", "1e-4", "--N", "16", "--N", "32"],
-            "regenerate": ["sweep", "--problem", "Example2", "--double-mesh",
-                           "regenerate", "--epsilon", "1e-1", "--N", "16",
-                           "--N", "32"],
-            "solve": ["solve", "--problem", "Example2", "--variant", "raw",
-                      "--epsilon", "1e-3", "--N", "16"]}[run]
     cli = importlib.import_module("cd2d.cli")
-    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert cli.main(TRACED_ARGV[run] + ["--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert called == TRACED_CALLS[run]
+
+
+@pytest.mark.parametrize("run", sorted(TRACED_CALLS))
+def test_benchmark_trace_metrics_are_finite(run, tmp_path, monkeypatch,
+                                            capsys):
+    # a layer left without a target, or a count hook that fails on a
+    # changed return type, reads null, and a traced benchmark line with a
+    # null or non-finite metric is no result at all
+    tracer = _benchmark_spans(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        cli = importlib.import_module("cd2d.cli")
+        assert cli.main(TRACED_ARGV[run] + ["--out-dir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.pass_metrics()
+    assert tracer.unmeasured == set()
+    assert all(isinstance(v, (int, float)) and math.isfinite(v)
+               for v in metrics.values()), metrics
+    json.dumps(metrics, allow_nan=False)
 
 
 def test_readme_library_examples_run(tmp_path, monkeypatch):

@@ -339,26 +339,24 @@ def test_validate_trace_failing_at_a_corner(ex1):
         assemble_system(bad, mesh)
 
 
-def test_factory_memory_error_is_not_wrapped():
-    # running out of memory is no fault of the problem data
-    def hungry():
-        raise MemoryError
-
-    name = "unit_hungry_factory_probe"
-    try:
-        register_problem(name, hungry)
-        with pytest.raises(MemoryError):
-            builtin_problem(name)
-    finally:
-        _REGISTRY.pop(name, None)
-
-
 def test_register_problem(ex1):
     name = "unit_register_probe"
     try:
-        register_problem(name, lambda: ex1.with_epsilon(1e-2))
+        register_problem(name, ex1.with_epsilon(1e-2))
         got = builtin_problem(name)
         assert got.epsilon == 1e-2
         assert name in problem_names()
     finally:
         _REGISTRY.pop(name, None)
+
+
+@pytest.mark.parametrize("spec", [lambda: None, None], ids=["lambda", "none"])
+def test_register_problem_takes_only_a_spec(spec):
+    # the registry holds values: a factory, or no spec at all, is refused
+    # where it arrives, and nothing is registered
+    before = problem_names()
+    with pytest.raises(MalformedSpec, match=(
+            rf"^problem 'unit_not_a_spec' is a {type(spec).__name__}, "
+            r"not a ProblemSpec$")):
+        register_problem("unit_not_a_spec", spec)
+    assert problem_names() == before

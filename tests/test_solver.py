@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import itertools
 import math
@@ -166,7 +167,7 @@ def test_factorization_stats_and_fill():
                                        bisect(build_tensor_mesh(spec, 128))))
     lu = _LUSolve.build(system.matrix)
     row_max = np.abs(system.matrix).max(axis=1).toarray().ravel()
-    assert lu.row_max_range == (row_max.min(), row_max.max())
+    assert np.array_equal(lu.row_scale, 1.0 / row_max)
     scaled, d = row_scaled(system)
     colamd = spla.splu(scaled)
     assert (lu.factors.L.nnz + lu.factors.U.nnz
@@ -636,8 +637,10 @@ class StubLU:
         self.outcome = outcome
 
     def solve(self, rhs):
+        # a fresh exception each call: raising the parametrized instance
+        # would store on it a traceback that keeps the caller's factor alive
         if isinstance(self.outcome, Exception):
-            raise self.outcome
+            raise type(self.outcome)(*self.outcome.args)
         return np.full_like(rhs, self.outcome)
 
 
@@ -660,14 +663,25 @@ def test_factorization_solve_failures_are_singular_matrix(ex1, outcome,
 def test_tensor_solve_failures_restart_on_the_lu(ex2, outcome, monkeypatch):
     # the same failures of the fast diagonalization's solve, a breakdown,
     # a non-finite correction or a stall, restart the system on the LU,
-    # whose answer the solve returns and names
+    # whose answer the solve returns and names; no failure keeps the
+    # tensor factor alive
     system = assemble_system(ex2, build_tensor_mesh(ex2, 16))
     expected = solve_direct(on_the_lu(system)).values
+    factors, real_tensor = [], _TensorSolve.build
+
+    def tensor(part):
+        factor = real_tensor(part)
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(_TensorSolve, "build", tensor)
     monkeypatch.setattr(_TensorSolve, "solve",
                         lambda self, r: StubLU(outcome).solve(r))
     u = solve_direct(system)
     assert u.solver == FALLBACK
     assert np.array_equal(u.values, expected)
+    gc.collect()
+    assert len(factors) == 1 and factors[0]() is None
 
 
 def record_builds(monkeypatch):
