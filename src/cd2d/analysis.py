@@ -23,9 +23,9 @@ The uniform error is D(N) = max over eps of D(N, eps) and the estimated
 order E(N) = log2(D(N) / D(2N)), given only where the next column is 2N.
 
 In regenerate mode the 2N mesh of cell (eps, N) is the N-mesh of cell
-(eps, 2N), so a sweep runs each eps row as chains of cells whose N doubles
-from one to the next; the chain loop hands each cell's companion solve on
-as the next cell's coarse solve, and ``run_cell`` is the chain of one.
+(eps, 2N), so a sweep runs each eps row as one chain, whose loop hands a
+cell's companion solve on as the next cell's coarse solve when it has that
+cell's N intervals; ``run_cell`` is the chain of one.
 """
 from __future__ import annotations
 
@@ -146,11 +146,12 @@ def run_cell(spec: ProblemSpec, N: int,
 
 def _cell(spec: ProblemSpec, N: int, variant: Variant, mode: DoubleMeshMode,
           coarse: Optional[MeshSolve]) -> tuple[CellResult, Optional[MeshSolve]]:
-    """The cell (eps, N), and in regenerate mode its companion's solve, the
-    coarse solve of the cell of 2N.  ``coarse``, if given, is the solve on
-    this cell's N-mesh; the cell then solves only its companion."""
+    """The cell (eps, N) and its companion's solve (None if not reached).
+    ``coarse``, if given, is the solve on this cell's N-mesh; the cell then
+    solves only its companion."""
     t = dict.fromkeys(_STAGES, 0.0)
-    found = dict(epsilon=spec.epsilon, N=N, timings=t)  # the fields so far
+    found = dict(epsilon=spec.epsilon, N=N, timings=t,   # the fields so far
+                 coarse_reused=coarse is not None)
     start = time.perf_counter()
     fine = None
     try:
@@ -170,8 +171,6 @@ def _cell(spec: ProblemSpec, N: int, variant: Variant, mode: DoubleMeshMode,
                    for tm in meshes]
         if coarse is None:
             coarse = solve_on(systems.pop(0), t)
-        else:
-            found["coarse_reused"] = True
         found.update(residual_coarse=coarse.residual,
                      max_u_coarse=coarse.solution.max_norm(),
                      solver=coarse.solution.solver)
@@ -186,38 +185,31 @@ def _cell(spec: ProblemSpec, N: int, variant: Variant, mode: DoubleMeshMode,
     except CONTAINED_FAILURES as exc:
         found["error"] = f"{type(exc).__name__}: {exc}"
     cell = CellResult(wall_time=time.perf_counter() - start, **found)
-    return cell, fine if mode is DoubleMeshMode.REGENERATE else None
-
-
-def _chains(Ns: Sequence[int], mode: DoubleMeshMode) -> list[list[int]]:
-    """Ns split into the runs a worker solves in order: in regenerate mode
-    each N that doubles the one before joins its run, else every N is alone."""
-    chains: list[list[int]] = []
-    for N in Ns:
-        if chains and mode is DoubleMeshMode.REGENERATE and N == 2 * chains[-1][-1]:
-            chains[-1].append(N)
-        else:
-            chains.append([N])
-    return chains
+    return cell, fine
 
 
 def _chain_worker(args) -> list[CellResult]:
-    """The cells of one chain, each reusing the last one's companion solve."""
+    """The cells of one chain in order.  In regenerate mode a cell takes the
+    last cell's companion solve as its coarse one if that solve has the
+    cell's N intervals; a companion not taken is dropped before it runs."""
     spec, Ns, variant, mode = args
-    cells, shared = [], None
+    cells, fine = [], None
     for N in Ns:
-        cell, shared = _cell(spec, N, variant, mode, shared)
+        coarse = (fine if mode is DoubleMeshMode.REGENERATE
+                  and fine is not None and fine.solution.n == N else None)
+        fine = None     # else held through the next cell's solves
+        cell, fine = _cell(spec, N, variant, mode, coarse)
         cells.append(cell)
     return cells
 
 
 def _run_pooled(jobs: list, workers: int) -> list[list[CellResult]]:
-    """``_chain_worker`` over the jobs in a process pool.  If a worker dies,
-    the chains finished by then keep their cells and every other chain runs
-    again in a one-worker pool of its own, one after another, so a second
-    crash is confined to (and names) its chain and memory pressure from the
-    other workers is gone; a chain that crashes again records the crash as
-    its cells' error."""
+    """``_chain_worker`` over the jobs (one chain each, see ``run_sweep``)
+    in a process pool.  If a worker dies, the chains finished by then keep
+    their cells and every other chain runs again in a one-worker pool of its
+    own, one after another, so a second crash is confined to (and names) its
+    chain and memory pressure from the other workers is gone; a chain that
+    crashes again records the crash as its cells' error."""
     # imported here: multiprocessing is start-up cost a serial sweep skips
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -290,14 +282,16 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
               workers: int = 1) -> SweepResult:
     """Fill the (eps, N) error table; failed cells are missing, not fatal.
 
-    Work is split into chains (see ``_chains``); with ``workers > 1`` they
-    run in a process pool, and a crashed worker costs only its own chain.
+    Work is split into chains: each eps row in regenerate mode, each cell
+    in bisect mode.  With ``workers > 1`` they run in a process pool, and a
+    crashed worker costs only its own chain.
     ``variant`` and ``mode`` may be members or their values; anything else
     raises ``ValueError`` before any mesh work.
     """
     variant, mode = Variant(variant), DoubleMeshMode(mode)
+    chains = [list(Ns)] if mode is DoubleMeshMode.REGENERATE else [[N] for N in Ns]
     jobs = [(spec.with_epsilon(eps), chain, variant, mode)
-            for eps in epsilons for chain in _chains(Ns, mode)]
+            for eps in epsilons for chain in chains]
     if workers > 1 and len(jobs) > 1:
         try:
             pickle.dumps(spec)
@@ -305,10 +299,10 @@ def run_sweep(spec: ProblemSpec, epsilons: Sequence[float], Ns: Sequence[int],
             raise MalformedSpec(f"problem {spec.name!r} cannot be sent to worker "
                                 f"processes ({type(exc).__name__}: {exc}); its "
                                 "fields must be module-level functions") from exc
-        chains = _run_pooled(jobs, workers)
+        results = _run_pooled(jobs, workers)
     else:
-        chains = [_chain_worker(job) for job in jobs]
-    cells = [cell for chain in chains for cell in chain]
+        results = [_chain_worker(job) for job in jobs]
+    cells = [cell for chain in results for cell in chain]
     D = np.full((len(epsilons), len(Ns)), np.nan)
     for idx, cell in enumerate(cells):
         r, c = divmod(idx, len(Ns))
@@ -393,7 +387,9 @@ def format_table_text(table: ConvergenceTable) -> str:
 
 
 def _clean(v):
-    """``v``, or None for a float that is not finite (JSON has no NaN)."""
+    """``v`` as a JSON value: a numpy scalar as its Python value, and None
+    for a float that is not finite (JSON has no NaN)."""
+    v = v.item() if isinstance(v, np.generic) else v
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
@@ -407,8 +403,8 @@ def sweep_to_dict(result: SweepResult) -> dict:
         "problem": result.problem,
         "variant": result.variant.value,
         "double_mesh": result.mode.value,
-        "epsilons": result.table.epsilons,
-        "Ns": result.table.Ns,
+        "epsilons": [_clean(v) for v in result.table.epsilons],
+        "Ns": [_clean(v) for v in result.table.Ns],
         "D_eps": [[_clean(v) for v in row] for row in result.table.D_eps],
         "D": [_clean(v) for v in result.table.D_uniform],
         "E": [_clean(v) for v in result.table.E_uniform],

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MalformedSpec
+from .errors import MalformedSpec, MeshMismatch
 from .mesh import TensorMesh
 
 ScalarField = Callable[[float, float], float]
@@ -205,10 +205,14 @@ def sample_problem(spec: ProblemSpec, mesh: TensorMesh) -> tuple[
     or xs[h:] (Q2, Q4), h = n/2, so the lines x = d1 and y = d2 carry the
     one-sided values of both neighbouring quadrants.  Every sample must be
     finite and a >= alpha, b >= beta^2 must hold at every mesh point;
-    otherwise ``MalformedSpec`` lists each finding, joined by "; ".
+    otherwise ``MalformedSpec`` lists each finding, joined by "; ".  A mesh
+    whose point n/2 is not (d1, d2) raises ``MeshMismatch``.
     """
     half = mesh.n // 2
     xs, ys = mesh.x, mesh.y
+    if (xs[half], ys[half]) != (spec.d1, spec.d2):
+        raise MeshMismatch(f"mesh breaks at ({xs[half]}, {ys[half]}), but "
+                           f"{spec.name} jumps at ({spec.d1}, {spec.d2})")
     a = sample_field(spec.a_field, xs, ys)
     b = sample_field(spec.b_field, xs, ys)
     left, right, below, above = xs[:half + 1], xs[half:], ys[:half + 1], ys[half:]

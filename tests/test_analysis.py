@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -508,12 +510,16 @@ def test_serial_sweep_imports_no_interpolation_or_process_pool():
 
 
 def test_run_sweep_worker_count_invariant(ex1):
+    # [8, 32, 64] skips a doubling: 64 reuses 32's companion, 32 solves its
+    # own coarse mesh, whatever the pool
     for mode in DoubleMeshMode:
-        serial = run_sweep(ex1, [1e-1, 1e-2], [8, 16], mode=mode, workers=1)
-        parallel = run_sweep(ex1, [1e-1, 1e-2], [8, 16], mode=mode, workers=2)
-        assert np.array_equal(serial.table.D_eps, parallel.table.D_eps), mode
-        assert ([c.coarse_reused for c in serial.cells]
-                == [c.coarse_reused for c in parallel.cells]), mode
+        for Ns in ([8, 16], [8, 32, 64]):
+            serial = run_sweep(ex1, [1e-1, 1e-2], Ns, mode=mode, workers=1)
+            parallel = run_sweep(ex1, [1e-1, 1e-2], Ns, mode=mode, workers=2)
+            assert np.array_equal(serial.table.D_eps,
+                                  parallel.table.D_eps), (mode, Ns)
+            assert ([c.coarse_reused for c in serial.cells]
+                    == [c.coarse_reused for c in parallel.cells]), (mode, Ns)
 
 
 def test_pool_is_capped_at_the_chain_count(ex1, monkeypatch):
@@ -586,6 +592,32 @@ def test_regenerate_sweep_solves_each_mesh_once(ex2, monkeypatch):
     result = run_sweep(ex2, [1e-1, 1e-3], [8, 32], mode=REGENERATE)
     assert len(calls) == 8                 # no N doubles: nothing shared
     assert not any(c.coarse_reused for c in result.cells)
+    calls.clear()
+    result = run_sweep(ex2, [1e-1, 1e-3], [8, 32, 64], mode=REGENERATE)
+    # 8's companion is no cell's N-mesh; 64 takes 32's
+    assert calls == [8, 16, 32, 64, 128] * 2
+    assert [c.coarse_reused for c in result.cells] == [False, False, True] * 2
+    assert np.isfinite(result.table.D_eps).all()
+
+
+def test_untaken_companion_is_freed_before_the_next_solve(ex2, monkeypatch):
+    # in the row 8, 32, 64 no cell takes cell 8's 16-mesh companion; the
+    # chain must drop it before cell 32 solves, so a held solution adds
+    # nothing to a later cell's peak memory
+    refs, alive = {}, []
+
+    def tracking(system):
+        if system.mesh.n == 32:
+            gc.collect()
+            alive.append(refs[16]() is not None)
+        solution = solve_direct(system)
+        refs[solution.n] = weakref.ref(solution)
+        return solution
+
+    monkeypatch.setattr(analysis, "solve_direct", tracking)
+    result = run_sweep(ex2, [1e-2], [8, 32, 64], mode=REGENERATE)
+    assert alive == [False]
+    assert [c.coarse_reused for c in result.cells] == [False, False, True]
 
 
 def test_cells_name_their_solver_path(ex1, ex2):
@@ -935,6 +967,19 @@ def test_text_table_marks_missing():
     assert lines[0].startswith("eps")
     assert "-" in lines[1]
     assert "-" in lines[3]       # E needs two finite uniform errors
+
+
+def test_sweep_json_takes_numpy_inputs(ex1):
+    # numpy eps and Ns reach the table and the cells as numpy scalars; the
+    # document is the one for lists, and json writes it
+    def document(epsilons, Ns):
+        payload = sweep_to_dict(run_sweep(ex1, epsilons, Ns))
+        for cell in payload["cells"]:
+            del cell["timings"], cell["wall_time"]
+        return json.dumps(payload, allow_nan=False)
+
+    assert (document(np.array([1e-2]), np.array([8, 16]))
+            == document([1e-2], [8, 16]))
 
 
 def test_sweep_dict_json_round_trip(ex1):

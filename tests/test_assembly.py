@@ -24,7 +24,7 @@ from cd2d import (
 from cd2d import assembly, mesh as mesh_mod, problems
 from cd2d.assembly import _raw_interface_coeffs
 from cd2d.cli import EXIT_CONFIG, main as cli_main
-from cd2d.errors import GeometryError
+from cd2d.errors import GeometryError, MeshMismatch
 from cd2d.problems import ProblemSpec
 
 from scalar_rows import oracle_system, source_off_lines
@@ -754,3 +754,17 @@ def test_variant_by_value_is_the_member(ex2):
                                   getattr(by_member.matrix, attr)), attr
     with pytest.raises(ValueError):
         assemble_system(ex2, tm, "Raw")
+
+
+def test_mesh_built_for_another_problem_is_refused(ex1, ex2):
+    # Example 2's source jumps at (0.4, 0.6); on Example 1's mesh, broken at
+    # (0.5, 0.5), its transmission rows would sit off the jump
+    mesh = build_tensor_mesh(ex1.with_epsilon(1e-3), 16)
+    with pytest.raises(MeshMismatch, match=(
+            r"^mesh breaks at \(0\.5, 0\.5\), but Example2 jumps at "
+            r"\(0\.4, 0\.6\)$")):
+        assemble_system(ex2.with_epsilon(1e-3), mesh)
+    for moved in ({"d1": 0.45}, {"d2": 0.45}):     # either line alone
+        with pytest.raises(MeshMismatch):
+            assemble_system(dataclasses.replace(ex1, **moved), mesh)
+    assert assemble_system(ex1, bisect(mesh)).mesh.n == 32
