@@ -20,19 +20,18 @@ the right-hand side F.  Y, made symmetric by a diagonal similarity S
 W = S^-1 Q for the eigenvectors Q of ``scipy.linalg.eigh_tridiagonal``; in
 that basis the system splits into the n-1 systems (X + lam_k D) v_k =
 (W^-1 F)_k (R. E. Lynch, J. R. Rice & D. H. Thomas, Numer. Math. 6, 1964).
-Their tridiagonal parts are stacked, factored once by LAPACK ``dgttrf``
-(partial pivoting) and solved by ``dgttrs``; the raw variant's x = d1 row,
-which also couples to its second neighbours, is a Sherman-Morrison rank-one
-update (J. Sherman & W. J. Morrison, Ann. Math. Statist. 21(1), 1950).  A
+They are stacked, factored once by LAPACK ``dgttrf`` (partial pivoting)
+and solved by ``dgttrs``; the raw variant's x = d1 row, which also couples
+to its second neighbours, is made tridiagonal in every system, and in the
+right-hand side, by subtracting multiples of its two neighbour rows.  A
 solve costs two dense (n-1)^2 products and O(n^2) besides.  When a or b
 varies with y, so does X from row to row, and the fast solver of the mean X
 is the inner solve of the refinement loop below, which runs against A, so the
 answer is the LU's to rounding (P. Concus & G. H. Golub, SIAM J. Numer.
 Anal. 10(6), 1973).  Each step cuts the error by a factor that grows with the
 y-variation, until refinement stalls and the solve restarts on the LU (README
-"Solver" gives the counts).  A breakdown (``LinAlgError``, a zero pivot in
-``dgttrf``, or a zero or non-finite Sherman-Morrison denominator) is
-``SingularMatrix``.
+"Solver" gives the counts).  A breakdown (``LinAlgError`` from the
+eigensolver or a zero pivot in ``dgttrf``) is ``SingularMatrix``.
 
 Equilibration.  The transmission-row coefficients grow like 1/h1 and the fine
 width h1 shrinks like eps^2, so for the smallest eps the matrix entries span
@@ -194,20 +193,19 @@ def _flush_subnormals() -> Iterator[None]:
 class _TensorSolve:
     """Fast diagonalization of a system's ``separable`` operator
     I (x) X + Y (x) D (laid out in ``LinearSystem``): W^-1 Y W = diag(lam)
-    and the LU (LAPACK ``dgttrf``) of the tridiagonal parts T_k of the n-1
-    systems X + lam_k D, stacked with zero coupling between them.  The raw
-    variant's x = d1 row r, the one where D is 0, also has X[r, r -+ 2],
-    the entries of ``raw_row`` (w), so there X + lam_k D = T_k + e_r w^T,
-    and ``update`` holds the rows z_k / s_k of the Sherman-Morrison
-    correction, z_k = T_k^-1 e_r and s_k = 1 + w^T z_k (None when w = 0).
-    ``lift`` couples the operator to the south, north, west and east
-    Dirichlet values: Y's end entries times D, then X's."""
+    and the LU (LAPACK ``dgttrf``) of the n-1 systems X + lam_k D, stacked
+    with zero coupling between them.  The raw variant's x = d1 row r, the
+    one where D is 0, also has X[r, r -+ 2]; every system's row r less
+    f times row r-1 and g times row r+1, which have no such entries, is
+    tridiagonal, and ``eliminate`` holds (r, f, g) to do the same to the
+    right-hand side (f = g = 0 for the transformed row).  ``lift`` couples
+    the operator to the south, north, west and east Dirichlet values: Y's
+    end entries times D, then X's."""
     w: np.ndarray
     w_inv: np.ndarray
     factors: tuple
     lift: tuple
-    raw_row: np.ndarray
-    update: Optional[np.ndarray]
+    eliminate: tuple
 
     @classmethod
     def build(cls, part: tuple) -> "_TensorSolve":
@@ -226,30 +224,22 @@ class _TensorSolve:
         dl = np.tile(np.r_[x_bar[1, 1:], 0.0], p)[:-1]
         du = np.tile(np.r_[x_bar[3, :-1], 0.0], p)[:-1]
         d = (x_bar[2] + lam[:, None] * coupled).ravel()
+        # row r less f row r-1 and g row r+1 clears X's -+2 entries (off the
+        # edge for N >= 8) in rows k p + r; the divisors, row r-1's west and
+        # row r+1's east couplings, are never 0 (a >= alpha > 0 upwinds west)
+        r = int(np.argmin(coupled))
+        f = float(x_bar[0, r] / x_bar[1, r - 1])
+        g = float(x_bar[4, r] / x_bar[3, r + 1])
+        dl[r - 1::p] -= f * (x_bar[2, r - 1] + lam)
+        d[r::p] -= f * x_bar[3, r - 1] + g * x_bar[1, r + 1]
+        du[r::p] -= g * (x_bar[2, r + 1] + lam)
         *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=1,
                                        overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise SingularMatrix("tensor solve: tridiagonal factor failed "
                                  f"(dgttrf info {info})")
-        # w, X's x = d1 row at offsets -+2 (N >= 8 keeps them off the edge)
-        r, raw_row = int(np.argmin(coupled)), np.zeros(p)
-        raw_row[[r - 2, r + 2]] = x_bar[[0, 4], r]
-        update = None
-        if raw_row.any():
-            e_r = np.zeros((p, p))
-            e_r[:, r] = 1.0
-            z, _ = lapack.dgttrs(*factors, e_r.reshape(p * p, 1),
-                                 overwrite_b=1)
-            z = z.reshape(p, p)
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = 1.0 + z @ raw_row
-            if not np.all(np.isfinite(s) & (s != 0.0)):
-                raise SingularMatrix(
-                    "tensor solve: rank-one update of the x = d1 row "
-                    "breaks down (1 + w^T T^-1 e_r is 0 or not finite)")
-            update = np.divide(z, s[:, None], out=z)
         return cls(w=q / sigma[:, None], w_inv=q.T * sigma,
-                   factors=tuple(factors), raw_row=raw_row, update=update,
+                   factors=tuple(factors), eliminate=(r, f, g),
                    lift=(south[0] * coupled, north[-1] * coupled,
                          x_bar[1, 0], x_bar[3, -1]))
 
@@ -259,19 +249,18 @@ class _TensorSolve:
         c = np.array(r, dtype=np.float64).reshape(p + 2, p + 2)
         # c holds the Dirichlet values, the boundary's solution; the
         # interior rows next to the boundary take them to the right-hand side
-        f = c[1:-1, 1:-1].copy()
+        b = c[1:-1, 1:-1].copy()
         south, north, west, east = self.lift
-        f[0] -= south * c[0, 1:-1]
-        f[-1] -= north * c[-1, 1:-1]
-        f[:, 0] -= west * c[1:-1, 0]
-        f[:, -1] -= east * c[1:-1, -1]
-        v, _ = lapack.dgttrs(*self.factors,
-                             (self.w_inv @ f).reshape(p * p, 1),
+        b[0] -= south * c[0, 1:-1]
+        b[-1] -= north * c[-1, 1:-1]
+        b[:, 0] -= west * c[1:-1, 0]
+        b[:, -1] -= east * c[1:-1, -1]
+        b = self.w_inv @ b
+        row, f, g = self.eliminate
+        b[:, row] -= f * b[:, row - 1] + g * b[:, row + 1]
+        v, _ = lapack.dgttrs(*self.factors, b.reshape(p * p, 1),
                              overwrite_b=1)
-        v = v.reshape(p, p)
-        if self.update is not None:
-            v -= self.update * (v @ self.raw_row)[:, None]
-        c[1:-1, 1:-1] = self.w @ v
+        c[1:-1, 1:-1] = self.w @ v.reshape(p, p)
         return c.ravel()
 
 

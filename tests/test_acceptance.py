@@ -7,6 +7,7 @@ solver is checked against; deviations are reported relative to them.
 """
 import dataclasses
 import itertools
+import pathlib
 import time
 
 import numpy as np
@@ -48,29 +49,64 @@ REFERENCE_E32_EX2 = 0.740
 RUNTIME_BUDGET = 180.0          # seconds for the criterion-1 sweep
 ORDER_BAND = (0.90, 1.15)       # frozen before the first convergence run
 
+# the desk tables as this program computed them, and how far they may move
+FROZEN_DIR = pathlib.Path(__file__).parent / "data"
+FROZEN_RTOL = 1e-10
+
 
 def _criterion(num: int, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
 
 
-@pytest.fixture(scope="module")
-def desk_run():
-    spec = builtin_problem("example1")
-    start = time.perf_counter()
-    result = run_sweep(spec, DESK_EPSILONS, DESK_NS,
-                       Variant.TRANSFORMED, DoubleMeshMode.BISECT)
-    return result, time.perf_counter() - start
+def _ex1_sweep():
+    return run_sweep(builtin_problem("example1"), DESK_EPSILONS, DESK_NS,
+                     Variant.TRANSFORMED, DoubleMeshMode.BISECT)
 
 
-@pytest.fixture(scope="module")
-def ex2_runs():
+def _ex2_sweeps():
     spec = builtin_problem("example2")
     return {
         mode: run_sweep(spec, DESK_EPSILONS, [32, 64],
                         Variant.TRANSFORMED, mode)
         for mode in (DoubleMeshMode.BISECT, DoubleMeshMode.REGENERATE)
     }
+
+
+def _desk_tables(ex1_result, ex2_results) -> dict:
+    """The desk sweeps' tables by the name of their frozen file."""
+    tables = {"example1_transformed_bisect.csv": ex1_result.table}
+    for mode, result in ex2_results.items():
+        tables[f"example2_transformed_{mode.value}.csv"] = result.table
+    return tables
+
+
+def _write_frozen(table, path: pathlib.Path) -> None:
+    """A header of Ns, then one row per eps: eps and its D_eps, as repr."""
+    rows = [["eps"] + [str(n) for n in table.Ns]]
+    rows += [[repr(float(eps))] + [repr(float(d)) for d in row]
+             for eps, row in zip(table.epsilons, table.D_eps)]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def _read_frozen(path: pathlib.Path):
+    """(epsilons, Ns, D_eps) of a file ``_write_frozen`` wrote."""
+    header, *rows = [line.split(",") for line in
+                     path.read_text().splitlines()]
+    values = np.array([[float(v) for v in row] for row in rows])
+    return list(values[:, 0]), [int(n) for n in header[1:]], values[:, 1:]
+
+
+@pytest.fixture(scope="module")
+def desk_run():
+    start = time.perf_counter()
+    result = _ex1_sweep()
+    return result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def ex2_runs():
+    return _ex2_sweeps()
 
 
 def test_acceptance_1_example1_reference_table(desk_run):
@@ -229,6 +265,20 @@ def test_acceptance_8_mesh_property_runtime():
     assert _criterion(8, ok, detail), detail
 
 
+def test_desk_tables_match_frozen_values(desk_run, ex2_runs):
+    """Every desk D_eps finite and within 1e-10 relative of tests/data.
+
+    A change meant to move the tables refreezes them with
+    ``python tests/test_acceptance.py`` and lists every moved value.
+    """
+    for name, table in _desk_tables(desk_run[0], ex2_runs).items():
+        epsilons, Ns, frozen = _read_frozen(FROZEN_DIR / name)
+        assert (epsilons, Ns) == (list(table.epsilons), list(table.Ns)), name
+        assert np.isfinite(table.D_eps).all(), name
+        np.testing.assert_allclose(table.D_eps, frozen, rtol=FROZEN_RTOL,
+                                   atol=0.0, err_msg=name)
+
+
 @pytest.mark.slow
 def test_full_error_tables_slow():
     """Six-epsilon sweeps up to N = 512 complete with decaying uniform error.
@@ -245,3 +295,10 @@ def test_full_error_tables_slow():
         print(format_table_text(result.table))
         assert np.isfinite(result.table.D_eps).all()
         assert np.all(np.diff(result.table.D_uniform) < 0.0)
+
+
+if __name__ == "__main__":
+    FROZEN_DIR.mkdir(exist_ok=True)
+    for name, table in _desk_tables(_ex1_sweep(), _ex2_sweeps()).items():
+        _write_frozen(table, FROZEN_DIR / name)
+        print(f"wrote {FROZEN_DIR / name}")

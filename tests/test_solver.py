@@ -424,16 +424,34 @@ def test_tensor_factor_failure_is_confined_to_its_cell(ex1, monkeypatch):
         "path: tensor solve: tridiagonal factor failed (dgttrf info 3))"]
 
 
+def b_varying_in_x(x, y):
+    return 25.0 + x / 2.0
+
+
+# Example 2's geometry (x = d1 at 0.4) with b = 25 + x/2: X varies along x,
+# and the system is still exactly separable
+OFF_CENTRE = dataclasses.replace(builtin_problem("example2"),
+                                 b_field=b_varying_in_x)
+
+
 @pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("N", [8, 16])
-def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
-    # Example 1 is exactly separable, so one inner solve, without
-    # refinement, is the system's solution: the tridiagonal stack, the raw
-    # row's rank-one update (its -2 neighbour at grid column 2 for N = 8)
-    # and the Dirichlet lift through X's and Y's boundary entries
-    system = assemble_system(ex1, build_tensor_mesh(ex1, N), variant)
+@pytest.mark.parametrize("problem, N", [
+    pytest.param(builtin_problem("example1"), 8, id="8"),
+    pytest.param(builtin_problem("example1"), 16, id="16"),
+    pytest.param(OFF_CENTRE, 8, id="off-centre-8"),
+    pytest.param(OFF_CENTRE, 16, id="off-centre-16"),
+])
+def test_tensor_inner_solve_matches_direct_solve(problem, N, variant):
+    # Example 1 and the off-centre problem are exactly separable, so one
+    # inner solve, without refinement, is the system's solution: the
+    # tridiagonal stack, the raw row's elimination of its -+2 neighbours
+    # (at grid column 2 for Example 1 at N = 8) and the Dirichlet lift
+    # through X's and Y's boundary entries
+    system = assemble_system(problem, build_tensor_mesh(problem, N), variant)
     inner = _TensorSolve.build(system.separable)
-    assert (inner.update is None) is (variant is Variant.TRANSFORMED)
+    _, f, g = inner.eliminate
+    raw = variant is Variant.RAW
+    assert (f != 0.0, g != 0.0) == (raw, raw)
     # random values on the boundary rows too: nonzero Dirichlet entries
     rhs = np.random.default_rng(N).standard_normal(system.dimension)
     u = inner.solve(rhs)
@@ -441,24 +459,25 @@ def test_tensor_inner_solve_matches_direct_solve(ex1, variant, N):
     assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
 
 
-def test_tensor_rank_one_breakdown_is_singular_matrix(ex1, monkeypatch):
-    # w holds 1/4 at both of the raw row's second neighbours and the z solve
-    # returns -2 everywhere, so s_k = 1 + w^T z_k is exactly 0; the build
-    # raises before dividing by it (a RuntimeWarning is an error here), and
-    # the system is factored on the LU instead
-    system = assemble_system(ex1, build_tensor_mesh(ex1, 8), Variant.RAW)
-    x_bar = system.separable[0]     # entries at -+2 only at x = d1
-    x_bar[[0, 4]] = np.where(x_bar[[0, 4]] != 0.0, 0.25, 0.0)
+def held_bytes(inner):
+    """Bytes of the ndarrays a ``_TensorSolve`` holds, in its tuples too."""
+    total = 0
+    for field in dataclasses.fields(inner):
+        value = getattr(inner, field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                total += item.nbytes
+    return total
 
-    def z_solve(dl, d, du, du2, ipiv, b, **kwargs):
-        return np.full_like(b, -2.0), 0
 
-    monkeypatch.setattr(cd2d.solve.lapack, "dgttrs", z_solve)
-    with pytest.raises(SingularMatrix, match=(
-            r"^tensor solve: rank-one update of the x = d1 row breaks down")):
-        _TensorSolve.build(system.separable)
-    u = solve_direct(system)
-    assert u.solver == FALLBACK and residual_norm(system, u) <= 1e-12
+def test_raw_tensor_factor_holds_what_the_transformed_holds(ex1):
+    # the raw row is eliminated in place, so its factor holds no array
+    # beyond the transformed variant's
+    mesh = build_tensor_mesh(ex1, 16)
+    raw, transformed = (held_bytes(_TensorSolve.build(
+        assemble_system(ex1, mesh, variant).separable))
+        for variant in (Variant.RAW, Variant.TRANSFORMED))
+    assert raw == transformed > 0
 
 
 def test_hand_built_system_takes_the_lu(ex1):
